@@ -17,6 +17,13 @@ from .minuscule import enumerate_poset, maxima_parametrization, verify_all
 from .report import render_dot, render_json, result_document
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, pi1: bool = True) -> None:
     p.add_argument("--type", required=True, metavar="LABEL",
                    help="affine diagram label, e.g. E8~1 or D5~2")
@@ -31,7 +38,7 @@ def _add_common(p: argparse.ArgumentParser, pi1: bool = True) -> None:
                        default=True,
                        help="fold involutions equivalent under diagram symmetry")
         p.add_argument("--jobs", type=int, default=1, metavar="N")
-        p.add_argument("--max-length", type=int, default=None, metavar="L",
+        p.add_argument("--max-length", type=non_negative_int, default=None, metavar="L",
                        help="truncate the enumeration at this length")
 
 
@@ -147,17 +154,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    contexts = _contexts(args)
-    multi = len(contexts) > 1
-    if multi and not args.out:
+    if args.all and not args.out:
         raise ValueError("--all export needs --out (a directory)")
-    for ctx in contexts:
+    for ctx in _contexts(args):
         poset = enumerate_poset(ctx, max_length=args.max_length, jobs=args.jobs)
         if args.format == "dot":
             text = render_dot(poset)
         else:
             text = render_json(result_document(poset, verify_all(poset)))
-        if multi:
+        if args.all:
             os.makedirs(args.out, exist_ok=True)
             ext = "dot" if args.format == "dot" else "json"
             path = os.path.join(args.out, f"{_slug(ctx)}.{ext}")

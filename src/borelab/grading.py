@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
-from math import lcm
+from itertools import combinations
 from typing import Iterable, Optional
 
 from .cartan import AffineDiagram, components as diagram_components, finite_dual_coxeter
@@ -25,9 +24,13 @@ from .roots import (
     highest_root,
     ht_subset,
     is_long,
+    is_positive,
     is_real_root,
     norm_sq,
+    pair,
+    root_kind,
     simple_root,
+    sub,
     subsystem_closure,
 )
 
@@ -75,6 +78,11 @@ class InvolutionSpec:
 
 def involution(d: AffineDiagram, odd: Iterable[int], adjoint: bool = False) -> InvolutionSpec:
     odd_set = set(odd)
+    stray = sorted(odd_set.difference(d.nodes))
+    if stray:
+        raise ValueError(
+            f"{d.label} has nodes 0..{d.size - 1}; no node {', '.join(map(str, stray))}"
+        )
     return InvolutionSpec(d, tuple(1 if i in odd_set else 0 for i in d.nodes), adjoint)
 
 
@@ -155,6 +163,7 @@ class GradedContext:
         self.delta = self.d.marks
         self.components = self._build_components()
         self.walls = self._build_walls()
+        self._decompositions: dict[Root, tuple[tuple[Root, Root], ...]] = {}
 
     def ht_odd(self, a: Root) -> int:
         """Coefficient sum over the odd nodes."""
@@ -238,35 +247,59 @@ class GradedContext:
     def odd_height_one_roots(self) -> frozenset[Root]:
         """All positive real roots of odd height 1 (a finite set).
 
-        Coordinates are bounded by k * marks, so a box scan with a squared
-        length filter and a reflection-descent confirmation is exhaustive.
+        These are the weights of the odd-height-1 part of the positive
+        subalgebra as a module over the even part.  That module is generated
+        by the odd simple root vectors, so every weight of height h + 1 is a
+        weight of height h raised by one even simple root.  Raising height by
+        height, all weights below a are known, so the alpha_i-string through a
+        reaches p steps down, and p - q = <a, alpha_i^vee> says whether it
+        goes up.  For k = 2, delta is a weight too; it is raised like the
+        others but is not real.
         """
-        d, k = self.d, self.k
-        gram = [[d.symmetrizer[i] * d.cartan[i][j] for j in d.nodes] for i in d.nodes]
-        lam = lcm(*(x.denominator for row in gram for x in row))
-        gint = [[int(lam * x) for x in row] for row in gram]
-        allowed = {int(lam * 2 * di) for di in d.symmetrizer}
-        even = list(self.even)
-        ranges = [range(k * d.marks[i] + 1) for i in even]
-        found = []
-        for b in self.odd:
-            base = [0] * d.size
-            base[b] = 1
-            for combo in product(*ranges):
-                vec = list(base)
-                for pos, c in zip(even, combo):
-                    vec[pos] = c
-                q = 0
-                for i, vi in enumerate(vec):
-                    if vi:
-                        row = gint[i]
-                        q += vi * sum(row[j] * vj for j, vj in enumerate(vec) if vj)
-                if q not in allowed:
+        d = self.d
+        weights = {simple_root(d, b) for b in self.odd}
+        frontier = list(weights)
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for i in self.even:
+                    lower = list(a)
+                    p = 0
+                    while True:
+                        lower[i] -= 1
+                        if tuple(lower) not in weights:
+                            break
+                        p += 1
+                    if p <= pair(d, a, i):
+                        continue
+                    c = tuple(x + 1 if j == i else x for j, x in enumerate(a))
+                    if c not in weights:
+                        weights.add(c)
+                        nxt.append(c)
+            frontier = nxt
+        weights.discard(self.delta)
+        return frozenset(weights)
+
+    @cached_property
+    def summands(self) -> tuple[Root, ...]:
+        """Positive roots that can be a summand of an odd-height-1 root: the
+        even positive roots and the odd-height-1 roots themselves."""
+        return tuple(self.even_positive_roots | self.odd_height_one_roots)
+
+    def decompositions(self, g: Root) -> tuple[tuple[Root, Root], ...]:
+        """Every (a, g - a) with a a summand other than g and g - a a positive
+        real root; listed once per root and then looked up."""
+        out = self._decompositions.get(g)
+        if out is None:
+            pairs = []
+            for a in self.summands:
+                if a == g:
                     continue
-                cand = tuple(vec)
-                if is_real_root(d, cand):
-                    found.append(cand)
-        return frozenset(found)
+                b = sub(g, a)
+                if is_positive(b) and root_kind(self.d, b) == "real":
+                    pairs.append((a, b))
+            out = self._decompositions[g] = tuple(pairs)
+        return out
 
     def bounding_roots(self) -> frozenset[Root]:
         """Even simple roots plus wall roots; avoiding all of them in the

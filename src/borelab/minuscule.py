@@ -30,7 +30,6 @@ from .weyl import (
     coset_poset,
     from_word,
     identity,
-    is_biconvex,
     longest_element,
     minimal_mapper,
 )
@@ -95,6 +94,8 @@ def enumerate_poset(
     ctx: GradedContext, max_length: Optional[int] = None, jobs: int = 1
 ) -> MinusculePoset:
     """Breadth-first enumeration; deterministic for any job count."""
+    if max_length is not None and max_length < 0:
+        raise ValueError(f"max_length must be at least 0, not {max_length}")
     s1 = ctx.odd_height_one_roots
     cap = len(s1) if max_length is None else min(max_length, len(s1))
     start = identity(ctx.d)
@@ -111,7 +112,8 @@ def enumerate_poset(
         for i in nodes:
             if w.mat[i] in s1:
                 grown = w.extend(i)
-                assert grown is not None
+                if grown is None:
+                    raise RuntimeError(f"positive column {w.mat[i]} did not extend {w.word}")
                 out.append((pos, grown))
         return out
 
@@ -711,10 +713,38 @@ def check_special_involutions(ctx: GradedContext) -> CheckResult:
     )
 
 
+def structural_verdict(ctx: GradedContext, inv: Iterable[Root]) -> tuple[bool, bool]:
+    """(no two members sum to a root, the set is biconvex) for a set of roots.
+
+    One pass over the pairs answers the sum test and the closure half of
+    biconvexity; the co-closure half reads each member's decompositions from
+    the grading's table.  Agrees with `weyl.is_biconvex(d, inv, ctx.summands)`.
+    """
+    members = set(inv)
+    family = list(members)
+    sum_free = closed = True
+    for i, x in enumerate(family):
+        for y in family[i + 1 :]:
+            total = add(x, y)
+            kind = root_kind(ctx.d, total)
+            if kind == "none":
+                continue
+            sum_free = False
+            if kind == "imaginary" or total not in members:
+                closed = False
+                break
+        if not closed:
+            break
+    biconvex = closed and all(
+        a in members or b in members
+        for g in family
+        for a, b in ctx.decompositions(g)
+    )
+    return sum_free, biconvex
+
+
 def check_structural(poset: MinusculePoset, limit: int) -> CheckResult:
     """Inversion sets are biconvex and pairwise-sum-free (abelian)."""
-    ctx = poset.ctx
-    candidates = tuple(ctx.even_positive_roots | ctx.odd_height_one_roots)
     if len(poset) <= limit:
         targets = list(range(len(poset)))
         scope = "all"
@@ -724,17 +754,10 @@ def check_structural(poset: MinusculePoset, limit: int) -> CheckResult:
         scope = f"{len(targets)} sampled"
     problems = []
     for p in targets:
-        w = poset.elements[p]
-        inv = sorted(w.inversions)
-        for i, x in enumerate(inv):
-            for y in inv[i + 1 :]:
-                if root_kind(ctx.d, add(x, y)) != "none":
-                    problems.append(f"element {p}: inversions sum to a root")
-                    break
-            else:
-                continue
-            break
-        if not is_biconvex(ctx.d, inv, candidates):
+        sum_free, biconvex = structural_verdict(poset.ctx, poset.elements[p].inversions)
+        if not sum_free:
+            problems.append(f"element {p}: inversions sum to a root")
+        if not biconvex:
             problems.append(f"element {p}: inversion set not biconvex")
     return _check(
         "structural",

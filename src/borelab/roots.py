@@ -190,7 +190,8 @@ def highest_root(d: AffineDiagram, nodes: Iterable[int]) -> Root:
     theta = max(closure, key=ht)
     if sum(1 for a in closure if ht(a) == ht(theta)) != 1:
         raise ValueError(f"subsystem on {s} is not connected")
-    assert all(pair(d, theta, i) >= 0 for i in s)
+    if any(pair(d, theta, i) < 0 for i in s):
+        raise RuntimeError(f"highest root {theta} of {s} is not dominant")
     return theta
 
 

@@ -183,9 +183,11 @@ def _from_mats(d: AffineDiagram, mat: Cols, inv: Cols) -> WeylElement:
     w = identity(d)
     for i in word:
         nxt = w.extend(i)
-        assert nxt is not None, "canonical word was not reduced"
+        if nxt is None:
+            raise RuntimeError("canonical word was not reduced")
         w = nxt
-    assert w.mat == mat, "matrix does not define a group element"
+    if w.mat != mat:
+        raise RuntimeError("matrix does not define a group element")
     return w
 
 
@@ -217,7 +219,8 @@ def longest_element(d: AffineDiagram, nodes: Iterable[int]) -> WeylElement:
         if i is None:
             return w
         w = w.extend(i)
-    assert all(is_negative(w.mat[i]) for i in s)
+    if not all(is_negative(w.mat[i]) for i in s):
+        raise RuntimeError(f"no longest element on nodes {s} within length {cap}")
     return w
 
 
@@ -332,7 +335,8 @@ def _path_element(
     w = identity(d)
     for i in letters:
         nxt = w.extend(i)
-        assert nxt is not None, "orbit path word was not reduced"
+        if nxt is None:
+            raise RuntimeError("orbit path word was not reduced")
         w = nxt
     return w
 

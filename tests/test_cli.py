@@ -109,6 +109,28 @@ def test_export_sweep_naming(tmp_path):
         jsonschema.validate(json.loads(p.read_text()), RESULT_SCHEMA)
 
 
+def test_export_all_single_grading_writes_into_directory(tmp_path):
+    # A2~2 has one grading; --all still makes --out a directory
+    r = run_cli("export", "--type", "A2~2", "--all", "--out", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["A2~2__pi1-1.json"]
+    assert r.stdout.strip() == str(tmp_path / "A2~2__pi1-1.json")
+
+
+def test_negative_max_length_rejected():
+    r = run_cli("enumerate", "--type", "D5~2", "--pi1", "1", "--max-length", "-1")
+    assert r.returncode == 2
+    assert "--max-length: must be at least 0, not -1" in r.stderr
+    assert r.stdout == ""
+
+
+def test_out_of_range_node_rejected():
+    r = run_cli("verify", "--type", "A2~1", "--pi1", "99", "--adjoint")
+    assert r.returncode == 2
+    assert "A2~1 has nodes 0..2; no node 99" in r.stderr
+    assert "flag weight" not in r.stderr
+
+
 def test_export_all_requires_out():
     assert run_cli("export", "--type", "A5~1", "--all").returncode == 2
 

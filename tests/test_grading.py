@@ -1,8 +1,40 @@
+from itertools import product
+from math import lcm
+
 import pytest
 
 from borelab.cartan import load_diagram
 from borelab.grading import analyze, catalog_involutions, context_for, involution
-from borelab.roots import simple_root
+from borelab.roots import is_real_root, root_kind, simple_root
+
+SWEEP_LABELS = [
+    "A1~1", "A2~1", "A3~1", "A4~1", "A5~1", "B2~1", "B3~1", "B4~1",
+    "C3~1", "D4~1", "D5~1", "G2~1", "F4~1",
+    "A2~2", "A4~2", "A5~2", "D4~2", "D5~2",
+]
+
+
+def box_scan(ctx):
+    """Odd-height-1 roots by brute force: even coordinates are bounded by
+    k * marks, so scan that box with a squared-length filter and confirm each
+    survivor by reflection descent."""
+    d, k = ctx.d, ctx.k
+    gram = [[d.symmetrizer[i] * d.cartan[i][j] for j in d.nodes] for i in d.nodes]
+    lam = lcm(*(x.denominator for row in gram for x in row))
+    gint = [[int(lam * x) for x in row] for row in gram]
+    allowed = {int(lam * 2 * di) for di in d.symmetrizer}
+    even = list(ctx.even)
+    found = set()
+    for b in ctx.odd:
+        for combo in product(*(range(k * d.marks[i] + 1) for i in even)):
+            vec = [0] * d.size
+            vec[b] = 1
+            for pos, c in zip(even, combo):
+                vec[pos] = c
+            q = sum(vi * gint[i][j] * vj for i, vi in enumerate(vec) for j, vj in enumerate(vec))
+            if q in allowed and is_real_root(d, tuple(vec)):
+                found.add(tuple(vec))
+    return frozenset(found)
 
 
 def test_involution_validation():
@@ -180,6 +212,21 @@ def test_odd_height_one_counts():
     assert len(context_for("A2~1", [0], adjoint=True).odd_height_one_roots) == 6
     assert len(context_for("A6~1", [0, 3]).odd_height_one_roots) == 24
     assert len(context_for("A1~1", [0, 1]).odd_height_one_roots) == 2
+
+
+@pytest.mark.parametrize("label", SWEEP_LABELS)
+def test_odd_height_one_closure_matches_box_scan(label):
+    for spec in catalog_involutions(load_diagram(label), include_adjoint=True, dedupe=False):
+        ctx = analyze(spec)
+        assert ctx.odd_height_one_roots == box_scan(ctx), spec.describe()
+
+
+def test_odd_height_one_closure_e8_adjoint():
+    # beyond the box scan's reach: its box has 14 million points here
+    ctx = context_for("E8~1", [0], adjoint=True)
+    s1 = ctx.odd_height_one_roots
+    assert len(s1) == 240  # delta + gamma for every root gamma of E8
+    assert all(ctx.ht_odd(g) == 1 and root_kind(ctx.d, g) == "real" for g in s1)
 
 
 def test_odd_height_one_contents():

@@ -9,11 +9,13 @@ from borelab.minuscule import (
     intersection_minimum,
     maxima_parametrization,
     special_involution,
+    structural_verdict,
     type_one_nodes,
     u_element,
     verify_all,
 )
-from borelab.weyl import from_reflection, from_word
+from borelab.roots import add, root_kind, simple_root
+from borelab.weyl import from_reflection, from_word, is_biconvex
 
 
 def words(poset):
@@ -129,6 +131,8 @@ def test_max_length_truncation(d5):
     assert all(w.length <= 2 for w in p.elements)
     assert len(p) == len([w for w in full.elements if w.length <= 2])
     assert enumerate_poset(ctx, max_length=len(ctx.odd_height_one_roots)).complete
+    with pytest.raises(ValueError, match="max_length"):
+        enumerate_poset(ctx, max_length=-1)
 
 
 def test_e6_intersections():
@@ -202,3 +206,29 @@ def test_check_line_format(d5):
     _, p = d5
     r = verify_all(p)[0]
     assert r.line().startswith("[PASS] bounding_equivalence:")
+
+
+def reference_verdict(ctx, inv):
+    """Reference: every pair sum checked with root_kind, and weyl.is_biconvex."""
+    inv = sorted(inv)
+    sum_free = all(
+        root_kind(ctx.d, add(x, y)) == "none"
+        for i, x in enumerate(inv) for y in inv[i + 1:]
+    )
+    return sum_free, is_biconvex(ctx.d, inv, ctx.summands)
+
+
+def test_structural_verdict_matches_reference(d5, e8):
+    for ctx, poset in (d5, e8):
+        for w in poset.elements:
+            assert structural_verdict(ctx, w.inversions) == reference_verdict(
+                ctx, w.inversions), w.word
+    ctx = e8[0]
+    # a raised odd simple root without the even root it was raised by:
+    # sum-free, but its decomposition has neither part in the set
+    g = add(simple_root(ctx.d, 1), simple_root(ctx.d, 2))
+    assert g in ctx.odd_height_one_roots
+    assert structural_verdict(ctx, [g]) == reference_verdict(ctx, [g]) == (True, False)
+    # two members summing to a root outside the set
+    x, y = simple_root(ctx.d, 1), simple_root(ctx.d, 2)
+    assert structural_verdict(ctx, [x, y]) == reference_verdict(ctx, [x, y]) == (False, False)
