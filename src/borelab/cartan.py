@@ -29,6 +29,11 @@ class AffineDiagram:
     marks: tuple[int, ...] = field(compare=False)
     comarks: tuple[int, ...] = field(compare=False)
     symmetrizer: tuple[Fraction, ...] = field(compare=False)
+    # Memo tables filled on demand by borelab.roots and borelab.weyl, keyed by
+    # root (kinds, coroot rows) or node set (closures); not part of equality.
+    root_kinds: dict = field(default_factory=dict, compare=False, repr=False)
+    closures: dict = field(default_factory=dict, compare=False, repr=False)
+    coroot_rows: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -145,7 +150,7 @@ def _build(label: str, letter: str, rank: int, twist: int) -> AffineDiagram:
     if twist == 1:
         if letter == "A" and rank == 1:
             size, bonds = 2, [(0, 1, -2, -2)]
-        elif letter == "A":
+        elif letter == "A" and rank >= 2:
             size = rank + 1
             bonds = _chain(0, rank) + [(rank, 0, -1, -1)]
         elif letter == "B" and rank == 2:

@@ -24,11 +24,21 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def node_list(text: str) -> str:
+    """Check that every comma-separated item is a node number; keep the text."""
+    for item in filter(None, text.split(",")):
+        try:
+            int(item)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{item!r} is not a node number") from None
+    return text
+
+
 def _add_common(p: argparse.ArgumentParser, pi1: bool = True) -> None:
     p.add_argument("--type", required=True, metavar="LABEL",
                    help="affine diagram label, e.g. E8~1 or D5~2")
     if pi1:
-        p.add_argument("--pi1", metavar="NODES",
+        p.add_argument("--pi1", type=node_list, metavar="NODES",
                        help="comma-separated odd node numbers, e.g. 0,3")
         p.add_argument("--adjoint", action="store_true",
                        help="adjoint grading (single mark-1 odd node)")
@@ -37,7 +47,6 @@ def _add_common(p: argparse.ArgumentParser, pi1: bool = True) -> None:
         p.add_argument("--dedupe", action=argparse.BooleanOptionalAction,
                        default=True,
                        help="fold involutions equivalent under diagram symmetry")
-        p.add_argument("--jobs", type=int, default=1, metavar="N")
         p.add_argument("--max-length", type=non_negative_int, default=None, metavar="L",
                        help="truncate the enumeration at this length")
 
@@ -105,7 +114,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     out = []
     for ctx in _contexts(args):
-        poset = enumerate_poset(ctx, max_length=args.max_length, jobs=args.jobs)
+        poset = enumerate_poset(ctx, max_length=args.max_length)
         if args.format == "json":
             out.append(render_json(result_document(poset)))
         else:
@@ -134,9 +143,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_maxima(args: argparse.Namespace) -> int:
     for ctx in _contexts(args):
-        poset = enumerate_poset(ctx, max_length=args.max_length, jobs=args.jobs)
+        poset = enumerate_poset(ctx, max_length=args.max_length)
+        items = maxima_parametrization(poset)
         print(ctx.spec.describe())
-        for it in maxima_parametrization(poset):
+        for it in items:
             word = ".".join(str(x) for x in poset.elements[it.position].word)
             print(f"  {it.label:24s} {it.kind:9s} dim {it.dimension:3d}  word {word}")
     return 0
@@ -145,7 +155,7 @@ def _cmd_maxima(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     failed = False
     for ctx in _contexts(args):
-        poset = enumerate_poset(ctx, max_length=args.max_length, jobs=args.jobs)
+        poset = enumerate_poset(ctx, max_length=args.max_length)
         print(ctx.spec.describe())
         for r in verify_all(poset):
             print(" ", r.line())
@@ -157,7 +167,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if args.all and not args.out:
         raise ValueError("--all export needs --out (a directory)")
     for ctx in _contexts(args):
-        poset = enumerate_poset(ctx, max_length=args.max_length, jobs=args.jobs)
+        poset = enumerate_poset(ctx, max_length=args.max_length)
         if args.format == "dot":
             text = render_dot(poset)
         else:

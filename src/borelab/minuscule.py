@@ -11,7 +11,6 @@ that `verify_all` checks against the enumerated poset.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -55,6 +54,11 @@ class MinusculePoset:
     def __len__(self) -> int:
         return len(self.elements)
 
+    def truncation(self) -> str:
+        """Where an incomplete enumeration stopped."""
+        return (f"enumeration truncated at length {self.elements[-1].length} "
+                f"after {len(self)} elements; longer elements exist")
+
     def position(self, w: WeylElement) -> Optional[int]:
         return self._position.get(w.mat)
 
@@ -90,10 +94,8 @@ class MinusculePoset:
         return tuple(out)
 
 
-def enumerate_poset(
-    ctx: GradedContext, max_length: Optional[int] = None, jobs: int = 1
-) -> MinusculePoset:
-    """Breadth-first enumeration; deterministic for any job count."""
+def enumerate_poset(ctx: GradedContext, max_length: Optional[int] = None) -> MinusculePoset:
+    """Breadth-first enumeration, level by level in node order."""
     if max_length is not None and max_length < 0:
         raise ValueError(f"max_length must be at least 0, not {max_length}")
     s1 = ctx.odd_height_one_roots
@@ -103,47 +105,36 @@ def enumerate_poset(
     position = {start.mat: 0}
     edges: list[tuple[int, int]] = []
     frontier = [0]
-    nodes = list(ctx.d.nodes)
     truncated = False
 
-    def expand(pos: int) -> list[tuple[int, WeylElement]]:
+    def expand(pos: int) -> list[WeylElement]:
         w = elements[pos]
         out = []
-        for i in nodes:
+        for i in ctx.d.nodes:
             if w.mat[i] in s1:
                 grown = w.extend(i)
                 if grown is None:
                     raise RuntimeError(f"positive column {w.mat[i]} did not extend {w.word}")
-                out.append((pos, grown))
+                out.append(grown)
         return out
 
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        depth = 0
-        while frontier:
-            if depth == cap:
-                if any(expand(p) for p in frontier):
-                    truncated = True
-                break
-            depth += 1
-            if pool is not None:
-                batches = pool.map(expand, frontier)
-            else:
-                batches = map(expand, frontier)
-            new_frontier: list[int] = []
-            for batch in batches:
-                for src, grown in batch:
-                    tgt = position.get(grown.mat)
-                    if tgt is None:
-                        tgt = len(elements)
-                        position[grown.mat] = tgt
-                        elements.append(grown)
-                        new_frontier.append(tgt)
-                    edges.append((src, tgt))
-            frontier = new_frontier
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    depth = 0
+    while frontier:
+        if depth == cap:
+            truncated = any(expand(p) for p in frontier)
+            break
+        depth += 1
+        new_frontier: list[int] = []
+        for src in frontier:
+            for grown in expand(src):
+                tgt = position.get(grown.mat)
+                if tgt is None:
+                    tgt = len(elements)
+                    position[grown.mat] = tgt
+                    elements.append(grown)
+                    new_frontier.append(tgt)
+                edges.append((src, tgt))
+        frontier = new_frontier
     return MinusculePoset(ctx, tuple(elements), tuple(edges), complete=not truncated)
 
 
@@ -253,6 +244,8 @@ class MaximumItem:
 def maxima_parametrization(poset: MinusculePoset) -> tuple[MaximumItem, ...]:
     """The closed-form index set for the maximal elements, with closed-form
     dimensions, resolved to positions in the enumerated poset."""
+    if not poset.complete:
+        raise ValueError(poset.truncation())
     ctx = poset.ctx
     items: list[MaximumItem] = []
     component_walls = [w for w in ctx.walls if w.kind == "component"]
@@ -343,7 +336,9 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
 
 
 def verify_all(poset: MinusculePoset, structural_limit: int = 600) -> list[CheckResult]:
-    """Run every structural check against the enumerated poset."""
+    """Run every structural check; a truncated poset fails the check `complete`."""
+    if not poset.complete:
+        return [_check("complete", False, poset.truncation())]
     out = [
         check_bounding_equivalence(poset),
         check_poset_basics(poset),

@@ -1,7 +1,7 @@
 """Serialization of enumeration results: canonical JSON and Graphviz DOT.
 
 Documents are fully deterministic — fixed key order, fixed list orders, no
-timestamps — so reruns (and runs with different job counts) are byte-identical.
+timestamps — so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -163,6 +163,8 @@ def render_json(doc: dict) -> str:
 
 def render_dot(poset: MinusculePoset) -> str:
     """Hasse diagram in Graphviz DOT form, ranked by length."""
+    if not poset.complete:
+        raise ValueError(poset.truncation())
     lines = ["digraph poset {", "  rankdir=BT;"]
     maxima = set(poset.maxima)
     for i, w in enumerate(poset.elements):

@@ -7,7 +7,6 @@ and is normalized so that long real roots have squared length 2.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -108,14 +107,10 @@ def root_kind(d: AffineDiagram, a: Root) -> str:
     the node of largest positive coroot pairing.  A vector with coordinates of
     both signs is never a root.
     """
-    key = (d.label, a)
-    cached = _kind_cache.get(key)
-    if cached is None:
-        cached = _kind_cache[key] = _root_kind_uncached(d, a)
-    return cached
-
-
-_kind_cache: dict[tuple[str, Root], str] = {}
+    kind = d.root_kinds.get(a)
+    if kind is None:
+        kind = d.root_kinds[a] = _root_kind_uncached(d, a)
+    return kind
 
 
 def _root_kind_uncached(d: AffineDiagram, a: Root) -> str:
@@ -152,18 +147,13 @@ def is_real_root(d: AffineDiagram, a: Root) -> bool:
     return root_kind(d, a) == "real"
 
 
-_closure_cache: dict[tuple[str, frozenset[int]], frozenset[Root]] = {}
-_closure_lock = threading.Lock()
-
-
 def subsystem_closure(d: AffineDiagram, nodes: Iterable[int]) -> frozenset[Root]:
     """Positive roots of the finite subsystem on a proper subset of nodes."""
-    key = (d.label, frozenset(nodes))
-    with _closure_lock:
-        cached = _closure_cache.get(key)
+    key = frozenset(nodes)
+    cached = d.closures.get(key)
     if cached is not None:
         return cached
-    s = sorted(key[1])
+    s = sorted(key)
     if len(s) >= d.size:
         raise ValueError("subsystem must omit at least one node")
     roots = {simple_root(d, i) for i in s}
@@ -177,9 +167,7 @@ def subsystem_closure(d: AffineDiagram, nodes: Iterable[int]) -> frozenset[Root]
                     roots.add(b)
                     new.add(b)
         frontier = new
-    result = frozenset(roots)
-    with _closure_lock:
-        _closure_cache[key] = result
+    result = d.closures[key] = frozenset(roots)
     return result
 
 
@@ -196,8 +184,8 @@ def highest_root(d: AffineDiagram, nodes: Iterable[int]) -> Root:
 
 
 def is_long(d: AffineDiagram, a: Root, nodes: Optional[Iterable[int]] = None) -> bool:
-    """Long: squared length 2 globally, or maximal within a given subsystem."""
+    """Long: squared length 2 globally, or maximal within a given subsystem
+    (every root of a finite subsystem is conjugate to one of its simples)."""
     if nodes is None:
         return norm_sq(d, a) == 2
-    top = max(norm_sq(d, b) for b in subsystem_closure(d, nodes))
-    return norm_sq(d, a) == top
+    return norm_sq(d, a) == max(d.norm(i) for i in nodes)

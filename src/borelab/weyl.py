@@ -1,14 +1,14 @@
 """Affine Weyl group elements and the coset machinery built on them.
 
 An element is stored by its action matrix (column i = image of the i-th simple
-root, in simple-root coordinates), the matrix of the inverse, and the inversion
-set {gamma > 0 : w^{-1}(gamma) < 0}.  Length equals the inversion count, and
-the right weak order is containment of inversion sets.
+root, in simple-root coordinates) and the inversion set
+{gamma > 0 : w^{-1}(gamma) < 0}; the matrix of the inverse is built on first
+use.  Length equals the inversion count, and the right weak order is
+containment of inversion sets.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .cartan import AffineDiagram
@@ -37,22 +37,24 @@ def _apply_cols(cols: Cols, a: Root) -> Root:
     return tuple(out)
 
 
-def _right_mult_simple(d: AffineDiagram, mat: Cols, inv: Cols, i: int) -> tuple[Cols, Cols]:
-    """Matrices of w*s_i from those of w."""
+def _right_mult_simple(d: AffineDiagram, mat: Cols, i: int) -> Cols:
+    """Matrix of w*s_i from that of w; columns with zero pairing are reused."""
     row = d.cartan[i]
     col_i = mat[i]
-    new_mat = tuple(
-        tuple(x - row[j] * y for x, y in zip(mat[j], col_i)) if j != i else tuple(-x for x in col_i)
-        for j in range(len(mat))
+    return tuple(
+        tuple(-x for x in col) if j == i
+        else tuple(x - row[j] * y for x, y in zip(col, col_i)) if row[j]
+        else col
+        for j, col in enumerate(mat)
     )
-    new_inv = tuple(reflect_simple(d, c, i) for c in inv)
-    return new_mat, new_inv
 
 
-@lru_cache(maxsize=None)
 def _coroot_row(d: AffineDiagram, beta: Root) -> tuple[int, ...]:
     """<alpha_j, beta^vee> for each node j."""
-    return tuple(coroot_pair(d, beta, simple_root(d, j)) for j in d.nodes)
+    row = d.coroot_rows.get(beta)
+    if row is None:
+        row = d.coroot_rows[beta] = tuple(coroot_pair(d, beta, simple_root(d, j)) for j in d.nodes)
+    return row
 
 
 def _left_mult_reflection(
@@ -79,31 +81,34 @@ def _left_mult_reflection(
 
 
 class WeylElement:
-    """Group element with cached matrices, a reduced word, and inversions."""
+    """Group element with its matrix, a reduced word, and inversions."""
 
-    __slots__ = ("d", "word", "mat", "inv", "inversions", "_hash")
+    __slots__ = ("d", "word", "mat", "_inv", "inversions")
 
     def __init__(
         self,
         d: AffineDiagram,
         word: tuple[int, ...],
         mat: Cols,
-        inv: Cols,
         inversions: frozenset[Root],
+        inv: Optional[Cols] = None,
     ):
         self.d = d
         self.word = word
         self.mat = mat
-        self.inv = inv
+        self._inv = inv
         self.inversions = inversions
-        self._hash = hash(mat)
+
+    @property
+    def inv(self) -> Cols:
+        """Matrix of the inverse, from the reversed word unless given."""
+        if self._inv is None:
+            self._inv = _word_matrix(self.d, reversed(self.word))
+        return self._inv
 
     @property
     def length(self) -> int:
         return len(self.word)
-
-    def is_identity(self) -> bool:
-        return not self.word
 
     def apply(self, a: Root) -> Root:
         return _apply_cols(self.mat, a)
@@ -116,8 +121,8 @@ class WeylElement:
         col = self.mat[i]
         if not is_positive(col):
             return None
-        mat, inv = _right_mult_simple(self.d, self.mat, self.inv, i)
-        return WeylElement(self.d, self.word + (i,), mat, inv, self.inversions | {col})
+        mat = _right_mult_simple(self.d, self.mat, i)
+        return WeylElement(self.d, self.word + (i,), mat, self.inversions | {col})
 
     def right_descents(self) -> tuple[int, ...]:
         return tuple(i for i in self.d.nodes if is_negative(self.mat[i]))
@@ -141,39 +146,34 @@ class WeylElement:
         return isinstance(other, WeylElement) and self.mat == other.mat
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.mat)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<w {'.'.join(map(str, self.word)) or 'e'}>"
 
 
-@lru_cache(maxsize=None)
-def _identity_cols(label_size: tuple[str, int]) -> Cols:
-    n = label_size[1]
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def _word_matrix(d: AffineDiagram, word: Iterable[int]) -> Cols:
+    """Matrix of the product of the simple reflections in word."""
+    mat = identity(d).mat
+    for i in word:
+        mat = _right_mult_simple(d, mat, i)
+    return mat
 
 
 def identity(d: AffineDiagram) -> WeylElement:
-    cols = _identity_cols((d.label, d.size))
-    return WeylElement(d, (), cols, cols, frozenset())
+    cols = tuple(tuple(1 if i == j else 0 for j in d.nodes) for i in d.nodes)
+    return WeylElement(d, (), cols, frozenset(), inv=cols)
 
 
 def _canonical_word(d: AffineDiagram, inv: Cols) -> tuple[int, ...]:
     """Reduced word by repeatedly stripping the smallest left descent."""
-    inv_cols = list(inv)
     word = []
     for _ in range(100_000):
-        i = next((i for i in d.nodes if is_negative(inv_cols[i])), None)
+        i = next((i for i in d.nodes if is_negative(inv[i])), None)
         if i is None:
             return tuple(word)
         word.append(i)
-        row = d.cartan[i]
-        base = inv_cols[i]
-        inv_cols = [
-            tuple(x - row[j] * y for x, y in zip(inv_cols[j], base)) if j != i
-            else tuple(-x for x in base)
-            for j in range(len(inv_cols))
-        ]
+        inv = _right_mult_simple(d, inv, i)
     raise RuntimeError("word extraction did not terminate")
 
 
@@ -188,16 +188,14 @@ def _from_mats(d: AffineDiagram, mat: Cols, inv: Cols) -> WeylElement:
         w = nxt
     if w.mat != mat:
         raise RuntimeError("matrix does not define a group element")
+    w._inv = inv
     return w
 
 
 def from_word(d: AffineDiagram, word: Iterable[int]) -> WeylElement:
     """Product of simple reflections; the word need not be reduced."""
-    mat = _identity_cols((d.label, d.size))
-    inv = mat
-    for i in word:
-        mat, inv = _right_mult_simple(d, mat, inv, i)
-    return _from_mats(d, mat, inv)
+    word = tuple(word)
+    return _from_mats(d, _word_matrix(d, word), _word_matrix(d, reversed(word)))
 
 
 def from_reflection(d: AffineDiagram, beta: Root) -> WeylElement:
@@ -270,7 +268,8 @@ def coset_poset(
         nxt: list[WeylElement] = []
         for u in queue:
             for i in ambient:
-                mat, inv = _right_mult_simple(d, u.mat, u.inv, i)
+                mat = _right_mult_simple(d, u.mat, i)
+                inv = tuple(reflect_simple(d, c, i) for c in u.inv)
                 mat, inv = _normalize_mats(d, mat, inv, subgroup_roots)
                 if mat not in seen:
                     seen.add(mat)

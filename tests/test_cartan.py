@@ -147,6 +147,8 @@ def test_load_rejections():
         load_diagram("E9~1")
     with pytest.raises(ValueError):
         load_diagram("A1~2")
+    with pytest.raises(ValueError, match="unsupported untwisted diagram 'A0~1'"):
+        load_diagram("A0~1")
 
 
 def test_cache_identity():

@@ -143,23 +143,38 @@ def test_export_dot(tmp_path):
     assert out.read_text().startswith("digraph poset {")
 
 
-@pytest.mark.parametrize("jobs", ["1", "4"])
-def test_export_reproducible(tmp_path, jobs):
+def test_export_reproducible(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
     for out in (out1, out2):
-        r = run_cli("export", "--type", "E6~1", "--pi1", "6",
-                    "--jobs", jobs, "--out", str(out))
+        r = run_cli("export", "--type", "E6~1", "--pi1", "6", "--out", str(out))
         assert r.returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_jobs_do_not_change_output(tmp_path):
-    base = None
-    for jobs in ("1", "2", "5"):
-        out = tmp_path / f"j{jobs}.json"
-        run_cli("export", "--type", "D5~2", "--pi1", "2", "--jobs", jobs,
-                "--out", str(out))
-        data = out.read_bytes()
-        assert base is None or data == base
-        base = data
+def test_pi1_not_a_number():
+    r = run_cli("enumerate", "--type", "A2~1", "--pi1", "0,a", "--adjoint")
+    assert r.returncode == 2
+    assert "argument --pi1: 'a' is not a node number" in r.stderr
+    assert r.stdout == ""
+
+
+def test_truncated_verify_fails_on_completeness():
+    r = run_cli("verify", "--type", "D5~2", "--pi1", "1", "--max-length", "2")
+    assert r.returncode == 1
+    checks = [l for l in r.stdout.splitlines() if l.startswith("  [")]
+    assert checks == [
+        "  [FAIL] complete: enumeration truncated at length 2 after 4 elements;"
+        " longer elements exist"
+    ]
+
+
+@pytest.mark.parametrize("command", [
+    ["maxima"], ["export", "--format", "json"], ["export", "--format", "dot"],
+    ["enumerate", "--format", "json"],
+])
+def test_truncated_poset_refused(command):
+    r = run_cli(*command, "--type", "D5~2", "--pi1", "1", "--max-length", "2")
+    assert r.returncode == 2
+    assert "error: enumeration truncated at length 2" in r.stderr
+    assert r.stdout == ""

@@ -115,15 +115,6 @@ def test_special_involution_closed_forms():
     assert special_involution(ctx, comp).length == 8 - 2 + 1
 
 
-def test_jobs_determinism():
-    ctx = context_for("E6~1", [6])
-    base = enumerate_poset(ctx)
-    for jobs in (2, 3):
-        other = enumerate_poset(ctx, jobs=jobs)
-        assert [w.word for w in other.elements] == [w.word for w in base.elements]
-        assert other.edges == base.edges
-
-
 def test_max_length_truncation(d5):
     ctx, full = d5
     p = enumerate_poset(ctx, max_length=2)

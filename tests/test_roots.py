@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +147,25 @@ def test_norms_and_long():
     d5 = load_diagram("D5~2")
     assert norm_sq(d5, simple_root(d5, 0)) == 1
     assert norm_sq(d5, simple_root(d5, 2)) == 2
+
+
+SWEEP_LABELS = [
+    "A1~1", "A2~1", "A3~1", "A4~1", "A5~1", "B2~1", "B3~1", "B4~1",
+    "C3~1", "D4~1", "D5~1", "G2~1", "F4~1",
+    "A2~2", "A4~2", "A5~2", "D4~2", "D5~2",
+]
+
+
+@pytest.mark.parametrize("label", SWEEP_LABELS)
+def test_is_long_matches_closure_maximum(label):
+    # oracle: the longest root of the whole closure, not of its simple roots
+    d = load_diagram(label)
+    for size in range(1, d.size):
+        for nodes in combinations(d.nodes, size):
+            closure = subsystem_closure(d, nodes)
+            top = max(norm_sq(d, b) for b in closure)
+            for a in closure | {simple_root(d, i) for i in d.nodes}:
+                assert is_long(d, a, nodes) == (norm_sq(d, a) == top)
 
 
 def test_coroot_pair_values():

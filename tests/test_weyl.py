@@ -67,6 +67,10 @@ def test_group_laws(data):
     assert u.inverse().inverse() == u
     assert len(u.inversions) == u.length
     assert from_word(d, u.word) == u
+    grown = identity(d)  # built by extend, so its inverse matrix is lazy
+    for i in u.word:
+        grown = grown.extend(i)
+    assert grown.inv == u.inv
 
 
 @settings(max_examples=40, deadline=None)
