@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -320,6 +321,42 @@ def classify_finite(d: AffineDiagram, nodes: Iterable[int]) -> str:
     if not comps:
         return "trivial"
     return " x ".join(_classify_component(d, c) for c in comps)
+
+
+# (number of positive roots, Weyl group order) of the exceptional types; the
+# classical ones follow the rank formulas in `_type_sizes`.
+_EXCEPTIONAL_SIZES = {
+    "G2": (6, 12),
+    "F4": (24, 1152),
+    "E6": (36, 51840),
+    "E7": (63, 2903040),
+    "E8": (120, 696729600),
+}
+
+
+def _type_sizes(name: str) -> tuple[int, int]:
+    """(|positive roots|, |Weyl group|) of an irreducible finite type, e.g. "B3"."""
+    if name in _EXCEPTIONAL_SIZES:
+        return _EXCEPTIONAL_SIZES[name]
+    n = int(name[1:])
+    if name[0] == "A":
+        return n * (n + 1) // 2, factorial(n + 1)
+    if name[0] in "BC":
+        return n * n, 2**n * factorial(n)
+    if name[0] == "D":
+        return n * (n - 1), 2 ** (n - 1) * factorial(n)
+    raise ValueError(f"unknown finite type {name!r}")
+
+
+def finite_type_sizes(d: AffineDiagram, nodes: Iterable[int]) -> list[tuple[int, int]]:
+    """(|positive roots|, |Weyl group|) of each component of the finite
+    subsystem on a proper node subset."""
+    return [_type_sizes(_classify_component(d, c)) for c in components(d, tuple(nodes))]
+
+
+def positive_root_count(d: AffineDiagram, nodes: Iterable[int]) -> int:
+    """Number of positive roots of the finite subsystem on a proper node subset."""
+    return sum(count for count, _ in finite_type_sizes(d, nodes))
 
 
 def _classify_component(d: AffineDiagram, comp: tuple[int, ...]) -> str:

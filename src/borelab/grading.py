@@ -281,6 +281,28 @@ class GradedContext:
         return frozenset(weights)
 
     @cached_property
+    def s1_order(self) -> tuple[Root, ...]:
+        """The odd-height-1 roots in a fixed order: root n is bit n of an
+        inversion mask."""
+        return tuple(sorted(self.odd_height_one_roots))
+
+    @cached_property
+    def s1_bits(self) -> dict[Root, int]:
+        """Each odd-height-1 root mapped to its bit, 1 << its place in `s1_order`."""
+        return {a: 1 << n for n, a in enumerate(self.s1_order)}
+
+    def s1_mask(self, roots: Iterable[Root]) -> Optional[int]:
+        """Mask of a set of roots, or None if one of them is not in S1."""
+        bits = self.s1_bits
+        mask = 0
+        for a in roots:
+            b = bits.get(a)
+            if b is None:
+                return None
+            mask |= b
+        return mask
+
+    @cached_property
     def summands(self) -> tuple[Root, ...]:
         """Positive roots that can be a summand of an odd-height-1 root: the
         even positive roots and the odd-height-1 roots themselves."""

@@ -12,9 +12,10 @@ that `verify_all` checks against the enumerated poset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Optional
 
-from .cartan import dual_coxeter_number, finite_dual_coxeter
+from .cartan import dual_coxeter_number, finite_dual_coxeter, positive_root_count
 from .grading import EvenComponent, GradedContext, Wall
 from .roots import (
     Root,
@@ -22,9 +23,9 @@ from .roots import (
     root_kind,
     simple_root,
     sub,
-    subsystem_closure,
 )
 from .weyl import (
+    IndexedElement,
     WeylElement,
     coset_poset,
     from_word,
@@ -35,20 +36,27 @@ from .weyl import (
 
 
 class MinusculePoset:
-    """BFS-enumerated poset of elements with all inversions of odd height 1."""
+    """BFS-enumerated poset of elements with all inversions of odd height 1.
+
+    `masks[p]` is the inversion set of `elements[p]` as a mask over
+    `ctx.s1_order`; w -> N(w) is injective, so the mask is the element's key.
+    """
 
     def __init__(
         self,
         ctx: GradedContext,
-        elements: tuple[WeylElement, ...],
+        elements: tuple[IndexedElement, ...],
+        masks: tuple[int, ...],
         edges: tuple[tuple[int, int], ...],
         complete: bool,
+        position: dict[int, int],
     ):
         self.ctx = ctx
         self.elements = elements
+        self.masks = masks
         self.edges = edges
         self.complete = complete
-        self._position = {w.mat: i for i, w in enumerate(elements)}
+        self._position = position
         self._families: Optional[dict[tuple[int, int], tuple[int, ...]]] = None
 
     def __len__(self) -> int:
@@ -60,21 +68,25 @@ class MinusculePoset:
                 f"after {len(self)} elements; longer elements exist")
 
     def position(self, w: WeylElement) -> Optional[int]:
-        return self._position.get(w.mat)
+        """Place of w in the poset; None if w has an inversion outside S1 or
+        lies beyond a truncation."""
+        mask = self.ctx.s1_mask(w.inversions)
+        return None if mask is None else self._position.get(mask)
 
-    @property
+    @cached_property
     def maxima(self) -> tuple[int, ...]:
         sources = {a for a, _ in self.edges}
         return tuple(i for i in range(len(self.elements)) if i not in sources)
 
     def _family_table(self) -> dict[tuple[int, int], tuple[int, ...]]:
         if self._families is None:
+            wall_at = {wall.root: wall.index for wall in self.ctx.walls}
             table: dict[tuple[int, int], list[int]] = {}
             for pos, w in enumerate(self.elements):
-                for wall in self.ctx.walls:
-                    for a in self.ctx.d.nodes:
-                        if w.mat[a] == wall.root:
-                            table.setdefault((a, wall.index), []).append(pos)
+                for a, col in enumerate(w.mat):
+                    index = wall_at.get(col)
+                    if index is not None:
+                        table.setdefault((a, index), []).append(pos)
             self._families = {k: tuple(v) for k, v in table.items()}
         return self._families
 
@@ -83,59 +95,69 @@ class MinusculePoset:
         return self._family_table().get((alpha, wall.index), ())
 
     def family_maximal(self, positions: Iterable[int]) -> tuple[int, ...]:
+        """Members not strictly below another member, in the given order.
+
+        Fast path: when a unique longest member contains every other member,
+        it is the only maximum; otherwise every pair is compared."""
         pos = list(positions)
-        out = []
-        for p in pos:
-            w = self.elements[p]
-            if not any(
-                q != p and w.inversions < self.elements[q].inversions for q in pos
-            ):
-                out.append(p)
-        return tuple(out)
+        masks = self.masks
+        lengths = [self.elements[p].length for p in pos]
+        top = max(lengths, default=0)
+        if lengths.count(top) == 1:
+            t = pos[lengths.index(top)]
+            tmask = masks[t]
+            if all(masks[p] & ~tmask == 0 for p in pos):
+                return (t,)
+        return tuple(
+            p for p in pos
+            if not any(q != p and masks[p] & ~masks[q] == 0 for q in pos)
+        )
 
 
 def enumerate_poset(ctx: GradedContext, max_length: Optional[int] = None) -> MinusculePoset:
-    """Breadth-first enumeration, level by level in node order."""
+    """Breadth-first enumeration, level by level in node order.
+
+    A cover w -> w*s_i exists when the column w(alpha_i) is in S1; its
+    target is looked up by inversion mask before any matrix is built."""
     if max_length is not None and max_length < 0:
         raise ValueError(f"max_length must be at least 0, not {max_length}")
-    s1 = ctx.odd_height_one_roots
-    cap = len(s1) if max_length is None else min(max_length, len(s1))
-    start = identity(ctx.d)
-    elements = [start]
-    position = {start.mat: 0}
+    bits = ctx.s1_bits
+    nodes = ctx.d.nodes
+    cap = len(bits) if max_length is None else min(max_length, len(bits))
+    e = identity(ctx.d)
+    elements = [IndexedElement(ctx.d, (), e.mat, 0, ctx.s1_order, inv=e.inv)]
+    masks = [0]
+    position = {0: 0}
     edges: list[tuple[int, int]] = []
     frontier = [0]
     truncated = False
-
-    def expand(pos: int) -> list[WeylElement]:
-        w = elements[pos]
-        out = []
-        for i in ctx.d.nodes:
-            if w.mat[i] in s1:
-                grown = w.extend(i)
-                if grown is None:
-                    raise RuntimeError(f"positive column {w.mat[i]} did not extend {w.word}")
-                out.append(grown)
-        return out
-
     depth = 0
     while frontier:
         if depth == cap:
-            truncated = any(expand(p) for p in frontier)
+            truncated = any(elements[p].mat[i] in bits for p in frontier for i in nodes)
             break
         depth += 1
         new_frontier: list[int] = []
         for src in frontier:
-            for grown in expand(src):
-                tgt = position.get(grown.mat)
+            w, mask = elements[src], masks[src]
+            for i in nodes:
+                b = bits.get(w.mat[i])
+                if b is None:
+                    continue
+                if mask & b:
+                    raise RuntimeError(f"column {w.mat[i]} is already an inversion of {w.word}")
+                key = mask | b
+                tgt = position.get(key)
                 if tgt is None:
-                    tgt = len(elements)
-                    position[grown.mat] = tgt
-                    elements.append(grown)
+                    tgt = position[key] = len(elements)
+                    elements.append(w.grow(i, key))
+                    masks.append(key)
                     new_frontier.append(tgt)
                 edges.append((src, tgt))
         frontier = new_frontier
-    return MinusculePoset(ctx, tuple(elements), tuple(edges), complete=not truncated)
+    return MinusculePoset(
+        ctx, tuple(elements), tuple(masks), tuple(edges), not truncated, position
+    )
 
 
 def special_involution(ctx: GradedContext, comp: EvenComponent) -> WeylElement:
@@ -203,10 +225,6 @@ def type_one_nodes(ctx: GradedContext, nodes: Iterable[int]) -> tuple[int, ...]:
     )
 
 
-def _positive_count(ctx: GradedContext, nodes: Sequence[int]) -> int:
-    return len(subsystem_closure(ctx.d, nodes)) if nodes else 0
-
-
 def single_dimension(ctx: GradedContext, alpha: int, wall: Wall) -> int:
     """Closed-form dimension of the family maximum at (alpha, wall)."""
     g0 = dual_coxeter_number(ctx.d)
@@ -218,7 +236,7 @@ def single_dimension(ctx: GradedContext, alpha: int, wall: Wall) -> int:
         if wall.kind == "component" and wall.wall_type == 1
         else g0 - 1
     )
-    return base + _positive_count(ctx, perp) - _positive_count(ctx, reduced)
+    return base + positive_root_count(ctx.d, perp) - positive_root_count(ctx.d, reduced)
 
 
 def pair_dimension(ctx: GradedContext, x: int, y: int) -> int:
@@ -226,7 +244,7 @@ def pair_dimension(ctx: GradedContext, x: int, y: int) -> int:
     g0 = dual_coxeter_number(ctx.d)
     inter = tuple(sorted(set(ctx.perp_nodes(x)) & set(ctx.perp_nodes(y))))
     inner = tuple(i for i in inter if i not in ctx.odd)
-    return g0 - 2 + _positive_count(ctx, inter) - _positive_count(ctx, inner)
+    return g0 - 2 + positive_root_count(ctx.d, inter) - positive_root_count(ctx.d, inner)
 
 
 @dataclass(frozen=True)
@@ -402,17 +420,17 @@ def check_bounding_equivalence(poset: MinusculePoset) -> CheckResult:
 
 
 def check_poset_basics(poset: MinusculePoset) -> CheckResult:
-    ctx = poset.ctx
-    s1 = ctx.odd_height_one_roots
+    width = len(poset.ctx.s1_order)
+    masks = poset.masks
     problems = []
-    for w in poset.elements:
-        if len(w.inversions) != w.length:
+    for w, mask in zip(poset.elements, masks):
+        if mask.bit_count() != w.length:
             problems.append(f"length mismatch at {w.word}")
-        if not w.inversions <= s1:
+        if mask >> width:
             problems.append(f"inversion outside odd height 1 at {w.word}")
     for a, b in poset.edges:
         u, v = poset.elements[a], poset.elements[b]
-        if not (u.length + 1 == v.length and u.inversions < v.inversions):
+        if not (u.length + 1 == v.length and masks[a] & ~masks[b] == 0):
             problems.append(f"bad cover {u.word} -> {v.word}")
     if poset.elements[0].length != 0:
         problems.append("missing identity")
@@ -456,18 +474,24 @@ def check_family_minima(poset: MinusculePoset) -> CheckResult:
             if not fam:
                 problems.append(f"family ({a}, wall {wall.index}) empty")
                 continue
-            m = family_minimum(ctx, a, wall)
-            pos = poset.position(m)
+            pos = poset.position(family_minimum(ctx, a, wall))
             if pos is None or pos not in fam:
                 problems.append(f"closed-form minimum not in family ({a}, {wall.index})")
                 continue
-            if not all(m.le(poset.elements[p]) for p in fam):
+            if not _below_all(poset, pos, fam):
                 problems.append(f"({a}, wall {wall.index}): minimum not below all members")
     return _check(
         "family_minima",
         not problems,
         problems[0] if problems else "every family has its closed-form minimum",
     )
+
+
+def _below_all(poset: MinusculePoset, pos: int, positions: Iterable[int]) -> bool:
+    """Whether elements[pos] is below every element at the given positions."""
+    masks = poset.masks
+    low = masks[pos]
+    return all(low & ~masks[p] == 0 for p in positions)
 
 
 def check_family_completeness(poset: MinusculePoset) -> CheckResult:
@@ -506,19 +530,18 @@ def check_coset_isomorphism(poset: MinusculePoset) -> CheckResult:
                 continue
             images = []
             for u in reps:
-                w = m * u
-                pos = poset.position(w)
+                pos = poset.position(m * u)
                 if pos is None or pos not in fam:
                     problems.append(
                         f"({a}, wall {wall.index}): translate of coset rep leaves family"
                     )
                     break
-                images.append(w)
+                images.append(poset.masks[pos])
             else:
                 for i in range(len(reps)):
                     for j in range(len(reps)):
                         if (reps[i].inversions <= reps[j].inversions) != (
-                            images[i].inversions <= images[j].inversions
+                            images[i] & ~images[j] == 0
                         ):
                             problems.append(
                                 f"({a}, wall {wall.index}): order not preserved"
@@ -575,7 +598,7 @@ def check_intersections(poset: MinusculePoset) -> CheckResult:
                             f"intersection ({a},{wa.index})&({b},{wb.index}): bad minimum"
                         )
                         continue
-                    if not all(m.le(poset.elements[p]) for p in inter):
+                    if not _below_all(poset, pos, inter):
                         problems.append(
                             f"intersection ({a},{wa.index})&({b},{wb.index}): not minimal"
                         )

@@ -1,17 +1,23 @@
 """Affine Weyl group elements and the coset machinery built on them.
 
 An element is stored by its action matrix (column i = image of the i-th simple
-root, in simple-root coordinates) and the inversion set
-{gamma > 0 : w^{-1}(gamma) < 0}; the matrix of the inverse is built on first
-use.  Length equals the inversion count, and the right weak order is
-containment of inversion sets.
+root, in simple-root coordinates) and a reduced word; the matrix of the
+inverse is built on first use.  Its inversion set
+{gamma > 0 : w^{-1}(gamma) < 0} lives in one of two places.  A general
+element (`WeylElement`: products, coset representatives, closed-form
+elements) carries it as a frozenset.  An element whose inversions all lie in
+a fixed root order, such as a member of the enumerated poset with its
+odd-height-1 roots (`IndexedElement`), carries only an int mask over that
+order and decodes the set on each read.  Length equals the inversion count,
+and the right weak order is containment of inversion sets.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import Iterable, Optional, Sequence
 
-from .cartan import AffineDiagram
+from .cartan import AffineDiagram, finite_type_sizes
 from .roots import (
     Root,
     coroot_pair,
@@ -83,21 +89,26 @@ def _left_mult_reflection(
 class WeylElement:
     """Group element with its matrix, a reduced word, and inversions."""
 
-    __slots__ = ("d", "word", "mat", "_inv", "inversions")
+    __slots__ = ("d", "word", "mat", "_inv", "_inversions")
 
     def __init__(
         self,
         d: AffineDiagram,
         word: tuple[int, ...],
         mat: Cols,
-        inversions: frozenset[Root],
+        inversions: Optional[frozenset[Root]],
         inv: Optional[Cols] = None,
     ):
         self.d = d
         self.word = word
         self.mat = mat
         self._inv = inv
-        self.inversions = inversions
+        self._inversions = inversions
+
+    @property
+    def inversions(self) -> frozenset[Root]:
+        """{gamma > 0 : w^{-1}(gamma) < 0}."""
+        return self._inversions
 
     @property
     def inv(self) -> Cols:
@@ -150,6 +161,46 @@ class WeylElement:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<w {'.'.join(map(str, self.word)) or 'e'}>"
+
+
+def _mask_roots(order: Sequence[Root], mask: int) -> frozenset[Root]:
+    """The roots order[n] for the set bits n of mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(order[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
+
+
+class IndexedElement(WeylElement):
+    """Element whose inversions all lie in a fixed root order; the set is an
+    int mask over it (bit n for order[n]) and is decoded on each read."""
+
+    __slots__ = ("mask", "order")
+
+    def __init__(
+        self,
+        d: AffineDiagram,
+        word: tuple[int, ...],
+        mat: Cols,
+        mask: int,
+        order: tuple[Root, ...],
+        inv: Optional[Cols] = None,
+    ):
+        super().__init__(d, word, mat, None, inv)
+        self.mask = mask
+        self.order = order
+
+    @property
+    def inversions(self) -> frozenset[Root]:
+        return _mask_roots(self.order, self.mask)
+
+    def grow(self, i: int, mask: int) -> "IndexedElement":
+        """w*s_i for a positive column i (it is longer); mask is its
+        inversion mask, this one's plus the bit of self.mat[i]."""
+        mat = _right_mult_simple(self.d, self.mat, i)
+        return IndexedElement(self.d, self.word + (i,), mat, mask, self.order)
 
 
 def _word_matrix(d: AffineDiagram, word: Iterable[int]) -> Cols:
@@ -340,30 +391,9 @@ def _path_element(
     return w
 
 
-_EXCEPTIONAL_ORDERS = {"G2": 12, "F4": 1152, "E6": 51840, "E7": 2903040, "E8": 696729600}
-
-
 def weyl_group_order(d: AffineDiagram, nodes: Iterable[int]) -> int:
     """Order of the finite parabolic on a proper subset of nodes."""
-    from math import factorial
-
-    from .cartan import classify_finite
-
-    s = sorted(set(nodes))
-    if not s:
-        return 1
-    total = 1
-    for name in classify_finite(d, s).split(" x "):
-        n = int(name[1:])
-        if name[0] == "A":
-            total *= factorial(n + 1)
-        elif name[0] in "BC":
-            total *= 2**n * factorial(n)
-        elif name[0] == "D":
-            total *= 2 ** (n - 1) * factorial(n)
-        else:
-            total *= _EXCEPTIONAL_ORDERS[name]
-    return total
+    return prod(order for _, order in finite_type_sizes(d, nodes))
 
 
 def is_biconvex(

@@ -178,3 +178,13 @@ def test_truncated_poset_refused(command):
     assert r.returncode == 2
     assert "error: enumeration truncated at length 2" in r.stderr
     assert r.stdout == ""
+
+
+def test_optimized_interpreter_gives_same_output():
+    # python -O strips asserts; no guard on the enumeration path may be one
+    args = ["-m", "borelab", "enumerate", "--type", "C10~1", "--pi1", "0,10",
+            "--format", "json"]
+    runs = [subprocess.run([sys.executable, *flags, *args], capture_output=True)
+            for flags in ([], ["-O"])]
+    assert all(r.returncode == 0 for r in runs)
+    assert runs[0].stdout == runs[1].stdout

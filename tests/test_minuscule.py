@@ -1,9 +1,12 @@
+import copy
+
 import pytest
 
 from borelab.cartan import load_diagram
-from borelab.grading import context_for
+from borelab.grading import analyze, catalog_involutions, context_for
 from borelab.minuscule import (
     check_intersections,
+    check_poset_basics,
     enumerate_poset,
     family_minimum,
     intersection_minimum,
@@ -15,7 +18,7 @@ from borelab.minuscule import (
     verify_all,
 )
 from borelab.roots import add, root_kind, simple_root
-from borelab.weyl import from_reflection, from_word, is_biconvex
+from borelab.weyl import from_reflection, from_word, identity, is_biconvex
 
 
 def words(poset):
@@ -223,3 +226,88 @@ def test_structural_verdict_matches_reference(d5, e8):
     # two members summing to a root outside the set
     x, y = simple_root(ctx.d, 1), simple_root(ctx.d, 2)
     assert structural_verdict(ctx, [x, y]) == reference_verdict(ctx, [x, y]) == (False, False)
+
+
+SWEEP_LABELS = [
+    "A1~1", "A2~1", "A3~1", "A4~1", "A5~1", "B2~1", "B3~1", "B4~1",
+    "C3~1", "D4~1", "D5~1", "G2~1", "F4~1",
+    "A2~2", "A4~2", "A5~2", "D4~2", "D5~2",
+]
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """(description, context, poset) for every grading of the acceptance
+    labels, adjoint included, not folded by diagram symmetry."""
+    out = []
+    for label in SWEEP_LABELS:
+        for spec in catalog_involutions(load_diagram(label), include_adjoint=True,
+                                        dedupe=False):
+            ctx = analyze(spec)
+            out.append((spec.describe(), ctx, enumerate_poset(ctx)))
+    return out
+
+
+def replayed_inversions(d, word):
+    w = identity(d)
+    for i in word:
+        w = w.extend(i)
+    return w.inversions
+
+
+def test_decoded_inversions_match_word_replay(sweep):
+    for name, ctx, p in sweep:
+        for w in p.elements:
+            assert w.inversions == replayed_inversions(ctx.d, w.word), (name, w.word)
+
+
+def test_position_round_trips(sweep):
+    for name, _, p in sweep:
+        for i, w in enumerate(p.elements):
+            assert p.position(w) == i, (name, w.word)
+
+
+def maximal_by_sets(p, positions):
+    """Reference: members whose inversion set is in no other member's."""
+    sets = {q: p.elements[q].inversions for q in positions}
+    return tuple(q for q in positions if not any(sets[q] < sets[r] for r in positions))
+
+
+def test_family_maximal_matches_set_scan(sweep):
+    for name, _, p in sweep:
+        groups = list(p._family_table().values()) + [tuple(range(len(p)))]
+        for positions in groups:
+            assert p.family_maximal(positions) == maximal_by_sets(p, positions), name
+        assert p.family_maximal(range(len(p))) == p.maxima, name
+
+
+def test_position_outside_s1_is_none(sweep):
+    # a maximal element grows only by columns outside S1; the grown element
+    # keeps every inversion of the maximal one, which is in the poset
+    for name, ctx, p in sweep:
+        t = p.elements[p.maxima[0]]
+        grown = [g for g in map(t.extend, ctx.d.nodes) if g is not None]
+        assert grown, name
+        for g in grown:
+            assert not g.inversions <= ctx.odd_height_one_roots
+            assert p.position(g) is None, (name, g.word)
+
+
+def test_flipped_mask_bit_fails_poset_basics(sweep):
+    for name, ctx, p in sweep:
+        assert check_poset_basics(p).passed, name
+        width = len(ctx.s1_order)
+        for j in range(len(p)):
+            bad = copy.copy(p)
+            bad.masks = p.masks[:j] + (p.masks[j] ^ 1 << j % width,) + p.masks[j + 1:]
+            assert not check_poset_basics(bad).passed, (name, j)
+
+
+def test_truncation_below_top_length_is_incomplete(sweep):
+    for name, ctx, p in sweep:
+        top = max(w.length for w in p.elements)
+        assert enumerate_poset(ctx, max_length=top).complete, name
+        if top:
+            short = enumerate_poset(ctx, max_length=top - 1)
+            assert not short.complete, name
+            assert len(short) == sum(w.length < top for w in p.elements), name

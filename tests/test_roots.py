@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borelab.cartan import load_diagram
+from borelab.cartan import load_diagram, positive_root_count
 from borelab.roots import (
     coroot_pair,
     delta,
@@ -166,6 +166,16 @@ def test_is_long_matches_closure_maximum(label):
             top = max(norm_sq(d, b) for b in closure)
             for a in closure | {simple_root(d, i) for i in d.nodes}:
                 assert is_long(d, a, nodes) == (norm_sq(d, a) == top)
+
+
+@pytest.mark.parametrize("label", SWEEP_LABELS)
+def test_positive_root_count_matches_closure(label):
+    # oracle: the closure itself, against the type-table formulas
+    d = load_diagram(label)
+    for size in range(1, d.size):
+        for nodes in combinations(d.nodes, size):
+            assert positive_root_count(d, nodes) == len(subsystem_closure(d, nodes)), nodes
+    assert positive_root_count(d, ()) == 0
 
 
 def test_coroot_pair_values():
