@@ -291,17 +291,6 @@ class GradedContext:
         """Each odd-height-1 root mapped to its bit, 1 << its place in `s1_order`."""
         return {a: 1 << n for n, a in enumerate(self.s1_order)}
 
-    def s1_mask(self, roots: Iterable[Root]) -> Optional[int]:
-        """Mask of a set of roots, or None if one of them is not in S1."""
-        bits = self.s1_bits
-        mask = 0
-        for a in roots:
-            b = bits.get(a)
-            if b is None:
-                return None
-            mask |= b
-        return mask
-
     @cached_property
     def summands(self) -> tuple[Root, ...]:
         """Positive roots that can be a summand of an odd-height-1 root: the

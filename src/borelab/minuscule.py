@@ -25,13 +25,14 @@ from .roots import (
     sub,
 )
 from .weyl import (
-    IndexedElement,
     WeylElement,
     coset_poset,
+    from_reflection,
     from_word,
     identity,
     longest_element,
     minimal_mapper,
+    weyl_group_order,
 )
 
 
@@ -39,25 +40,25 @@ class MinusculePoset:
     """BFS-enumerated poset of elements with all inversions of odd height 1.
 
     `masks[p]` is the inversion set of `elements[p]` as a mask over
-    `ctx.s1_order`; w -> N(w) is injective, so the mask is the element's key.
+    `ctx.s1_order`, the only inversion data the poset stores; w -> N(w) is
+    injective, so the mask is the element's key (`by_mask`).
     """
 
     def __init__(
         self,
         ctx: GradedContext,
-        elements: tuple[IndexedElement, ...],
+        elements: tuple[WeylElement, ...],
         masks: tuple[int, ...],
         edges: tuple[tuple[int, int], ...],
         complete: bool,
-        position: dict[int, int],
+        by_mask: dict[int, int],
     ):
         self.ctx = ctx
         self.elements = elements
         self.masks = masks
         self.edges = edges
         self.complete = complete
-        self._position = position
-        self._families: Optional[dict[tuple[int, int], tuple[int, ...]]] = None
+        self.by_mask = by_mask
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -67,32 +68,45 @@ class MinusculePoset:
         return (f"enumeration truncated at length {self.elements[-1].length} "
                 f"after {len(self)} elements; longer elements exist")
 
+    def inversions(self, p: int) -> frozenset[Root]:
+        """Inversion set of elements[p], decoded from its mask."""
+        order = self.ctx.s1_order
+        mask = self.masks[p]
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(order[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
+
+    @cached_property
+    def _by_mat(self) -> dict[tuple[Root, ...], int]:
+        return {w.mat: p for p, w in enumerate(self.elements)}
+
     def position(self, w: WeylElement) -> Optional[int]:
         """Place of w in the poset; None if w has an inversion outside S1 or
         lies beyond a truncation."""
-        mask = self.ctx.s1_mask(w.inversions)
-        return None if mask is None else self._position.get(mask)
+        return self._by_mat.get(w.mat)
 
     @cached_property
     def maxima(self) -> tuple[int, ...]:
         sources = {a for a, _ in self.edges}
         return tuple(i for i in range(len(self.elements)) if i not in sources)
 
+    @cached_property
     def _family_table(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        if self._families is None:
-            wall_at = {wall.root: wall.index for wall in self.ctx.walls}
-            table: dict[tuple[int, int], list[int]] = {}
-            for pos, w in enumerate(self.elements):
-                for a, col in enumerate(w.mat):
-                    index = wall_at.get(col)
-                    if index is not None:
-                        table.setdefault((a, index), []).append(pos)
-            self._families = {k: tuple(v) for k, v in table.items()}
-        return self._families
+        wall_at = {wall.root: wall.index for wall in self.ctx.walls}
+        table: dict[tuple[int, int], list[int]] = {}
+        for pos, w in enumerate(self.elements):
+            for a, col in enumerate(w.mat):
+                index = wall_at.get(col)
+                if index is not None:
+                    table.setdefault((a, index), []).append(pos)
+        return {k: tuple(v) for k, v in table.items()}
 
     def family(self, alpha: int, wall: Wall) -> tuple[int, ...]:
         """Positions of elements sending alpha's simple root to the wall root."""
-        return self._family_table().get((alpha, wall.index), ())
+        return self._family_table.get((alpha, wall.index), ())
 
     def family_maximal(self, positions: Iterable[int]) -> tuple[int, ...]:
         """Members not strictly below another member, in the given order.
@@ -124,10 +138,9 @@ def enumerate_poset(ctx: GradedContext, max_length: Optional[int] = None) -> Min
     bits = ctx.s1_bits
     nodes = ctx.d.nodes
     cap = len(bits) if max_length is None else min(max_length, len(bits))
-    e = identity(ctx.d)
-    elements = [IndexedElement(ctx.d, (), e.mat, 0, ctx.s1_order, inv=e.inv)]
+    elements = [identity(ctx.d)]
     masks = [0]
-    position = {0: 0}
+    by_mask = {0: 0}
     edges: list[tuple[int, int]] = []
     frontier = [0]
     truncated = False
@@ -147,16 +160,16 @@ def enumerate_poset(ctx: GradedContext, max_length: Optional[int] = None) -> Min
                 if mask & b:
                     raise RuntimeError(f"column {w.mat[i]} is already an inversion of {w.word}")
                 key = mask | b
-                tgt = position.get(key)
+                tgt = by_mask.get(key)
                 if tgt is None:
-                    tgt = position[key] = len(elements)
-                    elements.append(w.grow(i, key))
+                    tgt = by_mask[key] = len(elements)
+                    elements.append(w.extend(i))
                     masks.append(key)
                     new_frontier.append(tgt)
                 edges.append((src, tgt))
         frontier = new_frontier
     return MinusculePoset(
-        ctx, tuple(elements), tuple(masks), tuple(edges), not truncated, position
+        ctx, tuple(elements), tuple(masks), tuple(edges), not truncated, by_mask
     )
 
 
@@ -380,30 +393,38 @@ def verify_all(poset: MinusculePoset, structural_limit: int = 600) -> list[Check
 
 
 def check_bounding_equivalence(poset: MinusculePoset) -> CheckResult:
-    """Avoiding the bounding roots must carve out exactly the same poset."""
+    """Avoiding the bounding roots must carve out exactly the same poset.
+
+    The wall-avoiding BFS keys each element by its inversion mask and drops a
+    duplicate before building a matrix; a new inversion outside S1, or a mask
+    the poset lacks, is an element outside the poset."""
     ctx = poset.ctx
     blocked = ctx.bounding_roots()
+    bits = ctx.s1_bits
     cap = 4 * len(poset) + 1000
-    start = identity(ctx.d)
-    seen = {start.mat}
-    frontier = [start]
+    seen = {0}
+    frontier = [(identity(ctx.d), 0)]
     count = 1
     ok = True
     while frontier and ok:
         nxt = []
-        for w in frontier:
+        for w, mask in frontier:
             for i in ctx.d.nodes:
                 col = w.mat[i]
                 if not all(x >= 0 for x in col) or col in blocked:
                     continue
-                grown = w.extend(i)
-                if grown is None or grown.mat in seen:
-                    continue
-                if poset.position(grown) is None:
+                b = bits.get(col)
+                if b is None:
                     ok = False
                     break
-                seen.add(grown.mat)
-                nxt.append(grown)
+                key = mask | b
+                if key in seen:
+                    continue
+                if key not in poset.by_mask:
+                    ok = False
+                    break
+                seen.add(key)
+                nxt.append((w.extend(i), key))
                 count += 1
                 if count > cap:
                     ok = False
@@ -538,9 +559,10 @@ def check_coset_isomorphism(poset: MinusculePoset) -> CheckResult:
                     break
                 images.append(poset.masks[pos])
             else:
+                rep_sets = [u.inversions for u in reps]
                 for i in range(len(reps)):
                     for j in range(len(reps)):
-                        if (reps[i].inversions <= reps[j].inversions) != (
+                        if (rep_sets[i] <= rep_sets[j]) != (
                             images[i] & ~images[j] == 0
                         ):
                             problems.append(
@@ -560,8 +582,6 @@ def check_coset_isomorphism(poset: MinusculePoset) -> CheckResult:
 def check_intersections(poset: MinusculePoset) -> CheckResult:
     """Pairwise family intersections: exact nonemptiness criterion, the
     closed-form minimum, its inversion set, and the cardinality ratio."""
-    from .weyl import weyl_group_order
-
     ctx = poset.ctx
     problems = []
     walls = list(ctx.walls)
@@ -694,8 +714,6 @@ def check_length_identities(ctx: GradedContext) -> CheckResult:
 
 
 def check_special_involutions(ctx: GradedContext) -> CheckResult:
-    from .weyl import from_reflection
-
     g0 = dual_coxeter_number(ctx.d)
     problems = []
     for wall in ctx.walls:
@@ -772,7 +790,7 @@ def check_structural(poset: MinusculePoset, limit: int) -> CheckResult:
         scope = f"{len(targets)} sampled"
     problems = []
     for p in targets:
-        sum_free, biconvex = structural_verdict(poset.ctx, poset.elements[p].inversions)
+        sum_free, biconvex = structural_verdict(poset.ctx, poset.inversions(p))
         if not sum_free:
             problems.append(f"element {p}: inversions sum to a root")
         if not biconvex:
@@ -787,7 +805,7 @@ def check_structural(poset: MinusculePoset, limit: int) -> CheckResult:
 def check_family_coverage(poset: MinusculePoset) -> CheckResult:
     """Every maximal element lies in at least one family."""
     covered = set()
-    for positions in poset._family_table().values():
+    for positions in poset._family_table.values():
         covered.update(positions)
     missing = [i for i in poset.maxima if i not in covered]
     return _check(

@@ -49,11 +49,11 @@ def ht_subset(a: Root, nodes: Iterable[int]) -> int:
 
 
 def is_positive(a: Root) -> bool:
-    return any(a) and all(x >= 0 for x in a)
+    return any(a) and min(a) >= 0
 
 
 def is_negative(a: Root) -> bool:
-    return any(a) and all(x <= 0 for x in a)
+    return any(a) and max(a) <= 0
 
 
 def pair(d: AffineDiagram, a: Root, i: int) -> int:

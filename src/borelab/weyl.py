@@ -1,15 +1,12 @@
 """Affine Weyl group elements and the coset machinery built on them.
 
-An element is stored by its action matrix (column i = image of the i-th simple
-root, in simple-root coordinates) and a reduced word; the matrix of the
-inverse is built on first use.  Its inversion set
-{gamma > 0 : w^{-1}(gamma) < 0} lives in one of two places.  A general
-element (`WeylElement`: products, coset representatives, closed-form
-elements) carries it as a frozenset.  An element whose inversions all lie in
-a fixed root order, such as a member of the enumerated poset with its
-odd-height-1 roots (`IndexedElement`), carries only an int mask over that
-order and decodes the set on each read.  Length equals the inversion count,
-and the right weak order is containment of inversion sets.
+An element is its action matrix (column i = image of the i-th simple root, in
+simple-root coordinates) and a reduced word; the matrix of the inverse is
+built on first use.  Nothing else is stored.  The inversion set
+{gamma > 0 : w^{-1}(gamma) < 0} is read off the reduced word on each request:
+for w = s_{i1}...s_{il} it is {s_{i1}...s_{i(j-1)}(alpha_{ij})}.  Length
+equals the inversion count, and the right weak order is containment of
+inversion sets.
 """
 
 from __future__ import annotations
@@ -87,28 +84,32 @@ def _left_mult_reflection(
 
 
 class WeylElement:
-    """Group element with its matrix, a reduced word, and inversions."""
+    """Group element: its matrix and a reduced word."""
 
-    __slots__ = ("d", "word", "mat", "_inv", "_inversions")
+    __slots__ = ("d", "word", "mat", "_inv")
 
     def __init__(
         self,
         d: AffineDiagram,
         word: tuple[int, ...],
         mat: Cols,
-        inversions: Optional[frozenset[Root]],
         inv: Optional[Cols] = None,
     ):
         self.d = d
         self.word = word
         self.mat = mat
         self._inv = inv
-        self._inversions = inversions
 
     @property
     def inversions(self) -> frozenset[Root]:
-        """{gamma > 0 : w^{-1}(gamma) < 0}."""
-        return self._inversions
+        """{gamma > 0 : w^{-1}(gamma) < 0}: each letter's simple root under
+        the prefix of the reduced word before it."""
+        out = []
+        mat = _identity_cols(self.d)
+        for i in self.word:
+            out.append(mat[i])
+            mat = _right_mult_simple(self.d, mat, i)
+        return frozenset(out)
 
     @property
     def inv(self) -> Cols:
@@ -129,11 +130,9 @@ class WeylElement:
 
     def extend(self, i: int) -> Optional["WeylElement"]:
         """w*s_i if that is longer (image of alpha_i positive), else None."""
-        col = self.mat[i]
-        if not is_positive(col):
+        if not is_positive(self.mat[i]):
             return None
-        mat = _right_mult_simple(self.d, self.mat, i)
-        return WeylElement(self.d, self.word + (i,), mat, self.inversions | {col})
+        return WeylElement(self.d, self.word + (i,), _right_mult_simple(self.d, self.mat, i))
 
     def right_descents(self) -> tuple[int, ...]:
         return tuple(i for i in self.d.nodes if is_negative(self.mat[i]))
@@ -163,57 +162,21 @@ class WeylElement:
         return f"<w {'.'.join(map(str, self.word)) or 'e'}>"
 
 
-def _mask_roots(order: Sequence[Root], mask: int) -> frozenset[Root]:
-    """The roots order[n] for the set bits n of mask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(order[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(out)
-
-
-class IndexedElement(WeylElement):
-    """Element whose inversions all lie in a fixed root order; the set is an
-    int mask over it (bit n for order[n]) and is decoded on each read."""
-
-    __slots__ = ("mask", "order")
-
-    def __init__(
-        self,
-        d: AffineDiagram,
-        word: tuple[int, ...],
-        mat: Cols,
-        mask: int,
-        order: tuple[Root, ...],
-        inv: Optional[Cols] = None,
-    ):
-        super().__init__(d, word, mat, None, inv)
-        self.mask = mask
-        self.order = order
-
-    @property
-    def inversions(self) -> frozenset[Root]:
-        return _mask_roots(self.order, self.mask)
-
-    def grow(self, i: int, mask: int) -> "IndexedElement":
-        """w*s_i for a positive column i (it is longer); mask is its
-        inversion mask, this one's plus the bit of self.mat[i]."""
-        mat = _right_mult_simple(self.d, self.mat, i)
-        return IndexedElement(self.d, self.word + (i,), mat, mask, self.order)
-
-
 def _word_matrix(d: AffineDiagram, word: Iterable[int]) -> Cols:
     """Matrix of the product of the simple reflections in word."""
-    mat = identity(d).mat
+    mat = _identity_cols(d)
     for i in word:
         mat = _right_mult_simple(d, mat, i)
     return mat
 
 
+def _identity_cols(d: AffineDiagram) -> Cols:
+    return tuple(tuple(1 if i == j else 0 for j in d.nodes) for i in d.nodes)
+
+
 def identity(d: AffineDiagram) -> WeylElement:
-    cols = tuple(tuple(1 if i == j else 0 for j in d.nodes) for i in d.nodes)
-    return WeylElement(d, (), cols, frozenset(), inv=cols)
+    cols = _identity_cols(d)
+    return WeylElement(d, (), cols, inv=cols)
 
 
 def _canonical_word(d: AffineDiagram, inv: Cols) -> tuple[int, ...]:
@@ -229,18 +192,16 @@ def _canonical_word(d: AffineDiagram, inv: Cols) -> tuple[int, ...]:
 
 
 def _from_mats(d: AffineDiagram, mat: Cols, inv: Cols) -> WeylElement:
-    """Element with given matrices; word and inversions are recomputed."""
+    """Element with given matrices; the word is recomputed and replayed."""
     word = _canonical_word(d, inv)
-    w = identity(d)
+    replay = _identity_cols(d)
     for i in word:
-        nxt = w.extend(i)
-        if nxt is None:
+        if not is_positive(replay[i]):
             raise RuntimeError("canonical word was not reduced")
-        w = nxt
-    if w.mat != mat:
+        replay = _right_mult_simple(d, replay, i)
+    if replay != mat:
         raise RuntimeError("matrix does not define a group element")
-    w._inv = inv
-    return w
+    return WeylElement(d, word, mat, inv)
 
 
 def from_word(d: AffineDiagram, word: Iterable[int]) -> WeylElement:

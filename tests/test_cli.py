@@ -181,10 +181,14 @@ def test_truncated_poset_refused(command):
 
 
 def test_optimized_interpreter_gives_same_output():
-    # python -O strips asserts; no guard on the enumeration path may be one
-    args = ["-m", "borelab", "enumerate", "--type", "C10~1", "--pi1", "0,10",
-            "--format", "json"]
-    runs = [subprocess.run([sys.executable, *flags, *args], capture_output=True)
-            for flags in ([], ["-O"])]
-    assert all(r.returncode == 0 for r in runs)
-    assert runs[0].stdout == runs[1].stdout
+    # python -O strips asserts; no guard on the enumeration path, nor on the
+    # element products and coset representatives that verify builds, may be one
+    for args in (
+        ["enumerate", "--type", "C10~1", "--pi1", "0,10", "--format", "json"],
+        ["verify", "--type", "E6~1", "--all"],
+    ):
+        runs = [subprocess.run([sys.executable, *flags, "-m", "borelab", *args],
+                               capture_output=True)
+                for flags in ([], ["-O"])]
+        assert all(r.returncode == 0 for r in runs), args
+        assert runs[0].stdout == runs[1].stdout, args

@@ -5,6 +5,7 @@ import pytest
 from borelab.cartan import load_diagram
 from borelab.grading import analyze, catalog_involutions, context_for
 from borelab.minuscule import (
+    check_bounding_equivalence,
     check_intersections,
     check_poset_basics,
     enumerate_poset,
@@ -18,7 +19,7 @@ from borelab.minuscule import (
     verify_all,
 )
 from borelab.roots import add, root_kind, simple_root
-from borelab.weyl import from_reflection, from_word, identity, is_biconvex
+from borelab.weyl import from_reflection, from_word, is_biconvex
 
 
 def words(poset):
@@ -248,17 +249,11 @@ def sweep():
     return out
 
 
-def replayed_inversions(d, word):
-    w = identity(d)
-    for i in word:
-        w = w.extend(i)
-    return w.inversions
-
-
 def test_decoded_inversions_match_word_replay(sweep):
-    for name, ctx, p in sweep:
-        for w in p.elements:
-            assert w.inversions == replayed_inversions(ctx.d, w.word), (name, w.word)
+    # the mask decode against the set read off each element's reduced word
+    for name, _, p in sweep:
+        for q, w in enumerate(p.elements):
+            assert p.inversions(q) == w.inversions, (name, w.word)
 
 
 def test_position_round_trips(sweep):
@@ -275,7 +270,7 @@ def maximal_by_sets(p, positions):
 
 def test_family_maximal_matches_set_scan(sweep):
     for name, _, p in sweep:
-        groups = list(p._family_table().values()) + [tuple(range(len(p)))]
+        groups = list(p._family_table.values()) + [tuple(range(len(p)))]
         for positions in groups:
             assert p.family_maximal(positions) == maximal_by_sets(p, positions), name
         assert p.family_maximal(range(len(p))) == p.maxima, name
@@ -301,6 +296,22 @@ def test_flipped_mask_bit_fails_poset_basics(sweep):
             bad = copy.copy(p)
             bad.masks = p.masks[:j] + (p.masks[j] ^ 1 << j % width,) + p.masks[j + 1:]
             assert not check_poset_basics(bad).passed, (name, j)
+
+
+def test_bounding_equivalence_rejects_other_posets(sweep):
+    for name, ctx, p in sweep:
+        assert check_bounding_equivalence(p).passed, name
+        # walls left unblocked: the walk takes a wall root, outside S1
+        loose = copy.copy(ctx)
+        loose.bounding_roots = lambda: frozenset(simple_root(ctx.d, i) for i in ctx.even)
+        bad = copy.copy(p)
+        bad.ctx = loose
+        assert not check_bounding_equivalence(bad).passed, name
+        # the poset lacks an element the walk reaches
+        if len(p) > 1:
+            bad = copy.copy(p)
+            bad.by_mask = {m: q for m, q in p.by_mask.items() if q != len(p) - 1}
+            assert not check_bounding_equivalence(bad).passed, name
 
 
 def test_truncation_below_top_length_is_incomplete(sweep):

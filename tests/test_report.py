@@ -1,17 +1,9 @@
 import json
-import pathlib
 
 import jsonschema
 
 from borelab.minuscule import verify_all
 from borelab.report import RESULT_SCHEMA, render_dot, render_json, result_document
-
-SCHEMA_PATH = pathlib.Path(__file__).resolve().parent.parent / "docs" / "result.schema.json"
-
-
-def test_schema_file_in_sync():
-    with open(SCHEMA_PATH) as fh:
-        assert json.load(fh) == RESULT_SCHEMA
 
 
 def test_document_validates(d5):

@@ -3,7 +3,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borelab.cartan import load_diagram
-from borelab.roots import coroot_pair, delta, highest_root, simple_root, subsystem_closure
+from borelab.roots import (
+    coroot_pair,
+    delta,
+    highest_root,
+    is_negative,
+    is_positive,
+    simple_root,
+    subsystem_closure,
+)
 from borelab.weyl import (
     coset_poset,
     from_reflection,
@@ -53,6 +61,15 @@ def test_descents():
     assert 1 not in w.right_descents()
 
 
+def assert_inversions_by_definition(w):
+    """The set read off the reduced word is {gamma > 0 : w^{-1}(gamma) < 0}:
+    it lies inside that set and has its size, the length."""
+    inv = w.inversions
+    assert len(inv) == w.length, w.word
+    for g in inv:
+        assert is_positive(g) and is_negative(w.apply_inverse(g)), (w.word, g)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_group_laws(data):
@@ -65,7 +82,13 @@ def test_group_laws(data):
     assert (u * v).apply(x) == u.apply(v.apply(x))
     assert (u.inverse() * u).length == 0
     assert u.inverse().inverse() == u
-    assert len(u.inversions) == u.length
+    for w in (u, v, u * v, u.inverse()):  # the words need not be reduced
+        assert_inversions_by_definition(w)
+    dropped = data.draw(st.sampled_from(nodes))  # leaves a finite parabolic
+    ambient = [i for i in nodes if i != dropped]
+    subgroup = [simple_root(d, i) for i in ambient if data.draw(st.booleans())]
+    for rep in coset_poset(d, ambient, subgroup):
+        assert_inversions_by_definition(rep)
     assert from_word(d, u.word) == u
     grown = identity(d)  # built by extend, so its inverse matrix is lazy
     for i in u.word:
