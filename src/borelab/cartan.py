@@ -312,17 +312,6 @@ def diagram_automorphisms(d: AffineDiagram) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(result))
 
 
-def classify_finite(d: AffineDiagram, nodes: Iterable[int]) -> str:
-    """Cartan type of the finite subsystem on `nodes`, e.g. "A2 x B3".
-
-    Components are labeled in order of least node.  An empty set is "trivial".
-    """
-    comps = components(d, tuple(nodes))
-    if not comps:
-        return "trivial"
-    return " x ".join(_classify_component(d, c) for c in comps)
-
-
 # (number of positive roots, Weyl group order) of the exceptional types; the
 # classical ones follow the rank formulas in `_type_sizes`.
 _EXCEPTIONAL_SIZES = {

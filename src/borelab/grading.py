@@ -164,6 +164,9 @@ class GradedContext:
         self.components = self._build_components()
         self.walls = self._build_walls()
         self._decompositions: dict[Root, tuple[tuple[Root, Root], ...]] = {}
+        # (alpha, wall index) -> closed-form family minimum, filled by
+        # `minuscule.family_minimum`.
+        self.family_minima: dict = {}
 
     def ht_odd(self, a: Root) -> int:
         """Coefficient sum over the odd nodes."""

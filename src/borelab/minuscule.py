@@ -13,20 +13,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .cartan import dual_coxeter_number, finite_dual_coxeter, positive_root_count
 from .grading import EvenComponent, GradedContext, Wall
 from .roots import (
     Root,
     add,
+    is_positive,
+    reflect_simple,
     root_kind,
     simple_root,
     sub,
 )
 from .weyl import (
     WeylElement,
-    coset_poset,
     from_reflection,
     from_word,
     identity,
@@ -185,7 +186,16 @@ def special_involution(ctx: GradedContext, comp: EvenComponent) -> WeylElement:
 
 
 def family_minimum(ctx: GradedContext, alpha: int, wall: Wall) -> WeylElement:
-    """The closed-form minimum of the family at (alpha, wall)."""
+    """The closed-form minimum of the family at (alpha, wall), built once per
+    grading and kept in `ctx.family_minima`."""
+    key = (alpha, wall.index)
+    m = ctx.family_minima.get(key)
+    if m is None:
+        m = ctx.family_minima[key] = _build_family_minimum(ctx, alpha, wall)
+    return m
+
+
+def _build_family_minimum(ctx: GradedContext, alpha: int, wall: Wall) -> WeylElement:
     d = ctx.d
     a_root = simple_root(d, alpha)
     if wall.kind == "odd":
@@ -531,47 +541,91 @@ def check_family_completeness(poset: MinusculePoset) -> CheckResult:
     )
 
 
+def coset_translates(
+    poset: MinusculePoset,
+    start: Optional[int],
+    ambient: Iterable[int],
+    subgroup: Sequence[Root],
+) -> tuple[dict[Root, int], list[tuple[int, Optional[int]]]]:
+    """The minimal representatives u of W'\\W(ambient), each with the
+    position of its translate m*u, where m = elements[start].
+
+    W' is the reflection subgroup on the simple system `subgroup`.  Its
+    minimal representatives are closed under prefixes in the right weak
+    order, so they grow from the identity by u -> u*s_i, kept when
+    u(alpha_i) > 0 (ascent) and s_i(u^{-1} beta) > 0 for every subgroup
+    simple beta (minimality).  A representative is its inversion mask over
+    the ambient positive roots; the returned index gives each root's bit.
+    m*u*s_i is m*u extended through node i, looked up in the poset by mask;
+    its position is None when that column is outside S1 or the mask is not
+    in the poset, and so is every translate grown from it.
+    """
+    d = poset.ctx.d
+    bits = poset.ctx.s1_bits
+    index: dict[Root, int] = {}
+    reps: list[tuple[int, Optional[int]]] = [(0, start)]
+    seen = {0}
+    frontier = [(identity(d), tuple(subgroup), 0, start)]
+    while frontier:
+        nxt = []
+        for u, pulled, mask, img in frontier:
+            for i in ambient:
+                col = u.mat[i]
+                if not is_positive(col):
+                    continue
+                key = mask | index.setdefault(col, 1 << len(index))
+                if key in seen:  # kept or rejected already
+                    continue
+                seen.add(key)
+                moved = tuple(reflect_simple(d, beta, i) for beta in pulled)
+                if not all(map(is_positive, moved)):
+                    continue
+                tgt = None
+                if img is not None:
+                    b = bits.get(poset.elements[img].mat[i])
+                    if b is not None:
+                        tgt = poset.by_mask.get(poset.masks[img] | b)
+                reps.append((key, tgt))
+                nxt.append((u.extend(i), moved, key, tgt))
+        frontier = nxt
+    return index, reps
+
+
 def check_coset_isomorphism(poset: MinusculePoset) -> CheckResult:
     """Each family is order-isomorphic to the minimal coset representatives of
-    its stabilizer quotient, via left translation by the family minimum."""
+    its stabilizer quotient, via left translation by the family minimum.
+
+    The representatives and their translates come from `coset_translates`:
+    u*s_i is a representative when u(alpha_i) > 0 (the ascent test) and
+    s_i(u^{-1} beta) > 0 for each subgroup simple beta (the minimality test).
+    No group product is formed; the minimum is the only element looked up by
+    matrix."""
     ctx = poset.ctx
+    masks = poset.masks
     problems = []
     for wall in ctx.walls:
         for a in ctx.family_indices(wall):
             fam = poset.family(a, wall)
             if not fam:
                 continue
-            m = family_minimum(ctx, a, wall)
-            ambient, subgroup = ctx.quotient_data(a, wall)
-            reps = coset_poset(ctx.d, ambient, subgroup)
+            start = poset.position(family_minimum(ctx, a, wall))
+            _, reps = coset_translates(poset, start, *ctx.quotient_data(a, wall))
             if len(reps) != len(fam):
                 problems.append(
                     f"({a}, wall {wall.index}): {len(reps)} cosets vs {len(fam)} members"
                 )
                 continue
-            images = []
-            for u in reps:
-                pos = poset.position(m * u)
-                if pos is None or pos not in fam:
-                    problems.append(
-                        f"({a}, wall {wall.index}): translate of coset rep leaves family"
-                    )
-                    break
-                images.append(poset.masks[pos])
-            else:
-                rep_sets = [u.inversions for u in reps]
-                for i in range(len(reps)):
-                    for j in range(len(reps)):
-                        if (rep_sets[i] <= rep_sets[j]) != (
-                            images[i] & ~images[j] == 0
-                        ):
-                            problems.append(
-                                f"({a}, wall {wall.index}): order not preserved"
-                            )
-                            break
-                    else:
-                        continue
-                    break
+            members = set(fam)
+            if any(img not in members for _, img in reps):
+                problems.append(
+                    f"({a}, wall {wall.index}): translate of coset rep leaves family"
+                )
+                continue
+            pairs = [(r, masks[img]) for r, img in reps]
+            if any(
+                (r & ~s == 0) != (x & ~y == 0) for r, x in pairs for s, y in pairs
+            ):
+                problems.append(f"({a}, wall {wall.index}): order not preserved")
     return _check(
         "coset_isomorphism",
         not problems,
@@ -754,7 +808,8 @@ def structural_verdict(ctx: GradedContext, inv: Iterable[Root]) -> tuple[bool, b
 
     One pass over the pairs answers the sum test and the closure half of
     biconvexity; the co-closure half reads each member's decompositions from
-    the grading's table.  Agrees with `weyl.is_biconvex(d, inv, ctx.summands)`.
+    the grading's table.  Agrees with the `is_biconvex` test oracle on
+    `ctx.summands`.
     """
     members = set(inv)
     family = list(members)

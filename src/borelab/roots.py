@@ -92,14 +92,6 @@ def reflect_simple(d: AffineDiagram, a: Root, i: int) -> Root:
     return tuple(x - c if j == i else x for j, x in enumerate(a))
 
 
-def reflect(d: AffineDiagram, beta: Root, a: Root) -> Root:
-    """Image of a under the reflection in the real root beta."""
-    c = coroot_pair(d, beta, a)
-    if c == 0:
-        return a
-    return tuple(x - c * y for x, y in zip(a, beta))
-
-
 def root_kind(d: AffineDiagram, a: Root) -> str:
     """Classify an integer vector: "real", "imaginary", or "none".
 

@@ -1,4 +1,4 @@
-"""Affine Weyl group elements and the coset machinery built on them.
+"""Affine Weyl group elements.
 
 An element is its action matrix (column i = image of the i-th simple root, in
 simple-root coordinates) and a reduced word; the matrix of the inverse is
@@ -12,7 +12,7 @@ inversion sets.
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .cartan import AffineDiagram, finite_type_sizes
 from .roots import (
@@ -134,12 +134,6 @@ class WeylElement:
             return None
         return WeylElement(self.d, self.word + (i,), _right_mult_simple(self.d, self.mat, i))
 
-    def right_descents(self) -> tuple[int, ...]:
-        return tuple(i for i in self.d.nodes if is_negative(self.mat[i]))
-
-    def left_descents(self) -> tuple[int, ...]:
-        return tuple(i for i in self.d.nodes if is_negative(self.inv[i]))
-
     def inverse(self) -> "WeylElement":
         return _from_mats(self.d, self.inv, self.mat)
 
@@ -147,10 +141,6 @@ class WeylElement:
         mat = tuple(self.apply(c) for c in other.mat)
         inv = tuple(other.apply_inverse(c) for c in self.inv)
         return _from_mats(self.d, mat, inv)
-
-    def le(self, other: "WeylElement") -> bool:
-        """Right weak order: every inversion of self is one of other."""
-        return self.inversions <= other.inversions
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WeylElement) and self.mat == other.mat
@@ -234,64 +224,6 @@ def longest_element(d: AffineDiagram, nodes: Iterable[int]) -> WeylElement:
     return w
 
 
-def minimal_coset_rep(
-    d: AffineDiagram, g: WeylElement, subgroup_roots: Sequence[Root]
-) -> WeylElement:
-    """Minimal element of W'g, W' the reflection subgroup on the given simples.
-
-    Valid whenever subgroup_roots is a canonical simple system (pairwise
-    non-positive inner products); repeatedly strips reflections s_beta with
-    g^{-1}(beta) < 0, which always shortens g.
-    """
-    mat, inv = _normalize_mats(d, g.mat, g.inv, subgroup_roots)
-    if mat == g.mat:
-        return g
-    return _from_mats(d, mat, inv)
-
-
-def _normalize_mats(
-    d: AffineDiagram, mat: Cols, inv: Cols, subgroup_roots: Sequence[Root]
-) -> tuple[Cols, Cols]:
-    changed = True
-    while changed:
-        changed = False
-        for beta in subgroup_roots:
-            if is_negative(_apply_cols(inv, beta)):
-                mat, inv = _left_mult_reflection(d, beta, mat, inv)
-                changed = True
-    return mat, inv
-
-
-def coset_poset(
-    d: AffineDiagram, ambient_nodes: Iterable[int], subgroup_roots: Sequence[Root]
-) -> list[WeylElement]:
-    """Minimal coset representatives of W'\\W(ambient), in BFS order.
-
-    W(ambient) is the standard parabolic on ambient_nodes; W' is the reflection
-    subgroup with canonical simple system subgroup_roots (a subset of the
-    positive roots on ambient_nodes).
-    """
-    ambient = sorted(set(ambient_nodes))
-    start = identity(d)
-    reps = [start]
-    seen = {start.mat}
-    queue = [start]
-    while queue:
-        nxt: list[WeylElement] = []
-        for u in queue:
-            for i in ambient:
-                mat = _right_mult_simple(d, u.mat, i)
-                inv = tuple(reflect_simple(d, c, i) for c in u.inv)
-                mat, inv = _normalize_mats(d, mat, inv, subgroup_roots)
-                if mat not in seen:
-                    seen.add(mat)
-                    v = _from_mats(d, mat, inv)
-                    reps.append(v)
-                    nxt.append(v)
-        queue = nxt
-    return reps
-
-
 def minimal_mapper(
     d: AffineDiagram,
     nodes: Iterable[int],
@@ -355,58 +287,3 @@ def _path_element(
 def weyl_group_order(d: AffineDiagram, nodes: Iterable[int]) -> int:
     """Order of the finite parabolic on a proper subset of nodes."""
     return prod(order for _, order in finite_type_sizes(d, nodes))
-
-
-def is_biconvex(
-    d: AffineDiagram,
-    roots_in: Iterable[Root],
-    candidates: Optional[Iterable[Root]] = None,
-) -> bool:
-    """Closed under root addition, and co-closed against decompositions.
-
-    For the co-closure direction, `candidates` must contain every positive
-    real root that can appear as a summand of an element of the set; it
-    defaults to the set itself, which only checks internal decompositions.
-    """
-    family = list(roots_in)
-    members = set(family)
-    for i, a in enumerate(family):
-        for b in family[i + 1 :]:
-            total = tuple(x + y for x, y in zip(a, b))
-            kind = root_kind(d, total)
-            if kind == "imaginary":
-                return False
-            if kind == "real" and total not in members:
-                return False
-    pool = list(candidates) if candidates is not None else family
-    for g in family:
-        for a in pool:
-            if a == g or a in members:
-                continue
-            b = tuple(x - y for x, y in zip(g, a))
-            if not is_positive(b):
-                continue
-            if root_kind(d, b) != "real":
-                continue
-            if b not in members:
-                return False
-    return True
-
-
-def length_ball(d: AffineDiagram, radius: int) -> list[WeylElement]:
-    """Every group element of length at most `radius`, in BFS order."""
-    start = identity(d)
-    out = [start]
-    seen = {start.mat}
-    frontier = [start]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for i in d.nodes:
-                grown = w.extend(i)
-                if grown is not None and grown.mat not in seen:
-                    seen.add(grown.mat)
-                    nxt.append(grown)
-        out.extend(nxt)
-        frontier = nxt
-    return out

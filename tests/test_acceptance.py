@@ -17,7 +17,7 @@ from borelab.minuscule import (
     verify_all,
 )
 from borelab.roots import add, delta, root_kind, sub, subsystem_closure
-from borelab.weyl import length_ball
+from oracles import length_ball
 
 SWEEP_LABELS = [
     "A1~1", "A2~1", "A3~1", "A4~1", "A5~1", "B2~1", "B3~1", "B4~1",

@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 
 from borelab.cartan import (
-    classify_finite,
     diagram_automorphisms,
     dual_coxeter_number,
     finite_dual_coxeter,
     load_diagram,
 )
+from oracles import classify_finite
 
 # marks and comarks frozen from the classical tables
 TABLE = {

@@ -4,10 +4,13 @@ import pytest
 
 from borelab.cartan import load_diagram
 from borelab.grading import analyze, catalog_involutions, context_for
+import borelab.minuscule as minuscule
 from borelab.minuscule import (
     check_bounding_equivalence,
+    check_coset_isomorphism,
     check_intersections,
     check_poset_basics,
+    coset_translates,
     enumerate_poset,
     family_minimum,
     intersection_minimum,
@@ -19,7 +22,8 @@ from borelab.minuscule import (
     verify_all,
 )
 from borelab.roots import add, root_kind, simple_root
-from borelab.weyl import from_reflection, from_word, is_biconvex
+from borelab.weyl import from_reflection, from_word
+from oracles import coset_poset, is_biconvex
 
 
 def words(poset):
@@ -146,7 +150,7 @@ def test_e6_intersections():
     m = intersection_minimum(ctx, ctx.components[1], 1, ctx.components[0], 0)
     fam = set(p.family(1, w1)) & set(p.family(0, w2))
     assert p.position(m) in fam
-    assert all(m.le(p.elements[q]) for q in fam)
+    assert all(m.inversions <= p.elements[q].inversions for q in fam)
     assert check_intersections(p).passed
 
 
@@ -204,7 +208,7 @@ def test_check_line_format(d5):
 
 
 def reference_verdict(ctx, inv):
-    """Reference: every pair sum checked with root_kind, and weyl.is_biconvex."""
+    """Reference: every pair sum checked with root_kind, and is_biconvex."""
     inv = sorted(inv)
     sum_free = all(
         root_kind(ctx.d, add(x, y)) == "none"
@@ -322,3 +326,103 @@ def test_truncation_below_top_length_is_incomplete(sweep):
             short = enumerate_poset(ctx, max_length=top - 1)
             assert not short.complete, name
             assert len(short) == sum(w.length < top for w in p.elements), name
+
+
+def test_family_minimum_built_once_per_grading(monkeypatch):
+    built = []
+    build = minuscule._build_family_minimum
+    monkeypatch.setattr(minuscule, "_build_family_minimum",
+                        lambda *args: built.append(args[1:]) or build(*args))
+    ctx = context_for("E8~1", [1])
+    verify_all(enumerate_poset(ctx))
+    pairs = [(a, wall) for wall in ctx.walls for a in ctx.family_indices(wall)]
+    assert len(pairs) == len(built) == len(ctx.family_minima) == 17
+    for a, wall in pairs:
+        m = family_minimum(ctx, a, wall)
+        assert family_minimum(ctx, a, wall) is m is ctx.family_minima[(a, wall.index)]
+    assert len(built) == 17  # the calls above built nothing
+
+
+def nonempty_families(ctx, p):
+    return [(a, wall) for wall in ctx.walls for a in ctx.family_indices(wall)
+            if p.family(a, wall)]
+
+
+def test_coset_translates_match_oracle(sweep):
+    # the lockstep walk against normalization by reflections and full products
+    for name, ctx, p in sweep:
+        for a, wall in nonempty_families(ctx, p):
+            m = family_minimum(ctx, a, wall)
+            ambient, subgroup = ctx.quotient_data(a, wall)
+            index, reps = coset_translates(p, p.position(m), ambient, subgroup)
+            got = {
+                frozenset(root for root, bit in index.items() if mask & bit): img
+                for mask, img in reps
+            }
+            want = {u.inversions: p.position(m * u)
+                    for u in coset_poset(ctx.d, ambient, subgroup)}
+            assert len(got) == len(reps), (name, a, wall.index)
+            assert got == want, (name, a, wall.index)
+
+
+def test_coset_isomorphism_rejects_wrong_minimum(sweep, monkeypatch):
+    # the true minimum extended by one step, inside the family's ambient
+    # parabolic when it can be (the element then stays in the family)
+    for name, ctx, p in sweep:
+        assert check_coset_isomorphism(p).passed, name
+        for a, wall in nonempty_families(ctx, p):
+            m = family_minimum(ctx, a, wall)
+            ambient = ctx.quotient_data(a, wall)[0]
+            steps = [i for i in ambient if m.extend(i)] or [
+                i for i in ctx.d.nodes if m.extend(i)]
+
+            def wrong_minimum(c, x, w, a=a, wall=wall, wrong=m.extend(steps[0])):
+                if (x, w.index) == (a, wall.index):
+                    return wrong
+                return family_minimum(c, x, w)
+
+            monkeypatch.setattr(minuscule, "family_minimum", wrong_minimum)
+            r = check_coset_isomorphism(p)
+            assert not r.passed, (name, a, wall.index)
+            assert r.detail == (
+                f"({a}, wall {wall.index}): translate of coset rep leaves family")
+            monkeypatch.undo()
+
+
+def test_coset_isomorphism_rejects_wrong_subgroup(sweep):
+    # one simple dropped from the family's subgroup: too many cosets
+    for name, ctx, p in sweep:
+        for a, wall in nonempty_families(ctx, p):
+            ambient, subgroup = ctx.quotient_data(a, wall)
+            if not subgroup:
+                continue
+
+            def quotient_data(x, w, a=a, wall=wall, ambient=ambient, subgroup=subgroup):
+                if (x, w.index) == (a, wall.index):
+                    return ambient, subgroup[1:]
+                return ctx.quotient_data(x, w)
+
+            loose = copy.copy(ctx)
+            loose.quotient_data = quotient_data
+            bad = copy.copy(p)
+            bad.ctx = loose
+            r = check_coset_isomorphism(bad)
+            cosets = len(coset_poset(ctx.d, ambient, subgroup[1:]))
+            n = len(p.family(a, wall))
+            assert cosets > n, (name, a, wall.index)
+            assert not r.passed, (name, a, wall.index)
+            assert r.detail == f"({a}, wall {wall.index}): {cosets} cosets vs {n} members"
+
+
+def test_coset_isomorphism_rejects_missing_member(sweep):
+    for name, ctx, p in sweep:
+        for a, wall in nonempty_families(ctx, p):
+            fam = p.family(a, wall)
+            if len(fam) < 2:
+                continue
+            bad = copy.copy(p)
+            bad._family_table = {**p._family_table, (a, wall.index): fam[:-1]}
+            r = check_coset_isomorphism(bad)
+            assert not r.passed, (name, a, wall.index)
+            assert r.detail == (
+                f"({a}, wall {wall.index}): {len(fam)} cosets vs {len(fam) - 1} members")

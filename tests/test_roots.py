@@ -16,7 +16,6 @@ from borelab.roots import (
     is_real_root,
     neg,
     norm_sq,
-    reflect,
     reflect_simple,
     root_kind,
     scale,
@@ -24,6 +23,7 @@ from borelab.roots import (
     sub,
     subsystem_closure,
 )
+from borelab.weyl import from_reflection
 
 LABELS = ["A2~1", "B3~1", "C3~1", "D4~1", "G2~1", "F4~1", "A2~2", "A5~2", "D5~2"]
 
@@ -83,7 +83,8 @@ def test_reflection_is_involutive(data):
     for i in data.draw(st.lists(st.sampled_from(nodes), max_size=6)):
         beta = reflect_simple(d, beta, i)
     a = tuple(data.draw(st.integers(-3, 3)) for _ in nodes)
-    assert reflect(d, beta, reflect(d, beta, a)) == a
+    s = from_reflection(d, beta)
+    assert s.apply(s.apply(a)) == a
 
 
 def test_closure_sizes():
