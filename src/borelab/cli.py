@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage errors (including
-unknown diagram labels or invalid node flags).
+unknown diagram labels, invalid node flags and unwritable --out paths).
 """
 
 from __future__ import annotations
@@ -34,21 +34,21 @@ def node_list(text: str) -> str:
     return text
 
 
-def _add_common(p: argparse.ArgumentParser, pi1: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--type", required=True, metavar="LABEL",
                    help="affine diagram label, e.g. E8~1 or D5~2")
-    if pi1:
-        p.add_argument("--pi1", type=node_list, metavar="NODES",
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--pi1", type=node_list, metavar="NODES",
                        help="comma-separated odd node numbers, e.g. 0,3")
-        p.add_argument("--adjoint", action="store_true",
-                       help="adjoint grading (single mark-1 odd node)")
-        p.add_argument("--all", action="store_true",
+    which.add_argument("--all", action="store_true",
                        help="run over every involution of the diagram")
-        p.add_argument("--dedupe", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="fold involutions equivalent under diagram symmetry")
-        p.add_argument("--max-length", type=non_negative_int, default=None, metavar="L",
-                       help="truncate the enumeration at this length")
+    p.add_argument("--adjoint", action="store_true",
+                   help="adjoint grading (single mark-1 odd node)")
+    p.add_argument("--dedupe", action=argparse.BooleanOptionalAction,
+                   default=True,
+                   help="fold involutions equivalent under diagram symmetry")
+    p.add_argument("--max-length", type=non_negative_int, default=None, metavar="L",
+                   help="truncate the enumeration at this length")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,10 +91,16 @@ def _contexts(args: argparse.Namespace) -> list[GradedContext]:
     if getattr(args, "all", False):
         specs = catalog_involutions(d, include_adjoint=True, dedupe=args.dedupe)
         return [analyze(s) for s in specs]
-    if args.pi1 is None:
-        raise ValueError("either --pi1 or --all is required")
     odd = [int(x) for x in args.pi1.split(",") if x != ""]
     return [analyze(involution(d, odd, adjoint=args.adjoint))]
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _slug(ctx: GradedContext) -> str:
@@ -134,8 +140,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             out.append("\n".join(lines) + "\n")
     text = "".join(out)
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -166,22 +171,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     if args.all and not args.out:
         raise ValueError("--all export needs --out (a directory)")
-    for ctx in _contexts(args):
+    contexts = _contexts(args)
+    if args.all:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
+    for ctx in contexts:
         poset = enumerate_poset(ctx, max_length=args.max_length)
         if args.format == "dot":
             text = render_dot(poset)
         else:
             text = render_json(result_document(poset, verify_all(poset)))
         if args.all:
-            os.makedirs(args.out, exist_ok=True)
             ext = "dot" if args.format == "dot" else "json"
             path = os.path.join(args.out, f"{_slug(ctx)}.{ext}")
-            with open(path, "w") as fh:
-                fh.write(text)
+            _write(path, text)
             print(path)
         elif args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            _write(args.out, text)
         else:
             sys.stdout.write(text)
     return 0

@@ -24,13 +24,10 @@ from .roots import (
     highest_root,
     ht_subset,
     is_long,
-    is_positive,
     is_real_root,
     norm_sq,
     pair,
-    root_kind,
     simple_root,
-    sub,
     subsystem_closure,
 )
 
@@ -163,7 +160,6 @@ class GradedContext:
         self.delta = self.d.marks
         self.components = self._build_components()
         self.walls = self._build_walls()
-        self._decompositions: dict[Root, tuple[tuple[Root, Root], ...]] = {}
         # (alpha, wall index) -> closed-form family minimum, filled by
         # `minuscule.family_minimum`.
         self.family_minima: dict = {}
@@ -293,27 +289,6 @@ class GradedContext:
     def s1_bits(self) -> dict[Root, int]:
         """Each odd-height-1 root mapped to its bit, 1 << its place in `s1_order`."""
         return {a: 1 << n for n, a in enumerate(self.s1_order)}
-
-    @cached_property
-    def summands(self) -> tuple[Root, ...]:
-        """Positive roots that can be a summand of an odd-height-1 root: the
-        even positive roots and the odd-height-1 roots themselves."""
-        return tuple(self.even_positive_roots | self.odd_height_one_roots)
-
-    def decompositions(self, g: Root) -> tuple[tuple[Root, Root], ...]:
-        """Every (a, g - a) with a a summand other than g and g - a a positive
-        real root; listed once per root and then looked up."""
-        out = self._decompositions.get(g)
-        if out is None:
-            pairs = []
-            for a in self.summands:
-                if a == g:
-                    continue
-                b = sub(g, a)
-                if is_positive(b) and root_kind(self.d, b) == "real":
-                    pairs.append((a, b))
-            out = self._decompositions[g] = tuple(pairs)
-        return out
 
     def bounding_roots(self) -> frozenset[Root]:
         """Even simple roots plus wall roots; avoiding all of them in the

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .cartan import dual_coxeter_number, finite_dual_coxeter, positive_root_count
@@ -21,6 +23,8 @@ from .roots import (
     Root,
     add,
     is_positive,
+    neg,
+    pair,
     reflect_simple,
     root_kind,
     simple_root,
@@ -68,17 +72,6 @@ class MinusculePoset:
         """Where an incomplete enumeration stopped."""
         return (f"enumeration truncated at length {self.elements[-1].length} "
                 f"after {len(self)} elements; longer elements exist")
-
-    def inversions(self, p: int) -> frozenset[Root]:
-        """Inversion set of elements[p], decoded from its mask."""
-        order = self.ctx.s1_order
-        mask = self.masks[p]
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(order[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
 
     @cached_property
     def _by_mat(self) -> dict[tuple[Root, ...], int]:
@@ -803,35 +796,57 @@ def check_special_involutions(ctx: GradedContext) -> CheckResult:
     )
 
 
-def structural_verdict(ctx: GradedContext, inv: Iterable[Root]) -> tuple[bool, bool]:
-    """(no two members sum to a root, the set is biconvex) for a set of roots.
+def structural_masks(ctx: GradedContext) -> tuple[list[int], list[int]]:
+    """(partner, down): masks over `ctx.s1_order` that decide the structural check.
 
-    One pass over the pairs answers the sum test and the closure half of
-    biconvexity; the co-closure half reads each member's decompositions from
-    the grading's table.  Agrees with the `is_biconvex` test oracle on
-    `ctx.summands`.
+    For x the root at bit n, `partner[n]` holds the y in S1 with x + y a
+    root, and `down[n]` the roots x - e in S1, e an even positive root: every
+    split of x into two positive roots is an even root plus a root of S1.
+
+    x + y is read off the x-string through y, x the longer root, with
+    p - q = c = <y, x^vee> (Humphreys, Lie Algebras, 9.4).  c < 0 gives a
+    root (so does x + y = k*delta, with c = -2).  For c = 0, x + y is a root
+    iff y - x is, i.e. plus or minus an even positive root, having odd
+    height 0.  c = 1 needs p >= 2 as well: 2x - y, of odd height 1, in S1
+    (it pairs to 3 with x^vee, so it is not delta).  The form is scaled to
+    integers.  Cauchy-Schwarz rules out c > 1 for two distinct roots of S1;
+    such a pair would be left to `root_kind`.
     """
-    members = set(inv)
-    family = list(members)
-    sum_free = closed = True
-    for i, x in enumerate(family):
-        for y in family[i + 1 :]:
-            total = add(x, y)
-            kind = root_kind(ctx.d, total)
-            if kind == "none":
-                continue
-            sum_free = False
-            if kind == "imaginary" or total not in members:
-                closed = False
-                break
-        if not closed:
-            break
-    biconvex = closed and all(
-        a in members or b in members
-        for g in family
-        for a, b in ctx.decompositions(g)
-    )
-    return sum_free, biconvex
+    d, order, bits = ctx.d, ctx.s1_order, ctx.s1_bits
+    rise = ctx.even_positive_roots
+    steps = rise | {neg(e) for e in rise}
+    down = [sum(bits.get(sub(x, e), 0) for e in rise) for x in order]
+    scale = lcm(*(s.denominator for s in d.symmetrizer))
+    sym = [s.numerator * (scale // s.denominator) for s in d.symmetrizer]
+    # scale * (y, x) is the dot product of y with weight[n]
+    weight = [tuple(sym[i] * pair(d, x, i) for i in d.nodes) for x in order]
+    norm = [sum(map(mul, x, w)) for x, w in zip(order, weight)]
+    partner = [0] * len(order)
+    for n, x in enumerate(order):
+        for m in range(n + 1, len(order)):
+            y = order[m]
+            long, short, ln = (x, y, n) if norm[n] >= norm[m] else (y, x, m)
+            c = 2 * sum(map(mul, short, weight[ln])) // norm[ln]
+            if c > 1:
+                root = root_kind(d, add(x, y)) != "none"
+            elif c == 1:
+                twice = tuple(2 * a - b for a, b in zip(long, short))
+                root = sub(y, x) in steps and twice in bits
+            else:
+                root = c < 0 or sub(y, x) in steps
+            if root:
+                partner[n] |= 1 << m
+                partner[m] |= 1 << n
+    return partner, down
+
+
+def mask_verdict(partner: list[int], down: list[int], mask: int) -> tuple[bool, bool]:
+    """(no two members sum to a root, the set is biconvex) for a set in S1.
+    A sum of two members has odd height 2, so it is never a member: a
+    sum-free set is closed, and it is biconvex iff it is co-closed."""
+    members = [n for n in range(mask.bit_length()) if mask >> n & 1]
+    sum_free = not any(partner[n] & mask for n in members)
+    return sum_free, sum_free and not any(down[n] & ~mask for n in members)
 
 
 def check_structural(poset: MinusculePoset, limit: int) -> CheckResult:
@@ -843,9 +858,10 @@ def check_structural(poset: MinusculePoset, limit: int) -> CheckResult:
         step = max(1, len(poset) // limit)
         targets = sorted(set(range(0, len(poset), step)) | set(poset.maxima))
         scope = f"{len(targets)} sampled"
+    partner, down = structural_masks(poset.ctx)
     problems = []
     for p in targets:
-        sum_free, biconvex = structural_verdict(poset.ctx, poset.inversions(p))
+        sum_free, biconvex = mask_verdict(partner, down, poset.masks[p])
         if not sum_free:
             problems.append(f"element {p}: inversions sum to a root")
         if not biconvex:

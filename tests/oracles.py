@@ -3,7 +3,9 @@
 None of these is used by `borelab` itself.  The coset trio reaches minimal
 coset representatives by reflection-subgroup normalization and full group
 elements, a route the library's lockstep coset walk
-(`minuscule.coset_translates`) does not take.
+(`minuscule.coset_translates`) does not take.  The structural trio decides
+sums and decompositions with `root_kind`, where the library's mask tables
+(`minuscule.structural_masks`) use string lengths.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from borelab.cartan import AffineDiagram, _classify_component, components
-from borelab.roots import Root, is_negative, is_positive, reflect_simple, root_kind
+from borelab.grading import GradedContext
+from borelab.roots import Root, add, is_negative, is_positive, reflect_simple, root_kind, sub
 from borelab.weyl import (
     Cols,
     WeylElement,
@@ -126,6 +129,57 @@ def is_biconvex(
             if b not in members:
                 return False
     return True
+
+
+def summands(ctx: GradedContext) -> tuple[Root, ...]:
+    """Positive roots that can be a summand of an odd-height-1 root: the
+    even positive roots and the odd-height-1 roots themselves."""
+    return tuple(ctx.even_positive_roots | ctx.odd_height_one_roots)
+
+
+def decompositions(ctx: GradedContext) -> dict[Root, tuple[tuple[Root, Root], ...]]:
+    """For each odd-height-1 root g, every (a, g - a) with a a summand other
+    than g and g - a a positive real root."""
+    pool = summands(ctx)
+    out = {}
+    for g in ctx.s1_order:
+        pairs = []
+        for a in pool:
+            b = sub(g, a)
+            if a != g and is_positive(b) and root_kind(ctx.d, b) == "real":
+                pairs.append((a, b))
+        out[g] = tuple(pairs)
+    return out
+
+
+def structural_verdict(
+    ctx: GradedContext, inv: Iterable[Root], table: dict[Root, tuple[tuple[Root, Root], ...]]
+) -> tuple[bool, bool]:
+    """(no two members sum to a root, the set is biconvex) for a set in S1.
+
+    One pass over the pairs answers the sum test and the closure half of
+    biconvexity; the co-closure half reads each member's decompositions
+    from `table`, the grading's `decompositions`.
+    """
+    members = set(inv)
+    family = list(members)
+    sum_free = closed = True
+    for i, x in enumerate(family):
+        for y in family[i + 1 :]:
+            total = add(x, y)
+            kind = root_kind(ctx.d, total)
+            if kind == "none":
+                continue
+            sum_free = False
+            if kind == "imaginary" or total not in members:
+                closed = False
+                break
+        if not closed:
+            break
+    biconvex = closed and all(
+        a in members or b in members for g in family for a, b in table[g]
+    )
+    return sum_free, biconvex
 
 
 def length_ball(d: AffineDiagram, radius: int) -> list[WeylElement]:

@@ -192,3 +192,35 @@ def test_optimized_interpreter_gives_same_output():
                 for flags in ([], ["-O"])]
         assert all(r.returncode == 0 for r in runs), args
         assert runs[0].stdout == runs[1].stdout, args
+
+
+@pytest.mark.parametrize("case", ["existing_dir", "missing_parent", "all_into_file"])
+def test_unwritable_out_is_a_usage_error(tmp_path, case):
+    # exit 1 means a failed verification; a path that cannot be written is 2
+    if case == "existing_dir":
+        path, extra, reason = tmp_path, ["--pi1", "0,1"], "Is a directory"
+    elif case == "missing_parent":
+        path = tmp_path / "missing" / "dir" / "x.json"
+        extra, reason = ["--pi1", "0,1"], "No such file or directory"
+    else:
+        path = tmp_path / "taken"
+        path.write_text("")
+        extra, reason = ["--all"], "File exists"
+    r = run_cli("export", "--type", "A2~1", *extra, "--out", str(path))
+    assert r.returncode == 2
+    assert r.stderr == f"error: cannot write {path}: {reason}\n"
+    assert r.stdout == ""
+
+
+def test_enumerate_unwritable_out_is_a_usage_error(tmp_path):
+    r = run_cli("enumerate", "--type", "A2~1", "--pi1", "0,1", "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert r.stderr == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
+def test_pi1_with_all_refused():
+    r = run_cli("enumerate", "--type", "A2~1", "--all", "--pi1", "9")
+    assert r.returncode == 2
+    assert "argument --pi1: not allowed with argument --all" in r.stderr
+    assert r.stdout == ""
+    assert run_cli("enumerate", "--type", "A2~1", "--all", "--adjoint").returncode == 0

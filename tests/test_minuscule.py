@@ -10,20 +10,22 @@ from borelab.minuscule import (
     check_coset_isomorphism,
     check_intersections,
     check_poset_basics,
+    check_structural,
     coset_translates,
     enumerate_poset,
     family_minimum,
     intersection_minimum,
+    mask_verdict,
     maxima_parametrization,
     special_involution,
-    structural_verdict,
+    structural_masks,
     type_one_nodes,
     u_element,
     verify_all,
 )
 from borelab.roots import add, root_kind, simple_root
 from borelab.weyl import from_reflection, from_word
-from oracles import coset_poset, is_biconvex
+from oracles import coset_poset, decompositions, is_biconvex, structural_verdict, summands
 
 
 def words(poset):
@@ -214,23 +216,42 @@ def reference_verdict(ctx, inv):
         root_kind(ctx.d, add(x, y)) == "none"
         for i, x in enumerate(inv) for y in inv[i + 1:]
     )
-    return sum_free, is_biconvex(ctx.d, inv, ctx.summands)
+    return sum_free, is_biconvex(ctx.d, inv, summands(ctx))
+
+
+def mask_of(ctx, roots):
+    return sum(ctx.s1_bits[a] for a in roots)
 
 
 def test_structural_verdict_matches_reference(d5, e8):
     for ctx, poset in (d5, e8):
-        for w in poset.elements:
-            assert structural_verdict(ctx, w.inversions) == reference_verdict(
-                ctx, w.inversions), w.word
+        partner, down = structural_masks(ctx)
+        table = decompositions(ctx)
+        for mask, w in zip(poset.masks, poset.elements):
+            verdict = mask_verdict(partner, down, mask)
+            assert verdict == (True, True), w.word
+            assert verdict == structural_verdict(ctx, w.inversions, table), w.word
+            assert verdict == reference_verdict(ctx, w.inversions), w.word
     ctx = e8[0]
+    partner, down = structural_masks(ctx)
+    table = decompositions(ctx)
     # a raised odd simple root without the even root it was raised by:
     # sum-free, but its decomposition has neither part in the set
     g = add(simple_root(ctx.d, 1), simple_root(ctx.d, 2))
     assert g in ctx.odd_height_one_roots
-    assert structural_verdict(ctx, [g]) == reference_verdict(ctx, [g]) == (True, False)
-    # two members summing to a root outside the set
-    x, y = simple_root(ctx.d, 1), simple_root(ctx.d, 2)
-    assert structural_verdict(ctx, [x, y]) == reference_verdict(ctx, [x, y]) == (False, False)
+    assert (mask_verdict(partner, down, mask_of(ctx, [g]))
+            == structural_verdict(ctx, [g], table)
+            == reference_verdict(ctx, [g]) == (True, False))
+    # two members summing to a root outside the set, real or imaginary
+    x = simple_root(ctx.d, 1)
+    y = next(y for y in ctx.s1_order if root_kind(ctx.d, add(x, y)) == "real")
+    assert (mask_verdict(partner, down, mask_of(ctx, [x, y]))
+            == structural_verdict(ctx, [x, y], table)
+            == reference_verdict(ctx, [x, y]) == (False, False))
+    y = tuple(m - a for m, a in zip(ctx.delta, x))
+    assert (mask_verdict(partner, down, mask_of(ctx, [x, y]))
+            == structural_verdict(ctx, [x, y], table)
+            == reference_verdict(ctx, [x, y]) == (False, False))
 
 
 SWEEP_LABELS = [
@@ -257,7 +278,8 @@ def test_decoded_inversions_match_word_replay(sweep):
     # the mask decode against the set read off each element's reduced word
     for name, _, p in sweep:
         for q, w in enumerate(p.elements):
-            assert p.inversions(q) == w.inversions, (name, w.word)
+            decoded = {a for n, a in enumerate(p.ctx.s1_order) if p.masks[q] >> n & 1}
+            assert decoded == w.inversions, (name, w.word)
 
 
 def test_position_round_trips(sweep):
@@ -426,3 +448,79 @@ def test_coset_isomorphism_rejects_missing_member(sweep):
             assert not r.passed, (name, a, wall.index)
             assert r.detail == (
                 f"({a}, wall {wall.index}): {len(fam)} cosets vs {len(fam) - 1} members")
+
+
+TABLE_LABELS = SWEEP_LABELS + ["E6~1", "E6~2", "C4~1", "A7~2", "E7~1"]
+
+
+def test_structural_masks_match_root_kind_oracle(monkeypatch):
+    # every grading, adjoint included, not folded: partner against all-pairs
+    # root_kind, down against the decomposition oracle; the string rule
+    # decides every pair, so the root_kind fallback is never reached
+    def no_fallback(d, a):
+        raise AssertionError(f"root_kind fallback on {a}")
+
+    gradings = 0
+    for label in TABLE_LABELS:
+        for spec in catalog_involutions(load_diagram(label), include_adjoint=True,
+                                        dedupe=False):
+            ctx = analyze(spec)
+            gradings += 1
+            with monkeypatch.context() as m:
+                m.setattr(minuscule, "root_kind", no_fallback)
+                partner, down = structural_masks(ctx)
+            order = ctx.s1_order
+            for n, x in enumerate(order):
+                expect = mask_of(ctx, [
+                    y for y in order
+                    if y != x and root_kind(ctx.d, add(x, y)) != "none"
+                ])
+                assert partner[n] == expect, (spec.describe(), x)
+            for n, (g, pairs) in enumerate(decompositions(ctx).items()):
+                assert g == order[n]
+                parts = [a if a in ctx.s1_bits else b for a, b in pairs]
+                assert all((a in ctx.s1_bits) != (b in ctx.s1_bits) for a, b in pairs)
+                assert down[n] == mask_of(ctx, set(parts)), (spec.describe(), g)
+    assert gradings == 143
+
+
+def with_mask(p, q, mask):
+    bad = copy.copy(p)
+    bad.masks = p.masks[:q] + (mask,) + p.masks[q + 1:]
+    return bad
+
+
+def test_extra_partner_bit_fails_structural(sweep):
+    mutated = 0
+    for name, ctx, p in sweep:
+        assert check_structural(p, len(p)).passed, name
+        partner, _ = structural_masks(ctx)
+        for q, mask in enumerate(p.masks):
+            extra = [partner[n] & ~mask for n in range(len(partner)) if mask >> n & 1]
+            extra = next((e for e in extra if e), 0)
+            if extra:
+                bad = with_mask(p, q, mask | (extra & -extra))
+                r = check_structural(bad, len(p))
+                assert r.detail == f"element {q}: inversions sum to a root", name
+                assert not r.passed
+                mutated += 1
+                break
+    assert mutated == len(sweep) == 117
+
+
+def test_missing_down_bit_fails_structural(sweep):
+    mutated = 0
+    for name, ctx, p in sweep:
+        _, down = structural_masks(ctx)
+        for q, mask in enumerate(p.masks):
+            held = [down[n] & mask for n in range(len(down)) if mask >> n & 1]
+            held = next((h for h in held if h), 0)
+            if held:
+                bad = with_mask(p, q, mask & ~(held & -held))
+                r = check_structural(bad, len(p))
+                assert r.detail == f"element {q}: inversion set not biconvex", name
+                assert not r.passed
+                mutated += 1
+                break
+    # in the other 10 gradings no element holds a down bit of its own
+    assert mutated == 107
