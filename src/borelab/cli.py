@@ -9,7 +9,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from contextlib import contextmanager
+from typing import Iterator, Optional, Sequence
 
 from .cartan import load_diagram
 from .grading import GradedContext, analyze, catalog_involutions, involution
@@ -95,12 +96,18 @@ def _contexts(args: argparse.Namespace) -> list[GradedContext]:
     return [analyze(involution(d, odd, adjoint=args.adjoint))]
 
 
-def _write(path: str, text: str) -> None:
+@contextmanager
+def _writing(path: str) -> Iterator[None]:
+    """Turn an OSError on `path` into the usage error "cannot write PATH"."""
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        yield
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write(path: str, text: str) -> None:
+    with _writing(path), open(path, "w") as fh:
+        fh.write(text)
 
 
 def _slug(ctx: GradedContext) -> str:
@@ -173,10 +180,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
         raise ValueError("--all export needs --out (a directory)")
     contexts = _contexts(args)
     if args.all:
-        try:
+        with _writing(args.out):
             os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     for ctx in contexts:
         poset = enumerate_poset(ctx, max_length=args.max_length)
         if args.format == "dot":

@@ -21,12 +21,10 @@ from .cartan import dual_coxeter_number, finite_dual_coxeter, positive_root_coun
 from .grading import EvenComponent, GradedContext, Wall
 from .roots import (
     Root,
-    add,
     is_positive,
     neg,
     pair,
     reflect_simple,
-    root_kind,
     simple_root,
     sub,
 )
@@ -809,8 +807,8 @@ def structural_masks(ctx: GradedContext) -> tuple[list[int], list[int]]:
     iff y - x is, i.e. plus or minus an even positive root, having odd
     height 0.  c = 1 needs p >= 2 as well: 2x - y, of odd height 1, in S1
     (it pairs to 3 with x^vee, so it is not delta).  The form is scaled to
-    integers.  Cauchy-Schwarz rules out c > 1 for two distinct roots of S1;
-    such a pair would be left to `root_kind`.
+    integers.  By Cauchy-Schwarz on the semidefinite form c <= 2, and c = 2
+    only for y = x + m*delta, of odd height 1 + 2m/k != 1: no other c occurs.
     """
     d, order, bits = ctx.d, ctx.s1_order, ctx.s1_bits
     rise = ctx.even_positive_roots
@@ -827,9 +825,7 @@ def structural_masks(ctx: GradedContext) -> tuple[list[int], list[int]]:
             y = order[m]
             long, short, ln = (x, y, n) if norm[n] >= norm[m] else (y, x, m)
             c = 2 * sum(map(mul, short, weight[ln])) // norm[ln]
-            if c > 1:
-                root = root_kind(d, add(x, y)) != "none"
-            elif c == 1:
+            if c == 1:
                 twice = tuple(2 * a - b for a, b in zip(long, short))
                 root = sub(y, x) in steps and twice in bits
             else:

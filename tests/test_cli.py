@@ -186,6 +186,7 @@ def test_optimized_interpreter_gives_same_output():
     for args in (
         ["enumerate", "--type", "C10~1", "--pi1", "0,10", "--format", "json"],
         ["verify", "--type", "E6~1", "--all"],
+        ["verify", "--type", "E8~1", "--pi1", "1"],
     ):
         runs = [subprocess.run([sys.executable, *flags, "-m", "borelab", *args],
                                capture_output=True)

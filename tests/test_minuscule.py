@@ -453,22 +453,16 @@ def test_coset_isomorphism_rejects_missing_member(sweep):
 TABLE_LABELS = SWEEP_LABELS + ["E6~1", "E6~2", "C4~1", "A7~2", "E7~1"]
 
 
-def test_structural_masks_match_root_kind_oracle(monkeypatch):
+def test_structural_masks_match_root_kind_oracle():
     # every grading, adjoint included, not folded: partner against all-pairs
-    # root_kind, down against the decomposition oracle; the string rule
-    # decides every pair, so the root_kind fallback is never reached
-    def no_fallback(d, a):
-        raise AssertionError(f"root_kind fallback on {a}")
-
+    # root_kind, down against the decomposition oracle
     gradings = 0
     for label in TABLE_LABELS:
         for spec in catalog_involutions(load_diagram(label), include_adjoint=True,
                                         dedupe=False):
             ctx = analyze(spec)
             gradings += 1
-            with monkeypatch.context() as m:
-                m.setattr(minuscule, "root_kind", no_fallback)
-                partner, down = structural_masks(ctx)
+            partner, down = structural_masks(ctx)
             order = ctx.s1_order
             for n, x in enumerate(order):
                 expect = mask_of(ctx, [
