@@ -26,12 +26,20 @@ def non_negative_int(text: str) -> int:
 
 
 def node_list(text: str) -> str:
-    """Check that every comma-separated item is a node number; keep the text."""
-    for item in filter(None, text.split(",")):
+    """Check that the text is a comma-separated list of distinct node numbers."""
+    if not text.strip():
+        raise argparse.ArgumentTypeError("no node number given")
+    seen = set()
+    for n, item in enumerate(text.split(","), start=1):
+        if not item.strip():
+            raise argparse.ArgumentTypeError(f"item {n} of {text!r} is empty")
         try:
-            int(item)
+            node = int(item)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{item!r} is not a node number") from None
+        if node in seen:
+            raise argparse.ArgumentTypeError(f"node {node} is given twice")
+        seen.add(node)
     return text
 
 
@@ -92,7 +100,7 @@ def _contexts(args: argparse.Namespace) -> list[GradedContext]:
     if getattr(args, "all", False):
         specs = catalog_involutions(d, include_adjoint=True, dedupe=args.dedupe)
         return [analyze(s) for s in specs]
-    odd = [int(x) for x in args.pi1.split(",") if x != ""]
+    odd = [int(x) for x in args.pi1.split(",")]
     return [analyze(involution(d, odd, adjoint=args.adjoint))]
 
 

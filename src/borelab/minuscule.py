@@ -30,6 +30,7 @@ from .roots import (
 )
 from .weyl import (
     WeylElement,
+    dominant_mapper,
     from_reflection,
     from_word,
     identity,
@@ -199,11 +200,11 @@ def _build_family_minimum(ctx: GradedContext, alpha: int, wall: Wall) -> WeylEle
     comp = wall.component
     assert comp is not None
     if wall.wall_type == 1:
-        w = minimal_mapper(d, comp.region, a_root, wall.root)
+        w = dominant_mapper(d, comp.region, a_root, wall.root)
         if w is None:
             raise ValueError(f"alpha_{alpha} does not reach the wall within its region")
         return w
-    v = minimal_mapper(d, comp.nodes, a_root, comp.theta)
+    v = dominant_mapper(d, comp.nodes, a_root, comp.theta)
     if v is None:
         raise ValueError(f"alpha_{alpha} is not conjugate to the component highest root")
     return special_involution(ctx, comp) * v
@@ -219,16 +220,18 @@ def u_element(ctx: GradedContext, ca: EvenComponent, cb: EvenComponent) -> WeylE
 
 
 def intersection_minimum(
-    ctx: GradedContext, ca: EvenComponent, x: int, cb: EvenComponent, y: int
+    ctx: GradedContext, ca: EvenComponent, x: int, cb: EvenComponent, y: int,
+    u: Optional[WeylElement] = None,
 ) -> WeylElement:
     """Minimum of the intersection of the two crossed families:
-    x in ca mapping to cb's wall, y in cb mapping to ca's wall."""
+    x in ca mapping to cb's wall, y in cb mapping to ca's wall.  `u` is
+    `u_element(ctx, ca, cb)`, built here unless the caller has it."""
     d = ctx.d
-    vx = minimal_mapper(d, ca.nodes, simple_root(d, x), ca.theta)
-    vy = minimal_mapper(d, cb.nodes, simple_root(d, y), cb.theta)
+    vx = dominant_mapper(d, ca.nodes, simple_root(d, x), ca.theta)
+    vy = dominant_mapper(d, cb.nodes, simple_root(d, y), cb.theta)
     if vx is None or vy is None:
         raise ValueError("pair members must be conjugate to their component's highest root")
-    return u_element(ctx, ca, cb) * vx * vy
+    return (u or u_element(ctx, ca, cb)) * vx * vy
 
 
 def type_one_nodes(ctx: GradedContext, nodes: Iterable[int]) -> tuple[int, ...]:
@@ -630,23 +633,21 @@ def check_intersections(poset: MinusculePoset) -> CheckResult:
     ctx = poset.ctx
     problems = []
     walls = list(ctx.walls)
+    # per type-1 component wall: its component's nodes whose families cross
+    crossing = {w.index: type_one_nodes(ctx, w.component.nodes) for w in walls
+                if w.kind == "component" and w.wall_type == 1}
     for wa in walls:
         for wb in walls:
             if wb.index <= wa.index:
                 continue
+            paired = wa.index in crossing and wb.index in crossing
+            u = u_element(ctx, wa.component, wb.component) if paired else None
             for a in ctx.family_indices(wa):
                 for b in ctx.family_indices(wb):
                     fam_a = set(poset.family(a, wa))
                     fam_b = set(poset.family(b, wb))
                     inter = fam_a & fam_b
-                    predicted = (
-                        wa.kind == "component"
-                        and wb.kind == "component"
-                        and wa.wall_type == 1
-                        and wb.wall_type == 1
-                        and a in type_one_nodes(ctx, wb.component.nodes)
-                        and b in type_one_nodes(ctx, wa.component.nodes)
-                    )
+                    predicted = paired and a in crossing[wb.index] and b in crossing[wa.index]
                     if bool(inter) != predicted:
                         problems.append(
                             f"intersection ({a},{wa.index})&({b},{wb.index}): "
@@ -655,8 +656,7 @@ def check_intersections(poset: MinusculePoset) -> CheckResult:
                         continue
                     if not inter:
                         continue
-                    ca, cb = wb.component, wa.component
-                    m = intersection_minimum(ctx, cb, b, ca, a)
+                    m = intersection_minimum(ctx, wa.component, b, wb.component, a, u)
                     pos = poset.position(m)
                     if pos is None or pos not in inter:
                         problems.append(

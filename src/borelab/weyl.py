@@ -14,12 +14,13 @@ from __future__ import annotations
 from math import prod
 from typing import Iterable, Optional
 
-from .cartan import AffineDiagram, finite_type_sizes
+from .cartan import AffineDiagram, finite_type_sizes, positive_root_count
 from .roots import (
     Root,
     coroot_pair,
     is_negative,
     is_positive,
+    pair,
     reflect_simple,
     root_kind,
     simple_root,
@@ -224,6 +225,38 @@ def longest_element(d: AffineDiagram, nodes: Iterable[int]) -> WeylElement:
     return w
 
 
+def dominant_mapper(
+    d: AffineDiagram, nodes: Iterable[int], frm: Root, to: Root
+) -> Optional[WeylElement]:
+    """Shortest element of the finite parabolic on J = `nodes` sending frm to
+    `to`, which must be dominant for J; None if `to` is not in frm's orbit.
+
+    Dominant ascent: from g = frm, apply s_i for the smallest i in J with
+    <g, alpha_i^vee> < 0 until g is dominant.  If w(frm) = to, each beta > 0
+    of Phi_J with <frm, beta^vee> < 0 pairs negatively with the dominant `to`
+    after w, so w(beta) < 0: l(w) is at least the number of such beta.  Each
+    step removes exactly one of them, so the walk is a shortest mapper when
+    it ends at `to`, and it ends there iff `to` is in the orbit (the closed
+    chamber meets each orbit once).  The mappers form a coset W_K*w of the
+    parabolic stabilizer of `to`, whose shortest element is unique, so this
+    is the element `minimal_mapper` finds (Humphreys, Reflection Groups and
+    Coxeter Groups, 1.10-1.12).
+    """
+    s = sorted(set(nodes))
+    if any(pair(d, to, i) < 0 for i in s):
+        raise ValueError(f"{to} is not dominant for nodes {s}")
+    cap = positive_root_count(d, s)
+    letters = []
+    g = frm
+    for _ in range(cap + 1):
+        i = next((i for i in s if pair(d, g, i) < 0), None)
+        if i is None:
+            return _word_element(d, reversed(letters)) if g == to else None
+        letters.append(i)
+        g = reflect_simple(d, g, i)
+    raise RuntimeError(f"dominant ascent on nodes {s} exceeded {cap} steps")
+
+
 def minimal_mapper(
     d: AffineDiagram,
     nodes: Iterable[int],
@@ -235,6 +268,8 @@ def minimal_mapper(
 
     BFS over the orbit: the orbit distance equals the minimal length.  Returns
     None if `to` is not reached (within `cap` reflection steps, if given).
+    Kept for the affine special involution, whose level-zero target has no
+    dominant representative; finite parabolics use `dominant_mapper`.
     """
     s = sorted(set(nodes))
     if frm == to:
@@ -256,30 +291,31 @@ def minimal_mapper(
                     continue
                 parent[h] = (g, i)
                 if h == to:
-                    return _path_element(d, parent, to)
+                    return _word_element(d, _path_word(parent, to))
                 nxt.append(h)
         frontier = nxt
     return None
 
 
-def _path_element(
-    d: AffineDiagram, parent: dict[Root, tuple[Root, int]], to: Root
-) -> WeylElement:
+def _path_word(parent: dict[Root, tuple[Root, int]], to: Root) -> list[int]:
+    # path frm -> to via s_{i_1},..,s_{i_k} gives w = s_{i_k}...s_{i_1}
     letters = []
     cur = to
     while True:
         prev, i = parent[cur]
         if i < 0:
-            break
+            return letters
         letters.append(i)
         cur = prev
-    # path frm -> to via s_{i_1},..,s_{i_k} gives w = s_{i_k}...s_{i_1},
-    # and the BFS distance guarantees this word is reduced.
+
+
+def _word_element(d: AffineDiagram, word: Iterable[int]) -> WeylElement:
+    """Element of a word that the caller knows to be reduced (checked)."""
     w = identity(d)
-    for i in letters:
+    for i in word:
         nxt = w.extend(i)
         if nxt is None:
-            raise RuntimeError("orbit path word was not reduced")
+            raise RuntimeError("mapper word was not reduced")
         w = nxt
     return w
 

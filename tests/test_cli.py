@@ -152,6 +152,22 @@ def test_export_reproducible(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "nodes,message",
+    [("1,1", "node 1 is given twice"),
+     ("1,01", "node 1 is given twice"),
+     (",1", "item 1 of ',1' is empty"),
+     ("0,,1", "item 2 of '0,,1' is empty"),
+     ("0,1,", "item 3 of '0,1,' is empty"),
+     ("", "no node number given")],
+)
+def test_pi1_bad_node_list(nodes, message):
+    r = run_cli("enumerate", "--type", "A2~1", "--pi1", nodes)
+    assert r.returncode == 2
+    assert f"argument --pi1: {message}" in r.stderr
+    assert r.stdout == ""
+
+
 def test_pi1_not_a_number():
     r = run_cli("enumerate", "--type", "A2~1", "--pi1", "0,a", "--adjoint")
     assert r.returncode == 2

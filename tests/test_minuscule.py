@@ -24,7 +24,7 @@ from borelab.minuscule import (
     verify_all,
 )
 from borelab.roots import add, root_kind, simple_root
-from borelab.weyl import from_reflection, from_word
+from borelab.weyl import dominant_mapper, from_reflection, from_word, minimal_mapper
 from oracles import coset_poset, decompositions, is_biconvex, structural_verdict, summands
 
 
@@ -476,6 +476,46 @@ def test_structural_masks_match_root_kind_oracle():
                 assert all((a in ctx.s1_bits) != (b in ctx.s1_bits) for a, b in pairs)
                 assert down[n] == mask_of(ctx, set(parts)), (spec.describe(), g)
     assert gradings == 143
+
+
+def test_dominant_mapper_matches_orbit_search():
+    # every (component nodes, alpha_a, theta) and (region, alpha_a,
+    # k*delta - theta) triple for every node a: the ascent and the BFS give
+    # the same element, or both give None
+    gradings = triples = unreachable = 0
+    for label in TABLE_LABELS + ["E8~1"]:
+        d = load_diagram(label)
+        for spec in catalog_involutions(d, include_adjoint=True, dedupe=False):
+            ctx = analyze(spec)
+            gradings += 1
+            for comp in ctx.components:
+                wall_root = tuple(ctx.k * m - t for m, t in zip(ctx.delta, comp.theta))
+                for nodes, to in ((comp.nodes, comp.theta), (comp.region, wall_root)):
+                    for a in d.nodes:
+                        want = minimal_mapper(d, nodes, simple_root(d, a), to)
+                        got = dominant_mapper(d, nodes, simple_root(d, a), to)
+                        triples += 1
+                        if want is None:
+                            assert got is None, (spec.describe(), nodes, a)
+                            unreachable += 1
+                            continue
+                        assert got is not None, (spec.describe(), nodes, a)
+                        assert got.mat == want.mat, (spec.describe(), nodes, a)
+                        assert got.length == want.length, (spec.describe(), nodes, a)
+    assert (gradings, triples, unreachable) == (146, 1992, 1081)
+
+
+def test_verify_all_runs_no_orbit_search(monkeypatch):
+    # E8~1{1} has no type-2 wall, so no special involution: every minimum
+    # comes from the dominant ascent
+    def refuse(*args, **kwargs):
+        raise AssertionError("orbit search called")
+
+    monkeypatch.setattr(minuscule, "minimal_mapper", refuse)
+    ctx = context_for("E8~1", [1])
+    assert all(w.wall_type == 1 for w in ctx.walls)
+    results = verify_all(enumerate_poset(ctx))
+    assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
 
 
 def with_mask(p, q, mask):

@@ -12,7 +12,9 @@ from borelab.roots import (
     simple_root,
     subsystem_closure,
 )
+import borelab.weyl as weyl
 from borelab.weyl import (
+    dominant_mapper,
     from_reflection,
     from_word,
     identity,
@@ -162,22 +164,52 @@ def test_minimal_mapper_identity_and_failure():
     assert minimal_mapper(A2, (1, 2), a, (5, 5, 5), cap=6) is None
 
 
+def test_dominant_mapper_identity_and_failure():
+    theta = highest_root(A2, (1, 2))
+    assert dominant_mapper(A2, (1, 2), theta, theta).length == 0
+    # alpha_0 is outside the parabolic's roots: its ascent ends elsewhere
+    assert dominant_mapper(A2, (1, 2), simple_root(A2, 0), theta) is None
+
+
+def test_dominant_mapper_refuses_non_dominant_target():
+    a1, a2 = simple_root(A2, 1), simple_root(A2, 2)
+    # <alpha_1, alpha_2^vee> = -1: alpha_1 is not dominant for node 2
+    with pytest.raises(ValueError, match="not dominant"):
+        dominant_mapper(A2, (1, 2), a2, a1)
+
+
+def test_dominant_mapper_step_bound(monkeypatch):
+    # the ascent from alpha_1 to theta takes one step; a bound of 0 must
+    # raise, not return a wrong element
+    monkeypatch.setattr(weyl, "positive_root_count", lambda d, nodes: 0)
+    with pytest.raises(RuntimeError, match="exceeded 0 steps"):
+        dominant_mapper(A2, (1, 2), simple_root(A2, 1), highest_root(A2, (1, 2)))
+
+
+HIGHEST_ROOT_CASES = [
+    ("A2~1", (1, 2), 1, 3),
+    ("A6~1", (1, 2, 3), 1, 4),
+    ("B3~1", (1, 2, 3), 1, 5),
+    ("D4~1", (1, 2, 3, 4), 1, 6),
+    ("F4~1", (1, 2, 3, 4), 1, 9),
+]
+
+
 @pytest.mark.parametrize(
-    "label,nodes,alpha,g",
-    [("A2~1", (1, 2), 1, 3),
-     ("A6~1", (1, 2, 3), 1, 4),
-     ("B3~1", (1, 2, 3), 1, 5),
-     ("D4~1", (1, 2, 3, 4), 1, 6),
-     ("F4~1", (1, 2, 3, 4), 1, 9)],
+    "mapper,label,nodes,alpha,g",
+    [pytest.param(mapper, label, nodes, alpha, g,
+                  id=f"{prefix}{label}-nodes{n}-{alpha}-{g}")
+     for prefix, mapper in (("", minimal_mapper), ("dominant-", dominant_mapper))
+     for n, (label, nodes, alpha, g) in enumerate(HIGHEST_ROOT_CASES)],
 )
-def test_mapper_to_highest_root(label, nodes, alpha, g):
+def test_mapper_to_highest_root(mapper, label, nodes, alpha, g):
     # the minimal element sending a long simple root to the highest root has
     # length g - 2, and its inverse inverts exactly the positive roots that
     # pair to -1 with the source coroot
     d = load_diagram(label)
     theta = highest_root(d, nodes)
     a = simple_root(d, alpha)
-    y = minimal_mapper(d, nodes, a, theta)
+    y = mapper(d, nodes, a, theta)
     assert y is not None
     assert y.length == g - 2
     predicted = {
