@@ -10,6 +10,7 @@ from collections import defaultdict
 from borelab import context_for, enumerate_poset, verify_all
 from borelab.minuscule import family_minimum, special_involution
 from borelab.roots import norm_sq
+from borelab.weyl import identity
 
 ctx = context_for("D5~2", [1])
 print(ctx.spec.describe(), f"(k = {ctx.k})")
@@ -51,9 +52,11 @@ print()
 
 comp = ctx.components[0]
 s = special_involution(ctx, comp)
+# s*s is the identity iff s maps each column of its matrix back to alpha_j
+involutive = all(s.apply(c) == e for c, e in zip(s.mat, identity(ctx.d).mat))
 print(f"special involution for component {comp.nodes}: "
       f"word {'.'.join(map(str, s.word))}, length {s.length}, "
-      f"squares to identity: {(s * s).length == 0}")
+      f"squares to identity: {involutive}")
 print()
 
 bad = [r for r in verify_all(poset) if not r.passed]

@@ -30,11 +30,10 @@ class AffineDiagram:
     marks: tuple[int, ...] = field(compare=False)
     comarks: tuple[int, ...] = field(compare=False)
     symmetrizer: tuple[Fraction, ...] = field(compare=False)
-    # Memo tables filled on demand by borelab.roots and borelab.weyl, keyed by
-    # root (kinds, coroot rows) or node set (closures); not part of equality.
+    # Memo tables filled on demand by borelab.roots, keyed by root (kinds) or
+    # node set (closures); not part of equality.
     root_kinds: dict = field(default_factory=dict, compare=False, repr=False)
     closures: dict = field(default_factory=dict, compare=False, repr=False)
-    coroot_rows: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -72,8 +71,8 @@ def _kernel_vector(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
             continue
         rows[r], rows[p] = rows[p], rows[r]
         pivots.append(c)
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        pivot = rows[r][c]
+        rows[r] = [x / pivot for x in rows[r]]
         for i in range(n):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]

@@ -21,18 +21,19 @@ from .cartan import dual_coxeter_number, finite_dual_coxeter, positive_root_coun
 from .grading import EvenComponent, GradedContext, Wall
 from .roots import (
     Root,
+    coroot_pair,
     is_positive,
     neg,
     pair,
     reflect_simple,
+    scale,
     simple_root,
     sub,
 )
 from .weyl import (
     WeylElement,
+    _word_element,
     dominant_mapper,
-    from_reflection,
-    from_word,
     identity,
     longest_element,
     minimal_mapper,
@@ -193,10 +194,12 @@ def _build_family_minimum(ctx: GradedContext, alpha: int, wall: Wall) -> WeylEle
     if wall.kind == "odd":
         b = wall.node
         assert b is not None
-        w0 = longest_element(d, ctx.even)
         perp_even = [i for i in ctx.even if d.cartan[i][b] == 0]
         w0b = longest_element(d, perp_even)
-        return from_word(d, (b,)) * (w0b * w0)
+        w0 = longest_element(d, ctx.even, start=w0b)
+        # s_b * (w0b * w0), reduced: u = w0b * w0 lies in W_even, so
+        # u^{-1}(alpha_b) is alpha_b plus even roots, positive
+        return _word_element(d, (b,) + w0.word[w0b.length:])
     comp = wall.component
     assert comp is not None
     if wall.wall_type == 1:
@@ -207,16 +210,16 @@ def _build_family_minimum(ctx: GradedContext, alpha: int, wall: Wall) -> WeylEle
     v = dominant_mapper(d, comp.nodes, a_root, comp.theta)
     if v is None:
         raise ValueError(f"alpha_{alpha} is not conjugate to the component highest root")
-    return special_involution(ctx, comp) * v
+    return _word_element(d, special_involution(ctx, comp).word + v.word)
 
 
 def u_element(ctx: GradedContext, ca: EvenComponent, cb: EvenComponent) -> WeylElement:
     """Longest minimal representative attached to two type-1 components."""
     d = ctx.d
     inter = sorted(set(ca.region) & set(cb.region))
-    outer = longest_element(d, inter)
     inner = longest_element(d, [i for i in inter if i not in ctx.odd])
-    return inner * outer
+    outer = longest_element(d, inter, start=inner)
+    return _word_element(d, outer.word[inner.length:])
 
 
 def intersection_minimum(
@@ -224,14 +227,16 @@ def intersection_minimum(
     u: Optional[WeylElement] = None,
 ) -> WeylElement:
     """Minimum of the intersection of the two crossed families:
-    x in ca mapping to cb's wall, y in cb mapping to ca's wall.  `u` is
-    `u_element(ctx, ca, cb)`, built here unless the caller has it."""
+    x in ca mapping to cb's wall, y in cb mapping to ca's wall, as the
+    reduced word of u*vx*vy.  `u` is `u_element(ctx, ca, cb)`, built here
+    unless the caller has it."""
     d = ctx.d
     vx = dominant_mapper(d, ca.nodes, simple_root(d, x), ca.theta)
     vy = dominant_mapper(d, cb.nodes, simple_root(d, y), cb.theta)
     if vx is None or vy is None:
         raise ValueError("pair members must be conjugate to their component's highest root")
-    return (u or u_element(ctx, ca, cb)) * vx * vy
+    u = u or u_element(ctx, ca, cb)
+    return _word_element(d, u.word + vx.word + vy.word)
 
 
 def type_one_nodes(ctx: GradedContext, nodes: Iterable[int]) -> tuple[int, ...]:
@@ -283,6 +288,13 @@ def maxima_parametrization(poset: MinusculePoset) -> tuple[MaximumItem, ...]:
         raise ValueError(poset.truncation())
     ctx = poset.ctx
     items: list[MaximumItem] = []
+
+    def add(kind, alphas, walls, members, dimension, name, label):
+        tops = poset.family_maximal(members)
+        if len(tops) != 1:
+            raise ValueError(f"{name} has {len(tops)} maximal elements")
+        items.append(MaximumItem(kind, alphas, walls, tops[0], dimension, label))
+
     component_walls = [w for w in ctx.walls if w.kind == "component"]
     for wall in component_walls:
         comp = wall.component
@@ -292,22 +304,9 @@ def maxima_parametrization(poset: MinusculePoset) -> tuple[MaximumItem, ...]:
         else:
             heads = ctx.family_indices(wall)
         for a in heads:
-            fam = poset.family(a, wall)
-            tops = poset.family_maximal(fam)
-            if len(tops) != 1:
-                raise ValueError(
-                    f"family ({a}, wall {wall.index}) has {len(tops)} maximal elements"
-                )
-            items.append(
-                MaximumItem(
-                    kind="component",
-                    alphas=(a,),
-                    wall_indices=(wall.index,),
-                    position=tops[0],
-                    dimension=single_dimension(ctx, a, wall),
-                    label=f"alpha{a}@wall{wall.index}",
-                )
-            )
+            add("component", (a,), (wall.index,), poset.family(a, wall),
+                single_dimension(ctx, a, wall),
+                f"family ({a}, wall {wall.index})", f"alpha{a}@wall{wall.index}")
     for ia in range(len(component_walls)):
         for ib in range(ia + 1, len(component_walls)):
             wa, wb = component_walls[ia], component_walls[ib]
@@ -318,41 +317,15 @@ def maxima_parametrization(poset: MinusculePoset) -> tuple[MaximumItem, ...]:
             for x in type_one_nodes(ctx, ca.nodes):
                 for y in type_one_nodes(ctx, cb.nodes):
                     both = sorted(set(poset.family(x, wb)) & set(poset.family(y, wa)))
-                    tops = poset.family_maximal(both)
-                    if len(tops) != 1:
-                        raise ValueError(
-                            f"pair ({x}, {y}) has {len(tops)} maximal elements"
-                        )
-                    items.append(
-                        MaximumItem(
-                            kind="pair",
-                            alphas=(x, y),
-                            wall_indices=(wb.index, wa.index),
-                            position=tops[0],
-                            dimension=pair_dimension(ctx, x, y),
-                            label=f"alpha{x}&alpha{y}",
-                        )
-                    )
+                    add("pair", (x, y), (wb.index, wa.index), both, pair_dimension(ctx, x, y),
+                        f"pair ({x}, {y})", f"alpha{x}&alpha{y}")
     for wall in ctx.walls:
         if wall.kind != "odd":
             continue
         for a in ctx.family_indices(wall):
-            fam = poset.family(a, wall)
-            tops = poset.family_maximal(fam)
-            if len(tops) != 1:
-                raise ValueError(
-                    f"family ({a}, wall {wall.index}) has {len(tops)} maximal elements"
-                )
-            items.append(
-                MaximumItem(
-                    kind="odd",
-                    alphas=(a,),
-                    wall_indices=(wall.index,),
-                    position=tops[0],
-                    dimension=single_dimension(ctx, a, wall),
-                    label=f"alpha{a}@wall{wall.index}",
-                )
-            )
+            add("odd", (a,), (wall.index,), poset.family(a, wall),
+                single_dimension(ctx, a, wall),
+                f"family ({a}, wall {wall.index})", f"alpha{a}@wall{wall.index}")
     return tuple(items)
 
 
@@ -631,6 +604,7 @@ def check_intersections(poset: MinusculePoset) -> CheckResult:
     """Pairwise family intersections: exact nonemptiness criterion, the
     closed-form minimum, its inversion set, and the cardinality ratio."""
     ctx = poset.ctx
+    masks = poset.masks
     problems = []
     walls = list(ctx.walls)
     # per type-1 component wall: its component's nodes whose families cross
@@ -667,9 +641,9 @@ def check_intersections(poset: MinusculePoset) -> CheckResult:
                         problems.append(
                             f"intersection ({a},{wa.index})&({b},{wb.index}): not minimal"
                         )
-                    wa_min = family_minimum(ctx, a, wa)
-                    wb_min = family_minimum(ctx, b, wb)
-                    if m.inversions != wa_min.inversions | wb_min.inversions:
+                    pa = poset.position(family_minimum(ctx, a, wa))
+                    pb = poset.position(family_minimum(ctx, b, wb))
+                    if pa is None or pb is None or masks[pos] != masks[pa] | masks[pb]:
                         problems.append(
                             f"intersection ({a},{wa.index})&({b},{wb.index}): "
                             "inversions are not the union of the family minima's"
@@ -759,14 +733,20 @@ def check_length_identities(ctx: GradedContext) -> CheckResult:
 
 
 def check_special_involutions(ctx: GradedContext) -> CheckResult:
-    g0 = dual_coxeter_number(ctx.d)
+    """Each type-2 special element is an involution (s maps each column of
+    its matrix back to the simple root), sends theta to the wall root, has
+    the closed-form length and inversion set, and for k = 2 is the
+    reflection in beta = delta - theta: alpha_j -> alpha_j - <alpha_j, beta^vee> beta."""
+    d = ctx.d
+    g0 = dual_coxeter_number(d)
+    simples = identity(d).mat
     problems = []
     for wall in ctx.walls:
         if wall.kind != "component" or wall.wall_type != 2:
             continue
         comp = wall.component
         s = special_involution(ctx, comp)
-        if (s * s).length != 0:
+        if any(s.apply(col) != e for col, e in zip(s.mat, simples)):
             problems.append(f"comp {comp.index}: special element is not an involution")
         if s.apply(comp.theta) != wall.root:
             problems.append(f"comp {comp.index}: wrong image of the highest root")
@@ -782,8 +762,8 @@ def check_special_involutions(ctx: GradedContext) -> CheckResult:
         if s.inversions != predicted:
             problems.append(f"comp {comp.index}: inversion set mismatch")
         if ctx.k == 2:
-            shifted = sub(ctx.delta, comp.theta)
-            if s != from_reflection(ctx.d, shifted):
+            beta = sub(ctx.delta, comp.theta)
+            if s.mat != tuple(sub(e, scale(coroot_pair(d, beta, e), beta)) for e in simples):
                 problems.append(
                     f"comp {comp.index}: not the reflection in delta minus theta"
                 )

@@ -1,12 +1,14 @@
 """Affine Weyl group elements.
 
 An element is its action matrix (column i = image of the i-th simple root, in
-simple-root coordinates) and a reduced word; the matrix of the inverse is
-built on first use.  Nothing else is stored.  The inversion set
-{gamma > 0 : w^{-1}(gamma) < 0} is read off the reduced word on each request:
-for w = s_{i1}...s_{il} it is {s_{i1}...s_{i(j-1)}(alpha_{ij})}.  Length
-equals the inversion count, and the right weak order is containment of
-inversion sets.
+simple-root coordinates) and a reduced word, nothing else.  Every element is
+built from the identity by checked right extension w -> w*s_i, which needs
+w(alpha_i) > 0; there is no group product and no inverse matrix.  A closed
+form that is a product with lengths adding is built from its factors' words
+put end to end.  The inversion set {gamma > 0 : w^{-1}(gamma) < 0} is read
+off the reduced word on each request: for w = s_{i1}...s_{il} it is
+{s_{i1}...s_{i(j-1)}(alpha_{ij})}.  Length equals the inversion count, and
+the right weak order is containment of inversion sets.
 """
 
 from __future__ import annotations
@@ -17,13 +19,10 @@ from typing import Iterable, Optional
 from .cartan import AffineDiagram, finite_type_sizes, positive_root_count
 from .roots import (
     Root,
-    coroot_pair,
     is_negative,
     is_positive,
     pair,
     reflect_simple,
-    root_kind,
-    simple_root,
     subsystem_closure,
 )
 
@@ -53,53 +52,15 @@ def _right_mult_simple(d: AffineDiagram, mat: Cols, i: int) -> Cols:
     )
 
 
-def _coroot_row(d: AffineDiagram, beta: Root) -> tuple[int, ...]:
-    """<alpha_j, beta^vee> for each node j."""
-    row = d.coroot_rows.get(beta)
-    if row is None:
-        row = d.coroot_rows[beta] = tuple(coroot_pair(d, beta, simple_root(d, j)) for j in d.nodes)
-    return row
-
-
-def _left_mult_reflection(
-    d: AffineDiagram, beta: Root, mat: Cols, inv: Cols
-) -> tuple[Cols, Cols]:
-    """Matrices of s_beta*w from those of w, for a real root beta."""
-    row = _coroot_row(d, beta)
-    new_mat = []
-    for col in mat:
-        c = sum(r * x for r, x in zip(row, col))
-        if c:
-            new_mat.append(tuple(x - c * y for x, y in zip(col, beta)))
-        else:
-            new_mat.append(col)
-    inv_beta = _apply_cols(inv, beta)
-    new_inv = []
-    for j in range(len(inv)):
-        c = row[j]
-        if c:
-            new_inv.append(tuple(x - c * y for x, y in zip(inv[j], inv_beta)))
-        else:
-            new_inv.append(inv[j])
-    return tuple(new_mat), tuple(new_inv)
-
-
 class WeylElement:
     """Group element: its matrix and a reduced word."""
 
-    __slots__ = ("d", "word", "mat", "_inv")
+    __slots__ = ("d", "word", "mat")
 
-    def __init__(
-        self,
-        d: AffineDiagram,
-        word: tuple[int, ...],
-        mat: Cols,
-        inv: Optional[Cols] = None,
-    ):
+    def __init__(self, d: AffineDiagram, word: tuple[int, ...], mat: Cols):
         self.d = d
         self.word = word
         self.mat = mat
-        self._inv = inv
 
     @property
     def inversions(self) -> frozenset[Root]:
@@ -113,35 +74,17 @@ class WeylElement:
         return frozenset(out)
 
     @property
-    def inv(self) -> Cols:
-        """Matrix of the inverse, from the reversed word unless given."""
-        if self._inv is None:
-            self._inv = _word_matrix(self.d, reversed(self.word))
-        return self._inv
-
-    @property
     def length(self) -> int:
         return len(self.word)
 
     def apply(self, a: Root) -> Root:
         return _apply_cols(self.mat, a)
 
-    def apply_inverse(self, a: Root) -> Root:
-        return _apply_cols(self.inv, a)
-
     def extend(self, i: int) -> Optional["WeylElement"]:
         """w*s_i if that is longer (image of alpha_i positive), else None."""
         if not is_positive(self.mat[i]):
             return None
         return WeylElement(self.d, self.word + (i,), _right_mult_simple(self.d, self.mat, i))
-
-    def inverse(self) -> "WeylElement":
-        return _from_mats(self.d, self.inv, self.mat)
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        mat = tuple(self.apply(c) for c in other.mat)
-        inv = tuple(other.apply_inverse(c) for c in self.inv)
-        return _from_mats(self.d, mat, inv)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WeylElement) and self.mat == other.mat
@@ -153,68 +96,27 @@ class WeylElement:
         return f"<w {'.'.join(map(str, self.word)) or 'e'}>"
 
 
-def _word_matrix(d: AffineDiagram, word: Iterable[int]) -> Cols:
-    """Matrix of the product of the simple reflections in word."""
-    mat = _identity_cols(d)
-    for i in word:
-        mat = _right_mult_simple(d, mat, i)
-    return mat
-
-
 def _identity_cols(d: AffineDiagram) -> Cols:
     return tuple(tuple(1 if i == j else 0 for j in d.nodes) for i in d.nodes)
 
 
 def identity(d: AffineDiagram) -> WeylElement:
-    cols = _identity_cols(d)
-    return WeylElement(d, (), cols, inv=cols)
+    return WeylElement(d, (), _identity_cols(d))
 
 
-def _canonical_word(d: AffineDiagram, inv: Cols) -> tuple[int, ...]:
-    """Reduced word by repeatedly stripping the smallest left descent."""
-    word = []
-    for _ in range(100_000):
-        i = next((i for i in d.nodes if is_negative(inv[i])), None)
-        if i is None:
-            return tuple(word)
-        word.append(i)
-        inv = _right_mult_simple(d, inv, i)
-    raise RuntimeError("word extraction did not terminate")
+def longest_element(
+    d: AffineDiagram, nodes: Iterable[int], start: Optional[WeylElement] = None
+) -> WeylElement:
+    """Longest element w0(J) of the finite parabolic on J = `nodes`, by
+    greedy ascent from `start` (default the identity), an element of W_J.
 
-
-def _from_mats(d: AffineDiagram, mat: Cols, inv: Cols) -> WeylElement:
-    """Element with given matrices; the word is recomputed and replayed."""
-    word = _canonical_word(d, inv)
-    replay = _identity_cols(d)
-    for i in word:
-        if not is_positive(replay[i]):
-            raise RuntimeError("canonical word was not reduced")
-        replay = _right_mult_simple(d, replay, i)
-    if replay != mat:
-        raise RuntimeError("matrix does not define a group element")
-    return WeylElement(d, word, mat, inv)
-
-
-def from_word(d: AffineDiagram, word: Iterable[int]) -> WeylElement:
-    """Product of simple reflections; the word need not be reduced."""
-    word = tuple(word)
-    return _from_mats(d, _word_matrix(d, word), _word_matrix(d, reversed(word)))
-
-
-def from_reflection(d: AffineDiagram, beta: Root) -> WeylElement:
-    """The reflection in a real root beta."""
-    if root_kind(d, beta) != "real":
-        raise ValueError(f"{beta} is not a real root")
-    e = identity(d)
-    mat, inv = _left_mult_reflection(d, beta, e.mat, e.inv)
-    return _from_mats(d, mat, inv)
-
-
-def longest_element(d: AffineDiagram, nodes: Iterable[int]) -> WeylElement:
-    """Longest element of the finite parabolic on the given nodes."""
+    Any ascent in W_J ends at w0(J).  From start = w0(J'), J' inside J, the
+    letters it appends spell w0(J')*w0(J) as a reduced word, since w0(J) =
+    w0(J')*(w0(J')*w0(J)) with lengths adding (Humphreys, Reflection Groups
+    and Coxeter Groups, 1.10)."""
     s = sorted(set(nodes))
     cap = len(subsystem_closure(d, s)) if s else 0
-    w = identity(d)
+    w = identity(d) if start is None else start
     for _ in range(cap):
         i = next((i for i in s if is_positive(w.mat[i])), None)
         if i is None:
@@ -315,7 +217,7 @@ def _word_element(d: AffineDiagram, word: Iterable[int]) -> WeylElement:
     for i in word:
         nxt = w.extend(i)
         if nxt is None:
-            raise RuntimeError("mapper word was not reduced")
+            raise RuntimeError(f"word {w.word + (i,)} is not reduced")
         w = nxt
     return w
 

@@ -1,6 +1,10 @@
 """Independent reference implementations the tests compare the library with.
 
-None of these is used by `borelab` itself.  The coset trio reaches minimal
+None of these is used by `borelab` itself.  The group product builds any
+element from its matrix and the matrix of its inverse: it reads a canonical
+reduced word off the inverse matrix and replays it, where the library only
+extends reduced words on the right and concatenates the words of
+length-additive products.  The coset trio reaches minimal
 coset representatives by reflection-subgroup normalization and full group
 elements, a route the library's lockstep coset walk
 (`minuscule.coset_translates`) does not take.  The structural trio decides
@@ -14,16 +18,112 @@ from typing import Iterable, Optional, Sequence
 
 from borelab.cartan import AffineDiagram, _classify_component, components
 from borelab.grading import GradedContext
-from borelab.roots import Root, add, is_negative, is_positive, reflect_simple, root_kind, sub
+from borelab.roots import (
+    Root,
+    add,
+    coroot_pair,
+    is_negative,
+    is_positive,
+    reflect_simple,
+    root_kind,
+    simple_root,
+    sub,
+)
 from borelab.weyl import (
     Cols,
     WeylElement,
     _apply_cols,
-    _from_mats,
-    _left_mult_reflection,
+    _identity_cols,
     _right_mult_simple,
     identity,
 )
+
+
+def word_matrix(d: AffineDiagram, word: Iterable[int]) -> Cols:
+    """Matrix of the product of the simple reflections in word."""
+    mat = _identity_cols(d)
+    for i in word:
+        mat = _right_mult_simple(d, mat, i)
+    return mat
+
+
+def inverse_matrix(w: WeylElement) -> Cols:
+    """Matrix of w^{-1}, from the reversed word."""
+    return word_matrix(w.d, reversed(w.word))
+
+
+def apply_inverse(w: WeylElement, a: Root) -> Root:
+    return _apply_cols(inverse_matrix(w), a)
+
+
+def _canonical_word(d: AffineDiagram, inv: Cols) -> tuple[int, ...]:
+    """Reduced word by repeatedly stripping the smallest left descent."""
+    word = []
+    for _ in range(100_000):
+        i = next((i for i in d.nodes if is_negative(inv[i])), None)
+        if i is None:
+            return tuple(word)
+        word.append(i)
+        inv = _right_mult_simple(d, inv, i)
+    raise RuntimeError("word extraction did not terminate")
+
+
+def _from_mats(d: AffineDiagram, mat: Cols, inv: Cols) -> WeylElement:
+    """Element with given matrices; the word is recomputed and replayed."""
+    word = _canonical_word(d, inv)
+    replay = _identity_cols(d)
+    for i in word:
+        if not is_positive(replay[i]):
+            raise RuntimeError("canonical word was not reduced")
+        replay = _right_mult_simple(d, replay, i)
+    if replay != mat:
+        raise RuntimeError("matrix does not define a group element")
+    return WeylElement(d, word, mat)
+
+
+def from_word(d: AffineDiagram, word: Iterable[int]) -> WeylElement:
+    """Product of simple reflections; the word need not be reduced."""
+    word = tuple(word)
+    return _from_mats(d, word_matrix(d, word), word_matrix(d, reversed(word)))
+
+
+def product(u: WeylElement, *rest: WeylElement) -> WeylElement:
+    """u*v*..., from the matrices of the factors and of their inverses."""
+    mat, inv = u.mat, inverse_matrix(u)
+    for v in rest:
+        v_inv = inverse_matrix(v)
+        mat = tuple(_apply_cols(mat, c) for c in v.mat)
+        inv = tuple(_apply_cols(v_inv, c) for c in inv)
+    return _from_mats(u.d, mat, inv)
+
+
+def inverse(w: WeylElement) -> WeylElement:
+    return _from_mats(w.d, inverse_matrix(w), w.mat)
+
+
+def _left_mult_reflection(
+    d: AffineDiagram, beta: Root, mat: Cols, inv: Cols
+) -> tuple[Cols, Cols]:
+    """Matrices of s_beta*w from those of w, for a real root beta."""
+    row = tuple(coroot_pair(d, beta, simple_root(d, j)) for j in d.nodes)
+    new_mat = []
+    for col in mat:
+        c = sum(r * x for r, x in zip(row, col))
+        new_mat.append(tuple(x - c * y for x, y in zip(col, beta)) if c else col)
+    inv_beta = _apply_cols(inv, beta)
+    new_inv = []
+    for j in range(len(inv)):
+        c = row[j]
+        new_inv.append(tuple(x - c * y for x, y in zip(inv[j], inv_beta)) if c else inv[j])
+    return tuple(new_mat), tuple(new_inv)
+
+
+def from_reflection(d: AffineDiagram, beta: Root) -> WeylElement:
+    """The reflection in a real root beta."""
+    if root_kind(d, beta) != "real":
+        raise ValueError(f"{beta} is not a real root")
+    cols = _identity_cols(d)
+    return _from_mats(d, *_left_mult_reflection(d, beta, cols, cols))
 
 
 def classify_finite(d: AffineDiagram, nodes: Iterable[int]) -> str:
@@ -46,7 +146,7 @@ def minimal_coset_rep(
     non-positive inner products); repeatedly strips reflections s_beta with
     g^{-1}(beta) < 0, which always shortens g.
     """
-    mat, inv = _normalize_mats(d, g.mat, g.inv, subgroup_roots)
+    mat, inv = _normalize_mats(d, g.mat, inverse_matrix(g), subgroup_roots)
     if mat == g.mat:
         return g
     return _from_mats(d, mat, inv)
@@ -78,19 +178,18 @@ def coset_poset(
     start = identity(d)
     reps = [start]
     seen = {start.mat}
-    queue = [start]
+    queue = [(start.mat, start.mat)]  # (matrix, inverse matrix)
     while queue:
-        nxt: list[WeylElement] = []
-        for u in queue:
+        nxt = []
+        for u_mat, u_inv in queue:
             for i in ambient:
-                mat = _right_mult_simple(d, u.mat, i)
-                inv = tuple(reflect_simple(d, c, i) for c in u.inv)
+                mat = _right_mult_simple(d, u_mat, i)
+                inv = tuple(reflect_simple(d, c, i) for c in u_inv)
                 mat, inv = _normalize_mats(d, mat, inv, subgroup_roots)
                 if mat not in seen:
                     seen.add(mat)
-                    v = _from_mats(d, mat, inv)
-                    reps.append(v)
-                    nxt.append(v)
+                    reps.append(_from_mats(d, mat, inv))
+                    nxt.append((mat, inv))
         queue = nxt
     return reps
 

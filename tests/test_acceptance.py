@@ -4,8 +4,14 @@ Each test prints a single [PASS]/[FAIL] line with its measured runtime and
 the stated budget.  All numeric comparisons are exact integer equalities.
 """
 
+import hashlib
+import importlib.util
 import itertools
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +22,11 @@ from borelab.minuscule import (
     maxima_parametrization,
     verify_all,
 )
+from borelab.report import render_json, result_document
 from borelab.roots import add, delta, root_kind, sub, subsystem_closure
 from oracles import length_ball
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SWEEP_LABELS = [
     "A1~1", "A2~1", "A3~1", "A4~1", "A5~1", "B2~1", "B3~1", "B4~1",
@@ -293,3 +302,39 @@ def test_criterion_12_structural_suites(sweep):
     report("criterion 12 (structural suites)", not bad, time.time() - t0, 600,
            bad[0] if bad else "biconvexity, pairing structure, involution closed "
            "forms, coverage of maxima")
+
+
+def load_workloads():
+    """perfbench/workloads.py, read where it is: its digests are the reference."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = load_workloads()
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS.CLI))
+def test_golden_cli_output(name):
+    # the benchmark's CLI workloads print exactly the bytes it checks
+    args, digest = WORKLOADS.CLI[name]
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    r = subprocess.run([sys.executable, "-m", "borelab", *args],
+                       capture_output=True, env=env)
+    assert r.returncode == 0, r.stderr.decode()
+    assert hashlib.sha256(r.stdout).hexdigest() == digest
+
+
+def test_golden_sweep_documents(sweep):
+    # the 50 documents of the sweep, in label and catalog order
+    _, cases = sweep
+    assert SWEEP_LABELS == WORKLOADS.SWEEP_LABELS
+    assert len(cases) == WORKLOADS.SWEEP_GRADINGS
+    h = hashlib.sha256()
+    for _, _, poset, results in cases:
+        h.update(render_json(result_document(poset, results)).encode())
+    assert h.hexdigest() == WORKLOADS.SWEEP_DIGEST

@@ -10,6 +10,7 @@ from borelab.minuscule import (
     check_coset_isomorphism,
     check_intersections,
     check_poset_basics,
+    check_special_involutions,
     check_structural,
     coset_translates,
     enumerate_poset,
@@ -24,8 +25,17 @@ from borelab.minuscule import (
     verify_all,
 )
 from borelab.roots import add, root_kind, simple_root
-from borelab.weyl import dominant_mapper, from_reflection, from_word, minimal_mapper
-from oracles import coset_poset, decompositions, is_biconvex, structural_verdict, summands
+from borelab.weyl import dominant_mapper, identity, longest_element, minimal_mapper
+from oracles import (
+    coset_poset,
+    decompositions,
+    from_reflection,
+    from_word,
+    is_biconvex,
+    product,
+    structural_verdict,
+    summands,
+)
 
 
 def words(poset):
@@ -156,11 +166,28 @@ def test_e6_intersections():
     assert check_intersections(p).passed
 
 
+def test_intersections_reject_wrong_family_minimum():
+    # every family minimum replaced by the identity (mask 0) or by the
+    # longest element of the finite E6 (outside the poset, no position): the
+    # intersection minima's masks are then not the unions
+    for stand_in in (identity, lambda d: longest_element(d, range(1, 7))):
+        ctx = context_for("E6~1", [6])
+        p = enumerate_poset(ctx)
+        w = stand_in(ctx.d)
+        assert (p.position(w) is None) == (w.length > 0)
+        for wall in ctx.walls:
+            for a in ctx.family_indices(wall):
+                ctx.family_minima[(a, wall.index)] = w
+        r = check_intersections(p)
+        assert not r.passed
+        assert r.detail == "intersection (1,1)&(0,2): inversions are not the union of the family minima's"
+
+
 def test_u_element_length():
     ctx = context_for("E6~1", [6])
     u = u_element(ctx, ctx.components[0], ctx.components[1])
     assert u.length == 12 - 2 - 6 + 2
-    assert (u * u).length == 0
+    assert product(u, u).length == 0
     ctx = context_for("E8~1", [1])
     u = u_element(ctx, ctx.components[0], ctx.components[1])
     assert u.length == 30 - 2 - 18 + 2
@@ -381,7 +408,7 @@ def test_coset_translates_match_oracle(sweep):
                 frozenset(root for root, bit in index.items() if mask & bit): img
                 for mask, img in reps
             }
-            want = {u.inversions: p.position(m * u)
+            want = {u.inversions: p.position(product(m, u))
                     for u in coset_poset(ctx.d, ambient, subgroup)}
             assert len(got) == len(reps), (name, a, wall.index)
             assert got == want, (name, a, wall.index)
@@ -558,3 +585,111 @@ def test_missing_down_bit_fails_structural(sweep):
                 break
     # in the other 10 gradings no element holds a down bit of its own
     assert mutated == 107
+
+
+def family_minimum_oracle(ctx, a, wall):
+    """The paper's product for a family minimum, multiplied out by the
+    oracle; None for a type-1 component wall, whose minimum is one mapper."""
+    d = ctx.d
+    if wall.kind == "odd":
+        b = wall.node
+        perp_even = [i for i in ctx.even if d.cartan[i][b] == 0]
+        return product(from_word(d, (b,)), longest_element(d, perp_even),
+                       longest_element(d, ctx.even))
+    if wall.wall_type == 2:
+        comp = wall.component
+        v = dominant_mapper(d, comp.nodes, simple_root(d, a), comp.theta)
+        return product(special_involution(ctx, comp), v)
+    return None
+
+
+def test_closed_forms_match_oracle_products():
+    # the library spells each product as its factors' words end to end; the
+    # oracle multiplies matrices and reads a canonical word off the inverse
+    gradings = minima = us = pairs = 0
+    for label in TABLE_LABELS + ["E8~1"]:
+        d = load_diagram(label)
+        for spec in catalog_involutions(d, include_adjoint=True, dedupe=False):
+            ctx = analyze(spec)
+            name = spec.describe()
+            gradings += 1
+            for wall in ctx.walls:
+                for a in ctx.family_indices(wall):
+                    want = family_minimum_oracle(ctx, a, wall)
+                    if want is not None:
+                        got = family_minimum(ctx, a, wall)
+                        assert (got.mat, got.length) == (want.mat, want.length), (name, a)
+                        minima += 1
+            comps = [w.component for w in ctx.walls
+                     if w.kind == "component" and w.wall_type == 1]
+            for i, ca in enumerate(comps):
+                for cb in comps[i + 1:]:
+                    inter = sorted(set(ca.region) & set(cb.region))
+                    inner = [n for n in inter if n not in ctx.odd]
+                    u = product(longest_element(d, inner), longest_element(d, inter))
+                    got = u_element(ctx, ca, cb)
+                    assert (got.mat, got.length) == (u.mat, u.length), name
+                    us += 1
+                    for x in type_one_nodes(ctx, ca.nodes):
+                        for y in type_one_nodes(ctx, cb.nodes):
+                            vx = dominant_mapper(d, ca.nodes, simple_root(d, x), ca.theta)
+                            vy = dominant_mapper(d, cb.nodes, simple_root(d, y), cb.theta)
+                            want = product(u, vx, vy)
+                            got = intersection_minimum(ctx, ca, x, cb, y)
+                            assert (got.mat, got.length) == (want.mat, want.length), (name, x, y)
+                            pairs += 1
+    assert (gradings, minima, us, pairs) == (146, 323, 46, 108)
+
+
+def type_two_gradings(sweep):
+    for name, ctx, _ in sweep:
+        walls = [w for w in ctx.walls if w.kind == "component" and w.wall_type == 2]
+        if walls:
+            yield name, ctx, walls
+
+
+def test_special_involutions_reject_non_involution(sweep, monkeypatch):
+    # s*s_i for an ascent i with s(alpha_i) != alpha_i: s_i does not commute
+    # with s, so the product does not square to the identity
+    def bent(ctx, comp):
+        s = special_involution(ctx, comp)
+        i = next(i for i in ctx.d.nodes
+                 if s.extend(i) and s.mat[i] != simple_root(ctx.d, i))
+        return s.extend(i)
+
+    mutated = 0
+    for name, ctx, walls in type_two_gradings(sweep):
+        assert check_special_involutions(ctx).passed, name
+        with monkeypatch.context() as m:
+            m.setattr(minuscule, "special_involution", bent)
+            r = check_special_involutions(ctx)
+        s = bent(ctx, walls[0].component)
+        assert product(s, s).length != 0, name
+        assert not r.passed, name
+        assert r.detail == f"comp {walls[0].component.index}: special element is not an involution"
+        mutated += 1
+    assert mutated == 48
+
+
+def test_special_involutions_reject_wrong_reflection(sweep, monkeypatch):
+    # with delta doubled the reference is the reflection in 2*delta - theta,
+    # another real root; the special element itself is kept, so only the
+    # k = 2 comparison sees the change
+    mutated = 0
+    for name, ctx, walls in type_two_gradings(sweep):
+        if ctx.k != 2:
+            continue
+        true = {w.component.index: special_involution(ctx, w.component) for w in walls}
+        assert ctx.odd_height_one_roots  # cached before delta is changed
+        bad = copy.copy(ctx)
+        bad.delta = tuple(2 * m for m in ctx.delta)
+        with monkeypatch.context() as m:
+            m.setattr(minuscule, "special_involution", lambda c, comp: true[comp.index])
+            r = check_special_involutions(bad)
+        assert not r.passed, name
+        assert r.detail == (
+            f"comp {walls[0].component.index}: not the reflection in delta minus theta"
+        ), name
+        mutated += 1
+    # 44 of the 48 gradings with a type-2 wall have k = 2
+    assert mutated == 44

@@ -23,7 +23,7 @@ from borelab.roots import (
     sub,
     subsystem_closure,
 )
-from borelab.weyl import from_reflection
+from oracles import from_reflection
 
 LABELS = ["A2~1", "B3~1", "C3~1", "D4~1", "G2~1", "F4~1", "A2~2", "A5~2", "D5~2"]
 

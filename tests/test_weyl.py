@@ -15,14 +15,23 @@ from borelab.roots import (
 import borelab.weyl as weyl
 from borelab.weyl import (
     dominant_mapper,
-    from_reflection,
-    from_word,
     identity,
     longest_element,
     minimal_mapper,
     weyl_group_order,
 )
-from oracles import coset_poset, is_biconvex, length_ball, minimal_coset_rep
+from oracles import (
+    apply_inverse,
+    coset_poset,
+    from_reflection,
+    from_word,
+    inverse,
+    inverse_matrix,
+    is_biconvex,
+    length_ball,
+    minimal_coset_rep,
+    product,
+)
 
 A2 = load_diagram("A2~1")
 B3 = load_diagram("B3~1")
@@ -58,7 +67,7 @@ def test_descents():
     # w^{-1}(alpha_i) < 0
     w = from_word(A2, [1, 2])
     assert is_negative(w.mat[2])
-    assert is_negative(w.inv[1])
+    assert is_negative(inverse_matrix(w)[1])
     assert is_positive(w.mat[1])
 
 
@@ -68,7 +77,7 @@ def assert_inversions_by_definition(w):
     inv = w.inversions
     assert len(inv) == w.length, w.word
     for g in inv:
-        assert is_positive(g) and is_negative(w.apply_inverse(g)), (w.word, g)
+        assert is_positive(g) and is_negative(apply_inverse(w, g)), (w.word, g)
 
 
 @settings(max_examples=80, deadline=None)
@@ -80,10 +89,10 @@ def test_group_laws(data):
     u = from_word(d, data.draw(st.lists(st.sampled_from(nodes), max_size=8)))
     v = from_word(d, data.draw(st.lists(st.sampled_from(nodes), max_size=8)))
     x = tuple(data.draw(st.integers(-2, 2)) for _ in nodes)
-    assert (u * v).apply(x) == u.apply(v.apply(x))
-    assert (u.inverse() * u).length == 0
-    assert u.inverse().inverse() == u
-    for w in (u, v, u * v, u.inverse()):  # the words need not be reduced
+    assert product(u, v).apply(x) == u.apply(v.apply(x))
+    assert product(inverse(u), u).length == 0
+    assert inverse(inverse(u)) == u
+    for w in (u, v, product(u, v), inverse(u)):  # the words need not be reduced
         assert_inversions_by_definition(w)
     dropped = data.draw(st.sampled_from(nodes))  # leaves a finite parabolic
     ambient = [i for i in nodes if i != dropped]
@@ -91,10 +100,10 @@ def test_group_laws(data):
     for rep in coset_poset(d, ambient, subgroup):
         assert_inversions_by_definition(rep)
     assert from_word(d, u.word) == u
-    grown = identity(d)  # built by extend, so its inverse matrix is lazy
+    grown = identity(d)  # built by extend, the library's only route
     for i in u.word:
         grown = grown.extend(i)
-    assert grown.inv == u.inv
+    assert grown == u and grown.word == u.word
 
 
 @settings(max_examples=40, deadline=None)
@@ -129,9 +138,15 @@ def test_longest_elements():
     for d, nodes, count in cases:
         w0 = longest_element(d, nodes)
         assert w0.length == count == len(subsystem_closure(d, nodes))
-        assert (w0 * w0).length == 0
+        assert product(w0, w0).length == 0
         # w0 maps every positive root of the subsystem to a negative one
         assert w0.inversions == subsystem_closure(d, nodes)
+        # the ascent from w0(J') appends a reduced word of w0(J')*w0(J)
+        w0_sub = longest_element(d, nodes[1:])
+        grown = longest_element(d, nodes, start=w0_sub)
+        assert grown == w0 and grown.word[:w0_sub.length] == w0_sub.word
+        tail = from_word(d, grown.word[w0_sub.length:])
+        assert tail == product(w0_sub, w0) and tail.length == w0.length - w0_sub.length
     assert longest_element(A2, []).length == 0
 
 
@@ -215,7 +230,7 @@ def test_mapper_to_highest_root(mapper, label, nodes, alpha, g):
     predicted = {
         b for b in subsystem_closure(d, nodes) if coroot_pair(d, a, b) == -1
     }
-    assert y.inverse().inversions == predicted
+    assert inverse(y).inversions == predicted
     for b in subsystem_closure(d, nodes):
         if coroot_pair(d, theta, b) == 0:
             assert b not in y.inversions
