@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -88,25 +88,15 @@ def _kernel_vector(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     sol[f] = Fraction(1)
     for row, c in zip(rows, pivots):
         sol[c] = -row[f]
-    denom = 1
-    for x in sol:
-        denom = denom * x.denominator // _gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in sol))
     ints = [int(x * denom) for x in sol]
-    g = 0
-    for x in ints:
-        g = _gcd(g, abs(x))
+    g = gcd(*ints)
     ints = [x // g for x in ints]
     if any(x < 0 for x in ints):
         ints = [-x for x in ints]
     if any(x <= 0 for x in ints):
         raise ValueError("kernel vector is not strictly positive")
     return tuple(ints)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _symmetrizer(cartan: Matrix) -> tuple[Fraction, ...]:

@@ -35,8 +35,7 @@ from .weyl import (
     _word_element,
     dominant_mapper,
     identity,
-    longest_element,
-    minimal_mapper,
+    longest_quotient,
     weyl_group_order,
 )
 
@@ -168,14 +167,11 @@ def enumerate_poset(ctx: GradedContext, max_length: Optional[int] = None) -> Min
 
 
 def special_involution(ctx: GradedContext, comp: EvenComponent) -> WeylElement:
-    """Shortest element sending the component's highest root to its wall root."""
-    d = ctx.d
-    target = tuple(ctx.k * m - t for m, t in zip(ctx.delta, comp.theta))
-    cap = dual_coxeter_number(d) + 2
-    s = minimal_mapper(d, d.nodes, comp.theta, target, cap=cap)
-    if s is None:
-        raise ValueError(f"no element maps {comp.theta} to {target} within length {cap}")
-    return s
+    """Shortest element sending the component's highest root to its wall
+    root: w0(J')*w0(J) for J the region, J' = J minus the odd nodes
+    (`check_special_involutions` checks it)."""
+    region = comp.region
+    return longest_quotient(ctx.d, [i for i in region if i not in ctx.odd], region)
 
 
 def family_minimum(ctx: GradedContext, alpha: int, wall: Wall) -> WeylElement:
@@ -195,11 +191,9 @@ def _build_family_minimum(ctx: GradedContext, alpha: int, wall: Wall) -> WeylEle
         b = wall.node
         assert b is not None
         perp_even = [i for i in ctx.even if d.cartan[i][b] == 0]
-        w0b = longest_element(d, perp_even)
-        w0 = longest_element(d, ctx.even, start=w0b)
-        # s_b * (w0b * w0), reduced: u = w0b * w0 lies in W_even, so
+        # s_b * u, reduced: u = w0(perp_even) * w0(even) lies in W_even, so
         # u^{-1}(alpha_b) is alpha_b plus even roots, positive
-        return _word_element(d, (b,) + w0.word[w0b.length:])
+        return _word_element(d, (b,) + longest_quotient(d, perp_even, ctx.even).word)
     comp = wall.component
     assert comp is not None
     if wall.wall_type == 1:
@@ -215,11 +209,8 @@ def _build_family_minimum(ctx: GradedContext, alpha: int, wall: Wall) -> WeylEle
 
 def u_element(ctx: GradedContext, ca: EvenComponent, cb: EvenComponent) -> WeylElement:
     """Longest minimal representative attached to two type-1 components."""
-    d = ctx.d
     inter = sorted(set(ca.region) & set(cb.region))
-    inner = longest_element(d, [i for i in inter if i not in ctx.odd])
-    outer = longest_element(d, inter, start=inner)
-    return _word_element(d, outer.word[inner.length:])
+    return longest_quotient(ctx.d, [i for i in inter if i not in ctx.odd], inter)
 
 
 def intersection_minimum(
@@ -780,6 +771,7 @@ def structural_masks(ctx: GradedContext) -> tuple[list[int], list[int]]:
     For x the root at bit n, `partner[n]` holds the y in S1 with x + y a
     root, and `down[n]` the roots x - e in S1, e an even positive root: every
     split of x into two positive roots is an even root plus a root of S1.
+    Both tables read the difference y - x of each pair.
 
     x + y is read off the x-string through y, x the longer root, with
     p - q = c = <y, x^vee> (Humphreys, Lie Algebras, 9.4).  c < 0 gives a
@@ -793,23 +785,30 @@ def structural_masks(ctx: GradedContext) -> tuple[list[int], list[int]]:
     d, order, bits = ctx.d, ctx.s1_order, ctx.s1_bits
     rise = ctx.even_positive_roots
     steps = rise | {neg(e) for e in rise}
-    down = [sum(bits.get(sub(x, e), 0) for e in rise) for x in order]
     scale = lcm(*(s.denominator for s in d.symmetrizer))
     sym = [s.numerator * (scale // s.denominator) for s in d.symmetrizer]
     # scale * (y, x) is the dot product of y with weight[n]
     weight = [tuple(sym[i] * pair(d, x, i) for i in d.nodes) for x in order]
     norm = [sum(map(mul, x, w)) for x, w in zip(order, weight)]
     partner = [0] * len(order)
+    down = [0] * len(order)
     for n, x in enumerate(order):
         for m in range(n + 1, len(order)):
             y = order[m]
+            diff = sub(y, x)
+            step = diff in steps
+            if step:
+                if diff in rise:
+                    down[m] |= 1 << n
+                else:
+                    down[n] |= 1 << m
             long, short, ln = (x, y, n) if norm[n] >= norm[m] else (y, x, m)
             c = 2 * sum(map(mul, short, weight[ln])) // norm[ln]
             if c == 1:
                 twice = tuple(2 * a - b for a, b in zip(long, short))
-                root = sub(y, x) in steps and twice in bits
+                root = step and twice in bits
             else:
-                root = c < 0 or sub(y, x) in steps
+                root = c < 0 or step
             if root:
                 partner[n] |= 1 << m
                 partner[m] |= 1 << n

@@ -3,7 +3,7 @@
 An element is its action matrix (column i = image of the i-th simple root, in
 simple-root coordinates) and a reduced word, nothing else.  Every element is
 built from the identity by checked right extension w -> w*s_i, which needs
-w(alpha_i) > 0; there is no group product and no inverse matrix.  A closed
+w(alpha_i) > 0; there is no group product, inverse matrix or search.  A closed
 form that is a product with lengths adding is built from its factors' words
 put end to end.  The inversion set {gamma > 0 : w^{-1}(gamma) < 0} is read
 off the reduced word on each request: for w = s_{i1}...s_{il} it is
@@ -127,6 +127,16 @@ def longest_element(
     return w
 
 
+def longest_quotient(
+    d: AffineDiagram, inner: Iterable[int], nodes: Iterable[int]
+) -> WeylElement:
+    """w0(J')*w0(J) for J' = `inner` inside J = `nodes`: the letters the
+    ascent from w0(J') to w0(J) appends, as a checked reduced word.  It is
+    the longest minimal representative of W_J' in W_J."""
+    w0i = longest_element(d, inner)
+    return _word_element(d, longest_element(d, nodes, start=w0i).word[w0i.length:])
+
+
 def dominant_mapper(
     d: AffineDiagram, nodes: Iterable[int], frm: Root, to: Root
 ) -> Optional[WeylElement]:
@@ -141,8 +151,8 @@ def dominant_mapper(
     it ends at `to`, and it ends there iff `to` is in the orbit (the closed
     chamber meets each orbit once).  The mappers form a coset W_K*w of the
     parabolic stabilizer of `to`, whose shortest element is unique, so this
-    is the element `minimal_mapper` finds (Humphreys, Reflection Groups and
-    Coxeter Groups, 1.10-1.12).
+    is the element the orbit search in `tests/oracles.py` finds (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.10-1.12).
     """
     s = sorted(set(nodes))
     if any(pair(d, to, i) < 0 for i in s):
@@ -157,58 +167,6 @@ def dominant_mapper(
         letters.append(i)
         g = reflect_simple(d, g, i)
     raise RuntimeError(f"dominant ascent on nodes {s} exceeded {cap} steps")
-
-
-def minimal_mapper(
-    d: AffineDiagram,
-    nodes: Iterable[int],
-    frm: Root,
-    to: Root,
-    cap: Optional[int] = None,
-) -> Optional[WeylElement]:
-    """Shortest element of the parabolic on `nodes` sending frm to to.
-
-    BFS over the orbit: the orbit distance equals the minimal length.  Returns
-    None if `to` is not reached (within `cap` reflection steps, if given).
-    Kept for the affine special involution, whose level-zero target has no
-    dominant representative; finite parabolics use `dominant_mapper`.
-    """
-    s = sorted(set(nodes))
-    if frm == to:
-        return identity(d)
-    parent: dict[Root, tuple[Root, int]] = {frm: (frm, -1)}
-    frontier = [frm]
-    depth = 0
-    while frontier:
-        depth += 1
-        if cap is not None and depth > cap:
-            return None
-        if len(parent) > 500_000:
-            raise RuntimeError("orbit search exploded; pass a cap")
-        nxt: list[Root] = []
-        for g in frontier:
-            for i in s:
-                h = reflect_simple(d, g, i)
-                if h in parent:
-                    continue
-                parent[h] = (g, i)
-                if h == to:
-                    return _word_element(d, _path_word(parent, to))
-                nxt.append(h)
-        frontier = nxt
-    return None
-
-
-def _path_word(parent: dict[Root, tuple[Root, int]], to: Root) -> list[int]:
-    # path frm -> to via s_{i_1},..,s_{i_k} gives w = s_{i_k}...s_{i_1}
-    letters = []
-    cur = to
-    while True:
-        prev, i = parent[cur]
-        if i < 0:
-            return letters
-        letters.append(i)
-        cur = prev
 
 
 def _word_element(d: AffineDiagram, word: Iterable[int]) -> WeylElement:

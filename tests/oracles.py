@@ -9,7 +9,11 @@ coset representatives by reflection-subgroup normalization and full group
 elements, a route the library's lockstep coset walk
 (`minuscule.coset_translates`) does not take.  The structural trio decides
 sums and decompositions with `root_kind`, where the library's mask tables
-(`minuscule.structural_masks`) use string lengths.
+(`minuscule.structural_masks`) use string lengths.  The orbit search
+`minimal_mapper` finds a shortest element sending one root to another by
+BFS over the orbit; the library reaches the same elements by dominant
+ascent (`weyl.dominant_mapper`) and, for the type-2 special involution, by
+the closed form w0(J')*w0(J) (`minuscule.special_involution`).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from borelab.weyl import (
     _apply_cols,
     _identity_cols,
     _right_mult_simple,
+    _word_element,
     identity,
 )
 
@@ -298,3 +303,55 @@ def length_ball(d: AffineDiagram, radius: int) -> list[WeylElement]:
         out.extend(nxt)
         frontier = nxt
     return out
+
+
+def minimal_mapper(
+    d: AffineDiagram,
+    nodes: Iterable[int],
+    frm: Root,
+    to: Root,
+    cap: Optional[int] = None,
+) -> Optional[WeylElement]:
+    """Shortest element of the parabolic on `nodes` sending frm to to.
+
+    BFS over the orbit: the orbit distance equals the minimal length.  Returns
+    None if `to` is not reached (within `cap` reflection steps, if given).
+    The reference for `weyl.dominant_mapper` and for the special involution,
+    whose level-zero target has no dominant representative.
+    """
+    s = sorted(set(nodes))
+    if frm == to:
+        return identity(d)
+    parent: dict[Root, tuple[Root, int]] = {frm: (frm, -1)}
+    frontier = [frm]
+    depth = 0
+    while frontier:
+        depth += 1
+        if cap is not None and depth > cap:
+            return None
+        if len(parent) > 500_000:
+            raise RuntimeError("orbit search exploded; pass a cap")
+        nxt: list[Root] = []
+        for g in frontier:
+            for i in s:
+                h = reflect_simple(d, g, i)
+                if h in parent:
+                    continue
+                parent[h] = (g, i)
+                if h == to:
+                    return _word_element(d, _path_word(parent, to))
+                nxt.append(h)
+        frontier = nxt
+    return None
+
+
+def _path_word(parent: dict[Root, tuple[Root, int]], to: Root) -> list[int]:
+    # path frm -> to via s_{i_1},..,s_{i_k} gives w = s_{i_k}...s_{i_1}
+    letters = []
+    cur = to
+    while True:
+        prev, i = parent[cur]
+        if i < 0:
+            return letters
+        letters.append(i)
+        cur = prev

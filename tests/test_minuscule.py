@@ -2,7 +2,7 @@ import copy
 
 import pytest
 
-from borelab.cartan import load_diagram
+from borelab.cartan import dual_coxeter_number, load_diagram
 from borelab.grading import analyze, catalog_involutions, context_for
 import borelab.minuscule as minuscule
 from borelab.minuscule import (
@@ -25,13 +25,15 @@ from borelab.minuscule import (
     verify_all,
 )
 from borelab.roots import add, root_kind, simple_root
-from borelab.weyl import dominant_mapper, identity, longest_element, minimal_mapper
+import borelab.weyl as weyl
+from borelab.weyl import dominant_mapper, identity, longest_element
 from oracles import (
     coset_poset,
     decompositions,
     from_reflection,
     from_word,
     is_biconvex,
+    minimal_mapper,
     product,
     structural_verdict,
     summands,
@@ -532,17 +534,53 @@ def test_dominant_mapper_matches_orbit_search():
     assert (gradings, triples, unreachable) == (146, 1992, 1081)
 
 
-def test_verify_all_runs_no_orbit_search(monkeypatch):
-    # E8~1{1} has no type-2 wall, so no special involution: every minimum
-    # comes from the dominant ascent
-    def refuse(*args, **kwargs):
-        raise AssertionError("orbit search called")
+def test_special_involution_matches_orbit_search():
+    # every type-2 wall, adjoint gradings included, not folded: the closed
+    # form w0(region minus odd) * w0(region) is the shortest element the
+    # orbit BFS finds sending theta to k*delta - theta
+    gradings = walls = 0
+    for label in TABLE_LABELS + ["E8~1"]:
+        d = load_diagram(label)
+        cap = dual_coxeter_number(d) + 2
+        for spec in catalog_involutions(d, include_adjoint=True, dedupe=False):
+            ctx = analyze(spec)
+            gradings += 1
+            for wall in ctx.walls:
+                if wall.kind != "component" or wall.wall_type != 2:
+                    continue
+                comp = wall.component
+                to = tuple(ctx.k * m - t for m, t in zip(ctx.delta, comp.theta))
+                assert to == wall.root
+                want = minimal_mapper(d, d.nodes, comp.theta, to, cap=cap)
+                got = special_involution(ctx, comp)
+                assert want is not None, (spec.describe(), comp.index)
+                assert (got.mat, got.length) == (want.mat, want.length), (
+                    spec.describe(), comp.index)
+                walls += 1
+    assert (gradings, walls) == (146, 58)
 
-    monkeypatch.setattr(minuscule, "minimal_mapper", refuse)
-    ctx = context_for("E8~1", [1])
-    assert all(w.wall_type == 1 for w in ctx.walls)
-    results = verify_all(enumerate_poset(ctx))
-    assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+
+def test_verify_all_runs_no_orbit_search(monkeypatch):
+    # the orbit search is a test oracle only: every special involution comes
+    # from the closed form.  E8~1{1} has no type-2 wall, D5~2{1} has one
+    for module in (weyl, minuscule):
+        assert not hasattr(module, "minimal_mapper")
+        assert not hasattr(module, "_path_word")
+    regions = []
+
+    def spy(d, inner, nodes):
+        regions.append(tuple(nodes))
+        return weyl.longest_quotient(d, inner, nodes)
+
+    monkeypatch.setattr(minuscule, "longest_quotient", spy)
+    for label, pi1, type_two in (("E8~1", [1], 0), ("D5~2", [1], 1)):
+        ctx = context_for(label, pi1)
+        walls = [w for w in ctx.walls if w.kind == "component" and w.wall_type == 2]
+        assert len(walls) == type_two, label
+        regions.clear()
+        results = verify_all(enumerate_poset(ctx))
+        assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+        assert {w.component.region for w in walls} <= set(regions), label
 
 
 def with_mask(p, q, mask):

@@ -17,7 +17,6 @@ from borelab.weyl import (
     dominant_mapper,
     identity,
     longest_element,
-    minimal_mapper,
     weyl_group_order,
 )
 from oracles import (
@@ -30,6 +29,7 @@ from oracles import (
     is_biconvex,
     length_ball,
     minimal_coset_rep,
+    minimal_mapper,
     product,
 )
 
