@@ -22,7 +22,14 @@ _LABEL_RE = re.compile(r"^([A-G])(\d+)~(\d)$")
 
 @dataclass(frozen=True)
 class AffineDiagram:
-    """An affine generalized Cartan matrix together with derived integer data."""
+    """An affine generalized Cartan matrix together with derived integer data.
+
+    The tables after the memo tables are built once, in `__post_init__`:
+    `nodes`, each node's neighbors, the simple roots, and the integer Gram
+    rows `gram[i][j] = L * d_i * A[i][j]`, where d_i is the symmetrizer and
+    L = `form_scale` the least common multiple of its denominators, so that
+    L * (a, b) is an integer for integer a and b.
+    """
 
     label: str
     cartan: Matrix
@@ -34,25 +41,39 @@ class AffineDiagram:
     # node set (closures); not part of equality.
     root_kinds: dict = field(default_factory=dict, compare=False, repr=False)
     closures: dict = field(default_factory=dict, compare=False, repr=False)
+    nodes: range = field(init=False, compare=False, repr=False)
+    neighbor_table: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    simple_roots: Matrix = field(init=False, compare=False, repr=False)
+    gram: Matrix = field(init=False, compare=False, repr=False)
+    form_scale: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        n = len(self.cartan)
+        nodes = range(n)
+        scale = lcm(*(x.denominator for x in self.symmetrizer))
+        sym = [int(x * scale) for x in self.symmetrizer]
+        tables = {
+            "nodes": nodes,
+            "neighbor_table": tuple(
+                tuple(j for j in nodes if j != i and self.cartan[i][j]) for i in nodes
+            ),
+            "simple_roots": tuple(tuple(int(i == j) for j in nodes) for i in nodes),
+            "gram": tuple(tuple(s * x for x in row) for s, row in zip(sym, self.cartan)),
+            "form_scale": scale,
+        }
+        for name, value in tables.items():
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
         """Number of nodes (affine rank + 1)."""
         return len(self.cartan)
 
-    @property
-    def nodes(self) -> range:
-        return range(len(self.cartan))
-
     def adjacent(self, i: int, j: int) -> bool:
         return i != j and self.cartan[i][j] != 0
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in self.nodes if self.adjacent(i, j))
-
-    def norm(self, i: int) -> Fraction:
-        """Squared length (alpha_i, alpha_i); long roots have norm 2."""
-        return 2 * self.symmetrizer[i]
+        return self.neighbor_table[i]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"AffineDiagram({self.label!r})"
@@ -238,13 +259,12 @@ def finite_dual_coxeter(d: AffineDiagram, nodes: Iterable[int]) -> int:
     if len(components(d, s)) != 1:
         raise ValueError(f"node set {s} is not connected")
     theta = roots.highest_root(d, s)
-    d_theta = roots.norm_sq(d, theta) / 2
-    total = Fraction(0)
-    for i in s:
-        total += theta[i] * d.symmetrizer[i] / d_theta
-    if total.denominator != 1:
+    # theta^vee = sum of theta_i * d_i / d_theta * alpha_i^vee, and 2 * L * d_i
+    # is the diagonal Gram entry, 2 * L * d_theta the scaled norm of theta
+    height, rem = divmod(sum(theta[i] * d.gram[i][i] for i in s), roots.form(d, theta, theta))
+    if rem:
         raise ValueError("coroot height is not integral")
-    return int(total) + 1
+    return height + 1
 
 
 def components(d: AffineDiagram, nodes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -348,7 +368,7 @@ def _classify_component(d: AffineDiagram, comp: tuple[int, ...]) -> str:
                 mult[(a, b)] = d.cartan[a][b] * d.cartan[b][a]
     if any(m == 3 for m in mult.values()):
         return "G2"
-    norms = {i: d.symmetrizer[i] for i in comp}
+    norms = {i: d.gram[i][i] for i in comp}
     top = max(norms.values())
     shorts = sum(1 for v in norms.values() if v < top)
     if any(m == 2 for m in mult.values()):

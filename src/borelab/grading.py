@@ -174,7 +174,7 @@ class GradedContext:
 
     def root_type(self, a: Root) -> int:
         """1 for long non-complex real roots, else 2."""
-        if norm_sq(self.d, a) == 2 and not self.is_complex(a):
+        if is_long(self.d, a) and not self.is_complex(a):
             return 1
         return 2
 
@@ -307,7 +307,7 @@ class GradedContext:
         comp = wall.component
         assert comp is not None
         if wall.wall_type == 1:
-            return tuple(i for i in comp.region if norm_sq(d, simple_root(d, i)) == 2)
+            return tuple(i for i in comp.region if is_long(d, simple_root(d, i)))
         return tuple(i for i in comp.nodes if is_long(d, simple_root(d, i), comp.nodes))
 
     def blocked_nodes(self, wall: Wall) -> tuple[int, ...]:

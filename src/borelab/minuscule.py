@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -24,7 +23,6 @@ from .roots import (
     coroot_pair,
     is_positive,
     neg,
-    pair,
     reflect_simple,
     scale,
     simple_root,
@@ -89,8 +87,11 @@ class MinusculePoset:
     @cached_property
     def _family_table(self) -> dict[tuple[int, int], tuple[int, ...]]:
         wall_at = {wall.root: wall.index for wall in self.ctx.walls}
+        wall_roots = wall_at.keys()
         table: dict[tuple[int, int], list[int]] = {}
         for pos, w in enumerate(self.elements):
+            if wall_roots.isdisjoint(w.mat):
+                continue
             for a, col in enumerate(w.mat):
                 index = wall_at.get(col)
                 if index is not None:
@@ -125,40 +126,52 @@ def enumerate_poset(ctx: GradedContext, max_length: Optional[int] = None) -> Min
     """Breadth-first enumeration, level by level in node order.
 
     A cover w -> w*s_i exists when the column w(alpha_i) is in S1; its
-    target is looked up by inversion mask before any matrix is built."""
+    target is looked up by inversion mask before any matrix is built.  Each
+    frontier element carries its ascents into S1 as {i: bit}.  w*s_i differs
+    from w only in column i, now negative, and in the columns of i's
+    neighbors, so a new element's ascents are its parent's with those
+    columns looked up again.  Ascents are visited in node order, which fixes
+    the order of `elements` and `edges`."""
     if max_length is not None and max_length < 0:
         raise ValueError(f"max_length must be at least 0, not {max_length}")
+    d = ctx.d
     bits = ctx.s1_bits
-    nodes = ctx.d.nodes
     cap = len(bits) if max_length is None else min(max_length, len(bits))
-    elements = [identity(ctx.d)]
+    start = identity(d)
+    elements = [start]
     masks = [0]
     by_mask = {0: 0}
     edges: list[tuple[int, int]] = []
-    frontier = [0]
+    frontier = [(0, {i: bits[col] for i, col in enumerate(start.mat) if col in bits})]
     truncated = False
     depth = 0
     while frontier:
         if depth == cap:
-            truncated = any(elements[p].mat[i] in bits for p in frontier for i in nodes)
+            truncated = any(asc for _, asc in frontier)
             break
         depth += 1
-        new_frontier: list[int] = []
-        for src in frontier:
+        new_frontier: list[tuple[int, dict[int, int]]] = []
+        for src, asc in frontier:
             w, mask = elements[src], masks[src]
-            for i in nodes:
-                b = bits.get(w.mat[i])
-                if b is None:
-                    continue
+            for i, b in sorted(asc.items()):
                 if mask & b:
                     raise RuntimeError(f"column {w.mat[i]} is already an inversion of {w.word}")
                 key = mask | b
                 tgt = by_mask.get(key)
                 if tgt is None:
                     tgt = by_mask[key] = len(elements)
-                    elements.append(w.extend(i))
+                    v = w.extend(i)
+                    elements.append(v)
                     masks.append(key)
-                    new_frontier.append(tgt)
+                    grown = dict(asc)
+                    del grown[i]
+                    for j in d.neighbor_table[i]:
+                        c = bits.get(v.mat[j])
+                        if c is None:
+                            grown.pop(j, None)
+                        else:
+                            grown[j] = c
+                    new_frontier.append((tgt, grown))
                 edges.append((src, tgt))
         frontier = new_frontier
     return MinusculePoset(
@@ -207,27 +220,43 @@ def _build_family_minimum(ctx: GradedContext, alpha: int, wall: Wall) -> WeylEle
     return _word_element(d, special_involution(ctx, comp).word + v.word)
 
 
+def _u_nodes(ctx: GradedContext, ca: EvenComponent, cb: EvenComponent
+             ) -> tuple[list[int], list[int]]:
+    """(J', J) of `u_element`: J = region_a & region_b, J' = J minus the odd nodes."""
+    inter = sorted(set(ca.region) & set(cb.region))
+    return [i for i in inter if i not in ctx.odd], inter
+
+
 def u_element(ctx: GradedContext, ca: EvenComponent, cb: EvenComponent) -> WeylElement:
     """Longest minimal representative attached to two type-1 components."""
-    inter = sorted(set(ca.region) & set(cb.region))
-    return longest_quotient(ctx.d, [i for i in inter if i not in ctx.odd], inter)
+    return longest_quotient(ctx.d, *_u_nodes(ctx, ca, cb))
+
+
+def theta_mapper(ctx: GradedContext, comp: EvenComponent, x: int) -> WeylElement:
+    """Shortest element of the component's parabolic sending alpha_x to its
+    highest root."""
+    d = ctx.d
+    v = dominant_mapper(d, comp.nodes, simple_root(d, x), comp.theta)
+    if v is None:
+        raise ValueError("pair members must be conjugate to their component's highest root")
+    return v
 
 
 def intersection_minimum(
     ctx: GradedContext, ca: EvenComponent, x: int, cb: EvenComponent, y: int,
     u: Optional[WeylElement] = None,
+    vx: Optional[WeylElement] = None,
+    vy: Optional[WeylElement] = None,
 ) -> WeylElement:
     """Minimum of the intersection of the two crossed families:
     x in ca mapping to cb's wall, y in cb mapping to ca's wall, as the
-    reduced word of u*vx*vy.  `u` is `u_element(ctx, ca, cb)`, built here
-    unless the caller has it."""
-    d = ctx.d
-    vx = dominant_mapper(d, ca.nodes, simple_root(d, x), ca.theta)
-    vy = dominant_mapper(d, cb.nodes, simple_root(d, y), cb.theta)
-    if vx is None or vy is None:
-        raise ValueError("pair members must be conjugate to their component's highest root")
+    reduced word of u*vx*vy.  `u` is `u_element(ctx, ca, cb)`, `vx` and `vy`
+    are `theta_mapper(ctx, ca, x)` and `theta_mapper(ctx, cb, y)`; each is
+    built here unless the caller has it."""
     u = u or u_element(ctx, ca, cb)
-    return _word_element(d, u.word + vx.word + vy.word)
+    vx = vx or theta_mapper(ctx, ca, x)
+    vy = vy or theta_mapper(ctx, cb, y)
+    return _word_element(ctx.d, u.word + vx.word + vy.word)
 
 
 def type_one_nodes(ctx: GradedContext, nodes: Iterable[int]) -> tuple[int, ...]:
@@ -606,9 +635,16 @@ def check_intersections(poset: MinusculePoset) -> CheckResult:
             if wb.index <= wa.index:
                 continue
             paired = wa.index in crossing and wb.index in crossing
-            u = u_element(ctx, wa.component, wb.component) if paired else None
-            for a in ctx.family_indices(wa):
-                for b in ctx.family_indices(wb):
+            heads_a, heads_b = ctx.family_indices(wa), ctx.family_indices(wb)
+            if paired:
+                u = u_element(ctx, wa.component, wb.component)
+                # the mappers of the nodes that can head a crossed pair
+                vx = {x: theta_mapper(ctx, wa.component, x)
+                      for x in crossing[wa.index] if x in heads_b}
+                vy = {y: theta_mapper(ctx, wb.component, y)
+                      for y in crossing[wb.index] if y in heads_a}
+            for a in heads_a:
+                for b in heads_b:
                     fam_a = set(poset.family(a, wa))
                     fam_b = set(poset.family(b, wb))
                     inter = fam_a & fam_b
@@ -621,7 +657,8 @@ def check_intersections(poset: MinusculePoset) -> CheckResult:
                         continue
                     if not inter:
                         continue
-                    m = intersection_minimum(ctx, wa.component, b, wb.component, a, u)
+                    m = intersection_minimum(
+                        ctx, wa.component, b, wb.component, a, u, vx[b], vy[a])
                     pos = poset.position(m)
                     if pos is None or pos not in inter:
                         problems.append(
@@ -707,14 +744,17 @@ def check_length_identities(ctx: GradedContext) -> CheckResult:
                     f"comp {comp.index}: region dual Coxeter {region_g} "
                     f"!= {g0 - comp.sub_dual_coxeter + 2}"
                 )
+    # l(u) = l(w0(J)) - l(w0(J')), lengths adding in w0(J) = w0(J')*u;
+    # check_intersections builds u itself
     comps = [w.component for w in ctx.walls if w.kind == "component" and w.wall_type == 1]
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
-            u = u_element(ctx, comps[i], comps[j])
+            inner, inter = _u_nodes(ctx, comps[i], comps[j])
+            length = positive_root_count(ctx.d, inter) - positive_root_count(ctx.d, inner)
             expect = g0 - comps[i].sub_dual_coxeter - comps[j].sub_dual_coxeter + 2
-            if u.length != expect:
+            if length != expect:
                 problems.append(
-                    f"u({comps[i].index},{comps[j].index}): length {u.length} != {expect}"
+                    f"u({comps[i].index},{comps[j].index}): length {length} != {expect}"
                 )
     return _check(
         "length_identities",
@@ -785,10 +825,8 @@ def structural_masks(ctx: GradedContext) -> tuple[list[int], list[int]]:
     d, order, bits = ctx.d, ctx.s1_order, ctx.s1_bits
     rise = ctx.even_positive_roots
     steps = rise | {neg(e) for e in rise}
-    scale = lcm(*(s.denominator for s in d.symmetrizer))
-    sym = [s.numerator * (scale // s.denominator) for s in d.symmetrizer]
-    # scale * (y, x) is the dot product of y with weight[n]
-    weight = [tuple(sym[i] * pair(d, x, i) for i in d.nodes) for x in order]
+    # L * (y, x) is the dot product of y with weight[n], x = order[n]
+    weight = [tuple(sum(map(mul, row, x)) for row in d.gram) for x in order]
     norm = [sum(map(mul, x, w)) for x, w in zip(order, weight)]
     partner = [0] * len(order)
     down = [0] * len(order)

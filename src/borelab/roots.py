@@ -1,13 +1,17 @@
 """Root arithmetic in simple-root coordinates over an affine diagram.
 
 A root is a plain tuple of ints, one coordinate per diagram node.  All pairings
-with coroots are integers; the invariant bilinear form takes Fraction values
-and is normalized so that long real roots have squared length 2.
+with coroots are integers.  Inside the library the invariant bilinear form is
+integer-scaled: `form` gives L * (a, b), read off the diagram's integer Gram
+rows (L is `AffineDiagram.form_scale`).  Fraction appears only at the public
+boundary, in `bilinear` and `norm_sq`, normalized so that long real roots
+have squared length 2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add as _add, mul, neg as _neg, sub as _sub
 from typing import Iterable, Optional
 
 from .cartan import AffineDiagram
@@ -16,7 +20,7 @@ Root = tuple[int, ...]
 
 
 def simple_root(d: AffineDiagram, i: int) -> Root:
-    return tuple(1 if j == i else 0 for j in d.nodes)
+    return d.simple_roots[i]
 
 
 def delta(d: AffineDiagram) -> Root:
@@ -25,15 +29,15 @@ def delta(d: AffineDiagram) -> Root:
 
 
 def add(a: Root, b: Root) -> Root:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(_add, a, b))
 
 
 def sub(a: Root, b: Root) -> Root:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(_sub, a, b))
 
 
 def neg(a: Root) -> Root:
-    return tuple(-x for x in a)
+    return tuple(map(_neg, a))
 
 
 def scale(k: int, a: Root) -> Root:
@@ -58,16 +62,17 @@ def is_negative(a: Root) -> bool:
 
 def pair(d: AffineDiagram, a: Root, i: int) -> int:
     """<a, alpha_i^vee>."""
-    return sum(d.cartan[i][j] * a[j] for j in d.nodes)
+    return sum(map(mul, d.cartan[i], a))
+
+
+def form(d: AffineDiagram, a: Root, b: Root) -> int:
+    """L * (a, b), an integer; L = d.form_scale."""
+    return sum(x * sum(map(mul, row, b)) for x, row in zip(a, d.gram) if x)
 
 
 def bilinear(d: AffineDiagram, a: Root, b: Root) -> Fraction:
     """Invariant form (a, b); long real roots have (a, a) = 2."""
-    total = Fraction(0)
-    for i in d.nodes:
-        if a[i]:
-            total += a[i] * d.symmetrizer[i] * pair(d, b, i)
-    return total
+    return Fraction(form(d, a, b), d.form_scale)
 
 
 def norm_sq(d: AffineDiagram, a: Root) -> Fraction:
@@ -76,20 +81,22 @@ def norm_sq(d: AffineDiagram, a: Root) -> Fraction:
 
 def coroot_pair(d: AffineDiagram, beta: Root, a: Root) -> int:
     """<a, beta^vee> = 2(a, beta)/(beta, beta) for a real root beta."""
-    nb = norm_sq(d, beta)
+    nb = form(d, beta, beta)
     if nb == 0:
         raise ValueError(f"{beta} is isotropic, has no coroot")
-    v = 2 * bilinear(d, a, beta) / nb
-    if v.denominator != 1:
+    v, r = divmod(2 * form(d, a, beta), nb)
+    if r:
         raise ValueError(f"pairing of {a} with {beta}^vee is not integral")
-    return int(v)
+    return v
 
 
 def reflect_simple(d: AffineDiagram, a: Root, i: int) -> Root:
     c = pair(d, a, i)
     if c == 0:
         return a
-    return tuple(x - c if j == i else x for j, x in enumerate(a))
+    b = list(a)
+    b[i] -= c
+    return tuple(b)
 
 
 def root_kind(d: AffineDiagram, a: Root) -> str:
@@ -179,5 +186,6 @@ def is_long(d: AffineDiagram, a: Root, nodes: Optional[Iterable[int]] = None) ->
     """Long: squared length 2 globally, or maximal within a given subsystem
     (every root of a finite subsystem is conjugate to one of its simples)."""
     if nodes is None:
-        return norm_sq(d, a) == 2
-    return norm_sq(d, a) == max(d.norm(i) for i in nodes)
+        return form(d, a, a) == 2 * d.form_scale
+    # the diagonal Gram entry 2 * L * d_i is the scaled norm of alpha_i
+    return form(d, a, a) == max(d.gram[i][i] for i in nodes)

@@ -14,17 +14,11 @@ the right weak order is containment of inversion sets.
 from __future__ import annotations
 
 from math import prod
+from operator import add, neg
 from typing import Iterable, Optional
 
 from .cartan import AffineDiagram, finite_type_sizes, positive_root_count
-from .roots import (
-    Root,
-    is_negative,
-    is_positive,
-    pair,
-    reflect_simple,
-    subsystem_closure,
-)
+from .roots import Root, is_negative, is_positive, pair, reflect_simple
 
 Cols = tuple[Root, ...]
 
@@ -41,15 +35,21 @@ def _apply_cols(cols: Cols, a: Root) -> Root:
 
 
 def _right_mult_simple(d: AffineDiagram, mat: Cols, i: int) -> Cols:
-    """Matrix of w*s_i from that of w; columns with zero pairing are reused."""
+    """Matrix of w*s_i from that of w.
+
+    w*s_i(alpha_j) = w(alpha_j) - A[i][j]*w(alpha_i), so only column i, which
+    is negated, and the columns of i's neighbors change; every other column
+    is reused (Humphreys, Reflection Groups and Coxeter Groups, 5.4)."""
     row = d.cartan[i]
     col_i = mat[i]
-    return tuple(
-        tuple(-x for x in col) if j == i
-        else tuple(x - row[j] * y for x, y in zip(col, col_i)) if row[j]
-        else col
-        for j, col in enumerate(mat)
-    )
+    out = list(mat)
+    out[i] = tuple(map(neg, col_i))
+    for j in d.neighbor_table[i]:
+        c = row[j]
+        col = mat[j]
+        out[j] = tuple(map(add, col, col_i)) if c == -1 else tuple(
+            [x - c * y for x, y in zip(col, col_i)])
+    return tuple(out)
 
 
 class WeylElement:
@@ -67,7 +67,7 @@ class WeylElement:
         """{gamma > 0 : w^{-1}(gamma) < 0}: each letter's simple root under
         the prefix of the reduced word before it."""
         out = []
-        mat = _identity_cols(self.d)
+        mat = self.d.simple_roots
         for i in self.word:
             out.append(mat[i])
             mat = _right_mult_simple(self.d, mat, i)
@@ -96,12 +96,8 @@ class WeylElement:
         return f"<w {'.'.join(map(str, self.word)) or 'e'}>"
 
 
-def _identity_cols(d: AffineDiagram) -> Cols:
-    return tuple(tuple(1 if i == j else 0 for j in d.nodes) for i in d.nodes)
-
-
 def identity(d: AffineDiagram) -> WeylElement:
-    return WeylElement(d, (), _identity_cols(d))
+    return WeylElement(d, (), d.simple_roots)
 
 
 def longest_element(
@@ -115,7 +111,7 @@ def longest_element(
     w0(J')*(w0(J')*w0(J)) with lengths adding (Humphreys, Reflection Groups
     and Coxeter Groups, 1.10)."""
     s = sorted(set(nodes))
-    cap = len(subsystem_closure(d, s)) if s else 0
+    cap = positive_root_count(d, s)
     w = identity(d) if start is None else start
     for _ in range(cap):
         i = next((i for i in s if is_positive(w.mat[i])), None)

@@ -1,6 +1,13 @@
 """Independent reference implementations the tests compare the library with.
 
-None of these is used by `borelab` itself.  The group product builds any
+None of these is used by `borelab` itself.  The root kernel has two
+references: `fraction_form`, the invariant form summed in Fraction from the
+symmetrizer, where the library reads integer Gram rows scaled by L; and
+`right_mult_simple`, which rewrites every column of w*s_i, where the library
+rewrites only column i and its neighbors.  `scan_poset` is the poset BFS
+that looks up every column of every frontier element, where
+`minuscule.enumerate_poset` carries each element's ascents and looks up
+only the columns s_i changed.  The group product builds any
 element from its matrix and the matrix of its inverse: it reads a canonical
 reduced word off the inverse matrix and replays it, where the library only
 extends reduced words on the right and concatenates the words of
@@ -18,10 +25,12 @@ the closed form w0(J')*w0(J) (`minuscule.special_involution`).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from borelab.cartan import AffineDiagram, _classify_component, components
 from borelab.grading import GradedContext
+from borelab.minuscule import MinusculePoset
 from borelab.roots import (
     Root,
     add,
@@ -37,18 +46,85 @@ from borelab.weyl import (
     Cols,
     WeylElement,
     _apply_cols,
-    _identity_cols,
-    _right_mult_simple,
     _word_element,
     identity,
 )
+
+
+def fraction_form(d: AffineDiagram, a: Root, b: Root) -> Fraction:
+    """(a, b) = sum of a_i * d_i * <b, alpha_i^vee>, in Fraction."""
+    total = Fraction(0)
+    for i in range(d.size):
+        if a[i]:
+            total += a[i] * d.symmetrizer[i] * sum(
+                d.cartan[i][j] * b[j] for j in range(d.size))
+    return total
+
+
+def _identity_cols(d: AffineDiagram) -> Cols:
+    return tuple(tuple(1 if i == j else 0 for j in range(d.size)) for i in range(d.size))
+
+
+def right_mult_simple(d: AffineDiagram, mat: Cols, i: int) -> Cols:
+    """Matrix of w*s_i from that of w, every column rewritten:
+    w*s_i(alpha_j) = w(alpha_j) - A[i][j]*w(alpha_i)."""
+    row = d.cartan[i]
+    col_i = mat[i]
+    return tuple(
+        tuple(-x for x in col) if j == i
+        else tuple(x - row[j] * y for x, y in zip(col, col_i))
+        for j, col in enumerate(mat)
+    )
+
+
+def scan_poset(ctx: GradedContext, max_length: Optional[int] = None) -> MinusculePoset:
+    """The poset BFS, level by level in node order, looking up every column
+    of every frontier element in S1."""
+    d = ctx.d
+    bits = ctx.s1_bits
+    nodes = range(d.size)
+    cap = len(bits) if max_length is None else min(max_length, len(bits))
+    elements = [WeylElement(d, (), _identity_cols(d))]
+    masks = [0]
+    by_mask = {0: 0}
+    edges: list[tuple[int, int]] = []
+    frontier = [0]
+    truncated = False
+    depth = 0
+    while frontier:
+        if depth == cap:
+            truncated = any(elements[p].mat[i] in bits for p in frontier for i in nodes)
+            break
+        depth += 1
+        new_frontier: list[int] = []
+        for src in frontier:
+            w, mask = elements[src], masks[src]
+            for i in nodes:
+                b = bits.get(w.mat[i])
+                if b is None:
+                    continue
+                if mask & b:
+                    raise RuntimeError(f"column {w.mat[i]} is already an inversion of {w.word}")
+                key = mask | b
+                tgt = by_mask.get(key)
+                if tgt is None:
+                    tgt = by_mask[key] = len(elements)
+                    elements.append(
+                        WeylElement(d, w.word + (i,), right_mult_simple(d, w.mat, i)))
+                    masks.append(key)
+                    new_frontier.append(tgt)
+                edges.append((src, tgt))
+        frontier = new_frontier
+    return MinusculePoset(
+        ctx, tuple(elements), tuple(masks), tuple(edges), not truncated, by_mask
+    )
 
 
 def word_matrix(d: AffineDiagram, word: Iterable[int]) -> Cols:
     """Matrix of the product of the simple reflections in word."""
     mat = _identity_cols(d)
     for i in word:
-        mat = _right_mult_simple(d, mat, i)
+        mat = right_mult_simple(d, mat, i)
     return mat
 
 
@@ -69,7 +145,7 @@ def _canonical_word(d: AffineDiagram, inv: Cols) -> tuple[int, ...]:
         if i is None:
             return tuple(word)
         word.append(i)
-        inv = _right_mult_simple(d, inv, i)
+        inv = right_mult_simple(d, inv, i)
     raise RuntimeError("word extraction did not terminate")
 
 
@@ -80,7 +156,7 @@ def _from_mats(d: AffineDiagram, mat: Cols, inv: Cols) -> WeylElement:
     for i in word:
         if not is_positive(replay[i]):
             raise RuntimeError("canonical word was not reduced")
-        replay = _right_mult_simple(d, replay, i)
+        replay = right_mult_simple(d, replay, i)
     if replay != mat:
         raise RuntimeError("matrix does not define a group element")
     return WeylElement(d, word, mat)
@@ -188,7 +264,7 @@ def coset_poset(
         nxt = []
         for u_mat, u_inv in queue:
             for i in ambient:
-                mat = _right_mult_simple(d, u_mat, i)
+                mat = right_mult_simple(d, u_mat, i)
                 inv = tuple(reflect_simple(d, c, i) for c in u_inv)
                 mat, inv = _normalize_mats(d, mat, inv, subgroup_roots)
                 if mat not in seen:

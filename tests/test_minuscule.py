@@ -1,9 +1,12 @@
 import copy
+from fractions import Fraction
 
 import pytest
 
+import borelab.cartan as cartan
 from borelab.cartan import dual_coxeter_number, load_diagram
-from borelab.grading import analyze, catalog_involutions, context_for
+import borelab.grading as grading
+from borelab.grading import GradedContext, analyze, catalog_involutions, context_for, involution
 import borelab.minuscule as minuscule
 from borelab.minuscule import (
     check_bounding_equivalence,
@@ -24,17 +27,29 @@ from borelab.minuscule import (
     u_element,
     verify_all,
 )
-from borelab.roots import add, root_kind, simple_root
+import borelab.roots as roots
+from borelab.roots import (
+    add,
+    bilinear,
+    coroot_pair,
+    is_long,
+    norm_sq,
+    pair,
+    root_kind,
+    simple_root,
+)
 import borelab.weyl as weyl
 from borelab.weyl import dominant_mapper, identity, longest_element
 from oracles import (
     coset_poset,
     decompositions,
+    fraction_form,
     from_reflection,
     from_word,
     is_biconvex,
     minimal_mapper,
     product,
+    scan_poset,
     structural_verdict,
     summands,
 )
@@ -731,3 +746,81 @@ def test_special_involutions_reject_wrong_reflection(sweep, monkeypatch):
         mutated += 1
     # 44 of the 48 gradings with a type-2 wall have k = 2
     assert mutated == 44
+
+
+def oracle_gradings():
+    """The 146 gradings the oracle tests share: TABLE_LABELS and E8~1, adjoint
+    included, not folded by diagram symmetry."""
+    for label in TABLE_LABELS + ["E8~1"]:
+        for spec in catalog_involutions(load_diagram(label), include_adjoint=True,
+                                        dedupe=False):
+            yield spec.describe(), analyze(spec)
+
+
+def test_integer_kernel_matches_fraction_reference():
+    # over S1, the walls and the even positive roots: the pairing against the
+    # Cartan rows, the form against the Fraction sum over the symmetrizer
+    gradings = checked = 0
+    for name, ctx in oracle_gradings():
+        d = ctx.d
+        gradings += 1
+        walls = [w.root for w in ctx.walls]
+        targets = [*d.simple_roots, *walls]
+        for a in sorted(ctx.odd_height_one_roots | ctx.even_positive_roots | set(walls)):
+            nrm = fraction_form(d, a, a)
+            assert type(norm_sq(d, a)) is Fraction and norm_sq(d, a) == nrm, (name, a)
+            assert is_long(d, a) == (nrm == 2), (name, a)
+            for comp in ctx.components:
+                top = max(2 * d.symmetrizer[i] for i in comp.nodes)
+                assert is_long(d, a, comp.nodes) == (nrm == top), (name, a, comp.nodes)
+            want = 1 if nrm == 2 and not ctx.is_complex(a) else 2
+            assert ctx.root_type(a) == want, (name, a)
+            for i in d.nodes:
+                assert pair(d, a, i) == sum(d.cartan[i][j] * a[j] for j in d.nodes)
+            for b in targets:
+                ab = fraction_form(d, b, a)
+                assert bilinear(d, b, a) == ab, (name, a, b)
+                c = 2 * ab / nrm
+                assert c.denominator == 1 and coroot_pair(d, a, b) == c, (name, a, b)
+            checked += 1
+    assert (gradings, checked) == (146, 5582)
+
+
+def test_enumerate_poset_matches_scan_reference():
+    # the incremental BFS against the one that looks up every column: the
+    # same elements, words, masks and covers in the same order
+    gradings = 0
+    for name, ctx in oracle_gradings():
+        gradings += 1
+        top = max(w.length for w in enumerate_poset(ctx).elements)
+        for max_length in (None, 0, 2, max(top - 1, 0)):
+            got = enumerate_poset(ctx, max_length)
+            want = scan_poset(ctx, max_length)
+            assert [w.mat for w in got.elements] == [w.mat for w in want.elements], name
+            assert [w.word for w in got.elements] == [w.word for w in want.elements], name
+            assert got.masks == want.masks, (name, max_length)
+            assert got.edges == want.edges, (name, max_length)
+            assert got.by_mask == want.by_mask, (name, max_length)
+            assert got.complete == want.complete, (name, max_length)
+    assert gradings == 146
+
+
+def test_verify_all_builds_no_fraction(monkeypatch):
+    # the kernel is integer: with the Fraction name refused in the library
+    # modules and the symmetrizer made unusable, verify_all still passes.
+    # E8~1{1} is simply laced with k = 1; D5~2{1} has k = 2, two root
+    # lengths and a type-2 wall, so coroot_pair runs there too
+    def refused(*args):
+        raise AssertionError(f"Fraction{args} built")
+
+    for label, pi1 in (("E8~1", [1]), ("D5~2", [1])):
+        d = copy.copy(load_diagram(label))  # the shared diagram keeps its symmetrizer
+        ctx = GradedContext(involution(d, pi1))
+        poset = enumerate_poset(ctx)
+        object.__setattr__(d, "symmetrizer", tuple(object() for _ in d.nodes))
+        with monkeypatch.context() as m:
+            for module in (cartan, roots, grading):
+                m.setattr(module, "Fraction", refused)
+            results = verify_all(poset)
+        assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+        assert len(results) == 12, label

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,15 @@ from oracles import (
     minimal_coset_rep,
     minimal_mapper,
     product,
+    right_mult_simple,
+)
+
+# every diagram the library builds, untwisted and twisted
+CATALOG_LABELS = (
+    [f"A{n}~1" for n in range(1, 10)] + [f"B{n}~1" for n in range(2, 9)]
+    + [f"C{n}~1" for n in range(2, 9)] + [f"D{n}~1" for n in range(4, 10)]
+    + ["E6~1", "E7~1", "E8~1", "F4~1", "G2~1", "A2~2"]
+    + [f"A{n}~2" for n in range(4, 12)] + [f"D{n}~2" for n in range(3, 10)] + ["E6~2"]
 )
 
 A2 = load_diagram("A2~1")
@@ -304,3 +315,21 @@ def test_length_ball_growth():
     assert len(length_ball(A2, 8)) == 1 + 3 * sum(range(1, 9))
     ball = length_ball(A2, 3)
     assert sorted(w.length for w in ball) == [0, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3]
+
+
+def test_right_mult_matches_all_columns_reference():
+    # random reduced words, each letter an ascent: the neighbor-only update
+    # against the reference that rewrites every column, at every prefix
+    rng = random.Random(11)
+    steps = 0
+    for label in CATALOG_LABELS:
+        d = load_diagram(label)
+        for _ in range(4):
+            w, ref = identity(d), identity(d).mat
+            for _ in range(40):
+                i = rng.choice([i for i in d.nodes if is_positive(w.mat[i])])
+                assert weyl._right_mult_simple(d, w.mat, i) == right_mult_simple(d, w.mat, i)
+                w, ref = w.extend(i), right_mult_simple(d, ref, i)
+                assert w.mat == ref, (label, w.word)
+                steps += 1
+    assert steps == 4 * 40 * len(CATALOG_LABELS) == 8160
