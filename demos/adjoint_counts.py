@@ -11,7 +11,7 @@ import itertools
 
 from borelab import context_for, enumerate_poset
 from borelab.cartan import load_diagram
-from borelab.roots import add, delta, root_kind, sub, subsystem_closure
+from borelab.roots import add, delta, sub, subsystem_closure
 
 LABELS = ["A1~1", "A2~1", "B2~1", "G2~1", "A3~1", "B3~1", "C3~1", "A4~1", "D4~1"]
 
@@ -28,8 +28,7 @@ def ideals_by_hand(d, finite_nodes):
         if any(add(r, s) in pos and add(r, s) not in in_set
                for r in chosen for s in simples):
             continue
-        if any(root_kind(d, add(a, b)) != "none"
-               for a, b in itertools.combinations(chosen, 2)):
+        if any(add(a, b) in pos for a, b in itertools.combinations(chosen, 2)):
             continue
         count += 1
     return count

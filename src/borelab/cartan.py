@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, gcd, lcm
 from typing import Iterable, Sequence
 
@@ -24,11 +23,12 @@ _LABEL_RE = re.compile(r"^([A-G])(\d+)~(\d)$")
 class AffineDiagram:
     """An affine generalized Cartan matrix together with derived integer data.
 
-    The tables after the memo tables are built once, in `__post_init__`:
-    `nodes`, each node's neighbors, the simple roots, and the integer Gram
-    rows `gram[i][j] = L * d_i * A[i][j]`, where d_i is the symmetrizer and
+    The derived tables are built once, in `__post_init__`: `nodes`, each
+    node's neighbors, the simple roots, and the integer Gram rows
+    `gram[i][j] = L * d_i * A[i][j]`, where d_i is the symmetrizer and
     L = `form_scale` the least common multiple of its denominators, so that
-    L * (a, b) is an integer for integer a and b.
+    L * (a, b) is an integer for integer a and b.  Equality and hashing read
+    only the label, the Cartan matrix and the twist.
     """
 
     label: str
@@ -37,10 +37,6 @@ class AffineDiagram:
     marks: tuple[int, ...] = field(compare=False)
     comarks: tuple[int, ...] = field(compare=False)
     symmetrizer: tuple[Fraction, ...] = field(compare=False)
-    # Memo tables filled on demand by borelab.roots, keyed by root (kinds) or
-    # node set (closures); not part of equality.
-    root_kinds: dict = field(default_factory=dict, compare=False, repr=False)
-    closures: dict = field(default_factory=dict, compare=False, repr=False)
     nodes: range = field(init=False, compare=False, repr=False)
     neighbor_table: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     simple_roots: Matrix = field(init=False, compare=False, repr=False)
@@ -230,9 +226,8 @@ def _build(label: str, letter: str, rank: int, twist: int) -> AffineDiagram:
     )
 
 
-@lru_cache(maxsize=None)
 def load_diagram(label: str) -> AffineDiagram:
-    """Load an affine diagram by label, e.g. "B3~1", "A4~2", "E6~2"."""
+    """Build an affine diagram by label, e.g. "B3~1", "A4~2", "E6~2"."""
     m = _LABEL_RE.match(label)
     if not m:
         raise ValueError(f"bad diagram label {label!r}; expected e.g. 'D5~2'")
@@ -254,11 +249,7 @@ def finite_dual_coxeter(d: AffineDiagram, nodes: Iterable[int]) -> int:
     from . import roots  # deferred: roots depends on this module
 
     s = tuple(sorted(set(nodes)))
-    if not s:
-        raise ValueError("empty node set")
-    if len(components(d, s)) != 1:
-        raise ValueError(f"node set {s} is not connected")
-    theta = roots.highest_root(d, s)
+    theta = roots.highest_root(d, s)  # refuses an empty or disconnected set
     # theta^vee = sum of theta_i * d_i / d_theta * alpha_i^vee, and 2 * L * d_i
     # is the diagonal Gram entry, 2 * L * d_theta the scaled norm of theta
     height, rem = divmod(sum(theta[i] * d.gram[i][i] for i in s), roots.form(d, theta, theta))

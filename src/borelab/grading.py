@@ -19,12 +19,10 @@ from .cartan import AffineDiagram, components as diagram_components, finite_dual
 from .cartan import diagram_automorphisms, load_diagram
 from .roots import (
     Root,
-    add,
     coroot_pair,
     highest_root,
     ht_subset,
     is_long,
-    is_real_root,
     norm_sq,
     pair,
     simple_root,
@@ -169,8 +167,10 @@ class GradedContext:
         return ht_subset(a, self.odd)
 
     def is_complex(self, a: Root) -> bool:
-        """Whether delta + a stays a real root; only possible when k = 2."""
-        return self.k == 2 and is_real_root(self.d, add(self.delta, a))
+        """Whether k = 2 and delta + a is a real root, for a real root a.  In
+        an untwisted diagram delta + a always is one; in a twisted one iff a
+        is not long (Kac, Infinite-dimensional Lie algebras, Prop. 6.3)."""
+        return self.k == 2 and (self.d.twist == 1 or not is_long(self.d, a))
 
     def root_type(self, a: Root) -> int:
         """1 for long non-complex real roots, else 2."""
@@ -182,7 +182,7 @@ class GradedContext:
         d = self.d
         out = []
         for idx, nodes in enumerate(diagram_components(d, self.even), start=1):
-            theta = simple_root(d, nodes[0]) if len(nodes) == 1 else highest_root(d, nodes)
+            theta = highest_root(d, nodes)
             row = tuple(coroot_pair(d, theta, simple_root(d, j)) for j in d.nodes)
             eps = 2 if len(nodes) == 1 else 1
             level = -row[min(self.odd)]

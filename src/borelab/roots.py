@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import add as _add, mul, neg as _neg, sub as _sub
 from typing import Iterable, Optional
 
-from .cartan import AffineDiagram
+from .cartan import AffineDiagram, components, positive_root_count
 
 Root = tuple[int, ...]
 
@@ -99,60 +99,9 @@ def reflect_simple(d: AffineDiagram, a: Root, i: int) -> Root:
     return tuple(b)
 
 
-def root_kind(d: AffineDiagram, a: Root) -> str:
-    """Classify an integer vector: "real", "imaginary", or "none".
-
-    Real roots are detected by reflecting toward lower height, always through
-    the node of largest positive coroot pairing.  A vector with coordinates of
-    both signs is never a root.
-    """
-    kind = d.root_kinds.get(a)
-    if kind is None:
-        kind = d.root_kinds[a] = _root_kind_uncached(d, a)
-    return kind
-
-
-def _root_kind_uncached(d: AffineDiagram, a: Root) -> str:
-    if not any(a):
-        return "none"
-    # imaginary roots are exactly the nonzero integer multiples of delta
-    i0 = next(i for i, x in enumerate(a) if x)
-    q, r = divmod(a[i0], d.marks[i0])
-    if r == 0 and q != 0 and a == scale(q, d.marks):
-        return "imaginary"
-    if is_negative(a):
-        a = neg(a)
-    if not is_positive(a):
-        return "none"
-    budget = 4 * ht(a) + 4
-    while budget > 0:
-        budget -= 1
-        if ht(a) == 1:
-            return "real"
-        best, best_i = 0, -1
-        for i in d.nodes:
-            c = pair(d, a, i)
-            if c > best:
-                best, best_i = c, i
-        if best_i < 0:
-            return "none"
-        a = reflect_simple(d, a, best_i)
-        if not is_positive(a):
-            return "none"
-    return "none"
-
-
-def is_real_root(d: AffineDiagram, a: Root) -> bool:
-    return root_kind(d, a) == "real"
-
-
 def subsystem_closure(d: AffineDiagram, nodes: Iterable[int]) -> frozenset[Root]:
     """Positive roots of the finite subsystem on a proper subset of nodes."""
-    key = frozenset(nodes)
-    cached = d.closures.get(key)
-    if cached is not None:
-        return cached
-    s = sorted(key)
+    s = sorted(set(nodes))
     if len(s) >= d.size:
         raise ValueError("subsystem must omit at least one node")
     roots = {simple_root(d, i) for i in s}
@@ -166,20 +115,40 @@ def subsystem_closure(d: AffineDiagram, nodes: Iterable[int]) -> frozenset[Root]
                     roots.add(b)
                     new.add(b)
         frontier = new
-    result = d.closures[key] = frozenset(roots)
-    return result
+    return frozenset(roots)
+
+
+def dominant_ascent(d: AffineDiagram, nodes: Iterable[int], a: Root) -> tuple[Root, list[int]]:
+    """The dominant root of a's orbit under the finite parabolic on J =
+    `nodes`, and the letters of the walk there.
+
+    From g = a, apply s_i for the smallest i in J with <g, alpha_i^vee> < 0
+    until g is dominant for J.  Each step removes exactly one beta > 0 of
+    Phi_J with <g, beta^vee> < 0, so the walk takes at most |Phi_J^+| steps
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.10-1.12).
+    """
+    s = sorted(set(nodes))
+    cap = positive_root_count(d, s)
+    letters = []
+    g = a
+    for _ in range(cap + 1):
+        i = next((i for i in s if pair(d, g, i) < 0), None)
+        if i is None:
+            return g, letters
+        letters.append(i)
+        g = reflect_simple(d, g, i)
+    raise RuntimeError(f"dominant ascent on nodes {s} exceeded {cap} steps")
 
 
 def highest_root(d: AffineDiagram, nodes: Iterable[int]) -> Root:
-    """Highest root of a connected finite subsystem (checked dominant)."""
+    """Highest root of a connected finite subsystem: the unique dominant long
+    root (Humphreys, Introduction to Lie Algebras, 10.4), reached by dominant
+    ascent from a long simple root."""
     s = sorted(set(nodes))
-    closure = subsystem_closure(d, s)
-    theta = max(closure, key=ht)
-    if sum(1 for a in closure if ht(a) == ht(theta)) != 1:
+    if len(components(d, s)) != 1:
         raise ValueError(f"subsystem on {s} is not connected")
-    if any(pair(d, theta, i) < 0 for i in s):
-        raise RuntimeError(f"highest root {theta} of {s} is not dominant")
-    return theta
+    longest = max(s, key=lambda i: d.gram[i][i])  # the Gram diagonal is L * (a_i, a_i)
+    return dominant_ascent(d, s, simple_root(d, longest))[0]
 
 
 def is_long(d: AffineDiagram, a: Root, nodes: Optional[Iterable[int]] = None) -> bool:

@@ -18,7 +18,7 @@ from operator import add, neg
 from typing import Iterable, Optional
 
 from .cartan import AffineDiagram, finite_type_sizes, positive_root_count
-from .roots import Root, is_negative, is_positive, pair, reflect_simple
+from .roots import Root, dominant_ascent, is_negative, is_positive, pair
 
 Cols = tuple[Root, ...]
 
@@ -139,30 +139,22 @@ def dominant_mapper(
     """Shortest element of the finite parabolic on J = `nodes` sending frm to
     `to`, which must be dominant for J; None if `to` is not in frm's orbit.
 
-    Dominant ascent: from g = frm, apply s_i for the smallest i in J with
-    <g, alpha_i^vee> < 0 until g is dominant.  If w(frm) = to, each beta > 0
-    of Phi_J with <frm, beta^vee> < 0 pairs negatively with the dominant `to`
-    after w, so w(beta) < 0: l(w) is at least the number of such beta.  Each
-    step removes exactly one of them, so the walk is a shortest mapper when
-    it ends at `to`, and it ends there iff `to` is in the orbit (the closed
-    chamber meets each orbit once).  The mappers form a coset W_K*w of the
-    parabolic stabilizer of `to`, whose shortest element is unique, so this
-    is the element the orbit search in `tests/oracles.py` finds (Humphreys,
-    Reflection Groups and Coxeter Groups, 1.10-1.12).
+    The walk is `roots.dominant_ascent` from frm.  If w(frm) = to, each
+    beta > 0 of Phi_J with <frm, beta^vee> < 0 pairs negatively with the
+    dominant `to` after w, so w(beta) < 0: l(w) is at least the number of
+    such beta.  Each step removes exactly one of them, so the walk is a
+    shortest mapper when it ends at `to`, and it ends there iff `to` is in
+    the orbit (the closed chamber meets each orbit once).  The mappers form
+    a coset W_K*w of the parabolic stabilizer of `to`, whose shortest
+    element is unique, so this is the element the orbit search in
+    `tests/oracles.py` finds (Humphreys, Reflection Groups and Coxeter
+    Groups, 1.10-1.12).
     """
     s = sorted(set(nodes))
     if any(pair(d, to, i) < 0 for i in s):
         raise ValueError(f"{to} is not dominant for nodes {s}")
-    cap = positive_root_count(d, s)
-    letters = []
-    g = frm
-    for _ in range(cap + 1):
-        i = next((i for i in s if pair(d, g, i) < 0), None)
-        if i is None:
-            return _word_element(d, reversed(letters)) if g == to else None
-        letters.append(i)
-        g = reflect_simple(d, g, i)
-    raise RuntimeError(f"dominant ascent on nodes {s} exceeded {cap} steps")
+    g, letters = dominant_ascent(d, s, frm)
+    return _word_element(d, reversed(letters)) if g == to else None
 
 
 def _word_element(d: AffineDiagram, word: Iterable[int]) -> WeylElement:

@@ -1,8 +1,12 @@
 """Independent reference implementations the tests compare the library with.
 
-None of these is used by `borelab` itself.  The root kernel has two
-references: `fraction_form`, the invariant form summed in Fraction from the
-symmetrizer, where the library reads integer Gram rows scaled by L; and
+None of these is used by `borelab` itself.  `root_kind` classifies an
+integer vector as a real root, an imaginary root or neither, by descent
+through simple reflections; it is the reference for
+`GradedContext.is_complex`, which decides whether delta + a is real by a
+norm rule.  The root kernel has two references: `fraction_form`, the
+invariant form summed in Fraction from the symmetrizer, where the library
+reads integer Gram rows scaled by L; and
 `right_mult_simple`, which rewrites every column of w*s_i, where the library
 rewrites only column i and its neighbors.  `scan_poset` is the poset BFS
 that looks up every column of every frontier element, where
@@ -26,6 +30,7 @@ the closed form w0(J')*w0(J) (`minuscule.special_involution`).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from borelab.cartan import AffineDiagram, _classify_component, components
@@ -35,10 +40,13 @@ from borelab.roots import (
     Root,
     add,
     coroot_pair,
+    ht,
     is_negative,
     is_positive,
+    neg,
+    pair,
     reflect_simple,
-    root_kind,
+    scale,
     simple_root,
     sub,
 )
@@ -49,6 +57,51 @@ from borelab.weyl import (
     _word_element,
     identity,
 )
+
+
+@lru_cache(maxsize=None)
+def root_kind(d: AffineDiagram, a: Root) -> str:
+    """Classify an integer vector: "real", "imaginary", or "none".
+
+    Real roots are detected by reflecting toward lower height, always through
+    the node of largest positive coroot pairing.  A vector with coordinates of
+    both signs is never a root.
+    """
+    return _root_kind_uncached(d, a)
+
+
+def _root_kind_uncached(d: AffineDiagram, a: Root) -> str:
+    if not any(a):
+        return "none"
+    # imaginary roots are exactly the nonzero integer multiples of delta
+    i0 = next(i for i, x in enumerate(a) if x)
+    q, r = divmod(a[i0], d.marks[i0])
+    if r == 0 and q != 0 and a == scale(q, d.marks):
+        return "imaginary"
+    if is_negative(a):
+        a = neg(a)
+    if not is_positive(a):
+        return "none"
+    budget = 4 * ht(a) + 4
+    while budget > 0:
+        budget -= 1
+        if ht(a) == 1:
+            return "real"
+        best, best_i = 0, -1
+        for i in d.nodes:
+            c = pair(d, a, i)
+            if c > best:
+                best, best_i = c, i
+        if best_i < 0:
+            return "none"
+        a = reflect_simple(d, a, best_i)
+        if not is_positive(a):
+            return "none"
+    return "none"
+
+
+def is_real_root(d: AffineDiagram, a: Root) -> bool:
+    return root_kind(d, a) == "real"
 
 
 def fraction_form(d: AffineDiagram, a: Root, b: Root) -> Fraction:

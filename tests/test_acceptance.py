@@ -23,8 +23,8 @@ from borelab.minuscule import (
     verify_all,
 )
 from borelab.report import render_json, result_document
-from borelab.roots import add, delta, root_kind, sub, subsystem_closure
-from oracles import length_ball
+from borelab.roots import add, delta, sub, subsystem_closure
+from oracles import length_ball, root_kind
 
 ROOT = Path(__file__).resolve().parent.parent
 

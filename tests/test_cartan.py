@@ -1,8 +1,13 @@
+import dataclasses
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import borelab
 from borelab.cartan import (
+    AffineDiagram,
     diagram_automorphisms,
     dual_coxeter_number,
     finite_dual_coxeter,
@@ -151,8 +156,22 @@ def test_load_rejections():
         load_diagram("A0~1")
 
 
-def test_cache_identity():
-    assert load_diagram("E8~1") is load_diagram("E8~1")
+def test_no_shared_memo_state():
+    # no module-global memo in the library: no borelab module attribute, nor
+    # any attribute of a class defined there, is an lru_cache
+    for info in pkgutil.iter_modules(borelab.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"borelab.{info.name}")
+        for name, value in vars(module).items():
+            members = vars(value).items() if isinstance(value, type) else ()
+            for attr, obj in [(name, value), *members]:
+                assert not hasattr(obj, "cache_info"), f"{module.__name__}: {attr}"
+    # the diagram carries no memo table, and two loads of one label are equal
+    d, again = load_diagram("E8~1"), load_diagram("E8~1")
+    for f in dataclasses.fields(AffineDiagram):
+        assert not isinstance(getattr(d, f.name), dict), f.name
+    assert d == again and hash(d) == hash(again)
 
 
 def test_neighbors():

@@ -1,0 +1,134 @@
+"""Whole-catalog oracles over every order-2 grading of the supported diagrams
+up to rank 11: adjoint gradings included, none deduplicated (482 gradings).
+
+They check the rules the library uses in place of a search against the
+search itself (`oracles.root_kind`, the subsystem closure), run `verify_all`
+on every element of every poset, and compare gradings related by a diagram
+automorphism, whose posets must be isomorphic.  Never shrink the label list
+to make a failure go away.
+"""
+
+from collections import Counter
+
+import pytest
+
+from borelab.cartan import diagram_automorphisms, load_diagram
+from borelab.grading import analyze, catalog_involutions
+from borelab.minuscule import enumerate_poset, verify_all
+from borelab.roots import add, ht, subsystem_closure
+from oracles import fraction_form, is_real_root
+
+UNTWISTED = (
+    [f"A{n}~1" for n in range(1, 10)]
+    + [f"B{n}~1" for n in range(2, 9)]
+    + [f"C{n}~1" for n in range(2, 9)]
+    + [f"D{n}~1" for n in range(4, 10)]
+    + ["E6~1", "E7~1", "E8~1", "F4~1", "G2~1"]
+)
+TWISTED = (
+    ["A2~2"]
+    + [f"A{n}~2" for n in range(4, 12)]
+    + [f"D{n}~2" for n in range(3, 10)]
+    + ["E6~2"]
+)
+LABELS = UNTWISTED + TWISTED
+
+
+@pytest.fixture(scope="module")
+def catalog():
+    """Every grading's context, in label order and catalog order."""
+    return [
+        analyze(spec)
+        for label in LABELS
+        for spec in catalog_involutions(load_diagram(label), include_adjoint=True, dedupe=False)
+    ]
+
+
+def test_catalog_size(catalog):
+    assert len(catalog) == 482
+
+
+def test_complex_rule_matches_descent(catalog):
+    # is_complex is a norm rule; the reference asks the descent whether
+    # delta + a is a real root.  root_type must follow from the reference.
+    count = 0
+    for ctx in catalog:
+        d = ctx.d
+        checked = {
+            *ctx.odd_height_one_roots,
+            *d.simple_roots,
+            *(w.root for w in ctx.walls),
+            *ctx.even_positive_roots,
+        }
+        for a in checked:
+            where = (ctx.spec.describe(), a)
+            complex_ = ctx.k == 2 and is_real_root(d, add(ctx.delta, a))
+            assert ctx.is_complex(a) == complex_, where
+            long_ = fraction_form(d, a, a) == 2
+            assert ctx.root_type(a) == (1 if long_ and not complex_ else 2), where
+        count += len(checked)
+    assert count == 30287
+
+
+def test_component_theta_is_highest_root_of_closure(catalog):
+    # theta by dominant ascent against the highest root of the closure
+    multi_node = 0
+    for ctx in catalog:
+        for comp in ctx.components:
+            closure = subsystem_closure(ctx.d, comp.nodes)
+            assert comp.theta == max(closure, key=ht), (ctx.spec.describe(), comp.nodes)
+            multi_node += len(comp.nodes) > 1
+    assert multi_node == 580
+
+
+def test_verify_all_whole_catalog(catalog):
+    failures = []
+    for ctx in catalog:
+        poset = enumerate_poset(ctx)
+        for result in verify_all(poset, structural_limit=10**9):
+            if not result.passed:
+                failures.append((ctx.spec.describe(), result.name, result.detail))
+    assert not failures, failures[:5]
+
+
+def _orbits(d, ctxs):
+    """Classes of gradings under the diagram automorphisms, by union-find on
+    the images of each grading's odd set."""
+    key = {(ctx.odd, ctx.spec.adjoint): n for n, ctx in enumerate(ctxs)}
+    parent = list(range(len(ctxs)))
+
+    def find(n):
+        while parent[n] != n:
+            n = parent[n]
+        return n
+
+    for n, ctx in enumerate(ctxs):
+        for perm in diagram_automorphisms(d):
+            image = key[(tuple(sorted(perm[i] for i in ctx.odd)), ctx.spec.adjoint)]
+            parent[find(image)] = find(n)
+    classes: dict[int, list] = {}
+    for n, ctx in enumerate(ctxs):
+        classes.setdefault(find(n), []).append(ctx)
+    return list(classes.values())
+
+
+def test_automorphic_gradings_give_isomorphic_posets(catalog):
+    # |P|, the length histogram and |maxima| agree across each orbit, and the
+    # catalog's dedupe keeps one grading per orbit
+    by_label: dict[str, list] = {}
+    for ctx in catalog:
+        by_label.setdefault(ctx.d.label, []).append(ctx)
+    total = 0
+    for label, ctxs in by_label.items():
+        orbits = _orbits(ctxs[0].d, ctxs)
+        for orbit in orbits:
+            shapes = set()
+            for ctx in orbit:
+                poset = enumerate_poset(ctx)
+                lengths = Counter(w.length for w in poset.elements)
+                shapes.add((len(poset), tuple(sorted(lengths.items())), len(poset.maxima)))
+            assert len(shapes) == 1, (label, [ctx.odd for ctx in orbit], shapes)
+        deduped = catalog_involutions(ctxs[0].d, include_adjoint=True)
+        assert len(deduped) == len(orbits), label
+        total += len(orbits)
+    assert total == 188

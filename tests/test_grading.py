@@ -5,7 +5,8 @@ import pytest
 
 from borelab.cartan import load_diagram
 from borelab.grading import analyze, catalog_involutions, context_for, involution
-from borelab.roots import is_real_root, root_kind, simple_root
+from borelab.roots import simple_root
+from oracles import is_real_root, root_kind
 
 SWEEP_LABELS = [
     "A1~1", "A2~1", "A3~1", "A4~1", "A5~1", "B2~1", "B3~1", "B4~1",

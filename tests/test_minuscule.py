@@ -35,7 +35,6 @@ from borelab.roots import (
     is_long,
     norm_sq,
     pair,
-    root_kind,
     simple_root,
 )
 import borelab.weyl as weyl
@@ -49,6 +48,7 @@ from oracles import (
     is_biconvex,
     minimal_mapper,
     product,
+    root_kind,
     scan_poset,
     structural_verdict,
     summands,

@@ -13,17 +13,15 @@ from borelab.roots import (
     ht,
     ht_subset,
     is_long,
-    is_real_root,
     neg,
     norm_sq,
     reflect_simple,
-    root_kind,
     scale,
     simple_root,
     sub,
     subsystem_closure,
 )
-from oracles import from_reflection
+from oracles import from_reflection, is_real_root, root_kind
 
 LABELS = ["A2~1", "B3~1", "C3~1", "D4~1", "G2~1", "F4~1", "A2~2", "A5~2", "D5~2"]
 
@@ -125,6 +123,13 @@ def test_highest_roots():
     b4 = load_diagram("B4~1")
     assert highest_root(b4, [1, 2, 3, 4]) == (0, 1, 2, 2, 2)
     assert highest_root(b4, [4]) == simple_root(b4, 4)
+
+
+@pytest.mark.parametrize("label,nodes", [("E8~1", (1, 3)), ("B4~1", (1, 4)), ("G2~1", ())])
+def test_highest_root_refuses_disconnected_nodes(label, nodes):
+    # the ascent alone would stop at the first long simple root
+    with pytest.raises(ValueError, match="not connected"):
+        highest_root(load_diagram(label), nodes)
 
 
 def test_heights():

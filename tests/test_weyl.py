@@ -14,6 +14,7 @@ from borelab.roots import (
     simple_root,
     subsystem_closure,
 )
+import borelab.roots as roots
 import borelab.weyl as weyl
 from borelab.weyl import (
     dominant_mapper,
@@ -206,10 +207,12 @@ def test_dominant_mapper_refuses_non_dominant_target():
 
 def test_dominant_mapper_step_bound(monkeypatch):
     # the ascent from alpha_1 to theta takes one step; a bound of 0 must
-    # raise, not return a wrong element
-    monkeypatch.setattr(weyl, "positive_root_count", lambda d, nodes: 0)
+    # raise, not return a wrong element; theta itself comes from the same
+    # walk, so it is computed before the bound is patched
+    theta = highest_root(A2, (1, 2))
+    monkeypatch.setattr(roots, "positive_root_count", lambda d, nodes: 0)
     with pytest.raises(RuntimeError, match="exceeded 0 steps"):
-        dominant_mapper(A2, (1, 2), simple_root(A2, 1), highest_root(A2, (1, 2)))
+        dominant_mapper(A2, (1, 2), simple_root(A2, 1), theta)
 
 
 HIGHEST_ROOT_CASES = [
