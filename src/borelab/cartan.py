@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -76,24 +76,28 @@ class AffineDiagram:
 
 
 def _kernel_vector(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Primitive positive integer kernel vector of a corank-1 square matrix."""
+    """Primitive positive integer kernel vector of a corank-1 square matrix.
+
+    Fraction-free Gauss-Jordan elimination: a row is cleared by an integer
+    combination with the pivot row and divided by the gcd of its entries.
+    Each pivot row then reads p * x_c + q * x_f = 0 for the free column f."""
     n = len(matrix)
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    # Gaussian elimination to row echelon form.
+    rows = [list(row) for row in matrix]
     pivots = []
     r = 0
     for c in range(n):
-        p = next((i for i in range(r, n) if rows[i][c] != 0), None)
+        p = next((i for i in range(r, n) if rows[i][c]), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
         pivots.append(c)
-        pivot = rows[r][c]
-        rows[r] = [x / pivot for x in rows[r]]
+        top = rows[r]
         for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                row = [top[c] * a - f * b for a, b in zip(rows[i], top)]
+                g = gcd(*row) or 1
+                rows[i] = [x // g for x in row]
         r += 1
         if r == n:
             break
@@ -101,12 +105,10 @@ def _kernel_vector(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     if len(free) != 1:
         raise ValueError(f"matrix has corank {len(free)}, expected 1")
     f = free[0]
-    sol = [Fraction(0)] * n
-    sol[f] = Fraction(1)
+    scale = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    ints = [scale] * n
     for row, c in zip(rows, pivots):
-        sol[c] = -row[f]
-    denom = lcm(*(x.denominator for x in sol))
-    ints = [int(x * denom) for x in sol]
+        ints[c] = -row[f] * scale // row[c]
     g = gcd(*ints)
     ints = [x // g for x in ints]
     if any(x < 0 for x in ints):
@@ -240,8 +242,11 @@ def dual_coxeter_number(d: AffineDiagram) -> int:
     return sum(d.comarks)
 
 
-def finite_dual_coxeter(d: AffineDiagram, nodes: Iterable[int]) -> int:
-    """Dual Coxeter number of the finite subsystem on a connected node subset.
+def finite_dual_coxeter(
+    d: AffineDiagram, nodes: Iterable[int], theta: Optional[tuple[int, ...]] = None
+) -> int:
+    """Dual Coxeter number of the finite subsystem on a connected node subset,
+    whose highest root theta is found unless the caller has it.
 
     Computed as 1 + coroot height of the highest root: if theta = sum c_i a_i,
     its coroot expands with coefficients c_i * d_i / d_theta.
@@ -249,7 +254,8 @@ def finite_dual_coxeter(d: AffineDiagram, nodes: Iterable[int]) -> int:
     from . import roots  # deferred: roots depends on this module
 
     s = tuple(sorted(set(nodes)))
-    theta = roots.highest_root(d, s)  # refuses an empty or disconnected set
+    if theta is None:
+        theta = roots.highest_root(d, s)  # refuses an empty or disconnected set
     # theta^vee = sum of theta_i * d_i / d_theta * alpha_i^vee, and 2 * L * d_i
     # is the diagonal Gram entry, 2 * L * d_theta the scaled norm of theta
     height, rem = divmod(sum(theta[i] * d.gram[i][i] for i in s), roots.form(d, theta, theta))

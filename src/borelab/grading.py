@@ -28,6 +28,7 @@ from .roots import (
     simple_root,
     subsystem_closure,
 )
+from .weyl import pack
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,7 @@ class GradedContext:
                     level=level,
                     eps=eps,
                     boundary=tuple(i for i in d.nodes if row[i] == eps),
-                    sub_dual_coxeter=finite_dual_coxeter(d, nodes),
+                    sub_dual_coxeter=finite_dual_coxeter(d, nodes, theta),
                     wall_included=nrm >= 1,
                     region=tuple(sorted(region)),
                     region_in_component=tuple(sorted(region & set(nodes))),
@@ -286,9 +287,10 @@ class GradedContext:
         return tuple(sorted(self.odd_height_one_roots))
 
     @cached_property
-    def s1_bits(self) -> dict[Root, int]:
-        """Each odd-height-1 root mapped to its bit, 1 << its place in `s1_order`."""
-        return {a: 1 << n for n, a in enumerate(self.s1_order)}
+    def s1_bits(self) -> dict[int, int]:
+        """Each odd-height-1 root, packed (`weyl.pack`), mapped to its bit,
+        1 << its place in `s1_order`."""
+        return {pack(a): 1 << n for n, a in enumerate(self.s1_order)}
 
     def bounding_roots(self) -> frozenset[Root]:
         """Even simple roots plus wall roots; avoiding all of them in the

@@ -18,22 +18,15 @@ from typing import Iterable, Optional, Sequence
 
 from .cartan import dual_coxeter_number, finite_dual_coxeter, positive_root_count
 from .grading import EvenComponent, GradedContext, Wall
-from .roots import (
-    Root,
-    coroot_pair,
-    is_positive,
-    neg,
-    reflect_simple,
-    scale,
-    simple_root,
-    sub,
-)
+from .roots import Root, coroot_pair, is_positive, neg, reflect_simple, scale, simple_root, sub
 from .weyl import (
     WeylElement,
+    _right_mult_simple,
     _word_element,
     dominant_mapper,
     identity,
     longest_quotient,
+    pack,
     weyl_group_order,
 )
 
@@ -71,13 +64,13 @@ class MinusculePoset:
                 f"after {len(self)} elements; longer elements exist")
 
     @cached_property
-    def _by_mat(self) -> dict[tuple[Root, ...], int]:
-        return {w.mat: p for p, w in enumerate(self.elements)}
+    def _by_cols(self) -> dict[tuple[int, ...], int]:
+        return {w.cols: p for p, w in enumerate(self.elements)}
 
     def position(self, w: WeylElement) -> Optional[int]:
         """Place of w in the poset; None if w has an inversion outside S1 or
         lies beyond a truncation."""
-        return self._by_mat.get(w.mat)
+        return self._by_cols.get(w.cols)
 
     @cached_property
     def maxima(self) -> tuple[int, ...]:
@@ -85,14 +78,20 @@ class MinusculePoset:
         return tuple(i for i in range(len(self.elements)) if i not in sources)
 
     @cached_property
+    def parametrization(self) -> tuple[MaximumItem, ...]:
+        """`maxima_parametrization`, built once per poset; an incomplete
+        poset or a family with two tops raises ValueError on each read."""
+        return _parametrize(self)
+
+    @cached_property
     def _family_table(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        wall_at = {wall.root: wall.index for wall in self.ctx.walls}
+        wall_at = {pack(wall.root): wall.index for wall in self.ctx.walls}
         wall_roots = wall_at.keys()
         table: dict[tuple[int, int], list[int]] = {}
         for pos, w in enumerate(self.elements):
-            if wall_roots.isdisjoint(w.mat):
+            if wall_roots.isdisjoint(w.cols):
                 continue
-            for a, col in enumerate(w.mat):
+            for a, col in enumerate(w.cols):
                 index = wall_at.get(col)
                 if index is not None:
                     table.setdefault((a, index), []).append(pos)
@@ -125,53 +124,44 @@ class MinusculePoset:
 def enumerate_poset(ctx: GradedContext, max_length: Optional[int] = None) -> MinusculePoset:
     """Breadth-first enumeration, level by level in node order.
 
-    A cover w -> w*s_i exists when the column w(alpha_i) is in S1; its
-    target is looked up by inversion mask before any matrix is built.  Each
-    frontier element carries its ascents into S1 as {i: bit}.  w*s_i differs
-    from w only in column i, now negative, and in the columns of i's
-    neighbors, so a new element's ascents are its parent's with those
-    columns looked up again.  Ascents are visited in node order, which fixes
-    the order of `elements` and `edges`."""
+    A cover w -> w*s_i exists when the packed column w(alpha_i) is in S1; its
+    target is looked up by inversion mask before any matrix is built.
+    Columns are visited in node order, which fixes the order of `elements`
+    and `edges`."""
     if max_length is not None and max_length < 0:
         raise ValueError(f"max_length must be at least 0, not {max_length}")
     d = ctx.d
     bits = ctx.s1_bits
     cap = len(bits) if max_length is None else min(max_length, len(bits))
-    start = identity(d)
-    elements = [start]
+    elements = [identity(d)]
     masks = [0]
     by_mask = {0: 0}
     edges: list[tuple[int, int]] = []
-    frontier = [(0, {i: bits[col] for i, col in enumerate(start.mat) if col in bits})]
+    frontier = [0]
     truncated = False
     depth = 0
     while frontier:
         if depth == cap:
-            truncated = any(asc for _, asc in frontier)
+            truncated = any(col in bits for p in frontier for col in elements[p].cols)
             break
         depth += 1
-        new_frontier: list[tuple[int, dict[int, int]]] = []
-        for src, asc in frontier:
+        new_frontier: list[int] = []
+        for src in frontier:
             w, mask = elements[src], masks[src]
-            for i, b in sorted(asc.items()):
+            for i, col in enumerate(w.cols):
+                b = bits.get(col)
+                if b is None:
+                    continue
                 if mask & b:
                     raise RuntimeError(f"column {w.mat[i]} is already an inversion of {w.word}")
                 key = mask | b
                 tgt = by_mask.get(key)
                 if tgt is None:
                     tgt = by_mask[key] = len(elements)
-                    v = w.extend(i)
-                    elements.append(v)
+                    elements.append(
+                        WeylElement(d, w.word + (i,), _right_mult_simple(d, w.cols, i)))
                     masks.append(key)
-                    grown = dict(asc)
-                    del grown[i]
-                    for j in d.neighbor_table[i]:
-                        c = bits.get(v.mat[j])
-                        if c is None:
-                            grown.pop(j, None)
-                        else:
-                            grown[j] = c
-                    new_frontier.append((tgt, grown))
+                    new_frontier.append(tgt)
                 edges.append((src, tgt))
         frontier = new_frontier
     return MinusculePoset(
@@ -304,6 +294,10 @@ class MaximumItem:
 def maxima_parametrization(poset: MinusculePoset) -> tuple[MaximumItem, ...]:
     """The closed-form index set for the maximal elements, with closed-form
     dimensions, resolved to positions in the enumerated poset."""
+    return poset.parametrization
+
+
+def _parametrize(poset: MinusculePoset) -> tuple[MaximumItem, ...]:
     if not poset.complete:
         raise ValueError(poset.truncation())
     ctx = poset.ctx
@@ -396,7 +390,7 @@ def check_bounding_equivalence(poset: MinusculePoset) -> CheckResult:
     duplicate before building a matrix; a new inversion outside S1, or a mask
     the poset lacks, is an element outside the poset."""
     ctx = poset.ctx
-    blocked = ctx.bounding_roots()
+    blocked = {pack(a) for a in ctx.bounding_roots()}
     bits = ctx.s1_bits
     cap = 4 * len(poset) + 1000
     seen = {0}
@@ -407,8 +401,8 @@ def check_bounding_equivalence(poset: MinusculePoset) -> CheckResult:
         nxt = []
         for w, mask in frontier:
             for i in ctx.d.nodes:
-                col = w.mat[i]
-                if not all(x >= 0 for x in col) or col in blocked:
+                col = w.cols[i]
+                if col < 0 or col in blocked:
                     continue
                 b = bits.get(col)
                 if b is None:
@@ -533,7 +527,7 @@ def coset_translates(
     start: Optional[int],
     ambient: Iterable[int],
     subgroup: Sequence[Root],
-) -> tuple[dict[Root, int], list[tuple[int, Optional[int]]]]:
+) -> tuple[dict[int, int], list[tuple[int, Optional[int]]]]:
     """The minimal representatives u of W'\\W(ambient), each with the
     position of its translate m*u, where m = elements[start].
 
@@ -542,14 +536,15 @@ def coset_translates(
     order, so they grow from the identity by u -> u*s_i, kept when
     u(alpha_i) > 0 (ascent) and s_i(u^{-1} beta) > 0 for every subgroup
     simple beta (minimality).  A representative is its inversion mask over
-    the ambient positive roots; the returned index gives each root's bit.
+    the ambient positive roots; the returned index gives each packed root's
+    bit.
     m*u*s_i is m*u extended through node i, looked up in the poset by mask;
     its position is None when that column is outside S1 or the mask is not
     in the poset, and so is every translate grown from it.
     """
     d = poset.ctx.d
     bits = poset.ctx.s1_bits
-    index: dict[Root, int] = {}
+    index: dict[int, int] = {}
     reps: list[tuple[int, Optional[int]]] = [(0, start)]
     seen = {0}
     frontier = [(identity(d), tuple(subgroup), 0, start)]
@@ -557,8 +552,8 @@ def coset_translates(
         nxt = []
         for u, pulled, mask, img in frontier:
             for i in ambient:
-                col = u.mat[i]
-                if not is_positive(col):
+                col = u.cols[i]
+                if col < 0:
                     continue
                 key = mask | index.setdefault(col, 1 << len(index))
                 if key in seen:  # kept or rejected already
@@ -569,7 +564,7 @@ def coset_translates(
                     continue
                 tgt = None
                 if img is not None:
-                    b = bits.get(poset.elements[img].mat[i])
+                    b = bits.get(poset.elements[img].cols[i])
                     if b is not None:
                         tgt = poset.by_mask.get(poset.masks[img] | b)
                 reps.append((key, tgt))
@@ -770,7 +765,7 @@ def check_special_involutions(ctx: GradedContext) -> CheckResult:
     reflection in beta = delta - theta: alpha_j -> alpha_j - <alpha_j, beta^vee> beta."""
     d = ctx.d
     g0 = dual_coxeter_number(d)
-    simples = identity(d).mat
+    simples = d.simple_roots
     problems = []
     for wall in ctx.walls:
         if wall.kind != "component" or wall.wall_type != 2:
@@ -822,7 +817,7 @@ def structural_masks(ctx: GradedContext) -> tuple[list[int], list[int]]:
     integers.  By Cauchy-Schwarz on the semidefinite form c <= 2, and c = 2
     only for y = x + m*delta, of odd height 1 + 2m/k != 1: no other c occurs.
     """
-    d, order, bits = ctx.d, ctx.s1_order, ctx.s1_bits
+    d, order, s1 = ctx.d, ctx.s1_order, ctx.odd_height_one_roots
     rise = ctx.even_positive_roots
     steps = rise | {neg(e) for e in rise}
     # L * (y, x) is the dot product of y with weight[n], x = order[n]
@@ -844,7 +839,7 @@ def structural_masks(ctx: GradedContext) -> tuple[list[int], list[int]]:
             c = 2 * sum(map(mul, short, weight[ln])) // norm[ln]
             if c == 1:
                 twice = tuple(2 * a - b for a, b in zip(long, short))
-                root = step and twice in bits
+                root = step and twice in s1
             else:
                 root = c < 0 or step
             if root:

@@ -1,77 +1,111 @@
 """Affine Weyl group elements.
 
-An element is its action matrix (column i = image of the i-th simple root, in
-simple-root coordinates) and a reduced word, nothing else.  Every element is
-built from the identity by checked right extension w -> w*s_i, which needs
-w(alpha_i) > 0; there is no group product, inverse matrix or search.  A closed
-form that is a product with lengths adding is built from its factors' words
-put end to end.  The inversion set {gamma > 0 : w^{-1}(gamma) < 0} is read
-off the reduced word on each request: for w = s_{i1}...s_{il} it is
-{s_{i1}...s_{i(j-1)}(alpha_{ij})}.  Length equals the inversion count, and
-the right weak order is containment of inversion sets.
+An element is its action matrix and a reduced word, nothing else.  Column i,
+w(alpha_i), is packed in one int: a vector a is sum of a_t * 2**(W*t),
+signed W-bit fields, little-endian by node (`pack`, `unpack`).  Packing is
+linear, so w*s_i rewrites a column with one int operation.  Every root of a
+Kac-Moody algebra has all its coordinates >= 0 or all <= 0 (Kac,
+Infinite-dimensional Lie algebras, 1.3), so the int has the root's sign:
+w(alpha_i) > 0 is `cols[i] > 0`.  Columns are decoded to tuples only at the
+edges: `apply`, `inversions` and the `mat` view.
+
+Every element is built from the identity by checked right extension
+w -> w*s_i, which needs w(alpha_i) > 0; there is no group product, inverse
+matrix or search.  A closed form that is a product with lengths adding is
+built from its factors' words put end to end.  The inversion set
+{gamma > 0 : w^{-1}(gamma) < 0} is read off the reduced word on each
+request: for w = s_{i1}...s_{il} it is {s_{i1}...s_{i(j-1)}(alpha_{ij})}.
+Length equals the inversion count, and the right weak order is containment
+of inversion sets.
 """
 
 from __future__ import annotations
 
 from math import prod
-from operator import add, neg
 from typing import Iterable, Optional
 
 from .cartan import AffineDiagram, finite_type_sizes, positive_root_count
-from .roots import Root, dominant_ascent, is_negative, is_positive, pair
+from .roots import Root, dominant_ascent, pair
 
-Cols = tuple[Root, ...]
+W = 16  # bits per coordinate field
+# Packed vectors have sum |a_t| < BOUND, so the fields hold their coordinates
+# exactly and packing is injective; `pack` and `_right_mult_simple` raise
+# OverflowError otherwise.  As 2**W = 1 mod 2**W - 1, a packed root's int mod
+# 2**W - 1 is its height up to sign, if that is below 2**W - 1: affine Cartan
+# entries are >= -4, so col_j - A[i][j]*col_i has height below 5 * BOUND.
+# Poset columns of the whole catalog have coordinates within 6.
+BOUND = 1 << (W - 4)
+_FIELD = (1 << W) - 1
 
 
-def _apply_cols(cols: Cols, a: Root) -> Root:
+def pack(a: Root) -> int:
+    """sum of a_t * 2**(W*t); OverflowError if sum |a_t| reaches BOUND."""
+    if sum(map(abs, a)) >= BOUND:
+        raise OverflowError(f"{a} is past the packed bound {BOUND}")
+    return sum(x << (W * t) for t, x in enumerate(a))
+
+
+def unpack(col: int, n: int) -> Root:
+    """The n coordinates of a packed root, which all have the int's sign."""
+    mag, sign = (col, 1) if col > 0 else (-col, -1)
+    return tuple(sign * (mag >> (W * t) & _FIELD) for t in range(n))
+
+
+def _apply_cols(mat: tuple[Root, ...], a: Root) -> Root:
     n = len(a)
     out = [0] * n
     for j, c in enumerate(a):
         if c:
-            col = cols[j]
+            col = mat[j]
             for t in range(n):
                 out[t] += c * col[t]
     return tuple(out)
 
 
-def _right_mult_simple(d: AffineDiagram, mat: Cols, i: int) -> Cols:
-    """Matrix of w*s_i from that of w.
+def _right_mult_simple(d: AffineDiagram, cols: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """Packed columns of w*s_i from those of w.
 
     w*s_i(alpha_j) = w(alpha_j) - A[i][j]*w(alpha_i), so only column i, which
     is negated, and the columns of i's neighbors change; every other column
-    is reused (Humphreys, Reflection Groups and Coxeter Groups, 5.4)."""
+    is reused (Humphreys, Reflection Groups and Coxeter Groups, 5.4).  A
+    changed column of height past the bound raises OverflowError."""
     row = d.cartan[i]
-    col_i = mat[i]
-    out = list(mat)
-    out[i] = tuple(map(neg, col_i))
+    col_i = cols[i]
+    out = list(cols)
+    out[i] = -col_i
     for j in d.neighbor_table[i]:
-        c = row[j]
-        col = mat[j]
-        out[j] = tuple(map(add, col, col_i)) if c == -1 else tuple(
-            [x - c * y for x, y in zip(col, col_i)])
+        c = out[j] = cols[j] - row[j] * col_i
+        if abs(c) % _FIELD >= BOUND:
+            raise OverflowError(f"w*s_{i} has a column past the packed bound {BOUND}")
     return tuple(out)
 
 
 class WeylElement:
-    """Group element: its matrix and a reduced word."""
+    """Group element: its packed columns and a reduced word."""
 
-    __slots__ = ("d", "word", "mat")
+    __slots__ = ("d", "word", "cols")
 
-    def __init__(self, d: AffineDiagram, word: tuple[int, ...], mat: Cols):
+    def __init__(self, d: AffineDiagram, word: tuple[int, ...], cols: tuple[int, ...]):
         self.d = d
         self.word = word
-        self.mat = mat
+        self.cols = cols
+
+    @property
+    def mat(self) -> tuple[Root, ...]:
+        """The action matrix decoded: column i is w(alpha_i) as a tuple."""
+        n = self.d.size
+        return tuple(unpack(c, n) for c in self.cols)
 
     @property
     def inversions(self) -> frozenset[Root]:
         """{gamma > 0 : w^{-1}(gamma) < 0}: each letter's simple root under
         the prefix of the reduced word before it."""
         out = []
-        mat = self.d.simple_roots
+        cols = identity(self.d).cols
         for i in self.word:
-            out.append(mat[i])
-            mat = _right_mult_simple(self.d, mat, i)
-        return frozenset(out)
+            out.append(cols[i])
+            cols = _right_mult_simple(self.d, cols, i)
+        return frozenset(unpack(c, self.d.size) for c in out)
 
     @property
     def length(self) -> int:
@@ -82,22 +116,22 @@ class WeylElement:
 
     def extend(self, i: int) -> Optional["WeylElement"]:
         """w*s_i if that is longer (image of alpha_i positive), else None."""
-        if not is_positive(self.mat[i]):
+        if self.cols[i] < 0:
             return None
-        return WeylElement(self.d, self.word + (i,), _right_mult_simple(self.d, self.mat, i))
+        return WeylElement(self.d, self.word + (i,), _right_mult_simple(self.d, self.cols, i))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeylElement) and self.mat == other.mat
+        return isinstance(other, WeylElement) and self.cols == other.cols
 
     def __hash__(self) -> int:
-        return hash(self.mat)
+        return hash(self.cols)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<w {'.'.join(map(str, self.word)) or 'e'}>"
 
 
 def identity(d: AffineDiagram) -> WeylElement:
-    return WeylElement(d, (), d.simple_roots)
+    return WeylElement(d, (), tuple(1 << W * i for i in d.nodes))
 
 
 def longest_element(
@@ -114,11 +148,11 @@ def longest_element(
     cap = positive_root_count(d, s)
     w = identity(d) if start is None else start
     for _ in range(cap):
-        i = next((i for i in s if is_positive(w.mat[i])), None)
+        i = next((i for i in s if w.cols[i] > 0), None)
         if i is None:
             return w
         w = w.extend(i)
-    if not all(is_negative(w.mat[i]) for i in s):
+    if any(w.cols[i] > 0 for i in s):
         raise RuntimeError(f"no longest element on nodes {s} within length {cap}")
     return w
 

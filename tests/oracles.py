@@ -7,11 +7,14 @@ through simple reflections; it is the reference for
 norm rule.  The root kernel has two references: `fraction_form`, the
 invariant form summed in Fraction from the symmetrizer, where the library
 reads integer Gram rows scaled by L; and
-`right_mult_simple`, which rewrites every column of w*s_i, where the library
-rewrites only column i and its neighbors.  `scan_poset` is the poset BFS
-that looks up every column of every frontier element, where
-`minuscule.enumerate_poset` carries each element's ascents and looks up
-only the columns s_i changed.  The group product builds any
+`right_mult_simple`, which rewrites every column of w*s_i as a tuple, where
+the library rewrites only column i and its neighbors, each packed in one
+int.  `fraction_kernel_vector` finds marks and comarks by elimination in
+Fraction, where `cartan._kernel_vector` eliminates fraction-free.
+`scan_poset` is the poset BFS on tuple columns, all rewritten at each
+step, and `tuple_family_table` reads its families off them, where
+`minuscule.enumerate_poset` and `MinusculePoset` read packed columns and
+look them up as ints.  The group product builds any
 element from its matrix and the matrix of its inverse: it reads a canonical
 reduced word off the inverse matrix and replays it, where the library only
 extends reduced words on the right and concatenates the words of
@@ -29,13 +32,14 @@ the closed form w0(J')*w0(J) (`minuscule.special_involution`).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from borelab.cartan import AffineDiagram, _classify_component, components
 from borelab.grading import GradedContext
-from borelab.minuscule import MinusculePoset
 from borelab.roots import (
     Root,
     add,
@@ -50,13 +54,9 @@ from borelab.roots import (
     simple_root,
     sub,
 )
-from borelab.weyl import (
-    Cols,
-    WeylElement,
-    _apply_cols,
-    _word_element,
-    identity,
-)
+from borelab.weyl import WeylElement, _apply_cols, _word_element, identity, pack
+
+Cols = tuple[Root, ...]
 
 
 @lru_cache(maxsize=None)
@@ -130,14 +130,68 @@ def right_mult_simple(d: AffineDiagram, mat: Cols, i: int) -> Cols:
     )
 
 
-def scan_poset(ctx: GradedContext, max_length: Optional[int] = None) -> MinusculePoset:
-    """The poset BFS, level by level in node order, looking up every column
-    of every frontier element in S1."""
+def fraction_kernel_vector(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Primitive positive integer kernel vector of a corank-1 square matrix,
+    by Gauss-Jordan elimination in Fraction."""
+    n = len(matrix)
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, n) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pivots.append(c)
+        pivot = rows[r][c]
+        rows[r] = [x / pivot for x in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == n:
+            break
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        raise ValueError(f"matrix has corank {len(free)}, expected 1")
+    f = free[0]
+    sol = [Fraction(0)] * n
+    sol[f] = Fraction(1)
+    for row, c in zip(rows, pivots):
+        sol[c] = -row[f]
+    denom = lcm(*(x.denominator for x in sol))
+    ints = [int(x * denom) for x in sol]
+    g = gcd(*ints)
+    ints = [x // g for x in ints]
+    if any(x < 0 for x in ints):
+        ints = [-x for x in ints]
+    if any(x <= 0 for x in ints):
+        raise ValueError("kernel vector is not strictly positive")
+    return tuple(ints)
+
+
+@dataclass
+class TuplePoset:
+    """What `scan_poset` finds: each element's word and tuple matrix."""
+
+    words: list[tuple[int, ...]]
+    mats: list[Cols]
+    masks: list[int]
+    edges: list[tuple[int, int]]
+    by_mask: dict[int, int]
+    complete: bool
+
+
+def scan_poset(ctx: GradedContext, max_length: Optional[int] = None) -> TuplePoset:
+    """The poset BFS on tuple columns, level by level in node order,
+    looking up every column of every frontier element in S1."""
     d = ctx.d
-    bits = ctx.s1_bits
+    bits = {a: 1 << n for n, a in enumerate(ctx.s1_order)}
     nodes = range(d.size)
     cap = len(bits) if max_length is None else min(max_length, len(bits))
-    elements = [WeylElement(d, (), _identity_cols(d))]
+    words: list[tuple[int, ...]] = [()]
+    mats = [_identity_cols(d)]
     masks = [0]
     by_mask = {0: 0}
     edges: list[tuple[int, int]] = []
@@ -146,31 +200,43 @@ def scan_poset(ctx: GradedContext, max_length: Optional[int] = None) -> Minuscul
     depth = 0
     while frontier:
         if depth == cap:
-            truncated = any(elements[p].mat[i] in bits for p in frontier for i in nodes)
+            truncated = any(mats[p][i] in bits for p in frontier for i in nodes)
             break
         depth += 1
         new_frontier: list[int] = []
         for src in frontier:
-            w, mask = elements[src], masks[src]
+            mat, mask = mats[src], masks[src]
             for i in nodes:
-                b = bits.get(w.mat[i])
+                b = bits.get(mat[i])
                 if b is None:
                     continue
                 if mask & b:
-                    raise RuntimeError(f"column {w.mat[i]} is already an inversion of {w.word}")
+                    raise RuntimeError(f"column {mat[i]} is already an inversion of {words[src]}")
                 key = mask | b
                 tgt = by_mask.get(key)
                 if tgt is None:
-                    tgt = by_mask[key] = len(elements)
-                    elements.append(
-                        WeylElement(d, w.word + (i,), right_mult_simple(d, w.mat, i)))
+                    tgt = by_mask[key] = len(mats)
+                    words.append(words[src] + (i,))
+                    mats.append(right_mult_simple(d, mat, i))
                     masks.append(key)
                     new_frontier.append(tgt)
                 edges.append((src, tgt))
         frontier = new_frontier
-    return MinusculePoset(
-        ctx, tuple(elements), tuple(masks), tuple(edges), not truncated, by_mask
-    )
+    return TuplePoset(words, mats, masks, edges, by_mask, not truncated)
+
+
+def tuple_family_table(
+    ctx: GradedContext, mats: Sequence[Cols]
+) -> dict[tuple[int, int], tuple[int, ...]]:
+    """(alpha, wall index) -> positions of the matrices whose column alpha
+    is that wall's root, in order."""
+    table: dict[tuple[int, int], list[int]] = {}
+    for pos, mat in enumerate(mats):
+        for a, col in enumerate(mat):
+            for wall in ctx.walls:
+                if col == wall.root:
+                    table.setdefault((a, wall.index), []).append(pos)
+    return {k: tuple(v) for k, v in table.items()}
 
 
 def word_matrix(d: AffineDiagram, word: Iterable[int]) -> Cols:
@@ -212,7 +278,7 @@ def _from_mats(d: AffineDiagram, mat: Cols, inv: Cols) -> WeylElement:
         replay = right_mult_simple(d, replay, i)
     if replay != mat:
         raise RuntimeError("matrix does not define a group element")
-    return WeylElement(d, word, mat)
+    return WeylElement(d, word, tuple(map(pack, mat)))
 
 
 def from_word(d: AffineDiagram, word: Iterable[int]) -> WeylElement:

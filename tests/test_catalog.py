@@ -2,21 +2,29 @@
 up to rank 11: adjoint gradings included, none deduplicated (482 gradings).
 
 They check the rules the library uses in place of a search against the
-search itself (`oracles.root_kind`, the subsystem closure), run `verify_all`
-on every element of every poset, and compare gradings related by a diagram
-automorphism, whose posets must be isomorphic.  Never shrink the label list
-to make a failure go away.
+search itself (`oracles.root_kind`, the subsystem closure), the packed-column
+BFS and the integer kernel against their tuple and Fraction references, run
+`verify_all` on every element of every poset, and compare gradings related by
+a diagram automorphism, whose posets must be isomorphic.  Never shrink the
+label list to make a failure go away.
 """
 
 from collections import Counter
 
 import pytest
 
-from borelab.cartan import diagram_automorphisms, load_diagram
+from borelab.cartan import _kernel_vector, diagram_automorphisms, load_diagram
 from borelab.grading import analyze, catalog_involutions
 from borelab.minuscule import enumerate_poset, verify_all
 from borelab.roots import add, ht, subsystem_closure
-from oracles import fraction_form, is_real_root
+from borelab.weyl import BOUND, pack, unpack
+from oracles import (
+    fraction_form,
+    fraction_kernel_vector,
+    is_real_root,
+    scan_poset,
+    tuple_family_table,
+)
 
 UNTWISTED = (
     [f"A{n}~1" for n in range(1, 10)]
@@ -79,6 +87,42 @@ def test_component_theta_is_highest_root_of_closure(catalog):
             assert comp.theta == max(closure, key=ht), (ctx.spec.describe(), comp.nodes)
             multi_node += len(comp.nodes) > 1
     assert multi_node == 580
+
+
+def test_kernel_vector_matches_fraction_elimination():
+    # marks and comarks: fraction-free elimination against Fraction
+    for label in LABELS:
+        cartan = load_diagram(label).cartan
+        for matrix in (cartan, tuple(zip(*cartan))):
+            assert _kernel_vector(matrix) == fraction_kernel_vector(matrix), label
+    with pytest.raises(ValueError, match="corank 2"):
+        _kernel_vector([[0, 0, 0], [0, 2, -1], [0, -4, 2]])
+
+
+def test_packed_bfs_matches_tuple_reference(catalog):
+    # the same words, decoded columns, masks, covers and families, in order
+    for ctx in catalog:
+        name = ctx.spec.describe()
+        got, want = enumerate_poset(ctx), scan_poset(ctx)
+        assert [w.word for w in got.elements] == want.words, name
+        assert [w.mat for w in got.elements] == want.mats, name
+        assert (list(got.masks), list(got.edges)) == (want.masks, want.edges), name
+        assert (got.by_mask, got.complete) == (want.by_mask, want.complete), name
+        assert got._family_table == tuple_family_table(ctx, want.mats), name
+
+
+def test_packed_columns_round_trip(catalog):
+    # every column of every poset element decodes to a real root of one
+    # sign, with the int's sign, inside the field bound, and packs back
+    top = 0
+    for ctx in catalog:
+        d = ctx.d
+        for col in {c for w in enumerate_poset(ctx).elements for c in w.cols}:
+            a = unpack(col, d.size)
+            assert pack(a) == col and is_real_root(d, a), (ctx.spec.describe(), a)
+            assert all(x >= 0 for x in a) if col > 0 else all(x <= 0 for x in a), a
+            top = max(top, *map(abs, a))
+    assert top == 6 < BOUND
 
 
 def test_verify_all_whole_catalog(catalog):

@@ -12,6 +12,7 @@ from borelab.minuscule import (
     check_bounding_equivalence,
     check_coset_isomorphism,
     check_intersections,
+    check_maxima,
     check_poset_basics,
     check_special_involutions,
     check_structural,
@@ -38,7 +39,7 @@ from borelab.roots import (
     simple_root,
 )
 import borelab.weyl as weyl
-from borelab.weyl import dominant_mapper, identity, longest_element
+from borelab.weyl import dominant_mapper, identity, longest_element, pack, unpack
 from oracles import (
     coset_poset,
     decompositions,
@@ -150,6 +151,26 @@ def test_special_involution_closed_forms():
     assert special_involution(ctx, comp) == from_reflection(
         ctx.d, (0, 1, 1, 1, 1))
     assert special_involution(ctx, comp).length == 8 - 2 + 1
+
+
+def test_maxima_parametrization_built_once(d5):
+    # one build per poset; the refusals raise again on every read
+    ctx, full = d5
+    p = enumerate_poset(ctx)
+    items = maxima_parametrization(p)
+    assert maxima_parametrization(p) is items and p.parametrization is items
+    assert items == maxima_parametrization(full) and check_maxima(p).passed
+    short = enumerate_poset(ctx, max_length=2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="truncated at length 2"):
+            maxima_parametrization(short)
+    bad = copy.copy(enumerate_poset(ctx))
+    w1 = ctx.walls[0]
+    bad._family_table = {**bad._family_table, (0, w1.index): bad.maxima[:2]}
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"family \(0, wall 1\) has 2 maximal elements"):
+            maxima_parametrization(bad)
+    assert check_maxima(bad).detail == "family (0, wall 1) has 2 maximal elements"
 
 
 def test_max_length_truncation(d5):
@@ -264,7 +285,7 @@ def reference_verdict(ctx, inv):
 
 
 def mask_of(ctx, roots):
-    return sum(ctx.s1_bits[a] for a in roots)
+    return sum(ctx.s1_bits[pack(a)] for a in roots)
 
 
 def test_structural_verdict_matches_reference(d5, e8):
@@ -422,7 +443,7 @@ def test_coset_translates_match_oracle(sweep):
             ambient, subgroup = ctx.quotient_data(a, wall)
             index, reps = coset_translates(p, p.position(m), ambient, subgroup)
             got = {
-                frozenset(root for root, bit in index.items() if mask & bit): img
+                frozenset(unpack(col, ctx.d.size) for col, bit in index.items() if mask & bit): img
                 for mask, img in reps
             }
             want = {u.inversions: p.position(product(m, u))
@@ -516,8 +537,9 @@ def test_structural_masks_match_root_kind_oracle():
                 assert partner[n] == expect, (spec.describe(), x)
             for n, (g, pairs) in enumerate(decompositions(ctx).items()):
                 assert g == order[n]
-                parts = [a if a in ctx.s1_bits else b for a, b in pairs]
-                assert all((a in ctx.s1_bits) != (b in ctx.s1_bits) for a, b in pairs)
+                s1 = ctx.odd_height_one_roots
+                parts = [a if a in s1 else b for a, b in pairs]
+                assert all((a in s1) != (b in s1) for a, b in pairs)
                 assert down[n] == mask_of(ctx, set(parts)), (spec.describe(), g)
     assert gradings == 143
 
@@ -787,8 +809,9 @@ def test_integer_kernel_matches_fraction_reference():
 
 
 def test_enumerate_poset_matches_scan_reference():
-    # the incremental BFS against the one that looks up every column: the
-    # same elements, words, masks and covers in the same order
+    # the incremental BFS on packed columns against the tuple one that looks
+    # up every column: the same elements, words, masks and covers in the
+    # same order
     gradings = 0
     for name, ctx in oracle_gradings():
         gradings += 1
@@ -796,10 +819,10 @@ def test_enumerate_poset_matches_scan_reference():
         for max_length in (None, 0, 2, max(top - 1, 0)):
             got = enumerate_poset(ctx, max_length)
             want = scan_poset(ctx, max_length)
-            assert [w.mat for w in got.elements] == [w.mat for w in want.elements], name
-            assert [w.word for w in got.elements] == [w.word for w in want.elements], name
-            assert got.masks == want.masks, (name, max_length)
-            assert got.edges == want.edges, (name, max_length)
+            assert [w.mat for w in got.elements] == want.mats, name
+            assert [w.word for w in got.elements] == want.words, name
+            assert list(got.masks) == want.masks, (name, max_length)
+            assert list(got.edges) == want.edges, (name, max_length)
             assert got.by_mask == want.by_mask, (name, max_length)
             assert got.complete == want.complete, (name, max_length)
     assert gradings == 146

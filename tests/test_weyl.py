@@ -78,9 +78,9 @@ def test_descents():
     # i is a right descent of w when w(alpha_i) < 0, a left one when
     # w^{-1}(alpha_i) < 0
     w = from_word(A2, [1, 2])
-    assert is_negative(w.mat[2])
+    assert is_negative(w.mat[2]) and w.cols[2] < 0
     assert is_negative(inverse_matrix(w)[1])
-    assert is_positive(w.mat[1])
+    assert is_positive(w.mat[1]) and w.cols[1] > 0
 
 
 def assert_inversions_by_definition(w):
@@ -331,8 +331,11 @@ def test_right_mult_matches_all_columns_reference():
             w, ref = identity(d), identity(d).mat
             for _ in range(40):
                 i = rng.choice([i for i in d.nodes if is_positive(w.mat[i])])
-                assert weyl._right_mult_simple(d, w.mat, i) == right_mult_simple(d, w.mat, i)
+                packed = weyl._right_mult_simple(d, w.cols, i)
+                assert tuple(weyl.unpack(c, d.size) for c in packed) == right_mult_simple(
+                    d, w.mat, i)
                 w, ref = w.extend(i), right_mult_simple(d, ref, i)
                 assert w.mat == ref, (label, w.word)
+                assert w.cols == tuple(map(weyl.pack, ref)), (label, w.word)
                 steps += 1
     assert steps == 4 * 40 * len(CATALOG_LABELS) == 8160
