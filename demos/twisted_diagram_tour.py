@@ -26,9 +26,8 @@ for (nrm, cx), count in sorted(groups.items()):
 print()
 
 for wall in ctx.walls:
-    fam = ctx.family_indices(wall)
     print(f"wall {wall.index} ({wall.kind}, type {wall.wall_type}): root {wall.root}, "
-          f"family heads {fam}, blocked {ctx.blocked_nodes(wall)}")
+          f"family heads {wall.heads}, blocked {wall.blocked}")
 print()
 
 poset = enumerate_poset(ctx)
@@ -42,12 +41,11 @@ for ln in sorted(levels):
 print()
 
 print("family minima (words as spelled in the level listing above):")
-for wall in ctx.walls:
-    for a in ctx.family_indices(wall):
-        m = poset.elements[poset.position(family_minimum(ctx, a, wall))]
-        size = len(poset.family(a, wall))
-        print(f"  (alpha{a}, wall {wall.index}): size {size}, "
-              f"minimum {'.'.join(map(str, m.word))}")
+for a, wall in ctx.families:
+    m = poset.elements[poset.position(family_minimum(ctx, a, wall))]
+    size = len(poset.family(a, wall))
+    print(f"  (alpha{a}, wall {wall.index}): size {size}, "
+          f"minimum {'.'.join(map(str, m.word))}")
 print()
 
 comp = ctx.components[0]

@@ -147,7 +147,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 f"  maxima:   {len(poset.maxima)}   dimensions: {dims}",
             ]
             for w in ctx.walls:
-                fam = ",".join(str(a) for a in ctx.family_indices(w))
+                fam = ",".join(str(a) for a in w.heads)
                 lines.append(
                     f"  wall {w.index} ({w.kind}, type {w.wall_type}): "
                     f"root {list(w.root)}  families at [{fam}]"

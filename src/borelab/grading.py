@@ -10,7 +10,6 @@ combinatorial data driving the family analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional
@@ -20,10 +19,10 @@ from .cartan import diagram_automorphisms, load_diagram
 from .roots import (
     Root,
     coroot_pair,
+    form,
     highest_root,
     ht_subset,
     is_long,
-    norm_sq,
     pair,
     simple_root,
     subsystem_closure,
@@ -124,11 +123,9 @@ class EvenComponent:
     index: int
     nodes: tuple[int, ...]
     theta: Root
-    theta_norm: Fraction
     pairing_row: tuple[int, ...]  # <alpha_j, theta^vee> per node j
     level: int  # r: minus the pairing of an odd simple root with theta^vee
     eps: int  # 2 for a single-node component, else 1
-    boundary: tuple[int, ...]  # nodes pairing with theta^vee by exactly eps
     sub_dual_coxeter: int
     wall_included: bool
     region: tuple[int, ...]  # nodes of the attached subdiagram A
@@ -137,11 +134,19 @@ class EvenComponent:
 
 @dataclass(frozen=True)
 class Wall:
-    """A non-simple bounding root: k*delta - theta, or k*delta + beta."""
+    """A non-simple bounding root: k*delta - theta, or k*delta + beta, with
+    the simple nodes heading a nonempty family at it.
+
+    Its blocked nodes are those whose reflections are excluded from family
+    stabilizers at this wall: the simples pairing by 1 with the component's
+    highest coroot for a type-1 wall, all odd nodes for a type-2 wall, and
+    the defining odd node itself for an odd wall."""
 
     index: int  # 1-based position in the wall list
     kind: str  # "component" or "odd"
     root: Root
+    heads: tuple[int, ...]
+    blocked: tuple[int, ...]
     component: Optional[EvenComponent] = None
     node: Optional[int] = None  # the odd simple node, for kind "odd"
     wall_type: int = 1
@@ -159,6 +164,9 @@ class GradedContext:
         self.delta = self.d.marks
         self.components = self._build_components()
         self.walls = self._build_walls()
+        # the (alpha, wall) pairs heading a family: walls in order, heads in
+        # order within a wall
+        self.families = tuple((a, w) for w in self.walls for a in w.heads)
         # (alpha, wall index) -> closed-form family minimum, filled by
         # `minuscule.family_minimum`.
         self.family_minima: dict = {}
@@ -187,7 +195,6 @@ class GradedContext:
             row = tuple(coroot_pair(d, theta, simple_root(d, j)) for j in d.nodes)
             eps = 2 if len(nodes) == 1 else 1
             level = -row[min(self.odd)]
-            nrm = norm_sq(d, theta)
             neg = [i for i in d.nodes if row[i] <= 0]
             region: set[int] = set()
             for comp in diagram_components(d, neg):
@@ -198,13 +205,11 @@ class GradedContext:
                     index=idx,
                     nodes=nodes,
                     theta=theta,
-                    theta_norm=nrm,
                     pairing_row=row,
                     level=level,
                     eps=eps,
-                    boundary=tuple(i for i in d.nodes if row[i] == eps),
                     sub_dual_coxeter=finite_dual_coxeter(d, nodes, theta),
-                    wall_included=nrm >= 1,
+                    wall_included=form(d, theta, theta) >= d.form_scale,
                     region=tuple(sorted(region)),
                     region_in_component=tuple(sorted(region & set(nodes))),
                 )
@@ -212,28 +217,28 @@ class GradedContext:
         return tuple(out)
 
     def _build_walls(self) -> tuple[Wall, ...]:
-        d, k = self.d, self.k
+        d, k, odd = self.d, self.k, self.odd
         walls = []
         for comp in self.components:
             if not comp.wall_included:
                 continue
             root = tuple(k * m - t for m, t in zip(self.delta, comp.theta))
-            walls.append(
-                Wall(
-                    index=len(walls) + 1,
-                    kind="component",
-                    root=root,
-                    component=comp,
-                    wall_type=self.root_type(root),
-                )
-            )
-        for b in self.odd:
+            wall_type = self.root_type(root)
+            if wall_type == 1:
+                heads = tuple(i for i in comp.region if is_long(d, simple_root(d, i)))
+                blocked = tuple(i for i in d.nodes if comp.pairing_row[i] == 1)
+            else:
+                heads = tuple(
+                    i for i in comp.nodes if is_long(d, simple_root(d, i), comp.nodes))
+                blocked = odd
+            walls.append(Wall(len(walls) + 1, "component", root, heads, blocked,
+                              component=comp, wall_type=wall_type))
+        for b in odd:
             beta = simple_root(d, b)
             if self.root_type(beta) == 1:
                 root = tuple(k * m + x for m, x in zip(self.delta, beta))
-                walls.append(
-                    Wall(index=len(walls) + 1, kind="odd", root=root, node=b, wall_type=1)
-                )
+                heads = odd if len(odd) == 1 else tuple(i for i in odd if i != b)
+                walls.append(Wall(len(walls) + 1, "odd", root, heads, (b,), node=b))
         return tuple(walls)
 
     @cached_property
@@ -299,33 +304,6 @@ class GradedContext:
         out.update(w.root for w in self.walls)
         return frozenset(out)
 
-    def family_indices(self, wall: Wall) -> tuple[int, ...]:
-        """Simple nodes heading a nonempty family at this wall."""
-        d = self.d
-        if wall.kind == "odd":
-            if len(self.odd) == 1:
-                return tuple(self.odd)
-            return tuple(i for i in self.odd if i != wall.node)
-        comp = wall.component
-        assert comp is not None
-        if wall.wall_type == 1:
-            return tuple(i for i in comp.region if is_long(d, simple_root(d, i)))
-        return tuple(i for i in comp.nodes if is_long(d, simple_root(d, i), comp.nodes))
-
-    def blocked_nodes(self, wall: Wall) -> tuple[int, ...]:
-        """Nodes whose reflections are excluded from family stabilizers at
-        this wall: the simples pairing by 1 with the component's highest
-        coroot for a type-1 wall, all odd nodes for a type-2 wall, and the
-        defining odd node itself for an odd wall."""
-        if wall.kind == "odd":
-            assert wall.node is not None
-            return (wall.node,)
-        comp = wall.component
-        assert comp is not None
-        if wall.wall_type == 1:
-            return tuple(i for i in self.d.nodes if comp.pairing_row[i] == 1)
-        return self.odd
-
     def perp_nodes(self, alpha: int) -> tuple[int, ...]:
         """Nodes whose simple root is orthogonal to alpha's."""
         return tuple(i for i in self.d.nodes if i != alpha and self.d.cartan[i][alpha] == 0)
@@ -339,8 +317,7 @@ class GradedContext:
         component and the odd set).
         """
         perp = self.perp_nodes(alpha)
-        blocked = set(self.blocked_nodes(wall))
-        reduced = tuple(i for i in perp if i not in blocked)
+        reduced = tuple(i for i in perp if i not in wall.blocked)
         starred = [simple_root(self.d, i) for i in reduced]
         comp = wall.component
         if (

@@ -233,19 +233,12 @@ def theta_mapper(ctx: GradedContext, comp: EvenComponent, x: int) -> WeylElement
 
 
 def intersection_minimum(
-    ctx: GradedContext, ca: EvenComponent, x: int, cb: EvenComponent, y: int,
-    u: Optional[WeylElement] = None,
-    vx: Optional[WeylElement] = None,
-    vy: Optional[WeylElement] = None,
+    ctx: GradedContext, u: WeylElement, vx: WeylElement, vy: WeylElement
 ) -> WeylElement:
-    """Minimum of the intersection of the two crossed families:
-    x in ca mapping to cb's wall, y in cb mapping to ca's wall, as the
-    reduced word of u*vx*vy.  `u` is `u_element(ctx, ca, cb)`, `vx` and `vy`
-    are `theta_mapper(ctx, ca, x)` and `theta_mapper(ctx, cb, y)`; each is
-    built here unless the caller has it."""
-    u = u or u_element(ctx, ca, cb)
-    vx = vx or theta_mapper(ctx, ca, x)
-    vy = vy or theta_mapper(ctx, cb, y)
+    """Minimum of the intersection of two crossed families, x in component
+    ca mapping to cb's wall and y in cb mapping to ca's wall, spelled as the
+    reduced word of u*vx*vy: u is `u_element(ctx, ca, cb)`, vx and vy are
+    `theta_mapper(ctx, ca, x)` and `theta_mapper(ctx, cb, y)`."""
     return _word_element(ctx.d, u.word + vx.word + vy.word)
 
 
@@ -257,18 +250,20 @@ def type_one_nodes(ctx: GradedContext, nodes: Iterable[int]) -> tuple[int, ...]:
     )
 
 
+def minimum_length(ctx: GradedContext, wall: Wall) -> int:
+    """Closed-form length of every family minimum at this wall."""
+    g0 = dual_coxeter_number(ctx.d)
+    if wall.kind == "component" and wall.wall_type == 1:
+        return g0 - wall.component.sub_dual_coxeter
+    return g0 - 1
+
+
 def single_dimension(ctx: GradedContext, alpha: int, wall: Wall) -> int:
     """Closed-form dimension of the family maximum at (alpha, wall)."""
-    g0 = dual_coxeter_number(ctx.d)
     perp = ctx.perp_nodes(alpha)
-    blocked = set(ctx.blocked_nodes(wall))
-    reduced = tuple(i for i in perp if i not in blocked)
-    base = (
-        g0 - wall.component.sub_dual_coxeter
-        if wall.kind == "component" and wall.wall_type == 1
-        else g0 - 1
-    )
-    return base + positive_root_count(ctx.d, perp) - positive_root_count(ctx.d, reduced)
+    reduced = tuple(i for i in perp if i not in wall.blocked)
+    return (minimum_length(ctx, wall)
+            + positive_root_count(ctx.d, perp) - positive_root_count(ctx.d, reduced))
 
 
 def pair_dimension(ctx: GradedContext, x: int, y: int) -> int:
@@ -311,12 +306,8 @@ def _parametrize(poset: MinusculePoset) -> tuple[MaximumItem, ...]:
 
     component_walls = [w for w in ctx.walls if w.kind == "component"]
     for wall in component_walls:
-        comp = wall.component
-        assert comp is not None
-        if wall.wall_type == 1:
-            heads = type_one_nodes(ctx, comp.region_in_component)
-        else:
-            heads = ctx.family_indices(wall)
+        heads = (type_one_nodes(ctx, wall.component.region_in_component)
+                 if wall.wall_type == 1 else wall.heads)
         for a in heads:
             add("component", (a,), (wall.index,), poset.family(a, wall),
                 single_dimension(ctx, a, wall),
@@ -333,10 +324,8 @@ def _parametrize(poset: MinusculePoset) -> tuple[MaximumItem, ...]:
                     both = sorted(set(poset.family(x, wb)) & set(poset.family(y, wa)))
                     add("pair", (x, y), (wb.index, wa.index), both, pair_dimension(ctx, x, y),
                         f"pair ({x}, {y})", f"alpha{x}&alpha{y}")
-    for wall in ctx.walls:
-        if wall.kind != "odd":
-            continue
-        for a in ctx.family_indices(wall):
+    for a, wall in ctx.families:
+        if wall.kind == "odd":
             add("odd", (a,), (wall.index,), poset.family(a, wall),
                 single_dimension(ctx, a, wall),
                 f"family ({a}, wall {wall.index})", f"alpha{a}@wall{wall.index}")
@@ -355,6 +344,12 @@ class CheckResult:
 
 def _check(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
+
+
+def _verdict(name: str, problems: list[str], ok: str) -> CheckResult:
+    """Passed with the detail `ok` when there are no problems, else failed
+    with the first problem as its detail."""
+    return CheckResult(name, not problems, problems[0] if problems else ok)
 
 
 def verify_all(poset: MinusculePoset, structural_limit: int = 600) -> list[CheckResult]:
@@ -446,11 +441,8 @@ def check_poset_basics(poset: MinusculePoset) -> CheckResult:
             problems.append(f"bad cover {u.word} -> {v.word}")
     if poset.elements[0].length != 0:
         problems.append("missing identity")
-    return _check(
-        "poset_basics",
-        not problems,
-        problems[0] if problems else f"{len(poset)} elements, {len(poset.edges)} covers",
-    )
+    return _verdict("poset_basics", problems,
+                    f"{len(poset)} elements, {len(poset.edges)} covers")
 
 
 def check_pairing_structure(ctx: GradedContext) -> CheckResult:
@@ -470,33 +462,25 @@ def check_pairing_structure(ctx: GradedContext) -> CheckResult:
                 problems.append(f"comp {comp.index}: even node {j} pairs {t}")
         if comp.wall_included != (comp.level <= 2):
             problems.append(f"comp {comp.index}: inclusion/level mismatch")
-    return _check(
-        "pairing_structure",
-        not problems,
-        problems[0] if problems else f"{len(ctx.components)} components structured",
-    )
+    return _verdict("pairing_structure", problems,
+                    f"{len(ctx.components)} components structured")
 
 
 def check_family_minima(poset: MinusculePoset) -> CheckResult:
     ctx = poset.ctx
     problems = []
-    for wall in ctx.walls:
-        for a in ctx.family_indices(wall):
-            fam = poset.family(a, wall)
-            if not fam:
-                problems.append(f"family ({a}, wall {wall.index}) empty")
-                continue
-            pos = poset.position(family_minimum(ctx, a, wall))
-            if pos is None or pos not in fam:
-                problems.append(f"closed-form minimum not in family ({a}, {wall.index})")
-                continue
-            if not _below_all(poset, pos, fam):
-                problems.append(f"({a}, wall {wall.index}): minimum not below all members")
-    return _check(
-        "family_minima",
-        not problems,
-        problems[0] if problems else "every family has its closed-form minimum",
-    )
+    for a, wall in ctx.families:
+        fam = poset.family(a, wall)
+        if not fam:
+            problems.append(f"family ({a}, wall {wall.index}) empty")
+            continue
+        pos = poset.position(family_minimum(ctx, a, wall))
+        if pos is None or pos not in fam:
+            problems.append(f"closed-form minimum not in family ({a}, {wall.index})")
+            continue
+        if not _below_all(poset, pos, fam):
+            problems.append(f"({a}, wall {wall.index}): minimum not below all members")
+    return _verdict("family_minima", problems, "every family has its closed-form minimum")
 
 
 def _below_all(poset: MinusculePoset, pos: int, positions: Iterable[int]) -> bool:
@@ -511,15 +495,11 @@ def check_family_completeness(poset: MinusculePoset) -> CheckResult:
     ctx = poset.ctx
     problems = []
     for wall in ctx.walls:
-        allowed = set(ctx.family_indices(wall))
         for a in ctx.d.nodes:
-            if a not in allowed and poset.family(a, wall):
+            if a not in wall.heads and poset.family(a, wall):
                 problems.append(f"unexpected family ({a}, wall {wall.index})")
-    return _check(
-        "family_completeness",
-        not problems,
-        problems[0] if problems else "families appear exactly at predicted indices",
-    )
+    return _verdict("family_completeness", problems,
+                    "families appear exactly at predicted indices")
 
 
 def coset_translates(
@@ -585,34 +565,24 @@ def check_coset_isomorphism(poset: MinusculePoset) -> CheckResult:
     ctx = poset.ctx
     masks = poset.masks
     problems = []
-    for wall in ctx.walls:
-        for a in ctx.family_indices(wall):
-            fam = poset.family(a, wall)
-            if not fam:
-                continue
-            start = poset.position(family_minimum(ctx, a, wall))
-            _, reps = coset_translates(poset, start, *ctx.quotient_data(a, wall))
-            if len(reps) != len(fam):
-                problems.append(
-                    f"({a}, wall {wall.index}): {len(reps)} cosets vs {len(fam)} members"
-                )
-                continue
-            members = set(fam)
-            if any(img not in members for _, img in reps):
-                problems.append(
-                    f"({a}, wall {wall.index}): translate of coset rep leaves family"
-                )
-                continue
-            pairs = [(r, masks[img]) for r, img in reps]
-            if any(
-                (r & ~s == 0) != (x & ~y == 0) for r, x in pairs for s, y in pairs
-            ):
-                problems.append(f"({a}, wall {wall.index}): order not preserved")
-    return _check(
-        "coset_isomorphism",
-        not problems,
-        problems[0] if problems else "families are translated coset posets",
-    )
+    for a, wall in ctx.families:
+        fam = poset.family(a, wall)
+        if not fam:
+            continue
+        start = poset.position(family_minimum(ctx, a, wall))
+        _, reps = coset_translates(poset, start, *ctx.quotient_data(a, wall))
+        if len(reps) != len(fam):
+            problems.append(
+                f"({a}, wall {wall.index}): {len(reps)} cosets vs {len(fam)} members")
+            continue
+        members = set(fam)
+        if any(img not in members for _, img in reps):
+            problems.append(f"({a}, wall {wall.index}): translate of coset rep leaves family")
+            continue
+        pairs = [(r, masks[img]) for r, img in reps]
+        if any((r & ~s == 0) != (x & ~y == 0) for r, x in pairs for s, y in pairs):
+            problems.append(f"({a}, wall {wall.index}): order not preserved")
+    return _verdict("coset_isomorphism", problems, "families are translated coset posets")
 
 
 def check_intersections(poset: MinusculePoset) -> CheckResult:
@@ -630,16 +600,15 @@ def check_intersections(poset: MinusculePoset) -> CheckResult:
             if wb.index <= wa.index:
                 continue
             paired = wa.index in crossing and wb.index in crossing
-            heads_a, heads_b = ctx.family_indices(wa), ctx.family_indices(wb)
             if paired:
                 u = u_element(ctx, wa.component, wb.component)
                 # the mappers of the nodes that can head a crossed pair
                 vx = {x: theta_mapper(ctx, wa.component, x)
-                      for x in crossing[wa.index] if x in heads_b}
+                      for x in crossing[wa.index] if x in wb.heads}
                 vy = {y: theta_mapper(ctx, wb.component, y)
-                      for y in crossing[wb.index] if y in heads_a}
-            for a in heads_a:
-                for b in heads_b:
+                      for y in crossing[wb.index] if y in wa.heads}
+            for a in wa.heads:
+                for b in wb.heads:
                     fam_a = set(poset.family(a, wa))
                     fam_b = set(poset.family(b, wb))
                     inter = fam_a & fam_b
@@ -652,8 +621,7 @@ def check_intersections(poset: MinusculePoset) -> CheckResult:
                         continue
                     if not inter:
                         continue
-                    m = intersection_minimum(
-                        ctx, wa.component, b, wb.component, a, u, vx[b], vy[a])
+                    m = intersection_minimum(ctx, u, vx[b], vy[a])
                     pos = poset.position(m)
                     if pos is None or pos not in inter:
                         problems.append(
@@ -683,11 +651,8 @@ def check_intersections(poset: MinusculePoset) -> CheckResult:
                             f"intersection ({a},{wa.index})&({b},{wb.index}): "
                             f"size {len(inter)} vs predicted {expect}"
                         )
-    return _check(
-        "intersections",
-        not problems,
-        problems[0] if problems else "intersection criterion, minima, and sizes agree",
-    )
+    return _verdict("intersections", problems,
+                    "intersection criterion, minima, and sizes agree")
 
 
 def check_maxima(poset: MinusculePoset) -> CheckResult:
@@ -709,27 +674,18 @@ def check_maxima(poset: MinusculePoset) -> CheckResult:
                 f"{it.label}: closed-form dimension {it.dimension} "
                 f"vs length {poset.elements[it.position].length}"
             )
-    return _check(
-        "maxima_parametrization",
-        not problems,
-        problems[0] if problems else f"{len(items)} maxima parametrized with exact dimensions",
-    )
+    return _verdict("maxima_parametrization", problems,
+                    f"{len(items)} maxima parametrized with exact dimensions")
 
 
 def check_length_identities(ctx: GradedContext) -> CheckResult:
     g0 = dual_coxeter_number(ctx.d)
     problems = []
-    for wall in ctx.walls:
-        for a in ctx.family_indices(wall):
-            m = family_minimum(ctx, a, wall)
-            if wall.kind == "component" and wall.wall_type == 1:
-                expect = g0 - wall.component.sub_dual_coxeter
-            else:
-                expect = g0 - 1
-            if m.length != expect:
-                problems.append(
-                    f"({a}, wall {wall.index}): minimum length {m.length}, expected {expect}"
-                )
+    for a, wall in ctx.families:
+        length, expect = family_minimum(ctx, a, wall).length, minimum_length(ctx, wall)
+        if length != expect:
+            problems.append(
+                f"({a}, wall {wall.index}): minimum length {length}, expected {expect}")
     for wall in ctx.walls:
         if wall.kind == "component" and wall.wall_type == 1:
             comp = wall.component
@@ -751,11 +707,8 @@ def check_length_identities(ctx: GradedContext) -> CheckResult:
                 problems.append(
                     f"u({comps[i].index},{comps[j].index}): length {length} != {expect}"
                 )
-    return _check(
-        "length_identities",
-        not problems,
-        problems[0] if problems else "family-minimum and pair-element lengths match",
-    )
+    return _verdict("length_identities", problems,
+                    "family-minimum and pair-element lengths match")
 
 
 def check_special_involutions(ctx: GradedContext) -> CheckResult:
@@ -793,11 +746,8 @@ def check_special_involutions(ctx: GradedContext) -> CheckResult:
                 problems.append(
                     f"comp {comp.index}: not the reflection in delta minus theta"
                 )
-    return _check(
-        "special_involutions",
-        not problems,
-        problems[0] if problems else "special involutions match their closed forms",
-    )
+    return _verdict("special_involutions", problems,
+                    "special involutions match their closed forms")
 
 
 def structural_masks(ctx: GradedContext) -> tuple[list[int], list[int]]:
@@ -874,11 +824,7 @@ def check_structural(poset: MinusculePoset, limit: int) -> CheckResult:
             problems.append(f"element {p}: inversions sum to a root")
         if not biconvex:
             problems.append(f"element {p}: inversion set not biconvex")
-    return _check(
-        "structural",
-        not problems,
-        problems[0] if problems else f"{scope} inversion sets biconvex and sum-free",
-    )
+    return _verdict("structural", problems, f"{scope} inversion sets biconvex and sum-free")
 
 
 def check_family_coverage(poset: MinusculePoset) -> CheckResult:
@@ -900,22 +846,17 @@ def check_hermitian_half(poset: MinusculePoset) -> CheckResult:
     problems = []
     if rem:
         problems.append("odd height-1 root count is odd")
-    for wall in ctx.walls:
+    for a, wall in ctx.families:
         if wall.kind != "odd":
             continue
-        for a in ctx.family_indices(wall):
-            tops = poset.family_maximal(poset.family(a, wall))
-            for t in tops:
-                if poset.elements[t].length != half:
-                    problems.append(
-                        f"({a}, wall {wall.index}): top dimension "
-                        f"{poset.elements[t].length} != {half}"
-                    )
-    return _check(
-        "hermitian_half",
-        not problems,
-        problems[0] if problems else f"odd-wall family tops all have dimension {half}",
-    )
+        for t in poset.family_maximal(poset.family(a, wall)):
+            if poset.elements[t].length != half:
+                problems.append(
+                    f"({a}, wall {wall.index}): top dimension "
+                    f"{poset.elements[t].length} != {half}"
+                )
+    return _verdict("hermitian_half", problems,
+                    f"odd-wall family tops all have dimension {half}")
 
 
 def check_adjoint_count(poset: MinusculePoset) -> CheckResult:

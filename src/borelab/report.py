@@ -108,26 +108,25 @@ def result_document(
             "kind": w.kind,
             "type": w.wall_type,
             "root": list(w.root),
-            "family": list(ctx.family_indices(w)),
-            "blocked": list(ctx.blocked_nodes(w)),
+            "family": list(w.heads),
+            "blocked": list(w.blocked),
         }
         for w in ctx.walls
     ]
     families = []
-    for w in ctx.walls:
-        for a in ctx.family_indices(w):
-            members = poset.family(a, w)
-            if not members:
-                continue
-            best = min(members, key=lambda p: poset.elements[p].length)
-            families.append(
-                {
-                    "alpha": a,
-                    "wall": w.index,
-                    "size": len(members),
-                    "min_word": list(poset.elements[best].word),
-                }
-            )
+    for a, w in ctx.families:
+        members = poset.family(a, w)
+        if not members:
+            continue
+        best = min(members, key=lambda p: poset.elements[p].length)
+        families.append(
+            {
+                "alpha": a,
+                "wall": w.index,
+                "size": len(members),
+                "min_word": list(poset.elements[best].word),
+            }
+        )
     maxima = [
         {
             "kind": it.kind,

@@ -14,9 +14,12 @@ Fraction, where `cartan._kernel_vector` eliminates fraction-free.
 `scan_poset` is the poset BFS on tuple columns, all rewritten at each
 step, and `tuple_family_table` reads its families off them, where
 `minuscule.enumerate_poset` and `MinusculePoset` read packed columns and
-look them up as ints.  The group product builds any
-element from its matrix and the matrix of its inverse: it reads a canonical
-reduced word off the inverse matrix and replays it, where the library only
+look them up as ints.  `family_indices` and `blocked_nodes` decide a wall's
+family heads and blocked nodes case by case on demand, the reference for the
+`Wall.heads` and `Wall.blocked` that `GradedContext._build_walls` fixes
+once.  The group product builds any element from its matrix and the
+matrix of its inverse: it reads a canonical reduced word off the inverse
+matrix and replays it, where the library only
 extends reduced words on the right and concatenates the words of
 length-additive products.  The coset trio reaches minimal
 coset representatives by reflection-subgroup normalization and full group
@@ -39,12 +42,13 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from borelab.cartan import AffineDiagram, _classify_component, components
-from borelab.grading import GradedContext
+from borelab.grading import GradedContext, Wall
 from borelab.roots import (
     Root,
     add,
     coroot_pair,
     ht,
+    is_long,
     is_negative,
     is_positive,
     neg,
@@ -237,6 +241,35 @@ def tuple_family_table(
                 if col == wall.root:
                     table.setdefault((a, wall.index), []).append(pos)
     return {k: tuple(v) for k, v in table.items()}
+
+
+def family_indices(ctx: GradedContext, wall: Wall) -> tuple[int, ...]:
+    """Simple nodes heading a nonempty family at this wall."""
+    d = ctx.d
+    if wall.kind == "odd":
+        if len(ctx.odd) == 1:
+            return tuple(ctx.odd)
+        return tuple(i for i in ctx.odd if i != wall.node)
+    comp = wall.component
+    assert comp is not None
+    if wall.wall_type == 1:
+        return tuple(i for i in comp.region if is_long(d, simple_root(d, i)))
+    return tuple(i for i in comp.nodes if is_long(d, simple_root(d, i), comp.nodes))
+
+
+def blocked_nodes(ctx: GradedContext, wall: Wall) -> tuple[int, ...]:
+    """Nodes whose reflections are excluded from family stabilizers at
+    this wall: the simples pairing by 1 with the component's highest
+    coroot for a type-1 wall, all odd nodes for a type-2 wall, and the
+    defining odd node itself for an odd wall."""
+    if wall.kind == "odd":
+        assert wall.node is not None
+        return (wall.node,)
+    comp = wall.component
+    assert comp is not None
+    if wall.wall_type == 1:
+        return tuple(i for i in ctx.d.nodes if comp.pairing_row[i] == 1)
+    return ctx.odd
 
 
 def word_matrix(d: AffineDiagram, word: Iterable[int]) -> Cols:

@@ -115,7 +115,7 @@ def test_criterion_02_e8(e8_case):
             | {(k, 2) for k in [0, 1, 2, 3, 4, 5, 6, 8]}
             | {(1, 3)})
     ok = ok and fam == want
-    ok = ok and ctx.blocked_nodes(w2) == (7,) and ctx.blocked_nodes(w3) == (1,)
+    ok = ok and w2.blocked == (7,) and w3.blocked == (1,)
     ok = ok and all(r.passed for r in results)
     report("criterion 2 (exceptional rank-8 case)", ok, elapsed, 60,
            f"|poset|={len(poset)}, 14 maxima with exact dimensions")
@@ -144,8 +144,8 @@ def test_criterion_04_mid_rank_goldens():
     e6 = context_for("E6~1", [6])
     ok = ok and e6.components[0].region == (1, 2, 3, 4, 5, 6)
     ok = ok and e6.components[1].region_in_component == (2, 3, 4)
-    ok = ok and e6.blocked_nodes(e6.walls[0]) == ()
-    ok = ok and e6.blocked_nodes(e6.walls[1]) == (1, 5)
+    ok = ok and e6.walls[0].blocked == ()
+    ok = ok and e6.walls[1].blocked == (1, 5)
     a6 = context_for("A6~1", [0, 3])
     ok = ok and len(a6.walls) == 4
     for ctx in (b7, e6, a6):

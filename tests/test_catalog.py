@@ -2,7 +2,9 @@
 up to rank 11: adjoint gradings included, none deduplicated (482 gradings).
 
 They check the rules the library uses in place of a search against the
-search itself (`oracles.root_kind`, the subsystem closure), the packed-column
+search itself (`oracles.root_kind`, the subsystem closure), each wall's
+family heads and blocked nodes against the case-by-case rules
+(`oracles.family_indices`, `oracles.blocked_nodes`), the packed-column
 BFS and the integer kernel against their tuple and Fraction references, run
 `verify_all` on every element of every poset, and compare gradings related by
 a diagram automorphism, whose posets must be isomorphic.  Never shrink the
@@ -19,6 +21,8 @@ from borelab.minuscule import enumerate_poset, verify_all
 from borelab.roots import add, ht, subsystem_closure
 from borelab.weyl import BOUND, pack, unpack
 from oracles import (
+    blocked_nodes,
+    family_indices,
     fraction_form,
     fraction_kernel_vector,
     is_real_root,
@@ -87,6 +91,23 @@ def test_component_theta_is_highest_root_of_closure(catalog):
             assert comp.theta == max(closure, key=ht), (ctx.spec.describe(), comp.nodes)
             multi_node += len(comp.nodes) > 1
     assert multi_node == 580
+
+
+def test_wall_families_match_reference(catalog):
+    # each wall's heads and blocked nodes against the case-by-case rules, and
+    # the family index against the walls' heads, in order
+    walls = families = 0
+    for ctx in catalog:
+        name = ctx.spec.describe()
+        for wall in ctx.walls:
+            assert wall.heads == family_indices(ctx, wall), (name, wall.index)
+            assert wall.blocked == blocked_nodes(ctx, wall), (name, wall.index)
+        want = [(a, w.index) for w in ctx.walls for a in family_indices(ctx, w)]
+        assert [(a, w.index) for a, w in ctx.families] == want, name
+        assert all(w is ctx.walls[w.index - 1] for _, w in ctx.families), name
+        walls += len(ctx.walls)
+        families += len(want)
+    assert (walls, families) == (1244, 3516)
 
 
 def test_kernel_vector_matches_fraction_elimination():

@@ -129,12 +129,12 @@ def test_e8_components_and_walls():
     assert (w1.kind, w1.wall_type) == ("component", 1)
     assert (w2.kind, w2.wall_type) == ("component", 1)
     assert (w3.kind, w3.wall_type, w3.node) == ("odd", 1, 1)
-    assert ctx.family_indices(w1) == (1, 2, 3, 4, 5, 6, 7, 8)
-    assert ctx.family_indices(w2) == (0, 1, 2, 3, 4, 5, 6, 8)
-    assert ctx.family_indices(w3) == (1,)
-    assert ctx.blocked_nodes(w1) == ()
-    assert ctx.blocked_nodes(w2) == (7,)
-    assert ctx.blocked_nodes(w3) == (1,)
+    assert w1.heads == (1, 2, 3, 4, 5, 6, 7, 8)
+    assert w2.heads == (0, 1, 2, 3, 4, 5, 6, 8)
+    assert w3.heads == (1,)
+    assert w1.blocked == ()
+    assert w2.blocked == (7,)
+    assert w3.blocked == (1,)
 
 
 def test_d5_twisted_walls():
@@ -143,12 +143,12 @@ def test_d5_twisted_walls():
     assert w1.root == (1, 2, 2, 2, 2) and w1.wall_type == 2
     assert w2.root == (2, 2, 1, 0, 0) and w2.wall_type == 1
     assert w3.root == (2, 3, 2, 2, 2) and w3.kind == "odd"
-    assert ctx.family_indices(w1) == (0,)
-    assert ctx.family_indices(w2) == (1, 2)
-    assert ctx.family_indices(w3) == (1,)
-    assert ctx.blocked_nodes(w1) == (1,)
-    assert ctx.blocked_nodes(w2) == (3,)
-    assert ctx.blocked_nodes(w3) == (1,)
+    assert w1.heads == (0,)
+    assert w2.heads == (1, 2)
+    assert w3.heads == (1,)
+    assert w1.blocked == (1,)
+    assert w2.blocked == (3,)
+    assert w3.blocked == (1,)
 
 
 def test_wall_exclusions():
@@ -185,8 +185,8 @@ def test_adjoint_wall():
     (w,) = ctx.walls
     assert w.kind == "component" and w.wall_type == 2
     assert w.root == (2, 1, 1)  # 2*delta minus the highest root of the even part
-    assert ctx.family_indices(w) == (1, 2)
-    assert ctx.blocked_nodes(w) == (0,)
+    assert w.heads == (1, 2)
+    assert w.blocked == (0,)
 
 
 def test_quotient_data():

@@ -24,6 +24,7 @@ from borelab.minuscule import (
     maxima_parametrization,
     special_involution,
     structural_masks,
+    theta_mapper,
     type_one_nodes,
     u_element,
     verify_all,
@@ -120,7 +121,7 @@ def test_e8_family_sizes(e8):
     assert len(p.family(0, w2)) == 63  # |W(E7)| / |W(D6 + theta-star)|
     assert len(p.family(6, w2)) == 1
     assert len(p.family(1, w3)) == 1
-    for a in ctx.family_indices(w1):
+    for a in w1.heads:
         assert family_minimum(ctx, a, w1).length == 30 - 2
     assert family_minimum(ctx, 0, w2).length == 30 - 18
 
@@ -189,15 +190,17 @@ def test_e6_intersections():
     p = enumerate_poset(ctx)
     w1, w2, w3 = ctx.walls
     nonempty = []
-    for a in ctx.family_indices(w1):
-        for b in ctx.family_indices(w2):
+    for a in w1.heads:
+        for b in w2.heads:
             inter = set(p.family(a, w1)) & set(p.family(b, w2))
             if inter:
                 nonempty.append((a, b))
     # alpha must come from the other wall's component: 5 crossings with
     # alpha in {1..5} and beta = 0
     assert nonempty == [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0)]
-    m = intersection_minimum(ctx, ctx.components[1], 1, ctx.components[0], 0)
+    ca, cb = ctx.components[1], ctx.components[0]
+    m = intersection_minimum(
+        ctx, u_element(ctx, ca, cb), theta_mapper(ctx, ca, 1), theta_mapper(ctx, cb, 0))
     fam = set(p.family(1, w1)) & set(p.family(0, w2))
     assert p.position(m) in fam
     assert all(m.inversions <= p.elements[q].inversions for q in fam)
@@ -214,7 +217,7 @@ def test_intersections_reject_wrong_family_minimum():
         w = stand_in(ctx.d)
         assert (p.position(w) is None) == (w.length > 0)
         for wall in ctx.walls:
-            for a in ctx.family_indices(wall):
+            for a in wall.heads:
                 ctx.family_minima[(a, wall.index)] = w
         r = check_intersections(p)
         assert not r.passed
@@ -422,7 +425,7 @@ def test_family_minimum_built_once_per_grading(monkeypatch):
                         lambda *args: built.append(args[1:]) or build(*args))
     ctx = context_for("E8~1", [1])
     verify_all(enumerate_poset(ctx))
-    pairs = [(a, wall) for wall in ctx.walls for a in ctx.family_indices(wall)]
+    pairs = [(a, wall) for wall in ctx.walls for a in wall.heads]
     assert len(pairs) == len(built) == len(ctx.family_minima) == 17
     for a, wall in pairs:
         m = family_minimum(ctx, a, wall)
@@ -431,7 +434,7 @@ def test_family_minimum_built_once_per_grading(monkeypatch):
 
 
 def nonempty_families(ctx, p):
-    return [(a, wall) for wall in ctx.walls for a in ctx.family_indices(wall)
+    return [(a, wall) for wall in ctx.walls for a in wall.heads
             if p.family(a, wall)]
 
 
@@ -689,7 +692,7 @@ def test_closed_forms_match_oracle_products():
             name = spec.describe()
             gradings += 1
             for wall in ctx.walls:
-                for a in ctx.family_indices(wall):
+                for a in wall.heads:
                     want = family_minimum_oracle(ctx, a, wall)
                     if want is not None:
                         got = family_minimum(ctx, a, wall)
@@ -710,7 +713,9 @@ def test_closed_forms_match_oracle_products():
                             vx = dominant_mapper(d, ca.nodes, simple_root(d, x), ca.theta)
                             vy = dominant_mapper(d, cb.nodes, simple_root(d, y), cb.theta)
                             want = product(u, vx, vy)
-                            got = intersection_minimum(ctx, ca, x, cb, y)
+                            got = intersection_minimum(
+                                ctx, u_element(ctx, ca, cb),
+                                theta_mapper(ctx, ca, x), theta_mapper(ctx, cb, y))
                             assert (got.mat, got.length) == (want.mat, want.length), (name, x, y)
                             pairs += 1
     assert (gradings, minima, us, pairs) == (146, 323, 46, 108)
@@ -830,20 +835,21 @@ def test_enumerate_poset_matches_scan_reference():
 
 def test_verify_all_builds_no_fraction(monkeypatch):
     # the kernel is integer: with the Fraction name refused in the library
-    # modules and the symmetrizer made unusable, verify_all still passes.
+    # modules that import it and the symmetrizer made unusable, the context
+    # and the poset are built and verify_all passes.
     # E8~1{1} is simply laced with k = 1; D5~2{1} has k = 2, two root
     # lengths and a type-2 wall, so coroot_pair runs there too
     def refused(*args):
         raise AssertionError(f"Fraction{args} built")
 
+    assert not hasattr(grading, "Fraction")
     for label, pi1 in (("E8~1", [1]), ("D5~2", [1])):
         d = copy.copy(load_diagram(label))  # the shared diagram keeps its symmetrizer
-        ctx = GradedContext(involution(d, pi1))
-        poset = enumerate_poset(ctx)
         object.__setattr__(d, "symmetrizer", tuple(object() for _ in d.nodes))
         with monkeypatch.context() as m:
-            for module in (cartan, roots, grading):
+            for module in (cartan, roots):
                 m.setattr(module, "Fraction", refused)
+            poset = enumerate_poset(GradedContext(involution(d, pi1)))
             results = verify_all(poset)
         assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
         assert len(results) == 12, label
