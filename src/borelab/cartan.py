@@ -118,28 +118,6 @@ def _kernel_vector(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _symmetrizer(cartan: Matrix) -> tuple[Fraction, ...]:
-    """d_i with d_i * A[i][j] = d_j * A[j][i], normalized so max(d_i) = 1."""
-    n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if i != j and cartan[i][j] != 0:
-                dj = d[i] * Fraction(cartan[i][j], cartan[j][i])
-                if d[j] is None:
-                    d[j] = dj
-                    stack.append(j)
-                elif d[j] != dj:
-                    raise ValueError("Cartan matrix is not symmetrizable")
-    if any(x is None for x in d):
-        raise ValueError("diagram is not connected")
-    top = max(d)  # type: ignore[type-var]
-    return tuple(x / top for x in d)  # type: ignore[operator]
-
-
 def _bonds_to_cartan(size: int, bonds: Iterable[tuple[int, int, int, int]]) -> Matrix:
     """Build the Cartan matrix from (i, j, A[i][j], A[j][i]) bond entries."""
     a = [[2 if i == j else 0 for j in range(size)] for i in range(size)]
@@ -218,13 +196,17 @@ def _build(label: str, letter: str, rank: int, twist: int) -> AffineDiagram:
     cartan = _bonds_to_cartan(size, bonds)
     marks = _kernel_vector(cartan)
     comarks = _kernel_vector([list(col) for col in zip(*cartan)])
+    # the invariant form is (alpha_i|alpha_j) = comark_i / mark_i * A[i][j]
+    # (Kac, Infinite-dimensional Lie algebras, Sec. 6.2), scaled so max d_i = 1
+    ratios = [Fraction(c, m) for m, c in zip(marks, comarks)]
+    top = max(ratios)
     return AffineDiagram(
         label=label,
         cartan=cartan,
         twist=twist,
         marks=marks,
         comarks=comarks,
-        symmetrizer=_symmetrizer(cartan),
+        symmetrizer=tuple(r / top for r in ratios),
     )
 
 

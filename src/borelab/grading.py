@@ -140,13 +140,18 @@ class Wall:
     Its blocked nodes are those whose reflections are excluded from family
     stabilizers at this wall: the simples pairing by 1 with the component's
     highest coroot for a type-1 wall, all odd nodes for a type-2 wall, and
-    the defining odd node itself for an odd wall."""
+    the defining odd node itself for an odd wall.
+
+    Its tops are the heads whose family top is a maximal element, one
+    entry each in the maxima parametrization: the type-1 region nodes inside
+    the component for a type-1 component wall, every head otherwise."""
 
     index: int  # 1-based position in the wall list
     kind: str  # "component" or "odd"
     root: Root
     heads: tuple[int, ...]
     blocked: tuple[int, ...]
+    tops: tuple[int, ...]
     component: Optional[EvenComponent] = None
     node: Optional[int] = None  # the odd simple node, for kind "odd"
     wall_type: int = 1
@@ -167,6 +172,16 @@ class GradedContext:
         # the (alpha, wall) pairs heading a family: walls in order, heads in
         # order within a wall
         self.families = tuple((a, w) for w in self.walls for a in w.heads)
+        # the crossed pairs (x, y, wa, wb) of two type-1 component walls,
+        # x a type-1 node of wa's component and y one of wb's: the maximum
+        # they index tops the intersection of the families F(x, wb), F(y, wa)
+        type_one = [w for w in self.walls if w.kind == "component" and w.wall_type == 1]
+        self.pairs = tuple(
+            (x, y, wa, wb)
+            for wa, wb in combinations(type_one, 2)
+            for x in self.type_one_nodes(wa.component.nodes)
+            for y in self.type_one_nodes(wb.component.nodes)
+        )
         # (alpha, wall index) -> closed-form family minimum, filled by
         # `minuscule.family_minimum`.
         self.family_minima: dict = {}
@@ -186,6 +201,11 @@ class GradedContext:
         if is_long(self.d, a) and not self.is_complex(a):
             return 1
         return 2
+
+    def type_one_nodes(self, nodes: Iterable[int]) -> tuple[int, ...]:
+        """Members of a node set whose simple root is long and stays real when
+        shifted by delta (type 1)."""
+        return tuple(i for i in nodes if self.root_type(simple_root(self.d, i)) == 1)
 
     def _build_components(self) -> tuple[EvenComponent, ...]:
         d = self.d
@@ -227,18 +247,19 @@ class GradedContext:
             if wall_type == 1:
                 heads = tuple(i for i in comp.region if is_long(d, simple_root(d, i)))
                 blocked = tuple(i for i in d.nodes if comp.pairing_row[i] == 1)
+                tops = self.type_one_nodes(comp.region_in_component)
             else:
                 heads = tuple(
                     i for i in comp.nodes if is_long(d, simple_root(d, i), comp.nodes))
-                blocked = odd
-            walls.append(Wall(len(walls) + 1, "component", root, heads, blocked,
+                blocked, tops = odd, heads
+            walls.append(Wall(len(walls) + 1, "component", root, heads, blocked, tops,
                               component=comp, wall_type=wall_type))
         for b in odd:
             beta = simple_root(d, b)
             if self.root_type(beta) == 1:
                 root = tuple(k * m + x for m, x in zip(self.delta, beta))
                 heads = odd if len(odd) == 1 else tuple(i for i in odd if i != b)
-                walls.append(Wall(len(walls) + 1, "odd", root, heads, (b,), node=b))
+                walls.append(Wall(len(walls) + 1, "odd", root, heads, (b,), heads, node=b))
         return tuple(walls)
 
     @cached_property

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -232,24 +233,6 @@ def theta_mapper(ctx: GradedContext, comp: EvenComponent, x: int) -> WeylElement
     return v
 
 
-def intersection_minimum(
-    ctx: GradedContext, u: WeylElement, vx: WeylElement, vy: WeylElement
-) -> WeylElement:
-    """Minimum of the intersection of two crossed families, x in component
-    ca mapping to cb's wall and y in cb mapping to ca's wall, spelled as the
-    reduced word of u*vx*vy: u is `u_element(ctx, ca, cb)`, vx and vy are
-    `theta_mapper(ctx, ca, x)` and `theta_mapper(ctx, cb, y)`."""
-    return _word_element(ctx.d, u.word + vx.word + vy.word)
-
-
-def type_one_nodes(ctx: GradedContext, nodes: Iterable[int]) -> tuple[int, ...]:
-    """Members of a node set whose simple root is long and stays real when
-    shifted by delta (type 1)."""
-    return tuple(
-        i for i in nodes if ctx.root_type(simple_root(ctx.d, i)) == 1
-    )
-
-
 def minimum_length(ctx: GradedContext, wall: Wall) -> int:
     """Closed-form length of every family minimum at this wall."""
     g0 = dual_coxeter_number(ctx.d)
@@ -266,12 +249,18 @@ def single_dimension(ctx: GradedContext, alpha: int, wall: Wall) -> int:
             + positive_root_count(ctx.d, perp) - positive_root_count(ctx.d, reduced))
 
 
+def _pair_nodes(ctx: GradedContext, x: int, y: int) -> tuple[list[int], list[int]]:
+    """(J', J) of a crossed pair: J = the nodes orthogonal to both x and y,
+    J' = J minus the odd nodes."""
+    inter = sorted(set(ctx.perp_nodes(x)) & set(ctx.perp_nodes(y)))
+    return [i for i in inter if i not in ctx.odd], inter
+
+
 def pair_dimension(ctx: GradedContext, x: int, y: int) -> int:
-    """Closed-form dimension of the maximum attached to a component pair."""
-    g0 = dual_coxeter_number(ctx.d)
-    inter = tuple(sorted(set(ctx.perp_nodes(x)) & set(ctx.perp_nodes(y))))
-    inner = tuple(i for i in inter if i not in ctx.odd)
-    return g0 - 2 + positive_root_count(ctx.d, inter) - positive_root_count(ctx.d, inner)
+    """Closed-form dimension of the maximum attached to a crossed pair."""
+    inner, inter = _pair_nodes(ctx, x, y)
+    return (dual_coxeter_number(ctx.d) - 2
+            + positive_root_count(ctx.d, inter) - positive_root_count(ctx.d, inner))
 
 
 @dataclass(frozen=True)
@@ -304,31 +293,20 @@ def _parametrize(poset: MinusculePoset) -> tuple[MaximumItem, ...]:
             raise ValueError(f"{name} has {len(tops)} maximal elements")
         items.append(MaximumItem(kind, alphas, walls, tops[0], dimension, label))
 
-    component_walls = [w for w in ctx.walls if w.kind == "component"]
-    for wall in component_walls:
-        heads = (type_one_nodes(ctx, wall.component.region_in_component)
-                 if wall.wall_type == 1 else wall.heads)
-        for a in heads:
-            add("component", (a,), (wall.index,), poset.family(a, wall),
-                single_dimension(ctx, a, wall),
-                f"family ({a}, wall {wall.index})", f"alpha{a}@wall{wall.index}")
-    for ia in range(len(component_walls)):
-        for ib in range(ia + 1, len(component_walls)):
-            wa, wb = component_walls[ia], component_walls[ib]
-            if wa.wall_type != 1 or wb.wall_type != 1:
-                continue
-            ca, cb = wa.component, wb.component
-            assert ca is not None and cb is not None
-            for x in type_one_nodes(ctx, ca.nodes):
-                for y in type_one_nodes(ctx, cb.nodes):
-                    both = sorted(set(poset.family(x, wb)) & set(poset.family(y, wa)))
-                    add("pair", (x, y), (wb.index, wa.index), both, pair_dimension(ctx, x, y),
-                        f"pair ({x}, {y})", f"alpha{x}&alpha{y}")
-    for a, wall in ctx.families:
-        if wall.kind == "odd":
-            add("odd", (a,), (wall.index,), poset.family(a, wall),
-                single_dimension(ctx, a, wall),
-                f"family ({a}, wall {wall.index})", f"alpha{a}@wall{wall.index}")
+    def singles(kind):
+        for wall in ctx.walls:
+            if wall.kind == kind:
+                for a in wall.tops:
+                    add(kind, (a,), (wall.index,), poset.family(a, wall),
+                        single_dimension(ctx, a, wall),
+                        f"family ({a}, wall {wall.index})", f"alpha{a}@wall{wall.index}")
+
+    singles("component")
+    for x, y, wa, wb in ctx.pairs:
+        both = sorted(set(poset.family(x, wb)) & set(poset.family(y, wa)))
+        add("pair", (x, y), (wb.index, wa.index), both, pair_dimension(ctx, x, y),
+            f"pair ({x}, {y})", f"alpha{x}&alpha{y}")
+    singles("odd")
     return tuple(items)
 
 
@@ -342,10 +320,6 @@ class CheckResult:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
 
-def _check(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name, bool(passed), detail)
-
-
 def _verdict(name: str, problems: list[str], ok: str) -> CheckResult:
     """Passed with the detail `ok` when there are no problems, else failed
     with the first problem as its detail."""
@@ -355,7 +329,7 @@ def _verdict(name: str, problems: list[str], ok: str) -> CheckResult:
 def verify_all(poset: MinusculePoset, structural_limit: int = 600) -> list[CheckResult]:
     """Run every structural check; a truncated poset fails the check `complete`."""
     if not poset.complete:
-        return [_check("complete", False, poset.truncation())]
+        return [CheckResult("complete", False, poset.truncation())]
     out = [
         check_bounding_equivalence(poset),
         check_poset_basics(poset),
@@ -419,7 +393,7 @@ def check_bounding_equivalence(poset: MinusculePoset) -> CheckResult:
                 break
         frontier = nxt
     ok = ok and count == len(poset)
-    return _check(
+    return CheckResult(
         "bounding_equivalence",
         ok,
         f"wall-avoiding enumeration found {count} of {len(poset)} elements",
@@ -591,66 +565,42 @@ def check_intersections(poset: MinusculePoset) -> CheckResult:
     ctx = poset.ctx
     masks = poset.masks
     problems = []
-    walls = list(ctx.walls)
-    # per type-1 component wall: its component's nodes whose families cross
-    crossing = {w.index: type_one_nodes(ctx, w.component.nodes) for w in walls
-                if w.kind == "component" and w.wall_type == 1}
-    for wa in walls:
-        for wb in walls:
-            if wb.index <= wa.index:
-                continue
-            paired = wa.index in crossing and wb.index in crossing
-            if paired:
-                u = u_element(ctx, wa.component, wb.component)
-                # the mappers of the nodes that can head a crossed pair
-                vx = {x: theta_mapper(ctx, wa.component, x)
-                      for x in crossing[wa.index] if x in wb.heads}
-                vy = {y: theta_mapper(ctx, wb.component, y)
-                      for y in crossing[wb.index] if y in wa.heads}
-            for a in wa.heads:
-                for b in wb.heads:
-                    fam_a = set(poset.family(a, wa))
-                    fam_b = set(poset.family(b, wb))
-                    inter = fam_a & fam_b
-                    predicted = paired and a in crossing[wb.index] and b in crossing[wa.index]
-                    if bool(inter) != predicted:
-                        problems.append(
-                            f"intersection ({a},{wa.index})&({b},{wb.index}): "
-                            f"{'nonempty' if inter else 'empty'}, predicted otherwise"
-                        )
-                        continue
-                    if not inter:
-                        continue
-                    m = intersection_minimum(ctx, u, vx[b], vy[a])
-                    pos = poset.position(m)
-                    if pos is None or pos not in inter:
-                        problems.append(
-                            f"intersection ({a},{wa.index})&({b},{wb.index}): bad minimum"
-                        )
-                        continue
-                    if not _below_all(poset, pos, inter):
-                        problems.append(
-                            f"intersection ({a},{wa.index})&({b},{wb.index}): not minimal"
-                        )
-                    pa = poset.position(family_minimum(ctx, a, wa))
-                    pb = poset.position(family_minimum(ctx, b, wb))
-                    if pa is None or pb is None or masks[pos] != masks[pa] | masks[pb]:
-                        problems.append(
-                            f"intersection ({a},{wa.index})&({b},{wb.index}): "
-                            "inversions are not the union of the family minima's"
-                        )
-                    common = tuple(
-                        sorted(set(ctx.perp_nodes(a)) & set(ctx.perp_nodes(b)))
-                    )
-                    inner = tuple(i for i in common if i not in ctx.odd)
-                    expect = weyl_group_order(ctx.d, common) // weyl_group_order(
-                        ctx.d, inner
-                    )
-                    if len(inter) != expect:
-                        problems.append(
-                            f"intersection ({a},{wa.index})&({b},{wb.index}): "
-                            f"size {len(inter)} vs predicted {expect}"
-                        )
+    for wa, wb in combinations(ctx.walls, 2):
+        # F(a, wa) & F(b, wb) is nonempty iff (b, a) is a crossed pair here;
+        # its minimum is then u*v_b*v_a, spelled as the factors' words
+        crossed = {(x, y) for x, y, w1, w2 in ctx.pairs if w1 is wa and w2 is wb}
+        if crossed:
+            ca, cb = wa.component, wb.component
+            u = u_element(ctx, ca, cb).word
+            xs, ys = map(set, zip(*crossed))
+            vx = {x: theta_mapper(ctx, ca, x).word for x in xs}
+            vy = {y: theta_mapper(ctx, cb, y).word for y in ys}
+        for a in wa.heads:
+            fam_a = set(poset.family(a, wa))
+            for b in wb.heads:
+                inter = fam_a.intersection(poset.family(b, wb))
+                where = f"intersection ({a},{wa.index})&({b},{wb.index})"
+                if bool(inter) != ((b, a) in crossed):
+                    problems.append(
+                        f"{where}: {'nonempty' if inter else 'empty'}, predicted otherwise")
+                    continue
+                if not inter:
+                    continue
+                pos = poset.position(_word_element(ctx.d, u + vx[b] + vy[a]))
+                if pos is None or pos not in inter:
+                    problems.append(f"{where}: bad minimum")
+                    continue
+                if not _below_all(poset, pos, inter):
+                    problems.append(f"{where}: not minimal")
+                pa = poset.position(family_minimum(ctx, a, wa))
+                pb = poset.position(family_minimum(ctx, b, wb))
+                if pa is None or pb is None or masks[pos] != masks[pa] | masks[pb]:
+                    problems.append(
+                        f"{where}: inversions are not the union of the family minima's")
+                inner, common = _pair_nodes(ctx, a, b)
+                expect = weyl_group_order(ctx.d, common) // weyl_group_order(ctx.d, inner)
+                if len(inter) != expect:
+                    problems.append(f"{where}: size {len(inter)} vs predicted {expect}")
     return _verdict("intersections", problems,
                     "intersection criterion, minima, and sizes agree")
 
@@ -659,7 +609,7 @@ def check_maxima(poset: MinusculePoset) -> CheckResult:
     try:
         items = maxima_parametrization(poset)
     except ValueError as exc:
-        return _check("maxima_parametrization", False, str(exc))
+        return CheckResult("maxima_parametrization", False, str(exc))
     problems = []
     positions = [it.position for it in items]
     if len(set(positions)) != len(positions):
@@ -695,18 +645,15 @@ def check_length_identities(ctx: GradedContext) -> CheckResult:
                     f"comp {comp.index}: region dual Coxeter {region_g} "
                     f"!= {g0 - comp.sub_dual_coxeter + 2}"
                 )
-    # l(u) = l(w0(J)) - l(w0(J')), lengths adding in w0(J) = w0(J')*u;
-    # check_intersections builds u itself
-    comps = [w.component for w in ctx.walls if w.kind == "component" and w.wall_type == 1]
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            inner, inter = _u_nodes(ctx, comps[i], comps[j])
-            length = positive_root_count(ctx.d, inter) - positive_root_count(ctx.d, inner)
-            expect = g0 - comps[i].sub_dual_coxeter - comps[j].sub_dual_coxeter + 2
-            if length != expect:
-                problems.append(
-                    f"u({comps[i].index},{comps[j].index}): length {length} != {expect}"
-                )
+    # l(u) = l(w0(J)) - l(w0(J')), lengths adding in w0(J) = w0(J')*u, on
+    # the wall pairs of the crossed pairs; check_intersections builds u itself
+    for wa, wb in dict.fromkeys(p[2:] for p in ctx.pairs):
+        ca, cb = wa.component, wb.component
+        inner, inter = _u_nodes(ctx, ca, cb)
+        length = positive_root_count(ctx.d, inter) - positive_root_count(ctx.d, inner)
+        expect = g0 - ca.sub_dual_coxeter - cb.sub_dual_coxeter + 2
+        if length != expect:
+            problems.append(f"u({ca.index},{cb.index}): length {length} != {expect}")
     return _verdict("length_identities", problems,
                     "family-minimum and pair-element lengths match")
 
@@ -833,7 +780,7 @@ def check_family_coverage(poset: MinusculePoset) -> CheckResult:
     for positions in poset._family_table.values():
         covered.update(positions)
     missing = [i for i in poset.maxima if i not in covered]
-    return _check(
+    return CheckResult(
         "family_coverage",
         not missing,
         f"{len(missing)} uncovered maxima" if missing else "all maximal elements covered",
@@ -862,4 +809,4 @@ def check_hermitian_half(poset: MinusculePoset) -> CheckResult:
 def check_adjoint_count(poset: MinusculePoset) -> CheckResult:
     expect = 2 ** (poset.ctx.d.size - 1)
     ok = len(poset) == expect
-    return _check("adjoint_count", ok, f"{len(poset)} elements vs 2^rank = {expect}")
+    return CheckResult("adjoint_count", ok, f"{len(poset)} elements vs 2^rank = {expect}")

@@ -10,14 +10,17 @@ reads integer Gram rows scaled by L; and
 `right_mult_simple`, which rewrites every column of w*s_i as a tuple, where
 the library rewrites only column i and its neighbors, each packed in one
 int.  `fraction_kernel_vector` finds marks and comarks by elimination in
-Fraction, where `cartan._kernel_vector` eliminates fraction-free.
+Fraction, where `cartan._kernel_vector` eliminates fraction-free, and
+`fraction_symmetrizer` finds the symmetrizer by a walk over the diagram's
+edges, where `cartan` reads it off the marks and comarks.
 `scan_poset` is the poset BFS on tuple columns, all rewritten at each
 step, and `tuple_family_table` reads its families off them, where
 `minuscule.enumerate_poset` and `MinusculePoset` read packed columns and
 look them up as ints.  `family_indices` and `blocked_nodes` decide a wall's
 family heads and blocked nodes case by case on demand, the reference for the
 `Wall.heads` and `Wall.blocked` that `GradedContext._build_walls` fixes
-once.  The group product builds any element from its matrix and the
+once; `family_tops` and `crossed_pairs` do the same for the maxima index,
+`Wall.tops` and `GradedContext.pairs`.  The group product builds any element from its matrix and the
 matrix of its inverse: it reads a canonical reduced word off the inverse
 matrix and replays it, where the library only
 extends reduced words on the right and concatenates the words of
@@ -175,6 +178,28 @@ def fraction_kernel_vector(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(ints)
 
 
+def fraction_symmetrizer(cartan: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
+    """d_i with d_i * A[i][j] = d_j * A[j][i], normalized so max(d_i) = 1."""
+    n = len(cartan)
+    d: list[Fraction | None] = [None] * n
+    d[0] = Fraction(1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if i != j and cartan[i][j] != 0:
+                dj = d[i] * Fraction(cartan[i][j], cartan[j][i])
+                if d[j] is None:
+                    d[j] = dj
+                    stack.append(j)
+                elif d[j] != dj:
+                    raise ValueError("Cartan matrix is not symmetrizable")
+    if any(x is None for x in d):
+        raise ValueError("diagram is not connected")
+    top = max(d)  # type: ignore[type-var]
+    return tuple(x / top for x in d)  # type: ignore[operator]
+
+
 @dataclass
 class TuplePoset:
     """What `scan_poset` finds: each element's word and tuple matrix."""
@@ -255,6 +280,41 @@ def family_indices(ctx: GradedContext, wall: Wall) -> tuple[int, ...]:
     if wall.wall_type == 1:
         return tuple(i for i in comp.region if is_long(d, simple_root(d, i)))
     return tuple(i for i in comp.nodes if is_long(d, simple_root(d, i), comp.nodes))
+
+
+def type_one_nodes(ctx: GradedContext, nodes: Iterable[int]) -> tuple[int, ...]:
+    """Members of a node set whose simple root is long and stays real when
+    shifted by delta (type 1)."""
+    return tuple(
+        i for i in nodes if ctx.root_type(simple_root(ctx.d, i)) == 1
+    )
+
+
+def family_tops(ctx: GradedContext, wall: Wall) -> tuple[int, ...]:
+    """Nodes whose family top at this wall is a maximal element: the type-1
+    region nodes inside the component for a type-1 component wall, the
+    family heads otherwise."""
+    if wall.kind == "component" and wall.wall_type == 1:
+        return type_one_nodes(ctx, wall.component.region_in_component)
+    return family_indices(ctx, wall)
+
+
+def crossed_pairs(ctx: GradedContext) -> list[tuple[int, int, Wall, Wall]]:
+    """(x, y, wa, wb) for each pair wa < wb of type-1 component walls, x a
+    type-1 node of wa's component and y one of wb's."""
+    out = []
+    component_walls = [w for w in ctx.walls if w.kind == "component"]
+    for ia in range(len(component_walls)):
+        for ib in range(ia + 1, len(component_walls)):
+            wa, wb = component_walls[ia], component_walls[ib]
+            if wa.wall_type != 1 or wb.wall_type != 1:
+                continue
+            ca, cb = wa.component, wb.component
+            assert ca is not None and cb is not None
+            for x in type_one_nodes(ctx, ca.nodes):
+                for y in type_one_nodes(ctx, cb.nodes):
+                    out.append((x, y, wa, wb))
+    return out
 
 
 def blocked_nodes(ctx: GradedContext, wall: Wall) -> tuple[int, ...]:

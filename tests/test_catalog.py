@@ -4,8 +4,11 @@ up to rank 11: adjoint gradings included, none deduplicated (482 gradings).
 They check the rules the library uses in place of a search against the
 search itself (`oracles.root_kind`, the subsystem closure), each wall's
 family heads and blocked nodes against the case-by-case rules
-(`oracles.family_indices`, `oracles.blocked_nodes`), the packed-column
-BFS and the integer kernel against their tuple and Fraction references, run
+(`oracles.family_indices`, `oracles.blocked_nodes`), the maxima index
+(`Wall.tops`, `GradedContext.pairs`) against the wall-pair loops
+(`oracles.family_tops`, `oracles.crossed_pairs`), the packed-column
+BFS, the integer kernel and the symmetrizer against their tuple and
+Fraction references, run
 `verify_all` on every element of every poset, and compare gradings related by
 a diagram automorphism, whose posets must be isomorphic.  Never shrink the
 label list to make a failure go away.
@@ -22,9 +25,12 @@ from borelab.roots import add, ht, subsystem_closure
 from borelab.weyl import BOUND, pack, unpack
 from oracles import (
     blocked_nodes,
+    crossed_pairs,
     family_indices,
+    family_tops,
     fraction_form,
     fraction_kernel_vector,
+    fraction_symmetrizer,
     is_real_root,
     scan_poset,
     tuple_family_table,
@@ -108,6 +114,41 @@ def test_wall_families_match_reference(catalog):
         walls += len(ctx.walls)
         families += len(want)
     assert (walls, families) == (1244, 3516)
+
+
+def test_maxima_index_matches_reference(catalog):
+    # each wall's family tops and the crossed pairs, order included, against
+    # the wall-pair loops; every type-1 wall pair has a crossed pair, and in
+    # each, x heads a family at wb and y one at wa, so the intersection and
+    # length checks that walk the pairs miss no case.  A type-2 wall's theta
+    # is short or complex, and so is every node of its component: no pair
+    # could cross there
+    pairs = wall_pairs = 0
+    for ctx in catalog:
+        name = ctx.spec.describe()
+        for wall in ctx.walls:
+            assert wall.tops == family_tops(ctx, wall), (name, wall.index)
+            if wall.kind == "component" and wall.wall_type == 2:
+                assert not ctx.type_one_nodes(wall.component.nodes), (name, wall.index)
+        want = crossed_pairs(ctx)
+        assert len(ctx.pairs) == len(want), name
+        for got, ref in zip(ctx.pairs, want):
+            assert got[:2] == ref[:2] and got[2] is ref[2] and got[3] is ref[3], (name, got)
+        for x, y, wa, wb in ctx.pairs:
+            assert x in wb.heads and y in wa.heads, (name, x, y)
+        type_one = sum(w.kind == "component" and w.wall_type == 1 for w in ctx.walls)
+        walls = {(wa.index, wb.index) for _, _, wa, wb in ctx.pairs}
+        assert len(walls) == type_one * (type_one - 1) // 2, name
+        pairs += len(ctx.pairs)
+        wall_pairs += len(walls)
+    assert (pairs, wall_pairs) == (1440, 235)
+
+
+def test_symmetrizer_matches_fraction_walk():
+    # read off marks and comarks against the walk over the diagram's edges
+    for label in LABELS:
+        d = load_diagram(label)
+        assert d.symmetrizer == fraction_symmetrizer(d.cartan), label
 
 
 def test_kernel_vector_matches_fraction_elimination():

@@ -19,13 +19,11 @@ from borelab.minuscule import (
     coset_translates,
     enumerate_poset,
     family_minimum,
-    intersection_minimum,
     mask_verdict,
     maxima_parametrization,
     special_involution,
     structural_masks,
     theta_mapper,
-    type_one_nodes,
     u_element,
     verify_all,
 )
@@ -40,7 +38,7 @@ from borelab.roots import (
     simple_root,
 )
 import borelab.weyl as weyl
-from borelab.weyl import dominant_mapper, identity, longest_element, pack, unpack
+from borelab.weyl import _word_element, dominant_mapper, identity, longest_element, pack, unpack
 from oracles import (
     coset_poset,
     decompositions,
@@ -199,8 +197,8 @@ def test_e6_intersections():
     # alpha in {1..5} and beta = 0
     assert nonempty == [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0)]
     ca, cb = ctx.components[1], ctx.components[0]
-    m = intersection_minimum(
-        ctx, u_element(ctx, ca, cb), theta_mapper(ctx, ca, 1), theta_mapper(ctx, cb, 0))
+    u, vx, vy = u_element(ctx, ca, cb), theta_mapper(ctx, ca, 1), theta_mapper(ctx, cb, 0)
+    m = _word_element(ctx.d, u.word + vx.word + vy.word)
     fam = set(p.family(1, w1)) & set(p.family(0, w2))
     assert p.position(m) in fam
     assert all(m.inversions <= p.elements[q].inversions for q in fam)
@@ -257,9 +255,9 @@ def test_hermitian_dimensions():
 
 def test_type_one_nodes():
     ctx = context_for("D5~2", [1])
-    assert type_one_nodes(ctx, ctx.d.nodes) == (1, 2, 3)
+    assert ctx.type_one_nodes(ctx.d.nodes) == (1, 2, 3)
     e8 = context_for("E8~1", [1])
-    assert type_one_nodes(e8, e8.d.nodes) == tuple(e8.d.nodes)
+    assert e8.type_one_nodes(e8.d.nodes) == tuple(e8.d.nodes)
 
 
 def test_verify_all_passes_everywhere(d5, e8):
@@ -708,14 +706,14 @@ def test_closed_forms_match_oracle_products():
                     got = u_element(ctx, ca, cb)
                     assert (got.mat, got.length) == (u.mat, u.length), name
                     us += 1
-                    for x in type_one_nodes(ctx, ca.nodes):
-                        for y in type_one_nodes(ctx, cb.nodes):
+                    for x in ctx.type_one_nodes(ca.nodes):
+                        for y in ctx.type_one_nodes(cb.nodes):
                             vx = dominant_mapper(d, ca.nodes, simple_root(d, x), ca.theta)
                             vy = dominant_mapper(d, cb.nodes, simple_root(d, y), cb.theta)
                             want = product(u, vx, vy)
-                            got = intersection_minimum(
-                                ctx, u_element(ctx, ca, cb),
-                                theta_mapper(ctx, ca, x), theta_mapper(ctx, cb, y))
+                            got = _word_element(d, u_element(ctx, ca, cb).word
+                                                + theta_mapper(ctx, ca, x).word
+                                                + theta_mapper(ctx, cb, y).word)
                             assert (got.mat, got.length) == (want.mat, want.length), (name, x, y)
                             pairs += 1
     assert (gradings, minima, us, pairs) == (146, 323, 46, 108)
