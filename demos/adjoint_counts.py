@@ -52,7 +52,7 @@ print("largest ideal in G2 (inversion sets pulled back to finite roots):")
 d = load_diagram("G2~1")
 ctx = context_for("G2~1", [d.marks.index(1)], adjoint=True)
 poset = enumerate_poset(ctx)
-top = max(poset.elements, key=lambda w: w.length)
+top = poset.element(max(range(len(poset)), key=poset.length))
 dd = delta(d)
 for n in sorted(top.inversions):
     print(f"  {n} = delta - {sub(dd, n)}")

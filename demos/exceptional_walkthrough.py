@@ -30,8 +30,8 @@ print()
 
 print("maximal elements (all fourteen, with predicted dimensions):")
 for item in maxima_parametrization(poset):
-    w = poset.elements[item.position]
-    print(f"  {item.label:>15}  dim {item.dimension:>2}  length {w.length:>2}")
+    length = poset.length(item.position)
+    print(f"  {item.label:>15}  dim {item.dimension:>2}  length {length:>2}")
 print()
 
 wall2 = ctx.walls[1]

@@ -32,20 +32,20 @@ print()
 
 poset = enumerate_poset(ctx)
 levels = defaultdict(list)
-for w in poset.elements:
-    levels[w.length].append(w)
+for p in range(len(poset)):
+    levels[poset.length(p)].append(poset.word(p))
 print(f"all {len(poset)} elements by length:")
 for ln in sorted(levels):
-    words = [".".join(map(str, w.word)) or "e" for w in levels[ln]]
+    words = [".".join(map(str, w)) or "e" for w in levels[ln]]
     print(f"  {ln}: {'  '.join(words)}")
 print()
 
 print("family minima (words as spelled in the level listing above):")
 for a, wall in ctx.families:
-    m = poset.elements[poset.position(family_minimum(ctx, a, wall))]
+    m = poset.word(poset.position(family_minimum(ctx, a, wall)))
     size = len(poset.family(a, wall))
     print(f"  (alpha{a}, wall {wall.index}): size {size}, "
-          f"minimum {'.'.join(map(str, m.word))}")
+          f"minimum {'.'.join(map(str, m))}")
 print()
 
 comp = ctx.components[0]

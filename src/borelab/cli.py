@@ -139,7 +139,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         if args.format == "json":
             out.append(render_json(result_document(poset)))
         else:
-            dims = sorted(poset.elements[i].length for i in poset.maxima)
+            dims = sorted(map(poset.length, poset.maxima))
             lines = [
                 f"{ctx.spec.describe()}",
                 f"  elements: {len(poset)}   covers: {len(poset.edges)}"
@@ -167,7 +167,7 @@ def _cmd_maxima(args: argparse.Namespace) -> int:
         items = maxima_parametrization(poset)
         print(ctx.spec.describe())
         for it in items:
-            word = ".".join(str(x) for x in poset.elements[it.position].word)
+            word = ".".join(map(str, poset.word(it.position)))
             print(f"  {it.label:24s} {it.kind:9s} dim {it.dimension:3d}  word {word}")
     return 0
 

@@ -21,7 +21,6 @@ from .roots import (
     coroot_pair,
     form,
     highest_root,
-    ht_subset,
     is_long,
     pair,
     simple_root,
@@ -186,10 +185,6 @@ class GradedContext:
         # `minuscule.family_minimum`.
         self.family_minima: dict = {}
 
-    def ht_odd(self, a: Root) -> int:
-        """Coefficient sum over the odd nodes."""
-        return ht_subset(a, self.odd)
-
     def is_complex(self, a: Root) -> bool:
         """Whether k = 2 and delta + a is a real root, for a real root a.  In
         an untwisted diagram delta + a always is one; in a twisted one iff a
@@ -343,7 +338,6 @@ class GradedContext:
         comp = wall.component
         if (
             wall.kind == "component"
-            and comp is not None
             and wall.wall_type == 1
             and len(comp.nodes) > 1
             and alpha in comp.region

@@ -32,51 +32,69 @@ from .weyl import (
 )
 
 
+@dataclass(eq=False)
 class MinusculePoset:
     """BFS-enumerated poset of elements with all inversions of odd height 1.
 
-    `masks[p]` is the inversion set of `elements[p]` as a mask over
-    `ctx.s1_order`, the only inversion data the poset stores; w -> N(w) is
-    injective, so the mask is the element's key (`by_mask`).
+    Element p is its inversion set `masks[p]` over `ctx.s1_order`, its key
+    (`by_mask`, as w -> N(w) is injective) and length; its packed columns
+    `cols[p]`; and p = parents[p] * s_i, i = `letters[p]`, parents[p] < p
+    the element the enumeration first reached p from (both -1 at the
+    identity, p = 0), along which `word` spells p on demand.
     """
 
-    def __init__(
-        self,
-        ctx: GradedContext,
-        elements: tuple[WeylElement, ...],
-        masks: tuple[int, ...],
-        edges: tuple[tuple[int, int], ...],
-        complete: bool,
-        by_mask: dict[int, int],
-    ):
-        self.ctx = ctx
-        self.elements = elements
-        self.masks = masks
-        self.edges = edges
-        self.complete = complete
-        self.by_mask = by_mask
+    ctx: GradedContext
+    masks: tuple[int, ...]
+    parents: tuple[int, ...]
+    letters: tuple[int, ...]
+    cols: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[int, int], ...]
+    complete: bool
+    by_mask: dict[int, int]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.masks)
+
+    def length(self, p: int) -> int:
+        return self.masks[p].bit_count()
+
+    def word(self, p: int) -> tuple[int, ...]:
+        """Reduced word of element p: the letters along its parents."""
+        out = []
+        while p > 0:
+            out.append(self.letters[p])
+            p = self.parents[p]
+        return tuple(reversed(out))
+
+    def element(self, p: int) -> WeylElement:
+        return _word_element(self.ctx.d, self.word(p))
 
     def truncation(self) -> str:
         """Where an incomplete enumeration stopped."""
-        return (f"enumeration truncated at length {self.elements[-1].length} "
+        return (f"enumeration truncated at length {self.length(len(self) - 1)} "
                 f"after {len(self)} elements; longer elements exist")
 
-    @cached_property
-    def _by_cols(self) -> dict[tuple[int, ...], int]:
-        return {w.cols: p for p, w in enumerate(self.elements)}
+    def step(self, p: int, i: int) -> Optional[int]:
+        """Place of p*s_i: p's mask plus the bit of its column i, looked up;
+        None if that column is not in S1 or the mask is not in the poset."""
+        b = self.ctx.s1_bits.get(self.cols[p][i])
+        return None if b is None else self.by_mask.get(self.masks[p] | b)
 
     def position(self, w: WeylElement) -> Optional[int]:
         """Place of w in the poset; None if w has an inversion outside S1 or
-        lies beyond a truncation."""
-        return self._by_cols.get(w.cols)
+        lies beyond a truncation.  P is a lower set in the weak order, so
+        each prefix of w's reduced word is in P when w is: the walk steps
+        along the word from the identity."""
+        p = 0
+        for i in w.word:
+            if (p := self.step(p, i)) is None:
+                return None
+        return p
 
     @cached_property
     def maxima(self) -> tuple[int, ...]:
         sources = {a for a, _ in self.edges}
-        return tuple(i for i in range(len(self.elements)) if i not in sources)
+        return tuple(i for i in range(len(self)) if i not in sources)
 
     @cached_property
     def parametrization(self) -> tuple[MaximumItem, ...]:
@@ -89,10 +107,10 @@ class MinusculePoset:
         wall_at = {pack(wall.root): wall.index for wall in self.ctx.walls}
         wall_roots = wall_at.keys()
         table: dict[tuple[int, int], list[int]] = {}
-        for pos, w in enumerate(self.elements):
-            if wall_roots.isdisjoint(w.cols):
+        for pos, cols in enumerate(self.cols):
+            if wall_roots.isdisjoint(cols):
                 continue
-            for a, col in enumerate(w.cols):
+            for a, col in enumerate(cols):
                 index = wall_at.get(col)
                 if index is not None:
                     table.setdefault((a, index), []).append(pos)
@@ -105,17 +123,14 @@ class MinusculePoset:
     def family_maximal(self, positions: Iterable[int]) -> tuple[int, ...]:
         """Members not strictly below another member, in the given order.
 
-        Fast path: when a unique longest member contains every other member,
-        it is the only maximum; otherwise every pair is compared."""
+        Fast path: when a longest member contains every member, it is the
+        only maximum, as distinct elements have distinct masks; otherwise
+        every pair is compared."""
         pos = list(positions)
         masks = self.masks
-        lengths = [self.elements[p].length for p in pos]
-        top = max(lengths, default=0)
-        if lengths.count(top) == 1:
-            t = pos[lengths.index(top)]
-            tmask = masks[t]
-            if all(masks[p] & ~tmask == 0 for p in pos):
-                return (t,)
+        t = max(pos, key=self.length, default=None)
+        if t is not None and all(masks[p] & ~masks[t] == 0 for p in pos):
+            return (t,)
         return tuple(
             p for p in pos
             if not any(q != p and masks[p] & ~masks[q] == 0 for q in pos)
@@ -126,16 +141,15 @@ def enumerate_poset(ctx: GradedContext, max_length: Optional[int] = None) -> Min
     """Breadth-first enumeration, level by level in node order.
 
     A cover w -> w*s_i exists when the packed column w(alpha_i) is in S1; its
-    target is looked up by inversion mask before any matrix is built.
-    Columns are visited in node order, which fixes the order of `elements`
-    and `edges`."""
+    target is looked up by inversion mask before its columns are built.
+    Columns are visited in node order, which fixes the order of the elements
+    and of `edges`."""
     if max_length is not None and max_length < 0:
         raise ValueError(f"max_length must be at least 0, not {max_length}")
     d = ctx.d
     bits = ctx.s1_bits
     cap = len(bits) if max_length is None else min(max_length, len(bits))
-    elements = [identity(d)]
-    masks = [0]
+    masks, parents, letters, cols = [0], [-1], [-1], [identity(d).cols]
     by_mask = {0: 0}
     edges: list[tuple[int, int]] = []
     frontier = [0]
@@ -143,31 +157,31 @@ def enumerate_poset(ctx: GradedContext, max_length: Optional[int] = None) -> Min
     depth = 0
     while frontier:
         if depth == cap:
-            truncated = any(col in bits for p in frontier for col in elements[p].cols)
+            truncated = any(col in bits for p in frontier for col in cols[p])
             break
         depth += 1
         new_frontier: list[int] = []
         for src in frontier:
-            w, mask = elements[src], masks[src]
-            for i, col in enumerate(w.cols):
+            w, mask = cols[src], masks[src]
+            for i, col in enumerate(w):
                 b = bits.get(col)
                 if b is None:
                     continue
                 if mask & b:
-                    raise RuntimeError(f"column {w.mat[i]} is already an inversion of {w.word}")
+                    raise RuntimeError(f"column {i} of element {src} is already an inversion")
                 key = mask | b
                 tgt = by_mask.get(key)
                 if tgt is None:
-                    tgt = by_mask[key] = len(elements)
-                    elements.append(
-                        WeylElement(d, w.word + (i,), _right_mult_simple(d, w.cols, i)))
+                    tgt = by_mask[key] = len(masks)
                     masks.append(key)
+                    parents.append(src)
+                    letters.append(i)
+                    cols.append(_right_mult_simple(d, w, i))
                     new_frontier.append(tgt)
                 edges.append((src, tgt))
         frontier = new_frontier
-    return MinusculePoset(
-        ctx, tuple(elements), tuple(masks), tuple(edges), not truncated, by_mask
-    )
+    return MinusculePoset(ctx, tuple(masks), tuple(parents), tuple(letters), tuple(cols),
+                          tuple(edges), not truncated, by_mask)
 
 
 def special_involution(ctx: GradedContext, comp: EvenComponent) -> WeylElement:
@@ -193,13 +207,11 @@ def _build_family_minimum(ctx: GradedContext, alpha: int, wall: Wall) -> WeylEle
     a_root = simple_root(d, alpha)
     if wall.kind == "odd":
         b = wall.node
-        assert b is not None
         perp_even = [i for i in ctx.even if d.cartan[i][b] == 0]
         # s_b * u, reduced: u = w0(perp_even) * w0(even) lies in W_even, so
         # u^{-1}(alpha_b) is alpha_b plus even roots, positive
         return _word_element(d, (b,) + longest_quotient(d, perp_even, ctx.even).word)
     comp = wall.component
-    assert comp is not None
     if wall.wall_type == 1:
         w = dominant_mapper(d, comp.region, a_root, wall.root)
         if w is None:
@@ -356,65 +368,65 @@ def check_bounding_equivalence(poset: MinusculePoset) -> CheckResult:
     """Avoiding the bounding roots must carve out exactly the same poset.
 
     The wall-avoiding BFS keys each element by its inversion mask and drops a
-    duplicate before building a matrix; a new inversion outside S1, or a mask
-    the poset lacks, is an element outside the poset."""
+    duplicate before building its columns; a new inversion outside S1, or a
+    mask the poset lacks, is an element outside the poset.  Every mask it
+    keeps is one of the poset's, so the walk ends."""
     ctx = poset.ctx
     blocked = {pack(a) for a in ctx.bounding_roots()}
     bits = ctx.s1_bits
-    cap = 4 * len(poset) + 1000
     seen = {0}
-    frontier = [(identity(ctx.d), 0)]
-    count = 1
+    frontier = [(identity(ctx.d).cols, 0)]
     ok = True
     while frontier and ok:
         nxt = []
         for w, mask in frontier:
-            for i in ctx.d.nodes:
-                col = w.cols[i]
+            for i, col in enumerate(w):
                 if col < 0 or col in blocked:
                     continue
                 b = bits.get(col)
-                if b is None:
+                if b is None or (key := mask | b) not in poset.by_mask:
                     ok = False
                     break
-                key = mask | b
-                if key in seen:
-                    continue
-                if key not in poset.by_mask:
-                    ok = False
-                    break
-                seen.add(key)
-                nxt.append((w.extend(i), key))
-                count += 1
-                if count > cap:
-                    ok = False
-                    break
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append((_right_mult_simple(ctx.d, w, i), key))
             if not ok:
                 break
         frontier = nxt
-    ok = ok and count == len(poset)
-    return CheckResult(
-        "bounding_equivalence",
-        ok,
-        f"wall-avoiding enumeration found {count} of {len(poset)} elements",
-    )
+    count = len(seen)
+    return CheckResult("bounding_equivalence", ok and count == len(poset),
+                       f"wall-avoiding enumeration found {count} of {len(poset)} elements")
 
 
 def check_poset_basics(poset: MinusculePoset) -> CheckResult:
-    width = len(poset.ctx.s1_order)
-    masks = poset.masks
+    """The stored form against the group, from the identity up: each element
+    p > 0 is its parent q < p times s_i, i its last letter, so q's column i
+    is a root of S1 outside q's mask, p's mask is q's with it, and p's
+    columns are q's times s_i.  A cover adds one inversion.  The check stops
+    at the first parent that does not come earlier, so every word it spells
+    is a walk along checked parents, which ends."""
+    d, bits = poset.ctx.d, poset.ctx.s1_bits
+    masks, cols = poset.masks, poset.cols
     problems = []
-    for w, mask in zip(poset.elements, masks):
-        if mask.bit_count() != w.length:
-            problems.append(f"length mismatch at {w.word}")
-        if mask >> width:
-            problems.append(f"inversion outside odd height 1 at {w.word}")
-    for a, b in poset.edges:
-        u, v = poset.elements[a], poset.elements[b]
-        if not (u.length + 1 == v.length and masks[a] & ~masks[b] == 0):
-            problems.append(f"bad cover {u.word} -> {v.word}")
-    if poset.elements[0].length != 0:
+    if masks[0] or cols[0] != identity(d).cols:
         problems.append("missing identity")
+    for p in range(1, len(poset)):
+        q, i = poset.parents[p], poset.letters[p]
+        if not (0 <= q < p and i in d.nodes):
+            problems.append(f"element {p}: parent {q} is not earlier or letter {i} is not a node")
+            return _verdict("poset_basics", problems, "")
+        b = bits.get(cols[q][i])
+        if b is None:
+            problems.append(f"inversion outside odd height 1 at {poset.word(p)}")
+        elif masks[q] & b:
+            problems.append(f"length mismatch at {poset.word(p)}")
+        elif masks[p] != masks[q] | b:
+            problems.append(f"inversion set mismatch at {poset.word(p)}")
+        elif cols[p] != _right_mult_simple(d, cols[q], i):
+            problems.append(f"column mismatch at {poset.word(p)}")
+    for u, v in poset.edges:
+        if not (poset.length(u) + 1 == poset.length(v) and masks[u] & ~masks[v] == 0):
+            problems.append(f"bad cover {poset.word(u)} -> {poset.word(v)}")
     return _verdict("poset_basics", problems,
                     f"{len(poset)} elements, {len(poset.edges)} covers")
 
@@ -458,7 +470,7 @@ def check_family_minima(poset: MinusculePoset) -> CheckResult:
 
 
 def _below_all(poset: MinusculePoset, pos: int, positions: Iterable[int]) -> bool:
-    """Whether elements[pos] is below every element at the given positions."""
+    """Whether element pos is below every element at the given positions."""
     masks = poset.masks
     low = masks[pos]
     return all(low & ~masks[p] == 0 for p in positions)
@@ -483,7 +495,7 @@ def coset_translates(
     subgroup: Sequence[Root],
 ) -> tuple[dict[int, int], list[tuple[int, Optional[int]]]]:
     """The minimal representatives u of W'\\W(ambient), each with the
-    position of its translate m*u, where m = elements[start].
+    position of its translate m*u, where m is the element at `start`.
 
     W' is the reflection subgroup on the simple system `subgroup`.  Its
     minimal representatives are closed under prefixes in the right weak
@@ -492,21 +504,20 @@ def coset_translates(
     simple beta (minimality).  A representative is its inversion mask over
     the ambient positive roots; the returned index gives each packed root's
     bit.
-    m*u*s_i is m*u extended through node i, looked up in the poset by mask;
-    its position is None when that column is outside S1 or the mask is not
-    in the poset, and so is every translate grown from it.
+    m*u*s_i is m*u stepped through node i (`MinusculePoset.step`); its
+    position is None when that column is outside S1 or the mask is not in
+    the poset, and so is every translate grown from it.
     """
     d = poset.ctx.d
-    bits = poset.ctx.s1_bits
     index: dict[int, int] = {}
     reps: list[tuple[int, Optional[int]]] = [(0, start)]
     seen = {0}
-    frontier = [(identity(d), tuple(subgroup), 0, start)]
+    frontier = [(identity(d).cols, tuple(subgroup), 0, start)]
     while frontier:
         nxt = []
         for u, pulled, mask, img in frontier:
             for i in ambient:
-                col = u.cols[i]
+                col = u[i]
                 if col < 0:
                     continue
                 key = mask | index.setdefault(col, 1 << len(index))
@@ -516,13 +527,9 @@ def coset_translates(
                 moved = tuple(reflect_simple(d, beta, i) for beta in pulled)
                 if not all(map(is_positive, moved)):
                     continue
-                tgt = None
-                if img is not None:
-                    b = bits.get(poset.elements[img].cols[i])
-                    if b is not None:
-                        tgt = poset.by_mask.get(poset.masks[img] | b)
+                tgt = None if img is None else poset.step(img, i)
                 reps.append((key, tgt))
-                nxt.append((u.extend(i), moved, key, tgt))
+                nxt.append((_right_mult_simple(d, u, i), moved, key, tgt))
         frontier = nxt
     return index, reps
 
@@ -535,7 +542,7 @@ def check_coset_isomorphism(poset: MinusculePoset) -> CheckResult:
     u*s_i is a representative when u(alpha_i) > 0 (the ascent test) and
     s_i(u^{-1} beta) > 0 for each subgroup simple beta (the minimality test).
     No group product is formed; the minimum is the only element looked up by
-    matrix."""
+    its word."""
     ctx = poset.ctx
     masks = poset.masks
     problems = []
@@ -619,10 +626,10 @@ def check_maxima(poset: MinusculePoset) -> CheckResult:
             f"parametrized {len(set(positions))} maxima, enumeration has {len(poset.maxima)}"
         )
     for it in items:
-        if poset.elements[it.position].length != it.dimension:
+        if poset.length(it.position) != it.dimension:
             problems.append(
                 f"{it.label}: closed-form dimension {it.dimension} "
-                f"vs length {poset.elements[it.position].length}"
+                f"vs length {poset.length(it.position)}"
             )
     return _verdict("maxima_parametrization", problems,
                     f"{len(items)} maxima parametrized with exact dimensions")
@@ -776,9 +783,7 @@ def check_structural(poset: MinusculePoset, limit: int) -> CheckResult:
 
 def check_family_coverage(poset: MinusculePoset) -> CheckResult:
     """Every maximal element lies in at least one family."""
-    covered = set()
-    for positions in poset._family_table.values():
-        covered.update(positions)
+    covered = set().union(*poset._family_table.values())
     missing = [i for i in poset.maxima if i not in covered]
     return CheckResult(
         "family_coverage",
@@ -797,10 +802,9 @@ def check_hermitian_half(poset: MinusculePoset) -> CheckResult:
         if wall.kind != "odd":
             continue
         for t in poset.family_maximal(poset.family(a, wall)):
-            if poset.elements[t].length != half:
+            if poset.length(t) != half:
                 problems.append(
-                    f"({a}, wall {wall.index}): top dimension "
-                    f"{poset.elements[t].length} != {half}"
+                    f"({a}, wall {wall.index}): top dimension {poset.length(t)} != {half}"
                 )
     return _verdict("hermitian_half", problems,
                     f"odd-wall family tops all have dimension {half}")

@@ -118,13 +118,13 @@ def result_document(
         members = poset.family(a, w)
         if not members:
             continue
-        best = min(members, key=lambda p: poset.elements[p].length)
+        best = min(members, key=poset.length)
         families.append(
             {
                 "alpha": a,
                 "wall": w.index,
                 "size": len(members),
-                "min_word": list(poset.elements[best].word),
+                "min_word": list(poset.word(best)),
             }
         )
     maxima = [
@@ -133,7 +133,7 @@ def result_document(
             "alphas": list(it.alphas),
             "walls": list(it.wall_indices),
             "dimension": it.dimension,
-            "word": list(poset.elements[it.position].word),
+            "word": list(poset.word(it.position)),
         }
         for it in maxima_parametrization(poset)
     ]
@@ -166,8 +166,8 @@ def render_dot(poset: MinusculePoset) -> str:
         raise ValueError(poset.truncation())
     lines = ["digraph poset {", "  rankdir=BT;"]
     maxima = set(poset.maxima)
-    for i, w in enumerate(poset.elements):
-        word = ".".join(str(x) for x in w.word) or "e"
+    for i in range(len(poset)):
+        word = ".".join(map(str, poset.word(i))) or "e"
         shape = ' shape=box' if i in maxima else ""
         lines.append(f'  n{i} [label="{word}"{shape}];')
     for a, b in poset.edges:

@@ -44,20 +44,8 @@ def scale(k: int, a: Root) -> Root:
     return tuple(k * x for x in a)
 
 
-def ht(a: Root) -> int:
-    return sum(a)
-
-
-def ht_subset(a: Root, nodes: Iterable[int]) -> int:
-    return sum(a[i] for i in nodes)
-
-
 def is_positive(a: Root) -> bool:
     return any(a) and min(a) >= 0
-
-
-def is_negative(a: Root) -> bool:
-    return any(a) and max(a) <= 0
 
 
 def pair(d: AffineDiagram, a: Root, i: int) -> int:

@@ -120,12 +120,6 @@ class WeylElement:
             return None
         return WeylElement(self.d, self.word + (i,), _right_mult_simple(self.d, self.cols, i))
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeylElement) and self.cols == other.cols
-
-    def __hash__(self) -> int:
-        return hash(self.cols)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<w {'.'.join(map(str, self.word)) or 'e'}>"
 
@@ -147,14 +141,12 @@ def longest_element(
     s = sorted(set(nodes))
     cap = positive_root_count(d, s)
     w = identity(d) if start is None else start
-    for _ in range(cap):
+    for _ in range(cap + 1):
         i = next((i for i in s if w.cols[i] > 0), None)
         if i is None:
             return w
         w = w.extend(i)
-    if any(w.cols[i] > 0 for i in s):
-        raise RuntimeError(f"no longest element on nodes {s} within length {cap}")
-    return w
+    raise RuntimeError(f"no longest element on nodes {s} within length {cap}")
 
 
 def longest_quotient(

@@ -50,9 +50,7 @@ from borelab.roots import (
     Root,
     add,
     coroot_pair,
-    ht,
     is_long,
-    is_negative,
     is_positive,
     neg,
     pair,
@@ -64,6 +62,23 @@ from borelab.roots import (
 from borelab.weyl import WeylElement, _apply_cols, _word_element, identity, pack
 
 Cols = tuple[Root, ...]
+
+
+def ht(a: Root) -> int:
+    return sum(a)
+
+
+def ht_subset(a: Root, nodes: Iterable[int]) -> int:
+    return sum(a[i] for i in nodes)
+
+
+def ht_odd(ctx: GradedContext, a: Root) -> int:
+    """Coefficient sum over the odd nodes."""
+    return ht_subset(a, ctx.odd)
+
+
+def is_negative(a: Root) -> bool:
+    return any(a) and max(a) <= 0
 
 
 @lru_cache(maxsize=None)

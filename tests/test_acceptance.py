@@ -108,7 +108,7 @@ def test_criterion_02_e8(e8_case):
     got = {it.label: it.dimension for it in items}
     ok = ok and got == expected_dims
     for it in items:
-        ok = ok and poset.elements[it.position].length == it.dimension
+        ok = ok and poset.length(it.position) == it.dimension
     # nonempty families appear exactly at the predicted (alpha, wall) pairs
     fam = {(a, w.index) for w in ctx.walls for a in ctx.d.nodes if poset.family(a, w)}
     want = ({(k, 1) for k in range(1, 9)}
@@ -127,7 +127,7 @@ def test_criterion_03_d5_twisted():
     poset = enumerate_poset(ctx)
     fam = {(a, w.index) for w in ctx.walls for a in ctx.d.nodes if poset.family(a, w)}
     ok = fam == {(0, 1), (1, 2), (1, 3), (2, 2)}
-    ok = ok and sorted(poset.elements[i].length for i in poset.maxima) == [3, 7, 7]
+    ok = ok and sorted(map(poset.length, poset.maxima)) == [3, 7, 7]
     ok = ok and ctx.perp_nodes(2) == (0, 4)
     elapsed = time.time() - t0
     ok = ok and elapsed < 5.0
@@ -230,7 +230,7 @@ def test_criterion_08_maxima_and_oracle(sweep, e8_case):
         oracle = _abelian_ideals(d, finite)
         dd = delta(d)
         images = {
-            frozenset(sub(dd, n) for n in w.inversions) for w in poset.elements
+            frozenset(sub(dd, n) for n in poset.element(q).inversions) for q in range(len(poset))
         }
         if images != oracle:
             bad.append(f"{label}: ideal sets disagree with the enumeration")
@@ -284,7 +284,7 @@ def test_criterion_11_hermitian_half():
             for r in verify_all(poset):
                 if r.name == "hermitian_half" and not r.passed:
                     bad.append(f"{spec.describe()}: {r.detail}")
-            top = max(poset.elements[i].length for i in poset.maxima)
+            top = max(map(poset.length, poset.maxima))
             if top != half:
                 bad.append(f"{spec.describe()}: top {top} != {half}")
     report("criterion 11 (hermitian half dimension)", not bad,

@@ -21,7 +21,7 @@ import pytest
 from borelab.cartan import _kernel_vector, diagram_automorphisms, load_diagram
 from borelab.grading import analyze, catalog_involutions
 from borelab.minuscule import enumerate_poset, verify_all
-from borelab.roots import add, ht, subsystem_closure
+from borelab.roots import add, subsystem_closure
 from borelab.weyl import BOUND, pack, unpack
 from oracles import (
     blocked_nodes,
@@ -31,6 +31,7 @@ from oracles import (
     fraction_form,
     fraction_kernel_vector,
     fraction_symmetrizer,
+    ht,
     is_real_root,
     scan_poset,
     tuple_family_table,
@@ -166,8 +167,9 @@ def test_packed_bfs_matches_tuple_reference(catalog):
     for ctx in catalog:
         name = ctx.spec.describe()
         got, want = enumerate_poset(ctx), scan_poset(ctx)
-        assert [w.word for w in got.elements] == want.words, name
-        assert [w.mat for w in got.elements] == want.mats, name
+        assert list(map(got.word, range(len(got)))) == want.words, name
+        mats = [tuple(unpack(c, ctx.d.size) for c in cols) for cols in got.cols]
+        assert mats == want.mats, name
         assert (list(got.masks), list(got.edges)) == (want.masks, want.edges), name
         assert (got.by_mask, got.complete) == (want.by_mask, want.complete), name
         assert got._family_table == tuple_family_table(ctx, want.mats), name
@@ -179,7 +181,7 @@ def test_packed_columns_round_trip(catalog):
     top = 0
     for ctx in catalog:
         d = ctx.d
-        for col in {c for w in enumerate_poset(ctx).elements for c in w.cols}:
+        for col in {c for cols in enumerate_poset(ctx).cols for c in cols}:
             a = unpack(col, d.size)
             assert pack(a) == col and is_real_root(d, a), (ctx.spec.describe(), a)
             assert all(x >= 0 for x in a) if col > 0 else all(x <= 0 for x in a), a
@@ -231,7 +233,7 @@ def test_automorphic_gradings_give_isomorphic_posets(catalog):
             shapes = set()
             for ctx in orbit:
                 poset = enumerate_poset(ctx)
-                lengths = Counter(w.length for w in poset.elements)
+                lengths = Counter(m.bit_count() for m in poset.masks)
                 shapes.add((len(poset), tuple(sorted(lengths.items())), len(poset.maxima)))
             assert len(shapes) == 1, (label, [ctx.odd for ctx in orbit], shapes)
         deduped = catalog_involutions(ctxs[0].d, include_adjoint=True)

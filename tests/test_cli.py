@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -141,6 +142,16 @@ def test_export_dot(tmp_path):
                 "--format", "dot", "--out", str(out))
     assert r.returncode == 0
     assert out.read_text().startswith("digraph poset {")
+
+
+def test_c10_dot_bytes_pinned():
+    # the one output that spells every element's word, walked along the
+    # parents: sha256 recorded when each element still stored its word
+    r = run_cli("export", "--type", "C10~1", "--pi1", "0,10", "--format", "dot")
+    assert r.returncode == 0
+    assert r.stdout.count(" [label=") == 6144
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+        "2bca40305966f25878dc08bbea162aa905a16a567a4a4cb5db2905a9032f9ca3")
 
 
 def test_export_reproducible(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,8 +9,18 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize(
-    "demo", ["adjoint_counts.py", "exceptional_walkthrough.py", "twisted_diagram_tour.py"])
+# sha256 of each demo's stdout, recorded when each poset element still stored
+# its word and matrix; words are now spelled along the parents
+STDOUT_SHA256 = {
+    "adjoint_counts.py": "cb072a9ba3aa4789ebe91f3ddd9524930f0d444fc1e8131dca14abc6679b2474",
+    "exceptional_walkthrough.py":
+        "bab84eec04c2a7b0714af69845d952dd1e2dc9ece54227a44439bcbb928a5a4a",
+    "twisted_diagram_tour.py":
+        "d983fce972dc55f57f4487ec20ca014225cda8d58d38da22b8dcf87ed51bb1bb",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(STDOUT_SHA256))
 def test_demo_runs(demo):
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
@@ -18,3 +29,4 @@ def test_demo_runs(demo):
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip()
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == STDOUT_SHA256[demo]

@@ -6,7 +6,7 @@ import pytest
 from borelab.cartan import load_diagram
 from borelab.grading import analyze, catalog_involutions, context_for, involution
 from borelab.roots import simple_root
-from oracles import is_real_root, root_kind
+from oracles import ht_odd, is_real_root, root_kind
 
 SWEEP_LABELS = [
     "A1~1", "A2~1", "A3~1", "A4~1", "A5~1", "B2~1", "B3~1", "B4~1",
@@ -88,9 +88,9 @@ def test_catalog_specs_are_valid():
 
 def test_odd_height():
     ctx = context_for("E8~1", [1])
-    assert ctx.ht_odd((0, 2, 3, 4, 5, 6, 4, 2, 3)) == 2  # highest root
-    assert ctx.ht_odd(simple_root(ctx.d, 1)) == 1
-    assert ctx.ht_odd(simple_root(ctx.d, 5)) == 0
+    assert ht_odd(ctx, (0, 2, 3, 4, 5, 6, 4, 2, 3)) == 2  # highest root
+    assert ht_odd(ctx, simple_root(ctx.d, 1)) == 1
+    assert ht_odd(ctx, simple_root(ctx.d, 5)) == 0
 
 
 def test_complex_classification():
@@ -227,7 +227,7 @@ def test_odd_height_one_closure_e8_adjoint():
     ctx = context_for("E8~1", [0], adjoint=True)
     s1 = ctx.odd_height_one_roots
     assert len(s1) == 240  # delta + gamma for every root gamma of E8
-    assert all(ctx.ht_odd(g) == 1 and root_kind(ctx.d, g) == "real" for g in s1)
+    assert all(ht_odd(ctx, g) == 1 and root_kind(ctx.d, g) == "real" for g in s1)
 
 
 def test_odd_height_one_contents():
@@ -237,7 +237,7 @@ def test_odd_height_one_contents():
     dd = (1, 1, 1)
     assert dd not in ctx.odd_height_one_roots
     for g in ctx.odd_height_one_roots:
-        assert ctx.ht_odd(g) == 1
+        assert ht_odd(ctx, g) == 1
     assert (1, 0, 0) in ctx.odd_height_one_roots  # delta minus the highest root
     assert (1, 2, 2) in ctx.odd_height_one_roots  # delta plus the highest root
 

@@ -56,7 +56,7 @@ from oracles import (
 
 
 def words(poset):
-    return {w.word for w in poset.elements}
+    return {poset.word(q) for q in range(len(poset))}
 
 
 def test_adjoint_rank_one_and_two_exactly():
@@ -64,7 +64,7 @@ def test_adjoint_rank_one_and_two_exactly():
     assert words(p) == {(), (0,)}
     p = enumerate_poset(context_for("A2~1", [0], adjoint=True))
     assert words(p) == {(), (0,), (0, 1), (0, 2)}
-    assert sorted(p.elements[i].word for i in p.maxima) == [(0, 1), (0, 2)]
+    assert sorted(map(p.word, p.maxima)) == [(0, 1), (0, 2)]
 
 
 def test_smallest_hermitian_case():
@@ -77,7 +77,7 @@ def test_d5_twisted_golden(d5):
     ctx, p = d5
     assert len(p) == 15
     assert len(p.edges) == 19
-    assert sorted(p.elements[i].length for i in p.maxima) == [3, 7, 7]
+    assert sorted(map(p.length, p.maxima)) == [3, 7, 7]
     w1, w2, w3 = ctx.walls
     assert len(p.family(0, w1)) == 1
     assert len(p.family(1, w2)) == 4
@@ -110,7 +110,7 @@ def test_e8_golden(e8):
         "alpha0&alpha8": 28, "alpha1@wall3": 29,
     }
     for it in items:
-        assert p.elements[it.position].length == it.dimension
+        assert p.length(it.position) == it.dimension
 
 
 def test_e8_family_sizes(e8):
@@ -129,26 +129,26 @@ def test_special_involution_closed_forms():
     ctx = context_for("C3~1", [0, 3])
     (comp,) = ctx.components
     s = special_involution(ctx, comp)
-    assert s == from_word(ctx.d, [0, 3])
+    assert s.cols == from_word(ctx.d, [0, 3]).cols
     # B-type with the short-end singleton component: the folded word
     ctx = context_for("B3~1", [2])
     comp = next(c for c in ctx.components if c.nodes == (3,))
     s = special_involution(ctx, comp)
-    assert s == from_word(ctx.d, [2, 0, 1, 2])
+    assert s.cols == from_word(ctx.d, [2, 0, 1, 2]).cols
     assert s.length == 4
     ctx = context_for("B4~1", [3])
     comp = next(c for c in ctx.components if c.nodes == (4,))
     s = special_involution(ctx, comp)
-    assert s == from_word(ctx.d, [3, 2, 0, 1, 2, 3])
+    assert s.cols == from_word(ctx.d, [3, 2, 0, 1, 2, 3]).cols
     assert s.length == 6
     # k=2: the reflection in delta minus the component highest root
     ctx = context_for("A2~1", [0], adjoint=True)
     (comp,) = ctx.components
-    assert special_involution(ctx, comp) == from_reflection(ctx.d, (1, 0, 0))
+    assert special_involution(ctx, comp).cols == from_reflection(ctx.d, (1, 0, 0)).cols
     ctx = context_for("D5~2", [1])
     comp = ctx.components[0]
-    assert special_involution(ctx, comp) == from_reflection(
-        ctx.d, (0, 1, 1, 1, 1))
+    assert special_involution(ctx, comp).cols == from_reflection(
+        ctx.d, (0, 1, 1, 1, 1)).cols
     assert special_involution(ctx, comp).length == 8 - 2 + 1
 
 
@@ -176,8 +176,8 @@ def test_max_length_truncation(d5):
     ctx, full = d5
     p = enumerate_poset(ctx, max_length=2)
     assert not p.complete
-    assert all(w.length <= 2 for w in p.elements)
-    assert len(p) == len([w for w in full.elements if w.length <= 2])
+    assert all(p.length(q) <= 2 for q in range(len(p)))
+    assert len(p) == len([q for q in range(len(full)) if full.length(q) <= 2])
     assert enumerate_poset(ctx, max_length=len(ctx.odd_height_one_roots)).complete
     with pytest.raises(ValueError, match="max_length"):
         enumerate_poset(ctx, max_length=-1)
@@ -201,7 +201,7 @@ def test_e6_intersections():
     m = _word_element(ctx.d, u.word + vx.word + vy.word)
     fam = set(p.family(1, w1)) & set(p.family(0, w2))
     assert p.position(m) in fam
-    assert all(m.inversions <= p.elements[q].inversions for q in fam)
+    assert all(m.inversions <= p.element(q).inversions for q in fam)
     assert check_intersections(p).passed
 
 
@@ -248,7 +248,7 @@ def test_e6_maxima_breakdown():
 def test_hermitian_dimensions():
     ctx = context_for("A6~1", [0, 3])
     p = enumerate_poset(ctx)
-    dims = sorted(p.elements[i].length for i in p.maxima)
+    dims = sorted(map(p.length, p.maxima))
     assert dims == [5, 5, 6, 6, 7, 7, 12, 12]
     assert dims[-1] == len(ctx.odd_height_one_roots) // 2
 
@@ -293,7 +293,8 @@ def test_structural_verdict_matches_reference(d5, e8):
     for ctx, poset in (d5, e8):
         partner, down = structural_masks(ctx)
         table = decompositions(ctx)
-        for mask, w in zip(poset.masks, poset.elements):
+        for q, mask in enumerate(poset.masks):
+            w = poset.element(q)
             verdict = mask_verdict(partner, down, mask)
             assert verdict == (True, True), w.word
             assert verdict == structural_verdict(ctx, w.inversions, table), w.word
@@ -343,20 +344,39 @@ def sweep():
 def test_decoded_inversions_match_word_replay(sweep):
     # the mask decode against the set read off each element's reduced word
     for name, _, p in sweep:
-        for q, w in enumerate(p.elements):
+        for q in range(len(p)):
+            w = p.element(q)
             decoded = {a for n, a in enumerate(p.ctx.s1_order) if p.masks[q] >> n & 1}
             assert decoded == w.inversions, (name, w.word)
 
 
+def last_descent_word(d, cols):
+    """A reduced word read off the columns by stripping the largest right
+    descent, w -> w*s_j for the largest j with w(alpha_j) < 0."""
+    word = []
+    while any(c < 0 for c in cols):
+        j = max(j for j, c in enumerate(cols) if c < 0)
+        word.append(j)
+        cols = weyl._right_mult_simple(d, cols, j)
+    return word[::-1]
+
+
 def test_position_round_trips(sweep):
-    for name, _, p in sweep:
-        for i, w in enumerate(p.elements):
-            assert p.position(w) == i, (name, w.word)
+    # the walk along the stored word, and along another reduced word of the
+    # same element: every prefix of either is in the lower set P
+    other = 0
+    for name, ctx, p in sweep:
+        for i in range(len(p)):
+            assert p.position(p.element(i)) == i, (name, p.word(i))
+            word = last_descent_word(ctx.d, p.cols[i])
+            assert p.position(_word_element(ctx.d, word)) == i, (name, word)
+            other += tuple(word) != p.word(i)
+    assert other == 95  # elements whose two words differ
 
 
 def maximal_by_sets(p, positions):
     """Reference: members whose inversion set is in no other member's."""
-    sets = {q: p.elements[q].inversions for q in positions}
+    sets = {q: p.element(q).inversions for q in positions}
     return tuple(q for q in positions if not any(sets[q] < sets[r] for r in positions))
 
 
@@ -372,7 +392,7 @@ def test_position_outside_s1_is_none(sweep):
     # a maximal element grows only by columns outside S1; the grown element
     # keeps every inversion of the maximal one, which is in the poset
     for name, ctx, p in sweep:
-        t = p.elements[p.maxima[0]]
+        t = p.element(p.maxima[0])
         grown = [g for g in map(t.extend, ctx.d.nodes) if g is not None]
         assert grown, name
         for g in grown:
@@ -388,6 +408,43 @@ def test_flipped_mask_bit_fails_poset_basics(sweep):
             bad = copy.copy(p)
             bad.masks = p.masks[:j] + (p.masks[j] ^ 1 << j % width,) + p.masks[j + 1:]
             assert not check_poset_basics(bad).passed, (name, j)
+
+
+def test_changed_parent_letter_or_column_fails_poset_basics(sweep):
+    # each element is its parent times the simple reflection of its last
+    # letter: another parent or letter is another element, or a parent that
+    # does not come earlier, and a parent's columns are not the element's
+    for name, ctx, p in sweep:
+        for j in range(1, len(p)):
+            q, i = p.parents[j], p.letters[j]
+            bad = copy.copy(p)
+            bad.parents = p.parents[:j] + ((q + 1) % len(p),) + p.parents[j + 1:]
+            assert not check_poset_basics(bad).passed, (name, j)
+            bad = copy.copy(p)
+            bad.letters = p.letters[:j] + ((i + 1) % ctx.d.size,) + p.letters[j + 1:]
+            assert not check_poset_basics(bad).passed, (name, j)
+            bad = copy.copy(p)
+            bad.cols = p.cols[:j] + (p.cols[q],) + p.cols[j + 1:]
+            r = check_poset_basics(bad)
+            assert r.detail == f"column mismatch at {p.word(j)}", (name, j)
+
+
+def test_poset_stores_no_element_objects(monkeypatch):
+    # one stored form: masks, parents, letters and columns; the identity's
+    # columns are the only WeylElement the enumeration builds
+    built = []
+    init = weyl.WeylElement.__init__
+    monkeypatch.setattr(weyl.WeylElement, "__init__",
+                        lambda self, *args: built.append(args[1]) or init(self, *args))
+    p = enumerate_poset(context_for("C10~1", [0, 10]))
+    assert (len(p), built) == (6144, [()])
+    for name in ("elements", "_by_cols"):
+        assert not hasattr(p, name)
+    monkeypatch.undo()
+    for q in (0, 1, len(p) - 1, *p.maxima):
+        w = p.element(q)
+        assert (w.word, w.length) == (p.word(q), p.length(q)) and w.cols == p.cols[q]
+        assert p.position(w) == q
 
 
 def test_bounding_equivalence_rejects_other_posets(sweep):
@@ -408,12 +465,12 @@ def test_bounding_equivalence_rejects_other_posets(sweep):
 
 def test_truncation_below_top_length_is_incomplete(sweep):
     for name, ctx, p in sweep:
-        top = max(w.length for w in p.elements)
+        top = max(map(p.length, range(len(p))))
         assert enumerate_poset(ctx, max_length=top).complete, name
         if top:
             short = enumerate_poset(ctx, max_length=top - 1)
             assert not short.complete, name
-            assert len(short) == sum(w.length < top for w in p.elements), name
+            assert len(short) == sum(p.length(q) < top for q in range(len(p))), name
 
 
 def test_family_minimum_built_once_per_grading(monkeypatch):
@@ -818,12 +875,13 @@ def test_enumerate_poset_matches_scan_reference():
     gradings = 0
     for name, ctx in oracle_gradings():
         gradings += 1
-        top = max(w.length for w in enumerate_poset(ctx).elements)
+        top = max(m.bit_count() for m in enumerate_poset(ctx).masks)
         for max_length in (None, 0, 2, max(top - 1, 0)):
             got = enumerate_poset(ctx, max_length)
             want = scan_poset(ctx, max_length)
-            assert [w.mat for w in got.elements] == want.mats, name
-            assert [w.word for w in got.elements] == want.words, name
+            mats = [tuple(unpack(c, ctx.d.size) for c in cols) for cols in got.cols]
+            assert mats == want.mats, name
+            assert list(map(got.word, range(len(got)))) == want.words, name
             assert list(got.masks) == want.masks, (name, max_length)
             assert list(got.edges) == want.edges, (name, max_length)
             assert got.by_mask == want.by_mask, (name, max_length)

@@ -10,8 +10,6 @@ from borelab.roots import (
     coroot_pair,
     delta,
     highest_root,
-    ht,
-    ht_subset,
     is_long,
     neg,
     norm_sq,
@@ -21,7 +19,7 @@ from borelab.roots import (
     sub,
     subsystem_closure,
 )
-from oracles import from_reflection, is_real_root, root_kind
+from oracles import from_reflection, ht, ht_subset, is_real_root, root_kind
 
 LABELS = ["A2~1", "B3~1", "C3~1", "D4~1", "G2~1", "F4~1", "A2~2", "A5~2", "D5~2"]
 

@@ -9,7 +9,6 @@ from borelab.roots import (
     coroot_pair,
     delta,
     highest_root,
-    is_negative,
     is_positive,
     simple_root,
     subsystem_closure,
@@ -30,6 +29,7 @@ from oracles import (
     inverse,
     inverse_matrix,
     is_biconvex,
+    is_negative,
     length_ball,
     minimal_coset_rep,
     minimal_mapper,
@@ -64,7 +64,7 @@ def test_from_word_cancellation():
 def test_braid_words_canonicalize_equal():
     u = from_word(A2, [1, 2, 1])
     v = from_word(A2, [2, 1, 2])
-    assert u == v
+    assert u.cols == v.cols
     assert u.word == v.word  # canonical form is word-independent
 
 
@@ -103,7 +103,7 @@ def test_group_laws(data):
     x = tuple(data.draw(st.integers(-2, 2)) for _ in nodes)
     assert product(u, v).apply(x) == u.apply(v.apply(x))
     assert product(inverse(u), u).length == 0
-    assert inverse(inverse(u)) == u
+    assert inverse(inverse(u)).cols == u.cols
     for w in (u, v, product(u, v), inverse(u)):  # the words need not be reduced
         assert_inversions_by_definition(w)
     dropped = data.draw(st.sampled_from(nodes))  # leaves a finite parabolic
@@ -111,11 +111,11 @@ def test_group_laws(data):
     subgroup = [simple_root(d, i) for i in ambient if data.draw(st.booleans())]
     for rep in coset_poset(d, ambient, subgroup):
         assert_inversions_by_definition(rep)
-    assert from_word(d, u.word) == u
+    assert from_word(d, u.word).cols == u.cols
     grown = identity(d)  # built by extend, the library's only route
     for i in u.word:
         grown = grown.extend(i)
-    assert grown == u and grown.word == u.word
+    assert grown.cols == u.cols and grown.word == u.word
 
 
 @settings(max_examples=40, deadline=None)
@@ -156,9 +156,9 @@ def test_longest_elements():
         # the ascent from w0(J') appends a reduced word of w0(J')*w0(J)
         w0_sub = longest_element(d, nodes[1:])
         grown = longest_element(d, nodes, start=w0_sub)
-        assert grown == w0 and grown.word[:w0_sub.length] == w0_sub.word
+        assert grown.cols == w0.cols and grown.word[:w0_sub.length] == w0_sub.word
         tail = from_word(d, grown.word[w0_sub.length:])
-        assert tail == product(w0_sub, w0) and tail.length == w0.length - w0_sub.length
+        assert tail.cols == product(w0_sub, w0).cols and tail.length == w0.length - w0_sub.length
     assert longest_element(A2, []).length == 0
 
 
@@ -290,7 +290,7 @@ def test_group_orders_against_coset_recursion():
 def test_from_reflection():
     theta = highest_root(A2, (1, 2))
     s = from_reflection(A2, theta)
-    assert s == from_word(A2, [1, 2, 1])
+    assert s.cols == from_word(A2, [1, 2, 1]).cols
     assert s.apply(theta) == tuple(-x for x in theta)
     with pytest.raises(ValueError):
         from_reflection(A2, delta(A2))
