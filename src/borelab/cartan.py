@@ -9,56 +9,70 @@ is ``cartan[i][j] = <alpha_j, alpha_i^vee>``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Matrix = tuple[tuple[int, ...], ...]
 
 _LABEL_RE = re.compile(r"^([A-G])(\d+)~(\d)$")
 
 
-@dataclass(frozen=True)
 class AffineDiagram:
     """An affine generalized Cartan matrix together with derived integer data.
 
-    The derived tables are built once, in `__post_init__`: `nodes`, each
+    The derived tables are built once, by the constructor: `nodes`, each
     node's neighbors, the simple roots, and the integer Gram rows
     `gram[i][j] = L * d_i * A[i][j]`, where d_i is the symmetrizer and
     L = `form_scale` the least common multiple of its denominators, so that
-    L * (a, b) is an integer for integer a and b.  Equality and hashing read
-    only the label, the Cartan matrix and the twist.
+    L * (a, b) is an integer for integer a and b.  d_i is comark_i / mark_i
+    scaled so that its largest value is 1 (Kac, Infinite-dimensional Lie
+    algebras, Sec. 6.2); L and L * d_i are computed from the marks and
+    comarks in integers.  Equality and hashing read only the label, the
+    Cartan matrix and the twist.
     """
 
-    label: str
-    cartan: Matrix
-    twist: int
-    marks: tuple[int, ...] = field(compare=False)
-    comarks: tuple[int, ...] = field(compare=False)
-    symmetrizer: tuple[Fraction, ...] = field(compare=False)
-    nodes: range = field(init=False, compare=False, repr=False)
-    neighbor_table: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    simple_roots: Matrix = field(init=False, compare=False, repr=False)
-    gram: Matrix = field(init=False, compare=False, repr=False)
-    form_scale: int = field(init=False, compare=False, repr=False)
+    def __init__(self, label: str, cartan: Matrix, twist: int,
+                 marks: tuple[int, ...], comarks: tuple[int, ...]):
+        self.label = label
+        self.cartan = cartan
+        self.twist = twist
+        self.marks = marks
+        self.comarks = comarks
+        nodes = self.nodes = range(len(cartan))
+        # d_i = (c_i / m_i) / (c_t / m_t) = c_i * m_t / (m_i * c_t), t a node
+        # with the largest ratio (compared by cross-multiplying); its reduced
+        # denominator is m_i * c_t / gcd(c_i * m_t, m_i * c_t)
+        t = 0
+        for i in nodes:
+            if comarks[i] * marks[t] > comarks[t] * marks[i]:
+                t = i
+        nums = [c * marks[t] for c in comarks]
+        dens = [m * comarks[t] for m in marks]
+        scale = lcm(*(b // gcd(a, b) for a, b in zip(nums, dens)))
+        sym = [scale * a // b for a, b in zip(nums, dens)]  # L * d_i
+        self.neighbor_table = tuple(
+            tuple(j for j in nodes if j != i and cartan[i][j]) for i in nodes)
+        self.simple_roots = tuple(tuple(int(i == j) for j in nodes) for i in nodes)
+        self.gram = tuple(tuple(s * x for x in row) for s, row in zip(sym, cartan))
+        self.form_scale = scale
 
-    def __post_init__(self):
-        n = len(self.cartan)
-        nodes = range(n)
-        scale = lcm(*(x.denominator for x in self.symmetrizer))
-        sym = [int(x * scale) for x in self.symmetrizer]
-        tables = {
-            "nodes": nodes,
-            "neighbor_table": tuple(
-                tuple(j for j in nodes if j != i and self.cartan[i][j]) for i in nodes
-            ),
-            "simple_roots": tuple(tuple(int(i == j) for j in nodes) for i in nodes),
-            "gram": tuple(tuple(s * x for x in row) for s, row in zip(sym, self.cartan)),
-            "form_scale": scale,
-        }
-        for name, value in tables.items():
-            object.__setattr__(self, name, value)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AffineDiagram):
+            return NotImplemented
+        return (self.label, self.cartan, self.twist) == (other.label, other.cartan, other.twist)
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.cartan, self.twist))
+
+    @property
+    def symmetrizer(self) -> tuple[Fraction, ...]:
+        """The d_i as Fractions, read off the Gram diagonal 2 * L * d_i."""
+        from fractions import Fraction
+
+        return tuple(Fraction(self.gram[i][i] // 2, self.form_scale) for i in self.nodes)
 
     @property
     def size(self) -> int:
@@ -196,18 +210,7 @@ def _build(label: str, letter: str, rank: int, twist: int) -> AffineDiagram:
     cartan = _bonds_to_cartan(size, bonds)
     marks = _kernel_vector(cartan)
     comarks = _kernel_vector([list(col) for col in zip(*cartan)])
-    # the invariant form is (alpha_i|alpha_j) = comark_i / mark_i * A[i][j]
-    # (Kac, Infinite-dimensional Lie algebras, Sec. 6.2), scaled so max d_i = 1
-    ratios = [Fraction(c, m) for m, c in zip(marks, comarks)]
-    top = max(ratios)
-    return AffineDiagram(
-        label=label,
-        cartan=cartan,
-        twist=twist,
-        marks=marks,
-        comarks=comarks,
-        symmetrizer=tuple(r / top for r in ratios),
-    )
+    return AffineDiagram(label, cartan, twist, marks, comarks)
 
 
 def load_diagram(label: str) -> AffineDiagram:

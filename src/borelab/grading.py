@@ -9,10 +9,9 @@ combinatorial data driving the family analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .cartan import AffineDiagram, components as diagram_components, finite_dual_coxeter
 from .cartan import diagram_automorphisms, load_diagram
@@ -29,15 +28,14 @@ from .roots import (
 from .weyl import pack
 
 
-@dataclass(frozen=True)
 class InvolutionSpec:
-    """Node flags defining an order-2 grading of the loop algebra."""
+    """Node flags defining an order-2 grading of the loop algebra.  Equality
+    and hashing read the diagram, the flags and the adjoint flag."""
 
-    diagram: AffineDiagram
-    flags: tuple[int, ...]
-    adjoint: bool = False
-
-    def __post_init__(self):
+    def __init__(self, diagram: AffineDiagram, flags: tuple[int, ...], adjoint: bool = False):
+        self.diagram = diagram
+        self.flags = flags
+        self.adjoint = adjoint
         d = self.diagram
         if len(self.flags) != d.size or any(s not in (0, 1) for s in self.flags):
             raise ValueError("flags must be one 0/1 value per node")
@@ -51,6 +49,21 @@ class InvolutionSpec:
                 raise ValueError("flag weight 1 on an untwisted diagram needs adjoint=True")
             if d.twist == 2 and self.adjoint:
                 raise ValueError("adjoint gradings only exist on untwisted diagrams")
+
+    def _key(self) -> tuple:
+        return self.diagram, self.flags, self.adjoint
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InvolutionSpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"InvolutionSpec(diagram={self.diagram!r}, flags={self.flags!r}, "
+                f"adjoint={self.adjoint!r})")
 
     @property
     def k(self) -> int:
@@ -115,8 +128,7 @@ def catalog_involutions(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class EvenComponent:
+class EvenComponent(NamedTuple):
     """A connected component of the even nodes, with its wall candidate."""
 
     index: int
@@ -131,8 +143,7 @@ class EvenComponent:
     region_in_component: tuple[int, ...]  # region nodes inside this component
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     """A non-simple bounding root: k*delta - theta, or k*delta + beta, with
     the simple nodes heading a nonempty family at it.
 

@@ -166,10 +166,15 @@ def render_dot(poset: MinusculePoset) -> str:
         raise ValueError(poset.truncation())
     lines = ["digraph poset {", "  rankdir=BT;"]
     maxima = set(poset.maxima)
+    # element p's word is its parent's plus its last letter, and parents
+    # come first, so each label extends one already spelled
+    labels = ["e"]
     for i in range(len(poset)):
-        word = ".".join(map(str, poset.word(i))) or "e"
+        if i:
+            q, letter = poset.parents[i], str(poset.letters[i])
+            labels.append(f"{labels[q]}.{letter}" if q else letter)
         shape = ' shape=box' if i in maxima else ""
-        lines.append(f'  n{i} [label="{word}"{shape}];')
+        lines.append(f'  n{i} [label="{labels[i]}"{shape}];')
     for a, b in poset.edges:
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")

@@ -5,16 +5,18 @@ with coroots are integers.  Inside the library the invariant bilinear form is
 integer-scaled: `form` gives L * (a, b), read off the diagram's integer Gram
 rows (L is `AffineDiagram.form_scale`).  Fraction appears only at the public
 boundary, in `bilinear` and `norm_sq`, normalized so that long real roots
-have squared length 2.
+have squared length 2; `fractions` is imported when they are called.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add as _add, mul, neg as _neg, sub as _sub
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .cartan import AffineDiagram, components, positive_root_count
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Root = tuple[int, ...]
 
@@ -60,6 +62,8 @@ def form(d: AffineDiagram, a: Root, b: Root) -> int:
 
 def bilinear(d: AffineDiagram, a: Root, b: Root) -> Fraction:
     """Invariant form (a, b); long real roots have (a, a) = 2."""
+    from fractions import Fraction
+
     return Fraction(form(d, a, b), d.form_scale)
 
 

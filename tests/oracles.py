@@ -29,7 +29,10 @@ coset representatives by reflection-subgroup normalization and full group
 elements, a route the library's lockstep coset walk
 (`minuscule.coset_translates`) does not take.  The structural trio decides
 sums and decompositions with `root_kind`, where the library's mask tables
-(`minuscule.structural_masks`) use string lengths.  The orbit search
+(`minuscule.structural_masks`) use string lengths; `pairwise_structural_masks`
+builds those tables by a dot product and a difference for every pair of S1,
+where the library raises inner-product rows along S1 and looks up packed
+differences.  The orbit search
 `minimal_mapper` finds a shortest element sending one root to another by
 BFS over the orbit; the library reaches the same elements by dominant
 ascent (`weyl.dominant_mapper`) and, for the type-2 special involution, by
@@ -42,6 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from borelab.cartan import AffineDiagram, _classify_component, components
@@ -587,6 +591,44 @@ def structural_verdict(
         a in members or b in members for g in family for a, b in table[g]
     )
     return sum_free, biconvex
+
+
+def pairwise_structural_masks(ctx: GradedContext) -> tuple[list[int], list[int]]:
+    """`minuscule.structural_masks` read off every pair x, y of S1.
+
+    y - x is looked up among plus and minus the even positive roots, and
+    c = <y, x^vee>, x the longer root, from the integer Gram rows: c < 0
+    gives a root, c = 0 a root iff y - x is one, c = 1 a root iff y - x is
+    one and 2x - y is in S1 (Humphreys, Lie Algebras, 9.4)."""
+    d, order, s1 = ctx.d, ctx.s1_order, ctx.odd_height_one_roots
+    rise = ctx.even_positive_roots
+    steps = rise | {neg(e) for e in rise}
+    # L * (y, x) is the dot product of y with weight[n], x = order[n]
+    weight = [tuple(sum(map(mul, row, x)) for row in d.gram) for x in order]
+    norm = [sum(map(mul, x, w)) for x, w in zip(order, weight)]
+    partner = [0] * len(order)
+    down = [0] * len(order)
+    for n, x in enumerate(order):
+        for m in range(n + 1, len(order)):
+            y = order[m]
+            diff = sub(y, x)
+            step = diff in steps
+            if step:
+                if diff in rise:
+                    down[m] |= 1 << n
+                else:
+                    down[n] |= 1 << m
+            long, short, ln = (x, y, n) if norm[n] >= norm[m] else (y, x, m)
+            c = 2 * sum(map(mul, short, weight[ln])) // norm[ln]
+            if c == 1:
+                twice = tuple(2 * a - b for a, b in zip(long, short))
+                root = step and twice in s1
+            else:
+                root = c < 0 or step
+            if root:
+                partner[n] |= 1 << m
+                partner[m] |= 1 << n
+    return partner, down
 
 
 def length_ball(d: AffineDiagram, radius: int) -> list[WeylElement]:

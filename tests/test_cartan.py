@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import pkgutil
 from fractions import Fraction
@@ -167,11 +166,21 @@ def test_no_shared_memo_state():
             members = vars(value).items() if isinstance(value, type) else ()
             for attr, obj in [(name, value), *members]:
                 assert not hasattr(obj, "cache_info"), f"{module.__name__}: {attr}"
-    # the diagram carries no memo table, and two loads of one label are equal
+    # the diagram carries no memo table in any attribute, and two loads of
+    # one label are equal
     d, again = load_diagram("E8~1"), load_diagram("E8~1")
-    for f in dataclasses.fields(AffineDiagram):
-        assert not isinstance(getattr(d, f.name), dict), f.name
+    for name, value in vars(d).items():
+        assert not isinstance(value, dict), name
     assert d == again and hash(d) == hash(again)
+
+
+def test_diagram_equality_reads_label_cartan_and_twist():
+    d, again = load_diagram("D4~1"), load_diagram("D4~1")
+    assert d is not again and d == again and hash(d) == hash(again)
+    retwisted = AffineDiagram(d.label, d.cartan, 2, d.marks, d.comarks)
+    assert retwisted != d and d != load_diagram("D4~2")
+    assert len({d, again, retwisted}) == 2
+    assert d != (d.label, d.cartan, d.twist)
 
 
 def test_neighbors():

@@ -8,19 +8,21 @@ family heads and blocked nodes against the case-by-case rules
 (`Wall.tops`, `GradedContext.pairs`) against the wall-pair loops
 (`oracles.family_tops`, `oracles.crossed_pairs`), the packed-column
 BFS, the integer kernel and the symmetrizer against their tuple and
-Fraction references, run
+Fraction references, the structural mask tables against the pairwise scan
+(`oracles.pairwise_structural_masks`), run
 `verify_all` on every element of every poset, and compare gradings related by
 a diagram automorphism, whose posets must be isomorphic.  Never shrink the
 label list to make a failure go away.
 """
 
 from collections import Counter
+from math import lcm
 
 import pytest
 
 from borelab.cartan import _kernel_vector, diagram_automorphisms, load_diagram
 from borelab.grading import analyze, catalog_involutions
-from borelab.minuscule import enumerate_poset, verify_all
+from borelab.minuscule import enumerate_poset, structural_masks, verify_all
 from borelab.roots import add, subsystem_closure
 from borelab.weyl import BOUND, pack, unpack
 from oracles import (
@@ -33,6 +35,7 @@ from oracles import (
     fraction_symmetrizer,
     ht,
     is_real_root,
+    pairwise_structural_masks,
     scan_poset,
     tuple_family_table,
 )
@@ -146,10 +149,15 @@ def test_maxima_index_matches_reference(catalog):
 
 
 def test_symmetrizer_matches_fraction_walk():
-    # read off marks and comarks against the walk over the diagram's edges
+    # read off marks and comarks in integers against the walk over the
+    # diagram's edges: L is the least common denominator, the Gram
+    # diagonal 2 * L * d_i
     for label in LABELS:
         d = load_diagram(label)
-        assert d.symmetrizer == fraction_symmetrizer(d.cartan), label
+        want = fraction_symmetrizer(d.cartan)
+        assert d.symmetrizer == want, label
+        assert d.form_scale == lcm(*(x.denominator for x in want)), label
+        assert [d.gram[i][i] for i in d.nodes] == [2 * d.form_scale * x for x in want], label
 
 
 def test_kernel_vector_matches_fraction_elimination():
@@ -187,6 +195,16 @@ def test_packed_columns_round_trip(catalog):
             assert all(x >= 0 for x in a) if col > 0 else all(x <= 0 for x in a), a
             top = max(top, *map(abs, a))
     assert top == 6 < BOUND
+
+
+def test_structural_masks_match_pairwise_reference(catalog):
+    # rows raised along S1 and packed differences looked up, against a dot
+    # product and a difference for every pair of S1
+    pairs = 0
+    for ctx in catalog:
+        assert structural_masks(ctx) == pairwise_structural_masks(ctx), ctx.spec.describe()
+        pairs += len(ctx.s1_order) * (len(ctx.s1_order) - 1) // 2
+    assert pairs == 532541
 
 
 def test_verify_all_whole_catalog(catalog):

@@ -145,8 +145,9 @@ def test_export_dot(tmp_path):
 
 
 def test_c10_dot_bytes_pinned():
-    # the one output that spells every element's word, walked along the
-    # parents: sha256 recorded when each element still stored its word
+    # the one output that spells every element's word, each label its
+    # parent's plus one letter: sha256 recorded when each element still
+    # stored its word
     r = run_cli("export", "--type", "C10~1", "--pi1", "0,10", "--format", "dot")
     assert r.returncode == 0
     assert r.stdout.count(" [label=") == 6144
@@ -205,6 +206,23 @@ def test_truncated_poset_refused(command):
     assert r.returncode == 2
     assert "error: enumeration truncated at length 2" in r.stderr
     assert r.stdout == ""
+
+
+_COLD_EXPORT = """
+import contextlib, io, sys
+import borelab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = borelab.cli.main(["export", "--type", "E7~1", "--pi1", "0", "--adjoint"])
+print(code, *(m for m in ("dataclasses", "fractions", "decimal") if m in sys.modules))
+"""
+
+
+def test_cold_export_imports_no_dataclasses_or_fractions():
+    # every CLI run is a fresh interpreter, so what borelab imports is paid
+    # on each run: neither the CLI nor a verified export may load these
+    r = subprocess.run([sys.executable, "-c", _COLD_EXPORT], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "0\n"
 
 
 def test_optimized_interpreter_gives_same_output():

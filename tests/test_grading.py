@@ -52,6 +52,21 @@ def test_involution_validation():
         involution(load_diagram("D5~2"), [1, 2])  # weight 2 on twisted
 
 
+def test_involution_spec_equality_and_hash():
+    # equal on (diagram, flags, adjoint), so a spec from a second load of the
+    # diagram finds the first one's entry as a dict key
+    spec = involution(load_diagram("A3~1"), [0, 2])
+    again = involution(load_diagram("A3~1"), [2, 0])
+    assert spec is not again and spec == again and hash(spec) == hash(again)
+    table = {spec: "first"}
+    assert table[again] == "first"
+    assert involution(load_diagram("A3~1"), [0, 1]) not in table
+    assert involution(load_diagram("A3~1"), [0], adjoint=True) not in table
+    assert involution(load_diagram("A3~1"), [0], adjoint=True) != involution(
+        load_diagram("A3~1"), [2], adjoint=True)
+    assert spec != (spec.diagram, spec.flags, spec.adjoint)
+
+
 def test_k_values():
     assert context_for("A5~1", [0, 3]).k == 1
     assert context_for("E8~1", [1]).k == 1

@@ -1,11 +1,13 @@
 import copy
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-import borelab.cartan as cartan
+import borelab
 from borelab.cartan import dual_coxeter_number, load_diagram
-import borelab.grading as grading
 from borelab.grading import GradedContext, analyze, catalog_involutions, context_for, involution
 import borelab.minuscule as minuscule
 from borelab.minuscule import (
@@ -27,7 +29,6 @@ from borelab.minuscule import (
     u_element,
     verify_all,
 )
-import borelab.roots as roots
 from borelab.roots import (
     add,
     bilinear,
@@ -684,6 +685,17 @@ def with_mask(p, q, mask):
     return bad
 
 
+def test_structural_masks_refuse_unraised_root():
+    # a root whose row cannot be raised from S1, 0 or delta stops the
+    # tables with a RuntimeError, which python -O keeps: with the odd
+    # simple root left out of S1, no root above it has a row to raise from
+    ctx = context_for("E8~1", [1])
+    ctx.s1_order = tuple(a for a in ctx.s1_order if a != simple_root(ctx.d, 1))
+    ctx.s1_bits = {pack(a): 1 << n for n, a in enumerate(ctx.s1_order)}
+    with pytest.raises(RuntimeError, match="is not raised from S1, 0 or delta"):
+        structural_masks(ctx)
+
+
 def test_extra_partner_bit_fails_structural(sweep):
     mutated = 0
     for name, ctx, p in sweep:
@@ -889,23 +901,28 @@ def test_enumerate_poset_matches_scan_reference():
     assert gradings == 146
 
 
-def test_verify_all_builds_no_fraction(monkeypatch):
-    # the kernel is integer: with the Fraction name refused in the library
-    # modules that import it and the symmetrizer made unusable, the context
-    # and the poset are built and verify_all passes.
+_NO_FRACTION_RUN = """
+import sys
+from borelab import analyze, enumerate_poset, involution, load_diagram, verify_all
+from borelab.report import render_json, result_document
+for label in ("E8~1", "D5~2"):
+    poset = enumerate_poset(analyze(involution(load_diagram(label), [1])))
+    results = verify_all(poset)
+    render_json(result_document(poset, results))
+    print(label, len(results), [r.line() for r in results if not r.passed])
+print("fractions" in sys.modules)
+"""
+
+
+def test_verify_all_builds_no_fraction():
+    # the kernel is integer: a fresh interpreter builds the context and the
+    # poset, runs verify_all and renders the document without ever importing
+    # fractions (reading the symmetrizer or calling bilinear would).
     # E8~1{1} is simply laced with k = 1; D5~2{1} has k = 2, two root
     # lengths and a type-2 wall, so coroot_pair runs there too
-    def refused(*args):
-        raise AssertionError(f"Fraction{args} built")
-
-    assert not hasattr(grading, "Fraction")
-    for label, pi1 in (("E8~1", [1]), ("D5~2", [1])):
-        d = copy.copy(load_diagram(label))  # the shared diagram keeps its symmetrizer
-        object.__setattr__(d, "symmetrizer", tuple(object() for _ in d.nodes))
-        with monkeypatch.context() as m:
-            for module in (cartan, roots):
-                m.setattr(module, "Fraction", refused)
-            poset = enumerate_poset(GradedContext(involution(d, pi1)))
-            results = verify_all(poset)
-        assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
-        assert len(results) == 12, label
+    src = os.path.dirname(os.path.dirname(borelab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _NO_FRACTION_RUN], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["E8~1 12 []", "D5~2 12 []", "False"]
