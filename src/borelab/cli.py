@@ -139,12 +139,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         if args.format == "json":
             out.append(render_json(result_document(poset)))
         else:
-            dims = sorted(map(poset.length, poset.maxima))
+            maxima = "unknown (enumeration truncated)"
+            if poset.complete:
+                dims = sorted(map(poset.length, poset.maxima))
+                maxima = f"{len(poset.maxima)}   dimensions: {dims}"
             lines = [
                 f"{ctx.spec.describe()}",
                 f"  elements: {len(poset)}   covers: {len(poset.edges)}"
                 + ("" if poset.complete else "   (truncated)"),
-                f"  maxima:   {len(poset.maxima)}   dimensions: {dims}",
+                f"  maxima:   {maxima}",
             ]
             for w in ctx.walls:
                 fam = ",".join(str(a) for a in w.heads)

@@ -27,7 +27,12 @@ extends reduced words on the right and concatenates the words of
 length-additive products.  The coset trio reaches minimal
 coset representatives by reflection-subgroup normalization and full group
 elements, a route the library's lockstep coset walk
-(`minuscule.coset_translates`) does not take.  The structural trio decides
+(`minuscule.coset_translates`) does not take.  `reflecting_coset_translates`
+walks the same cosets as the library, but decides minimality by reflecting
+every subgroup simple root at each ascent, where the library looks the new
+column up among the subgroup simples; `translation_keeps_order` compares
+every two translates, where `check_coset_isomorphism` reads order
+preservation off length additivity.  The structural trio decides
 sums and decompositions with `root_kind`, where the library's mask tables
 (`minuscule.structural_masks`) use string lengths; `pairwise_structural_masks`
 builds those tables by a dot product and a difference for every pair of S1,
@@ -63,7 +68,14 @@ from borelab.roots import (
     simple_root,
     sub,
 )
-from borelab.weyl import WeylElement, _apply_cols, _word_element, identity, pack
+from borelab.weyl import (
+    WeylElement,
+    _apply_cols,
+    _right_mult_simple,
+    _word_element,
+    identity,
+    pack,
+)
 
 Cols = tuple[Root, ...]
 
@@ -504,6 +516,60 @@ def coset_poset(
                     nxt.append((mat, inv))
         queue = nxt
     return reps
+
+
+def reflecting_coset_translates(
+    poset,
+    start: Optional[int],
+    ambient: Iterable[int],
+    subgroup: Sequence[Root],
+) -> tuple[dict[int, int], list[tuple[int, Optional[int]]]]:
+    """The minimal representatives u of W'\\W(ambient), each with the
+    position of its translate m*u, where m is the element at `start`.
+
+    W' is the reflection subgroup on the simple system `subgroup`.  Its
+    minimal representatives are closed under prefixes in the right weak
+    order, so they grow from the identity by u -> u*s_i, kept when
+    u(alpha_i) > 0 (ascent) and s_i(u^{-1} beta) > 0 for every subgroup
+    simple beta (minimality).  A representative is its inversion mask over
+    the ambient positive roots; the returned index gives each packed root's
+    bit.
+    m*u*s_i is m*u stepped through node i (`MinusculePoset.step`); its
+    position is None when that column is outside S1 or the mask is not in
+    the poset, and so is every translate grown from it.
+    """
+    d = poset.ctx.d
+    index: dict[int, int] = {}
+    reps: list[tuple[int, Optional[int]]] = [(0, start)]
+    seen = {0}
+    frontier = [(identity(d).cols, tuple(subgroup), 0, start)]
+    while frontier:
+        nxt = []
+        for u, pulled, mask, img in frontier:
+            for i in ambient:
+                col = u[i]
+                if col < 0:
+                    continue
+                key = mask | index.setdefault(col, 1 << len(index))
+                if key in seen:  # kept or rejected already
+                    continue
+                seen.add(key)
+                moved = tuple(reflect_simple(d, beta, i) for beta in pulled)
+                if not all(map(is_positive, moved)):
+                    continue
+                tgt = None if img is None else poset.step(img, i)
+                reps.append((key, tgt))
+                nxt.append((_right_mult_simple(d, u, i), moved, key, tgt))
+        frontier = nxt
+    return index, reps
+
+
+def translation_keeps_order(masks: Sequence[int], reps: Sequence[tuple[int, int]]) -> bool:
+    """Whether u <= v iff m*u <= m*v for every two representatives, each a
+    pair (inversion mask of u, position of m*u) read against the poset's
+    `masks`: every pair compared."""
+    pairs = [(r, masks[img]) for r, img in reps]
+    return not any((r & ~s == 0) != (x & ~y == 0) for r, x in pairs for s, y in pairs)
 
 
 def is_biconvex(

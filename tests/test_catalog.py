@@ -9,20 +9,29 @@ family heads and blocked nodes against the case-by-case rules
 (`oracles.family_tops`, `oracles.crossed_pairs`), the packed-column
 BFS, the integer kernel and the symmetrizer against their tuple and
 Fraction references, the structural mask tables against the pairwise scan
-(`oracles.pairwise_structural_masks`), run
+(`oracles.pairwise_structural_masks`), the coset walk's minimality lookup
+and the order kept by translation against reflecting every subgroup simple
+and comparing every pair (`oracles.reflecting_coset_translates`,
+`oracles.translation_keeps_order`), run
 `verify_all` on every element of every poset, and compare gradings related by
 a diagram automorphism, whose posets must be isomorphic.  Never shrink the
 label list to make a failure go away.
 """
 
 from collections import Counter
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from borelab.cartan import _kernel_vector, diagram_automorphisms, load_diagram
 from borelab.grading import analyze, catalog_involutions
-from borelab.minuscule import enumerate_poset, structural_masks, verify_all
+from borelab.minuscule import (
+    coset_translates,
+    enumerate_poset,
+    family_minimum,
+    structural_masks,
+    verify_all,
+)
 from borelab.roots import add, subsystem_closure
 from borelab.weyl import BOUND, pack, unpack
 from oracles import (
@@ -36,7 +45,9 @@ from oracles import (
     ht,
     is_real_root,
     pairwise_structural_masks,
+    reflecting_coset_translates,
     scan_poset,
+    translation_keeps_order,
     tuple_family_table,
 )
 
@@ -215,6 +226,39 @@ def test_verify_all_whole_catalog(catalog):
             if not result.passed:
                 failures.append((ctx.spec.describe(), result.name, result.detail))
     assert not failures, failures[:5]
+
+
+def test_coset_translates_match_reflection_walk(catalog):
+    # minimality by one lookup among the subgroup simples, against reflecting
+    # every subgroup simple at each ascent; order kept by translation, read
+    # off length additivity in the library, against every pair compared
+    families = simples = 0
+    for ctx in catalog:
+        poset = enumerate_poset(ctx)
+        for a, wall in ctx.families:
+            fam = poset.family(a, wall)
+            if not fam:
+                continue
+            where = (ctx.spec.describe(), a, wall.index)
+            families += 1
+            ambient, subgroup = ctx.quotient_data(a, wall)
+            # the lookup is exact only if no subgroup simple is twice a root
+            assert all(gcd(*beta) == 1 for beta in subgroup), where
+            simples += len(subgroup)
+            start = poset.position(family_minimum(ctx, a, wall))
+            walks = [walk(poset, start, ambient, subgroup)
+                     for walk in (coset_translates, reflecting_coset_translates)]
+            got, want = [
+                {frozenset(col for col, bit in index.items() if mask & bit): img
+                 for mask, img in reps}
+                for index, reps in walks
+            ]
+            reps = walks[0][1]
+            assert len(got) == len(reps) == len(fam), where
+            assert got == want, where
+            assert set(got.values()) == set(fam), where
+            assert translation_keeps_order(poset.masks, reps), where
+    assert (families, simples) == (3516, 15615)
 
 
 def _orbits(d, ctxs):

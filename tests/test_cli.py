@@ -197,6 +197,32 @@ def test_truncated_verify_fails_on_completeness():
     ]
 
 
+def test_truncated_enumerate_text_gives_no_maxima():
+    # the frontier (two elements of length 2) is not the maxima (three, of
+    # dimensions 3, 7 and 7): the text says the count is unknown, exit 0
+    r = run_cli("enumerate", "--type", "D5~2", "--pi1", "1", "--max-length", "2")
+    assert r.returncode == 0
+    assert r.stdout.splitlines()[1:3] == [
+        "  elements: 4   covers: 3   (truncated)",
+        "  maxima:   unknown (enumeration truncated)",
+    ]
+    assert "dimensions" not in r.stdout
+    assert r.stderr == ""
+
+
+@pytest.mark.parametrize("label,nodes,digest", [
+    ("C10~1", "0,10", "de828d4e4242506541d0b2d22f5df08d41a46bfc04e79ab27a7d7d4a320ee1a2"),
+    ("D10~1", "0,9", "6bc0a89ffbe565c03e5d575be6cb73a87db3efc9ea836c26981425b8020ccf13"),
+])
+def test_large_verify_output_pinned(label, nodes, digest):
+    # the largest posets verified (6144 and 1792 elements), in a fresh run;
+    # sha256 recorded while the coset check still reflected every subgroup
+    # simple at each ascent and compared every two translates
+    r = run_cli("verify", "--type", label, "--pi1", nodes)
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command", [
     ["maxima"], ["export", "--format", "json"], ["export", "--format", "dot"],
     ["enumerate", "--format", "json"],

@@ -53,6 +53,7 @@ from oracles import (
     scan_poset,
     structural_verdict,
     summands,
+    translation_keeps_order,
 )
 
 
@@ -171,6 +172,18 @@ def test_maxima_parametrization_built_once(d5):
         with pytest.raises(ValueError, match=r"family \(0, wall 1\) has 2 maximal elements"):
             maxima_parametrization(bad)
     assert check_maxima(bad).detail == "family (0, wall 1) has 2 maximal elements"
+
+
+def test_truncated_poset_has_no_maxima(d5):
+    # the frontier of a truncated enumeration is not its maxima: here two
+    # elements of length 2, where the full poset has 3 maxima, of lengths
+    # 3, 7 and 7; the refusal raises again on every read
+    ctx, full = d5
+    short = enumerate_poset(ctx, max_length=2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="truncated at length 2"):
+            short.maxima
+    assert sorted(map(full.length, full.maxima)) == [3, 7, 7]
 
 
 def test_max_length_truncation(d5):
@@ -572,6 +585,27 @@ def test_coset_isomorphism_rejects_missing_member(sweep):
             assert not r.passed, (name, a, wall.index)
             assert r.detail == (
                 f"({a}, wall {wall.index}): {len(fam)} cosets vs {len(fam) - 1} members")
+
+
+def test_order_oracle_rejects_swapped_translates(sweep):
+    # the identity's translate (length 0 over the minimum) swapped with the
+    # last one, grown last and so longest: count and membership still hold,
+    # and only the every-pair comparison sees that order is not kept
+    swapped = 0
+    for name, ctx, p in sweep:
+        for a, wall in nonempty_families(ctx, p):
+            m = family_minimum(ctx, a, wall)
+            _, reps = coset_translates(p, p.position(m), *ctx.quotient_data(a, wall))
+            assert translation_keeps_order(p.masks, reps), (name, a, wall.index)
+            if len(reps) < 2:
+                continue
+            (r0, first), (r1, last) = reps[0], reps[-1]
+            assert p.length(first) < p.length(last), (name, a, wall.index)
+            bad = [(r0, last), *reps[1:-1], (r1, first)]
+            assert sorted(img for _, img in bad) == sorted(p.family(a, wall))
+            assert not translation_keeps_order(p.masks, bad), (name, a, wall.index)
+            swapped += 1
+    assert swapped == 287
 
 
 TABLE_LABELS = SWEEP_LABELS + ["E6~1", "E6~2", "C4~1", "A7~2", "E7~1"]
