@@ -328,10 +328,22 @@ def _type_sizes(name: str) -> tuple[int, int]:
     raise ValueError(f"unknown finite type {name!r}")
 
 
+def finite_nodes(d: AffineDiagram, nodes: Iterable[int]) -> list[int]:
+    """J = `nodes` sorted, a proper subset of the diagram's nodes (ValueError
+    otherwise): every proper subdiagram of a connected affine diagram is of
+    finite type (Kac, Infinite-dimensional Lie algebras, Lemma 4.5), so W_J and
+    Phi_J are finite and walks in them end.  Every finite-parabolic function
+    decides it here."""
+    s = sorted(set(nodes))
+    if len(s) >= d.size or s and (s[0] < 0 or s[-1] >= d.size):
+        raise ValueError(f"nodes {s} are not a proper subset of {d.label}'s nodes {list(d.nodes)}")
+    return s
+
+
 def finite_type_sizes(d: AffineDiagram, nodes: Iterable[int]) -> list[tuple[int, int]]:
     """(|positive roots|, |Weyl group|) of each component of the finite
     subsystem on a proper node subset."""
-    return [_type_sizes(_classify_component(d, c)) for c in components(d, tuple(nodes))]
+    return [_type_sizes(_classify_component(d, c)) for c in components(d, finite_nodes(d, nodes))]
 
 
 def positive_root_count(d: AffineDiagram, nodes: Iterable[int]) -> int:
@@ -343,17 +355,15 @@ def _classify_component(d: AffineDiagram, comp: tuple[int, ...]) -> str:
     n = len(comp)
     if n == 1:
         return "A1"
-    mult = {}
-    for a in comp:
-        for b in comp:
-            if a < b and d.adjacent(a, b):
-                mult[(a, b)] = d.cartan[a][b] * d.cartan[b][a]
-    if any(m == 3 for m in mult.values()):
+    inside = set(comp)
+    nbrs = {i: [j for j in d.neighbor_table[i] if j in inside] for i in comp}
+    mults = {d.cartan[i][j] * d.cartan[j][i] for i in comp for j in nbrs[i]}
+    if 3 in mults:
         return "G2"
-    norms = {i: d.gram[i][i] for i in comp}
-    top = max(norms.values())
-    shorts = sum(1 for v in norms.values() if v < top)
-    if any(m == 2 for m in mult.values()):
+    norms = [d.gram[i][i] for i in comp]
+    top = max(norms)
+    shorts = sum(1 for v in norms if v < top)
+    if 2 in mults:
         if n == 2:
             return "B2"
         if n == 4 and shorts == 2:
@@ -363,22 +373,16 @@ def _classify_component(d: AffineDiagram, comp: tuple[int, ...]) -> str:
         if shorts == n - 1:
             return f"C{n}"
         raise ValueError(f"unrecognized multiply-laced component {comp}")
-    degrees = {i: sum(1 for j in comp if d.adjacent(i, j)) for i in comp}
-    branch = [i for i, deg in degrees.items() if deg == 3]
+    branch = [i for i in comp if len(nbrs[i]) == 3]
     if not branch:
         return f"A{n}"
     if len(branch) != 1:
         raise ValueError(f"unrecognized branched component {comp}")
     b = branch[0]
     arms = []
-    for j in d.neighbors(b):
-        if j not in comp:
-            continue
+    for j in nbrs[b]:
         length, prev, cur = 1, b, j
-        while True:
-            nxt = [x for x in d.neighbors(cur) if x in comp and x != prev]
-            if not nxt:
-                break
+        while nxt := [x for x in nbrs[cur] if x != prev]:
             prev, cur = cur, nxt[0]
             length += 1
         arms.append(length)

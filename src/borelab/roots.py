@@ -13,7 +13,7 @@ from __future__ import annotations
 from operator import add as _add, mul, neg as _neg, sub as _sub
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from .cartan import AffineDiagram, components, positive_root_count
+from .cartan import AffineDiagram, components, finite_nodes
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -93,9 +93,7 @@ def reflect_simple(d: AffineDiagram, a: Root, i: int) -> Root:
 
 def subsystem_closure(d: AffineDiagram, nodes: Iterable[int]) -> frozenset[Root]:
     """Positive roots of the finite subsystem on a proper subset of nodes."""
-    s = sorted(set(nodes))
-    if len(s) >= d.size:
-        raise ValueError("subsystem must omit at least one node")
+    s = finite_nodes(d, nodes)
     roots = {simple_root(d, i) for i in s}
     frontier = set(roots)
     while frontier:
@@ -116,27 +114,24 @@ def dominant_ascent(d: AffineDiagram, nodes: Iterable[int], a: Root) -> tuple[Ro
 
     From g = a, apply s_i for the smallest i in J with <g, alpha_i^vee> < 0
     until g is dominant for J.  Each step removes exactly one beta > 0 of
-    Phi_J with <g, beta^vee> < 0, so the walk takes at most |Phi_J^+| steps
-    (Humphreys, Reflection Groups and Coxeter Groups, 1.10-1.12).
+    Phi_J with <g, beta^vee> < 0, and Phi_J is finite (`finite_nodes`), so
+    the walk ends, after at most |Phi_J^+| steps (Humphreys, Reflection
+    Groups and Coxeter Groups, 1.10-1.12).
     """
-    s = sorted(set(nodes))
-    cap = positive_root_count(d, s)
+    s = finite_nodes(d, nodes)
     letters = []
     g = a
-    for _ in range(cap + 1):
-        i = next((i for i in s if pair(d, g, i) < 0), None)
-        if i is None:
-            return g, letters
+    while (i := next((i for i in s if pair(d, g, i) < 0), None)) is not None:
         letters.append(i)
         g = reflect_simple(d, g, i)
-    raise RuntimeError(f"dominant ascent on nodes {s} exceeded {cap} steps")
+    return g, letters
 
 
 def highest_root(d: AffineDiagram, nodes: Iterable[int]) -> Root:
     """Highest root of a connected finite subsystem: the unique dominant long
     root (Humphreys, Introduction to Lie Algebras, 10.4), reached by dominant
     ascent from a long simple root."""
-    s = sorted(set(nodes))
+    s = finite_nodes(d, nodes)
     if len(components(d, s)) != 1:
         raise ValueError(f"subsystem on {s} is not connected")
     longest = max(s, key=lambda i: d.gram[i][i])  # the Gram diagonal is L * (a_i, a_i)

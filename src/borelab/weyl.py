@@ -9,10 +9,11 @@ Infinite-dimensional Lie algebras, 1.3), so the int has the root's sign:
 w(alpha_i) > 0 is `cols[i] > 0`.  Columns are decoded to tuples only at the
 edges: `apply`, `inversions` and the `mat` view.
 
-Every element is built from the identity by checked right extension
-w -> w*s_i, which needs w(alpha_i) > 0; there is no group product, inverse
-matrix or search.  A closed form that is a product with lengths adding is
-built from its factors' words put end to end.  The inversion set
+Every element is built from the identity by right multiplications w -> w*s_i,
+each checked to need w(alpha_i) > 0; a walk in a finite parabolic W_J
+(`cartan.finite_nodes`) ends.  There is no group product, inverse matrix or
+search.  A closed form that is a product with lengths adding is built from
+its factors' words put end to end.  The inversion set
 {gamma > 0 : w^{-1}(gamma) < 0} is read off the reduced word on each
 request: for w = s_{i1}...s_{il} it is {s_{i1}...s_{i(j-1)}(alpha_{ij})}.
 Length equals the inversion count, and the right weak order is containment
@@ -24,7 +25,7 @@ from __future__ import annotations
 from math import prod
 from typing import Iterable, Optional
 
-from .cartan import AffineDiagram, finite_type_sizes, positive_root_count
+from .cartan import AffineDiagram, finite_nodes, finite_type_sizes
 from .roots import Root, dominant_ascent, pair
 
 W = 16  # bits per coordinate field
@@ -134,19 +135,18 @@ def longest_element(
     """Longest element w0(J) of the finite parabolic on J = `nodes`, by
     greedy ascent from `start` (default the identity), an element of W_J.
 
-    Any ascent in W_J ends at w0(J).  From start = w0(J'), J' inside J, the
-    letters it appends spell w0(J')*w0(J) as a reduced word, since w0(J) =
-    w0(J')*(w0(J')*w0(J)) with lengths adding (Humphreys, Reflection Groups
-    and Coxeter Groups, 1.10)."""
-    s = sorted(set(nodes))
-    cap = positive_root_count(d, s)
+    Each step adds 1 to the length inside the coset start*W_J, finite by
+    `finite_nodes`, so the ascent ends, and only at w0(J).  From start =
+    w0(J'), J' inside J, the letters it appends spell w0(J')*w0(J) as a
+    reduced word, since w0(J) = w0(J')*(w0(J')*w0(J)) with lengths adding
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.10)."""
+    s = finite_nodes(d, nodes)
     w = identity(d) if start is None else start
-    for _ in range(cap + 1):
-        i = next((i for i in s if w.cols[i] > 0), None)
-        if i is None:
-            return w
-        w = w.extend(i)
-    raise RuntimeError(f"no longest element on nodes {s} within length {cap}")
+    word, cols = list(w.word), w.cols
+    while (i := next((i for i in s if cols[i] > 0), None)) is not None:
+        word.append(i)
+        cols = _right_mult_simple(d, cols, i)
+    return WeylElement(d, tuple(word), cols)
 
 
 def longest_quotient(
@@ -185,13 +185,13 @@ def dominant_mapper(
 
 def _word_element(d: AffineDiagram, word: Iterable[int]) -> WeylElement:
     """Element of a word that the caller knows to be reduced (checked)."""
-    w = identity(d)
+    letters, cols = [], identity(d).cols
     for i in word:
-        nxt = w.extend(i)
-        if nxt is None:
-            raise RuntimeError(f"word {w.word + (i,)} is not reduced")
-        w = nxt
-    return w
+        letters.append(i)
+        if cols[i] < 0:
+            raise RuntimeError(f"word {tuple(letters)} is not reduced")
+        cols = _right_mult_simple(d, cols, i)
+    return WeylElement(d, tuple(letters), cols)
 
 
 def weyl_group_order(d: AffineDiagram, nodes: Iterable[int]) -> int:

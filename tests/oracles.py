@@ -13,6 +13,9 @@ int.  `fraction_kernel_vector` finds marks and comarks by elimination in
 Fraction, where `cartan._kernel_vector` eliminates fraction-free, and
 `fraction_symmetrizer` finds the symmetrizer by a walk over the diagram's
 edges, where `cartan` reads it off the marks and comarks.
+`pairwise_classify_component` names a component's Cartan type from
+all-pairs adjacency scans, where `cartan._classify_component` reads each
+node's neighbors in the component off the diagram's neighbor table.
 `scan_poset` is the poset BFS on tuple columns, all rewritten at each
 step, and `tuple_family_table` reads its families off them, where
 `minuscule.enumerate_poset` and `MinusculePoset` read packed columns and
@@ -448,6 +451,63 @@ def from_reflection(d: AffineDiagram, beta: Root) -> WeylElement:
         raise ValueError(f"{beta} is not a real root")
     cols = _identity_cols(d)
     return _from_mats(d, *_left_mult_reflection(d, beta, cols, cols))
+
+
+def pairwise_classify_component(d: AffineDiagram, comp: tuple[int, ...]) -> str:
+    """Cartan type of a connected node set, by all-pairs `adjacent` scans
+    for its bonds and its nodes' degrees."""
+    n = len(comp)
+    if n == 1:
+        return "A1"
+    mult = {}
+    for a in comp:
+        for b in comp:
+            if a < b and d.adjacent(a, b):
+                mult[(a, b)] = d.cartan[a][b] * d.cartan[b][a]
+    if any(m == 3 for m in mult.values()):
+        return "G2"
+    norms = {i: d.gram[i][i] for i in comp}
+    top = max(norms.values())
+    shorts = sum(1 for v in norms.values() if v < top)
+    if any(m == 2 for m in mult.values()):
+        if n == 2:
+            return "B2"
+        if n == 4 and shorts == 2:
+            return "F4"
+        if shorts == 1:
+            return f"B{n}"
+        if shorts == n - 1:
+            return f"C{n}"
+        raise ValueError(f"unrecognized multiply-laced component {comp}")
+    degrees = {i: sum(1 for j in comp if d.adjacent(i, j)) for i in comp}
+    branch = [i for i, deg in degrees.items() if deg == 3]
+    if not branch:
+        return f"A{n}"
+    if len(branch) != 1:
+        raise ValueError(f"unrecognized branched component {comp}")
+    b = branch[0]
+    arms = []
+    for j in d.neighbors(b):
+        if j not in comp:
+            continue
+        length, prev, cur = 1, b, j
+        while True:
+            nxt = [x for x in d.neighbors(cur) if x in comp and x != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+            length += 1
+        arms.append(length)
+    arms.sort()
+    if arms[:2] == [1, 1]:
+        return f"D{n}"
+    if arms == [1, 2, 2]:
+        return "E6"
+    if arms == [1, 2, 3]:
+        return "E7"
+    if arms == [1, 2, 4]:
+        return "E8"
+    raise ValueError(f"unrecognized branched component {comp}")
 
 
 def classify_finite(d: AffineDiagram, nodes: Iterable[int]) -> str:

@@ -8,7 +8,9 @@ family heads and blocked nodes against the case-by-case rules
 (`Wall.tops`, `GradedContext.pairs`) against the wall-pair loops
 (`oracles.family_tops`, `oracles.crossed_pairs`), the packed-column
 BFS, the integer kernel and the symmetrizer against their tuple and
-Fraction references, the structural mask tables against the pairwise scan
+Fraction references, the Cartan type of every connected node subset against
+the all-pairs scan (`oracles.pairwise_classify_component`), the structural
+mask tables against the pairwise scan
 (`oracles.pairwise_structural_masks`), the coset walk's minimality lookup
 and the order kept by translation against reflecting every subgroup simple
 and comparing every pair (`oracles.reflecting_coset_translates`,
@@ -19,11 +21,18 @@ label list to make a failure go away.
 """
 
 from collections import Counter
+from itertools import combinations
 from math import gcd, lcm
 
 import pytest
 
-from borelab.cartan import _kernel_vector, diagram_automorphisms, load_diagram
+from borelab.cartan import (
+    _classify_component,
+    _kernel_vector,
+    components,
+    diagram_automorphisms,
+    load_diagram,
+)
 from borelab.grading import analyze, catalog_involutions
 from borelab.minuscule import (
     coset_translates,
@@ -44,6 +53,7 @@ from oracles import (
     fraction_symmetrizer,
     ht,
     is_real_root,
+    pairwise_classify_component,
     pairwise_structural_masks,
     reflecting_coset_translates,
     scan_poset,
@@ -179,6 +189,36 @@ def test_kernel_vector_matches_fraction_elimination():
             assert _kernel_vector(matrix) == fraction_kernel_vector(matrix), label
     with pytest.raises(ValueError, match="corank 2"):
         _kernel_vector([[0, 0, 0], [0, 2, -1], [0, -4, 2]])
+
+
+def _type_or_error(classify, d, comp):
+    try:
+        return classify(d, comp)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def test_classification_matches_pairwise_reference():
+    # every connected node subset of every diagram: the proper ones, whose
+    # types the parabolic counts read and which all have a finite type, and
+    # the whole diagram too, outside that precondition, where both bodies
+    # name a wrong finite type (A2~1 reads as A3, C3~1 as F4) or raise
+    proper, whole = 0, Counter()
+    for label in LABELS:
+        d = load_diagram(label)
+        for size in range(1, d.size + 1):
+            for comp in combinations(d.nodes, size):
+                if len(components(d, comp)) != 1:
+                    continue
+                got = _type_or_error(_classify_component, d, comp)
+                assert got == _type_or_error(pairwise_classify_component, d, comp), (label, comp)
+                if size < d.size:
+                    assert not got.startswith("ValueError"), (label, comp)
+                    proper += 1
+                else:
+                    whole[got.startswith("ValueError")] += 1
+    assert proper == 1363
+    assert whole == {False: 31, True: 20}
 
 
 def test_packed_bfs_matches_tuple_reference(catalog):

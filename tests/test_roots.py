@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from borelab.cartan import load_diagram, positive_root_count
 from borelab.roots import (
     coroot_pair,
     delta,
+    dominant_ascent,
     highest_root,
     is_long,
     neg,
@@ -19,6 +21,7 @@ from borelab.roots import (
     sub,
     subsystem_closure,
 )
+from borelab.weyl import longest_element, weyl_group_order
 from oracles import from_reflection, ht, ht_subset, is_real_root, root_kind
 
 LABELS = ["A2~1", "B3~1", "C3~1", "D4~1", "G2~1", "F4~1", "A2~2", "A5~2", "D5~2"]
@@ -104,10 +107,30 @@ def test_closure_sizes():
     assert len(subsystem_closure(a6, [1, 2, 3])) == 6
 
 
-def test_closure_requires_proper_subset():
-    d = load_diagram("A2~1")
-    with pytest.raises(ValueError):
-        subsystem_closure(d, d.nodes)
+# every function of a finite parabolic W_J, called as f(d, J)
+PARABOLIC = {
+    "subsystem_closure": subsystem_closure,
+    "positive_root_count": positive_root_count,
+    "weyl_group_order": weyl_group_order,
+    "dominant_ascent": lambda d, nodes: dominant_ascent(d, nodes, simple_root(d, 0)),
+    "highest_root": highest_root,
+    "longest_element": longest_element,
+}
+
+
+@pytest.mark.parametrize("fn", PARABOLIC.values(), ids=PARABOLIC)
+def test_closure_requires_proper_subset(fn):
+    # all of an affine diagram's nodes span an infinite Weyl group: a count
+    # read off the type tables would be a wrong finite number and a walk
+    # would not end, so each refuses J, by a raise that python -O keeps; a
+    # node out of range, which a negative index would read as another node,
+    # is refused too
+    for label in ("A2~1", "D4~1", "C3~1", "A4~2", "E8~1"):
+        d = load_diagram(label)
+        for nodes in (d.nodes[::-1], (-1,), (0, d.size)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"nodes {sorted(nodes)} are not a proper subset of {label}'s nodes")):
+                fn(d, nodes)
 
 
 def test_highest_roots():
@@ -174,11 +197,17 @@ def test_is_long_matches_closure_maximum(label):
 
 @pytest.mark.parametrize("label", SWEEP_LABELS)
 def test_positive_root_count_matches_closure(label):
-    # oracle: the closure itself, against the type-table formulas
+    # oracle: the closure itself, against the type-table formulas; the walks
+    # end exactly: the ascent to w0(J) takes |Phi_J^+| steps, and no dominant
+    # ascent takes more
     d = load_diagram(label)
     for size in range(1, d.size):
         for nodes in combinations(d.nodes, size):
-            assert positive_root_count(d, nodes) == len(subsystem_closure(d, nodes)), nodes
+            count = positive_root_count(d, nodes)
+            assert count == len(subsystem_closure(d, nodes)), nodes
+            assert longest_element(d, nodes).length == count, nodes
+            for a in d.nodes:
+                assert len(dominant_ascent(d, nodes, simple_root(d, a))[1]) <= count, (nodes, a)
     assert positive_root_count(d, ()) == 0
 
 

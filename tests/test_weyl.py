@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,9 @@ from borelab.roots import (
     simple_root,
     subsystem_closure,
 )
-import borelab.roots as roots
 import borelab.weyl as weyl
 from borelab.weyl import (
+    _word_element,
     dominant_mapper,
     identity,
     longest_element,
@@ -112,10 +113,12 @@ def test_group_laws(data):
     for rep in coset_poset(d, ambient, subgroup):
         assert_inversions_by_definition(rep)
     assert from_word(d, u.word).cols == u.cols
-    grown = identity(d)  # built by extend, the library's only route
+    grown = identity(d)  # built by extend, one element per letter
     for i in u.word:
         grown = grown.extend(i)
     assert grown.cols == u.cols and grown.word == u.word
+    stepped = _word_element(d, u.word)  # columns stepped, one element at the end
+    assert stepped.cols == u.cols and stepped.word == u.word
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,6 +139,14 @@ def test_extend_matches_descent():
     assert w.extend(2) is None  # 2 is a right descent
     grown = w.extend(0)
     assert grown is not None and grown.length == 3
+
+
+def test_word_element_refuses_unreduced_word():
+    # each letter is checked on the stepped columns; the error names the
+    # word up to the first letter that would shorten it
+    assert _word_element(A2, (1, 2, 0)).cols == from_word(A2, [1, 2, 0]).cols
+    with pytest.raises(RuntimeError, match=re.escape("word (1, 2, 2) is not reduced")):
+        _word_element(A2, (1, 2, 2, 0))
 
 
 def test_longest_elements():
@@ -203,16 +214,6 @@ def test_dominant_mapper_refuses_non_dominant_target():
     # <alpha_1, alpha_2^vee> = -1: alpha_1 is not dominant for node 2
     with pytest.raises(ValueError, match="not dominant"):
         dominant_mapper(A2, (1, 2), a2, a1)
-
-
-def test_dominant_mapper_step_bound(monkeypatch):
-    # the ascent from alpha_1 to theta takes one step; a bound of 0 must
-    # raise, not return a wrong element; theta itself comes from the same
-    # walk, so it is computed before the bound is patched
-    theta = highest_root(A2, (1, 2))
-    monkeypatch.setattr(roots, "positive_root_count", lambda d, nodes: 0)
-    with pytest.raises(RuntimeError, match="exceeded 0 steps"):
-        dominant_mapper(A2, (1, 2), simple_root(A2, 1), theta)
 
 
 HIGHEST_ROOT_CASES = [
