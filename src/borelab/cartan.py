@@ -9,7 +9,7 @@ is ``cartan[i][j] = <alpha_j, alpha_i^vee>``.
 from __future__ import annotations
 
 import re
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -78,12 +78,6 @@ class AffineDiagram:
     def size(self) -> int:
         """Number of nodes (affine rank + 1)."""
         return len(self.cartan)
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return i != j and self.cartan[i][j] != 0
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return self.neighbor_table[i]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"AffineDiagram({self.label!r})"
@@ -259,7 +253,7 @@ def components(d: AffineDiagram, nodes: Iterable[int]) -> tuple[tuple[int, ...],
         stack = [seed]
         while stack:
             i = stack.pop()
-            for j in d.neighbors(i):
+            for j in d.neighbor_table[i]:
                 if j in remaining and j not in comp:
                     comp.add(j)
                     stack.append(j)
@@ -273,7 +267,7 @@ def diagram_automorphisms(d: AffineDiagram) -> tuple[tuple[int, ...], ...]:
     n = d.size
     # Candidate images must share the local numeric signature.
     def signature(i: int) -> tuple:
-        row = tuple(sorted((d.cartan[i][j], d.cartan[j][i]) for j in d.neighbors(i)))
+        row = tuple(sorted((d.cartan[i][j], d.cartan[j][i]) for j in d.neighbor_table[i]))
         return (d.marks[i], d.comarks[i], row)
 
     sigs = [signature(i) for i in range(n)]
@@ -303,31 +297,6 @@ def diagram_automorphisms(d: AffineDiagram) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(result))
 
 
-# (number of positive roots, Weyl group order) of the exceptional types; the
-# classical ones follow the rank formulas in `_type_sizes`.
-_EXCEPTIONAL_SIZES = {
-    "G2": (6, 12),
-    "F4": (24, 1152),
-    "E6": (36, 51840),
-    "E7": (63, 2903040),
-    "E8": (120, 696729600),
-}
-
-
-def _type_sizes(name: str) -> tuple[int, int]:
-    """(|positive roots|, |Weyl group|) of an irreducible finite type, e.g. "B3"."""
-    if name in _EXCEPTIONAL_SIZES:
-        return _EXCEPTIONAL_SIZES[name]
-    n = int(name[1:])
-    if name[0] == "A":
-        return n * (n + 1) // 2, factorial(n + 1)
-    if name[0] in "BC":
-        return n * n, 2**n * factorial(n)
-    if name[0] == "D":
-        return n * (n - 1), 2 ** (n - 1) * factorial(n)
-    raise ValueError(f"unknown finite type {name!r}")
-
-
 def finite_nodes(d: AffineDiagram, nodes: Iterable[int]) -> list[int]:
     """J = `nodes` sorted, a proper subset of the diagram's nodes (ValueError
     otherwise): every proper subdiagram of a connected affine diagram is of
@@ -342,57 +311,25 @@ def finite_nodes(d: AffineDiagram, nodes: Iterable[int]) -> list[int]:
 
 def finite_type_sizes(d: AffineDiagram, nodes: Iterable[int]) -> list[tuple[int, int]]:
     """(|positive roots|, |Weyl group|) of each component of the finite
-    subsystem on a proper node subset."""
-    return [_type_sizes(_classify_component(d, c)) for c in components(d, finite_nodes(d, nodes))]
+    subsystem on a proper node subset, read off the component's highest root
+    theta = sum c_i a_i on its n nodes, with no type name:
+
+    - |Phi^+| = n * h / 2, h = ht(theta) + 1 the Coxeter number (Humphreys,
+      Reflection Groups and Coxeter Groups, Sec. 3.18-3.20);
+    - |W| = n! * f * prod c_i, f = 1 + #{i : c_i = 1} the connection index
+      (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Sec. 2.3-2.4).
+    """
+    from . import roots  # deferred: roots depends on this module
+
+    sizes = []
+    for comp in components(d, finite_nodes(d, nodes)):
+        theta = roots.highest_root(d, comp)
+        c = [theta[i] for i in comp]
+        n = len(c)
+        sizes.append((n * (sum(c) + 1) // 2, factorial(n) * (1 + c.count(1)) * prod(c)))
+    return sizes
 
 
 def positive_root_count(d: AffineDiagram, nodes: Iterable[int]) -> int:
     """Number of positive roots of the finite subsystem on a proper node subset."""
     return sum(count for count, _ in finite_type_sizes(d, nodes))
-
-
-def _classify_component(d: AffineDiagram, comp: tuple[int, ...]) -> str:
-    n = len(comp)
-    if n == 1:
-        return "A1"
-    inside = set(comp)
-    nbrs = {i: [j for j in d.neighbor_table[i] if j in inside] for i in comp}
-    mults = {d.cartan[i][j] * d.cartan[j][i] for i in comp for j in nbrs[i]}
-    if 3 in mults:
-        return "G2"
-    norms = [d.gram[i][i] for i in comp]
-    top = max(norms)
-    shorts = sum(1 for v in norms if v < top)
-    if 2 in mults:
-        if n == 2:
-            return "B2"
-        if n == 4 and shorts == 2:
-            return "F4"
-        if shorts == 1:
-            return f"B{n}"
-        if shorts == n - 1:
-            return f"C{n}"
-        raise ValueError(f"unrecognized multiply-laced component {comp}")
-    branch = [i for i in comp if len(nbrs[i]) == 3]
-    if not branch:
-        return f"A{n}"
-    if len(branch) != 1:
-        raise ValueError(f"unrecognized branched component {comp}")
-    b = branch[0]
-    arms = []
-    for j in nbrs[b]:
-        length, prev, cur = 1, b, j
-        while nxt := [x for x in nbrs[cur] if x != prev]:
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[:2] == [1, 1]:
-        return f"D{n}"
-    if arms == [1, 2, 2]:
-        return "E6"
-    if arms == [1, 2, 3]:
-        return "E7"
-    if arms == [1, 2, 4]:
-        return "E8"
-    raise ValueError(f"unrecognized branched component {comp}")

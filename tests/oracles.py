@@ -14,8 +14,9 @@ Fraction, where `cartan._kernel_vector` eliminates fraction-free, and
 `fraction_symmetrizer` finds the symmetrizer by a walk over the diagram's
 edges, where `cartan` reads it off the marks and comarks.
 `pairwise_classify_component` names a component's Cartan type from
-all-pairs adjacency scans, where `cartan._classify_component` reads each
-node's neighbors in the component off the diagram's neighbor table.
+all-pairs scans of the Cartan matrix, and `type_sizes` looks up that type's
+numbers of positive roots and Weyl group elements in a table, where
+`cartan.finite_type_sizes` reads both off the component's highest root.
 `scan_poset` is the poset BFS on tuple columns, all rewritten at each
 step, and `tuple_family_table` reads its families off them, where
 `minuscule.enumerate_poset` and `MinusculePoset` read packed columns and
@@ -52,11 +53,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from borelab.cartan import AffineDiagram, _classify_component, components
+from borelab.cartan import AffineDiagram, components
 from borelab.grading import GradedContext, Wall
 from borelab.roots import (
     Root,
@@ -454,15 +455,15 @@ def from_reflection(d: AffineDiagram, beta: Root) -> WeylElement:
 
 
 def pairwise_classify_component(d: AffineDiagram, comp: tuple[int, ...]) -> str:
-    """Cartan type of a connected node set, by all-pairs `adjacent` scans
-    for its bonds and its nodes' degrees."""
+    """Cartan type of a connected node set, by all-pairs scans of the Cartan
+    matrix for its bonds and its nodes' degrees."""
     n = len(comp)
     if n == 1:
         return "A1"
     mult = {}
     for a in comp:
         for b in comp:
-            if a < b and d.adjacent(a, b):
+            if a < b and d.cartan[a][b] != 0:
                 mult[(a, b)] = d.cartan[a][b] * d.cartan[b][a]
     if any(m == 3 for m in mult.values()):
         return "G2"
@@ -479,20 +480,21 @@ def pairwise_classify_component(d: AffineDiagram, comp: tuple[int, ...]) -> str:
         if shorts == n - 1:
             return f"C{n}"
         raise ValueError(f"unrecognized multiply-laced component {comp}")
-    degrees = {i: sum(1 for j in comp if d.adjacent(i, j)) for i in comp}
-    branch = [i for i, deg in degrees.items() if deg == 3]
+
+    def bonded(i: int) -> list[int]:
+        return [j for j in comp if j != i and d.cartan[i][j] != 0]
+
+    branch = [i for i in comp if len(bonded(i)) == 3]
     if not branch:
         return f"A{n}"
     if len(branch) != 1:
         raise ValueError(f"unrecognized branched component {comp}")
     b = branch[0]
     arms = []
-    for j in d.neighbors(b):
-        if j not in comp:
-            continue
+    for j in bonded(b):
         length, prev, cur = 1, b, j
         while True:
-            nxt = [x for x in d.neighbors(cur) if x in comp and x != prev]
+            nxt = [x for x in bonded(cur) if x != prev]
             if not nxt:
                 break
             prev, cur = cur, nxt[0]
@@ -510,6 +512,31 @@ def pairwise_classify_component(d: AffineDiagram, comp: tuple[int, ...]) -> str:
     raise ValueError(f"unrecognized branched component {comp}")
 
 
+# (number of positive roots, Weyl group order) of the exceptional types; the
+# classical ones follow the rank formulas in `type_sizes`.
+_EXCEPTIONAL_SIZES = {
+    "G2": (6, 12),
+    "F4": (24, 1152),
+    "E6": (36, 51840),
+    "E7": (63, 2903040),
+    "E8": (120, 696729600),
+}
+
+
+def type_sizes(name: str) -> tuple[int, int]:
+    """(|positive roots|, |Weyl group|) of an irreducible finite type, e.g. "B3"."""
+    if name in _EXCEPTIONAL_SIZES:
+        return _EXCEPTIONAL_SIZES[name]
+    n = int(name[1:])
+    if name[0] == "A":
+        return n * (n + 1) // 2, factorial(n + 1)
+    if name[0] in "BC":
+        return n * n, 2**n * factorial(n)
+    if name[0] == "D":
+        return n * (n - 1), 2 ** (n - 1) * factorial(n)
+    raise ValueError(f"unknown finite type {name!r}")
+
+
 def classify_finite(d: AffineDiagram, nodes: Iterable[int]) -> str:
     """Cartan type of the finite subsystem on `nodes`, e.g. "A2 x B3".
 
@@ -518,7 +545,7 @@ def classify_finite(d: AffineDiagram, nodes: Iterable[int]) -> str:
     comps = components(d, tuple(nodes))
     if not comps:
         return "trivial"
-    return " x ".join(_classify_component(d, c) for c in comps)
+    return " x ".join(pairwise_classify_component(d, c) for c in comps)
 
 
 def minimal_coset_rep(

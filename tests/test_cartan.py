@@ -185,7 +185,7 @@ def test_diagram_equality_reads_label_cartan_and_twist():
 
 def test_neighbors():
     e8 = load_diagram("E8~1")
-    assert e8.neighbors(5) == (4, 6, 8)
-    assert e8.neighbors(0) == (1,)
+    assert e8.neighbor_table[5] == (4, 6, 8)
+    assert e8.neighbor_table[0] == (1,)
     d5 = load_diagram("D5~1")
-    assert d5.neighbors(2) == (0, 1, 3)
+    assert d5.neighbor_table[2] == (0, 1, 3)

@@ -8,8 +8,10 @@ family heads and blocked nodes against the case-by-case rules
 (`Wall.tops`, `GradedContext.pairs`) against the wall-pair loops
 (`oracles.family_tops`, `oracles.crossed_pairs`), the packed-column
 BFS, the integer kernel and the symmetrizer against their tuple and
-Fraction references, the Cartan type of every connected node subset against
-the all-pairs scan (`oracles.pairwise_classify_component`), the structural
+Fraction references, the numbers of positive roots and Weyl group elements
+of every connected proper node subset against the type table
+(`oracles.type_sizes`) of the type the all-pairs scan names
+(`oracles.pairwise_classify_component`), the structural
 mask tables against the pairwise scan
 (`oracles.pairwise_structural_masks`), the coset walk's minimality lookup
 and the order kept by translation against reflecting every subgroup simple
@@ -27,10 +29,10 @@ from math import gcd, lcm
 import pytest
 
 from borelab.cartan import (
-    _classify_component,
     _kernel_vector,
     components,
     diagram_automorphisms,
+    finite_type_sizes,
     load_diagram,
 )
 from borelab.grading import analyze, catalog_involutions
@@ -59,6 +61,7 @@ from oracles import (
     scan_poset,
     translation_keeps_order,
     tuple_family_table,
+    type_sizes,
 )
 
 UNTWISTED = (
@@ -191,34 +194,24 @@ def test_kernel_vector_matches_fraction_elimination():
         _kernel_vector([[0, 0, 0], [0, 2, -1], [0, -4, 2]])
 
 
-def _type_or_error(classify, d, comp):
-    try:
-        return classify(d, comp)
-    except ValueError as e:
-        return f"ValueError: {e}"
-
-
-def test_classification_matches_pairwise_reference():
-    # every connected node subset of every diagram: the proper ones, whose
-    # types the parabolic counts read and which all have a finite type, and
-    # the whole diagram too, outside that precondition, where both bodies
-    # name a wrong finite type (A2~1 reads as A3, C3~1 as F4) or raise
-    proper, whole = 0, Counter()
+def test_parabolic_sizes_match_type_table():
+    # every connected proper node subset of every diagram, all of finite
+    # type: the highest-root formulas against the table of the type the
+    # all-pairs scan names; the whole diagram is outside the precondition
+    proper = whole = 0
     for label in LABELS:
         d = load_diagram(label)
-        for size in range(1, d.size + 1):
+        for size in range(1, d.size):
             for comp in combinations(d.nodes, size):
-                if len(components(d, comp)) != 1:
-                    continue
-                got = _type_or_error(_classify_component, d, comp)
-                assert got == _type_or_error(pairwise_classify_component, d, comp), (label, comp)
-                if size < d.size:
-                    assert not got.startswith("ValueError"), (label, comp)
+                if len(components(d, comp)) == 1:
+                    want = [type_sizes(pairwise_classify_component(d, comp))]
+                    assert finite_type_sizes(d, comp) == want, (label, comp)
                     proper += 1
-                else:
-                    whole[got.startswith("ValueError")] += 1
+        with pytest.raises(ValueError, match="not a proper subset"):
+            finite_type_sizes(d, d.nodes)
+        whole += 1
     assert proper == 1363
-    assert whole == {False: 31, True: 20}
+    assert whole == 51
 
 
 def test_packed_bfs_matches_tuple_reference(catalog):

@@ -197,7 +197,7 @@ def test_is_long_matches_closure_maximum(label):
 
 @pytest.mark.parametrize("label", SWEEP_LABELS)
 def test_positive_root_count_matches_closure(label):
-    # oracle: the closure itself, against the type-table formulas; the walks
+    # oracle: the closure itself, against the highest-root formula; the walks
     # end exactly: the ascent to w0(J) takes |Phi_J^+| steps, and no dominant
     # ascent takes more
     d = load_diagram(label)
