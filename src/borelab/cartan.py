@@ -9,8 +9,8 @@ is ``cartan[i][j] = <alpha_j, alpha_i^vee>``.
 from __future__ import annotations
 
 import re
-from math import factorial, gcd, lcm, prod
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from math import gcd, lcm
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -221,28 +221,6 @@ def dual_coxeter_number(d: AffineDiagram) -> int:
     return sum(d.comarks)
 
 
-def finite_dual_coxeter(
-    d: AffineDiagram, nodes: Iterable[int], theta: Optional[tuple[int, ...]] = None
-) -> int:
-    """Dual Coxeter number of the finite subsystem on a connected node subset,
-    whose highest root theta is found unless the caller has it.
-
-    Computed as 1 + coroot height of the highest root: if theta = sum c_i a_i,
-    its coroot expands with coefficients c_i * d_i / d_theta.
-    """
-    from . import roots  # deferred: roots depends on this module
-
-    s = tuple(sorted(set(nodes)))
-    if theta is None:
-        theta = roots.highest_root(d, s)  # refuses an empty or disconnected set
-    # theta^vee = sum of theta_i * d_i / d_theta * alpha_i^vee, and 2 * L * d_i
-    # is the diagonal Gram entry, 2 * L * d_theta the scaled norm of theta
-    height, rem = divmod(sum(theta[i] * d.gram[i][i] for i in s), roots.form(d, theta, theta))
-    if rem:
-        raise ValueError("coroot height is not integral")
-    return height + 1
-
-
 def components(d: AffineDiagram, nodes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """Connected components of the induced subdiagram, ordered by least node."""
     remaining = set(nodes)
@@ -307,29 +285,3 @@ def finite_nodes(d: AffineDiagram, nodes: Iterable[int]) -> list[int]:
     if len(s) >= d.size or s and (s[0] < 0 or s[-1] >= d.size):
         raise ValueError(f"nodes {s} are not a proper subset of {d.label}'s nodes {list(d.nodes)}")
     return s
-
-
-def finite_type_sizes(d: AffineDiagram, nodes: Iterable[int]) -> list[tuple[int, int]]:
-    """(|positive roots|, |Weyl group|) of each component of the finite
-    subsystem on a proper node subset, read off the component's highest root
-    theta = sum c_i a_i on its n nodes, with no type name:
-
-    - |Phi^+| = n * h / 2, h = ht(theta) + 1 the Coxeter number (Humphreys,
-      Reflection Groups and Coxeter Groups, Sec. 3.18-3.20);
-    - |W| = n! * f * prod c_i, f = 1 + #{i : c_i = 1} the connection index
-      (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Sec. 2.3-2.4).
-    """
-    from . import roots  # deferred: roots depends on this module
-
-    sizes = []
-    for comp in components(d, finite_nodes(d, nodes)):
-        theta = roots.highest_root(d, comp)
-        c = [theta[i] for i in comp]
-        n = len(c)
-        sizes.append((n * (sum(c) + 1) // 2, factorial(n) * (1 + c.count(1)) * prod(c)))
-    return sizes
-
-
-def positive_root_count(d: AffineDiagram, nodes: Iterable[int]) -> int:
-    """Number of positive roots of the finite subsystem on a proper node subset."""
-    return sum(count for count, _ in finite_type_sizes(d, nodes))

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
-from .cartan import AffineDiagram, components as diagram_components, finite_dual_coxeter
+from .cartan import AffineDiagram, components as diagram_components
 from .cartan import diagram_automorphisms, load_diagram
 from .roots import (
     Root,
@@ -24,6 +24,7 @@ from .roots import (
     pair,
     simple_root,
     subsystem_closure,
+    theta_dual_coxeter,
 )
 from .weyl import pack
 
@@ -42,13 +43,14 @@ class InvolutionSpec:
         weight = sum(s * a for s, a in zip(self.flags, d.marks))
         if weight not in (1, 2):
             raise ValueError(f"flag weight {weight} does not define an order-2 grading")
-        if weight == 2 and (d.twist != 1 or self.adjoint):
-            raise ValueError("flag weight 2 requires an untwisted diagram, not adjoint")
-        if weight == 1:
-            if d.twist == 1 and not self.adjoint:
-                raise ValueError("flag weight 1 on an untwisted diagram needs adjoint=True")
-            if d.twist == 2 and self.adjoint:
-                raise ValueError("adjoint gradings only exist on untwisted diagrams")
+        if weight == 2 and d.twist != 1:
+            raise ValueError(f"flag weight 2 requires an untwisted diagram; {d.label} is twisted")
+        if weight == 2 and self.adjoint:
+            raise ValueError("an adjoint grading has flag weight 1, not 2")
+        if weight == 1 and d.twist == 1 and not self.adjoint:
+            raise ValueError("flag weight 1 on an untwisted diagram needs adjoint=True")
+        if d.twist == 2 and self.adjoint:  # of flag weight 1: weight 2 was refused above
+            raise ValueError("adjoint gradings only exist on untwisted diagrams")
 
     def _key(self) -> tuple:
         return self.diagram, self.flags, self.adjoint
@@ -234,7 +236,7 @@ class GradedContext:
                     pairing_row=row,
                     level=level,
                     eps=eps,
-                    sub_dual_coxeter=finite_dual_coxeter(d, nodes, theta),
+                    sub_dual_coxeter=theta_dual_coxeter(d, theta),
                     wall_included=form(d, theta, theta) >= d.form_scale,
                     region=tuple(sorted(region)),
                     region_in_component=tuple(sorted(region & set(nodes))),

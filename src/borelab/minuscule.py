@@ -16,9 +16,10 @@ from itertools import combinations, compress
 from operator import add as _add, mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .cartan import dual_coxeter_number, finite_dual_coxeter, positive_root_count
+from .cartan import dual_coxeter_number
 from .grading import EvenComponent, GradedContext, Wall
-from .roots import Root, coroot_pair, scale, simple_root, sub
+from .roots import Root, coroot_pair, highest_root, positive_root_count, scale, simple_root, sub
+from .roots import theta_dual_coxeter, weyl_group_order
 from .weyl import (
     W,
     WeylElement,
@@ -28,7 +29,6 @@ from .weyl import (
     identity,
     longest_quotient,
     pack,
-    weyl_group_order,
 )
 
 
@@ -512,7 +512,7 @@ def coset_translates(
     index: dict[int, int] = {}
     reps: list[tuple[int, Optional[int]]] = [(0, start)]
     seen = {0}
-    frontier = [(identity(d).cols, 0, start)]
+    frontier = [(poset.cols[0], 0, start)]  # the identity's columns
     while frontier:
         nxt = []
         for u, mask, img in frontier:
@@ -641,7 +641,7 @@ def check_length_identities(ctx: GradedContext) -> CheckResult:
     for wall in ctx.walls:
         if wall.kind == "component" and wall.wall_type == 1:
             comp = wall.component
-            region_g = finite_dual_coxeter(ctx.d, comp.region)
+            region_g = theta_dual_coxeter(ctx.d, highest_root(ctx.d, comp.region))
             if region_g != g0 - comp.sub_dual_coxeter + 2:
                 problems.append(
                     f"comp {comp.index}: region dual Coxeter {region_g} "

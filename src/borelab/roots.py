@@ -6,12 +6,15 @@ integer-scaled: `form` gives L * (a, b), read off the diagram's integer Gram
 rows (L is `AffineDiagram.form_scale`).  Fraction appears only at the public
 boundary, in `bilinear` and `norm_sq`, normalized so that long real roots
 have squared length 2; `fractions` is imported when they are called.
+Finite-parabolic data live here too: dominant ascent, highest roots, and
+from them dual Coxeter numbers, positive-root counts and Weyl group orders.
 """
 
 from __future__ import annotations
 
+from math import factorial, prod
 from operator import add as _add, mul, neg as _neg, sub as _sub
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .cartan import AffineDiagram, components, finite_nodes
 
@@ -118,9 +121,12 @@ def dominant_ascent(d: AffineDiagram, nodes: Iterable[int], a: Root) -> tuple[Ro
     the walk ends, after at most |Phi_J^+| steps (Humphreys, Reflection
     Groups and Coxeter Groups, 1.10-1.12).
     """
-    s = finite_nodes(d, nodes)
-    letters = []
-    g = a
+    return _ascend(d, finite_nodes(d, nodes), a)
+
+
+def _ascend(d: AffineDiagram, s: Sequence[int], a: Root) -> tuple[Root, list[int]]:
+    """`dominant_ascent` on a node list s that `finite_nodes` has checked."""
+    g, letters = a, []
     while (i := next((i for i in s if pair(d, g, i) < 0), None)) is not None:
         letters.append(i)
         g = reflect_simple(d, g, i)
@@ -134,8 +140,53 @@ def highest_root(d: AffineDiagram, nodes: Iterable[int]) -> Root:
     s = finite_nodes(d, nodes)
     if len(components(d, s)) != 1:
         raise ValueError(f"subsystem on {s} is not connected")
+    return _highest_root(d, s)
+
+
+def _highest_root(d: AffineDiagram, s: Sequence[int]) -> Root:
+    """`highest_root` of a connected node list s that `finite_nodes` has checked."""
     longest = max(s, key=lambda i: d.gram[i][i])  # the Gram diagonal is L * (a_i, a_i)
-    return dominant_ascent(d, s, simple_root(d, longest))[0]
+    return _ascend(d, s, simple_root(d, longest))[0]
+
+
+def theta_dual_coxeter(d: AffineDiagram, theta: Root) -> int:
+    """Dual Coxeter number of the finite subsystem whose highest root is
+    theta: 1 + the coroot height of theta.  If theta = sum c_i a_i, its
+    coroot is sum c_i * d_i / d_theta * alpha_i^vee, and 2 * L * d_i is the
+    diagonal Gram entry, 2 * L * d_theta the scaled norm of theta."""
+    diag = sum(c * d.gram[i][i] for i, c in enumerate(theta))
+    height, rem = divmod(diag, form(d, theta, theta))
+    if rem:
+        raise ValueError("coroot height is not integral")
+    return height + 1
+
+
+def finite_type_sizes(d: AffineDiagram, nodes: Iterable[int]) -> list[tuple[int, int]]:
+    """(|positive roots|, |Weyl group|) of each component of the finite
+    subsystem on a proper node subset, read off the component's highest root
+    theta = sum c_i a_i on its n nodes, with no type name:
+
+    - |Phi^+| = n * h / 2, h = ht(theta) + 1 the Coxeter number (Humphreys,
+      Reflection Groups and Coxeter Groups, Sec. 3.18-3.20);
+    - |W| = n! * f * prod c_i, f = 1 + #{i : c_i = 1} the connection index
+      (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Sec. 2.3-2.4).
+    """
+    sizes = []
+    for comp in components(d, finite_nodes(d, nodes)):
+        c = [x for x in _highest_root(d, comp) if x]  # theta's support is comp
+        n = len(c)
+        sizes.append((n * (sum(c) + 1) // 2, factorial(n) * (1 + c.count(1)) * prod(c)))
+    return sizes
+
+
+def positive_root_count(d: AffineDiagram, nodes: Iterable[int]) -> int:
+    """Number of positive roots of the finite subsystem on a proper node subset."""
+    return sum(count for count, _ in finite_type_sizes(d, nodes))
+
+
+def weyl_group_order(d: AffineDiagram, nodes: Iterable[int]) -> int:
+    """Order of the finite parabolic on a proper subset of nodes."""
+    return prod(order for _, order in finite_type_sizes(d, nodes))
 
 
 def is_long(d: AffineDiagram, a: Root, nodes: Optional[Iterable[int]] = None) -> bool:

@@ -22,10 +22,9 @@ of inversion sets.
 
 from __future__ import annotations
 
-from math import prod
 from typing import Iterable, Optional
 
-from .cartan import AffineDiagram, finite_nodes, finite_type_sizes
+from .cartan import AffineDiagram, finite_nodes
 from .roots import Root, dominant_ascent, pair
 
 W = 16  # bits per coordinate field
@@ -192,8 +191,3 @@ def _word_element(d: AffineDiagram, word: Iterable[int]) -> WeylElement:
             raise RuntimeError(f"word {tuple(letters)} is not reduced")
         cols = _right_mult_simple(d, cols, i)
     return WeylElement(d, tuple(letters), cols)
-
-
-def weyl_group_order(d: AffineDiagram, nodes: Iterable[int]) -> int:
-    """Order of the finite parabolic on a proper subset of nodes."""
-    return prod(order for _, order in finite_type_sizes(d, nodes))

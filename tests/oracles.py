@@ -14,9 +14,11 @@ Fraction, where `cartan._kernel_vector` eliminates fraction-free, and
 `fraction_symmetrizer` finds the symmetrizer by a walk over the diagram's
 edges, where `cartan` reads it off the marks and comarks.
 `pairwise_classify_component` names a component's Cartan type from
-all-pairs scans of the Cartan matrix, and `type_sizes` looks up that type's
-numbers of positive roots and Weyl group elements in a table, where
-`cartan.finite_type_sizes` reads both off the component's highest root.
+all-pairs scans of the Cartan matrix, and `type_sizes` and
+`type_dual_coxeter` look up that type's numbers of positive roots and Weyl
+group elements and its dual Coxeter number in tables, where
+`roots.finite_type_sizes` and `roots.theta_dual_coxeter` read them off the
+component's highest root.
 `scan_poset` is the poset BFS on tuple columns, all rewritten at each
 step, and `tuple_family_table` reads its families off them, where
 `minuscule.enumerate_poset` and `MinusculePoset` read packed columns and
@@ -535,6 +537,17 @@ def type_sizes(name: str) -> tuple[int, int]:
     if name[0] == "D":
         return n * (n - 1), 2 ** (n - 1) * factorial(n)
     raise ValueError(f"unknown finite type {name!r}")
+
+
+_EXCEPTIONAL_DUAL_COXETER = {"G2": 4, "F4": 9, "E6": 12, "E7": 18, "E8": 30}
+
+
+def type_dual_coxeter(name: str) -> int:
+    """Dual Coxeter number of an irreducible finite type, e.g. "B3"."""
+    if name in _EXCEPTIONAL_DUAL_COXETER:
+        return _EXCEPTIONAL_DUAL_COXETER[name]
+    n = int(name[1:])
+    return {"A": n + 1, "B": 2 * n - 1, "C": n + 1, "D": 2 * n - 2}[name[0]]
 
 
 def classify_finite(d: AffineDiagram, nodes: Iterable[int]) -> str:

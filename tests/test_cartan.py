@@ -9,9 +9,9 @@ from borelab.cartan import (
     AffineDiagram,
     diagram_automorphisms,
     dual_coxeter_number,
-    finite_dual_coxeter,
     load_diagram,
 )
+from borelab.roots import highest_root, theta_dual_coxeter
 from oracles import classify_finite
 
 # marks and comarks frozen from the classical tables
@@ -89,16 +89,16 @@ def test_dual_coxeter_numbers():
 def test_finite_dual_coxeter_classical(label, want):
     # dropping the affine node leaves the finite diagram; values are classical
     d = load_diagram(label)
-    assert finite_dual_coxeter(d, [i for i in d.nodes if i != 0]) == want
+    assert theta_dual_coxeter(d, highest_root(d, [i for i in d.nodes if i != 0])) == want
 
 
 def test_finite_dual_coxeter_subsystems():
     e8 = load_diagram("E8~1")
     # nodes 2..8 of the extended E8 diagram form an E7
-    assert finite_dual_coxeter(e8, range(2, 9)) == 18
-    assert finite_dual_coxeter(e8, [0]) == 2
+    assert theta_dual_coxeter(e8, highest_root(e8, range(2, 9))) == 18
+    assert theta_dual_coxeter(e8, highest_root(e8, [0])) == 2
     with pytest.raises(ValueError):
-        finite_dual_coxeter(e8, [0, 4])  # disconnected
+        highest_root(e8, [0, 4])  # disconnected
 
 
 def test_classify_finite():

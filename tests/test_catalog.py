@@ -32,7 +32,6 @@ from borelab.cartan import (
     _kernel_vector,
     components,
     diagram_automorphisms,
-    finite_type_sizes,
     load_diagram,
 )
 from borelab.grading import analyze, catalog_involutions
@@ -43,7 +42,13 @@ from borelab.minuscule import (
     structural_masks,
     verify_all,
 )
-from borelab.roots import add, subsystem_closure
+from borelab.roots import (
+    add,
+    finite_type_sizes,
+    highest_root,
+    subsystem_closure,
+    theta_dual_coxeter,
+)
 from borelab.weyl import BOUND, pack, unpack
 from oracles import (
     blocked_nodes,
@@ -61,6 +66,7 @@ from oracles import (
     scan_poset,
     translation_keeps_order,
     tuple_family_table,
+    type_dual_coxeter,
     type_sizes,
 )
 
@@ -196,16 +202,19 @@ def test_kernel_vector_matches_fraction_elimination():
 
 def test_parabolic_sizes_match_type_table():
     # every connected proper node subset of every diagram, all of finite
-    # type: the highest-root formulas against the table of the type the
-    # all-pairs scan names; the whole diagram is outside the precondition
+    # type: the highest-root formulas for the sizes and the dual Coxeter
+    # number against the tables of the type the all-pairs scan names; the
+    # whole diagram is outside the precondition
     proper = whole = 0
     for label in LABELS:
         d = load_diagram(label)
         for size in range(1, d.size):
             for comp in combinations(d.nodes, size):
                 if len(components(d, comp)) == 1:
-                    want = [type_sizes(pairwise_classify_component(d, comp))]
-                    assert finite_type_sizes(d, comp) == want, (label, comp)
+                    name = pairwise_classify_component(d, comp)
+                    assert finite_type_sizes(d, comp) == [type_sizes(name)], (label, comp)
+                    h = type_dual_coxeter(name)
+                    assert theta_dual_coxeter(d, highest_root(d, comp)) == h, (label, comp)
                     proper += 1
         with pytest.raises(ValueError, match="not a proper subset"):
             finite_type_sizes(d, d.nodes)

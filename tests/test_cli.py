@@ -132,6 +132,14 @@ def test_out_of_range_node_rejected():
     assert "flag weight" not in r.stderr
 
 
+def test_weight_two_on_twisted_names_the_diagram():
+    # no --adjoint: the refusal names the twisted diagram, not adjoint
+    r = run_cli("verify", "--type", "D5~2", "--pi1", "0,4")
+    assert r.returncode == 2
+    assert "flag weight 2 requires an untwisted diagram; D5~2 is twisted" in r.stderr
+    assert "adjoint" not in r.stderr
+
+
 def test_export_all_requires_out():
     assert run_cli("export", "--type", "A5~1", "--all").returncode == 2
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borelab.cartan import load_diagram, positive_root_count
+from borelab.cartan import load_diagram
 from borelab.roots import (
     coroot_pair,
     delta,
@@ -15,13 +15,15 @@ from borelab.roots import (
     is_long,
     neg,
     norm_sq,
+    positive_root_count,
     reflect_simple,
     scale,
     simple_root,
     sub,
     subsystem_closure,
+    weyl_group_order,
 )
-from borelab.weyl import longest_element, weyl_group_order
+from borelab.weyl import longest_element
 from oracles import from_reflection, ht, ht_subset, is_real_root, root_kind
 
 LABELS = ["A2~1", "B3~1", "C3~1", "D4~1", "G2~1", "F4~1", "A2~2", "A5~2", "D5~2"]

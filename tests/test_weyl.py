@@ -13,6 +13,7 @@ from borelab.roots import (
     is_positive,
     simple_root,
     subsystem_closure,
+    weyl_group_order,
 )
 import borelab.weyl as weyl
 from borelab.weyl import (
@@ -20,7 +21,6 @@ from borelab.weyl import (
     dominant_mapper,
     identity,
     longest_element,
-    weyl_group_order,
 )
 from oracles import (
     apply_inverse,
