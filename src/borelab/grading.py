@@ -17,13 +17,12 @@ from .cartan import AffineDiagram, components as diagram_components
 from .cartan import diagram_automorphisms, load_diagram
 from .roots import (
     Root,
+    component_highest_roots,
     coroot_pair,
     form,
-    highest_root,
     is_long,
-    pair,
+    raising_closure,
     simple_root,
-    subsystem_closure,
     theta_dual_coxeter,
 )
 from .weyl import pack
@@ -218,8 +217,7 @@ class GradedContext:
     def _build_components(self) -> tuple[EvenComponent, ...]:
         d = self.d
         out = []
-        for idx, nodes in enumerate(diagram_components(d, self.even), start=1):
-            theta = highest_root(d, nodes)
+        for idx, (nodes, theta) in enumerate(component_highest_roots(d, self.even), start=1):
             row = tuple(coroot_pair(d, theta, simple_root(d, j)) for j in d.nodes)
             eps = 2 if len(nodes) == 1 else 1
             level = -row[min(self.odd)]
@@ -271,48 +269,25 @@ class GradedContext:
         return tuple(walls)
 
     @cached_property
+    def graded_roots(self) -> dict[Root, int]:
+        """Every positive root of odd height at most 2, real or imaginary,
+        mapped to its odd height (`roots.raising_closure` of the flags): the
+        roots the structural check reads, as members (odd height 1), their
+        differences (0) and their sums (2)."""
+        return raising_closure(self.d, self.spec.flags, 2)
+
+    @cached_property
     def even_positive_roots(self) -> frozenset[Root]:
-        """Positive roots supported on the even nodes."""
-        if not self.even:
-            return frozenset()
-        return subsystem_closure(self.d, self.even)
+        """Positive roots supported on the even nodes: those of odd height 0."""
+        return frozenset(a for a, g in self.graded_roots.items() if not g)
 
     @cached_property
     def odd_height_one_roots(self) -> frozenset[Root]:
-        """All positive real roots of odd height 1 (a finite set).
-
-        These are the weights of the odd-height-1 part of the positive
-        subalgebra as a module over the even part.  That module is generated
-        by the odd simple root vectors, so every weight of height h + 1 is a
-        weight of height h raised by one even simple root.  Raising height by
-        height, all weights below a are known, so the alpha_i-string through a
-        reaches p steps down, and p - q = <a, alpha_i^vee> says whether it
-        goes up.  For k = 2, delta is a weight too; it is raised like the
-        others but is not real.
-        """
-        d = self.d
-        weights = {simple_root(d, b) for b in self.odd}
-        frontier = list(weights)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for i in self.even:
-                    lower = list(a)
-                    p = 0
-                    while True:
-                        lower[i] -= 1
-                        if tuple(lower) not in weights:
-                            break
-                        p += 1
-                    if p <= pair(d, a, i):
-                        continue
-                    c = tuple(x + 1 if j == i else x for j, x in enumerate(a))
-                    if c not in weights:
-                        weights.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        weights.discard(self.delta)
-        return frozenset(weights)
+        """All positive real roots of odd height 1 (a finite set): those of the
+        closure, less delta for k = 2.  These are the weights of the
+        odd-height-1 part of the positive subalgebra as a module over the even
+        part."""
+        return frozenset(a for a, g in self.graded_roots.items() if g == 1) - {self.delta}
 
     @cached_property
     def s1_order(self) -> tuple[Root, ...]:

@@ -12,8 +12,7 @@ that `verify_all` checks against the enumerated poset.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, compress
-from operator import add as _add, mul
+from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cartan import dual_coxeter_number
@@ -21,7 +20,6 @@ from .grading import EvenComponent, GradedContext, Wall
 from .roots import Root, coroot_pair, highest_root, positive_root_count, scale, simple_root, sub
 from .roots import theta_dual_coxeter, weyl_group_order
 from .weyl import (
-    W,
     WeylElement,
     _right_mult_simple,
     _word_element,
@@ -703,62 +701,17 @@ def structural_masks(ctx: GradedContext) -> tuple[list[int], list[int]]:
     """(partner, down): masks over `ctx.s1_order` that decide the structural check.
 
     For x the root at bit n, `partner[n]` holds the y in S1 with x + y a
-    root, and `down[n]` the roots x - e in S1, e an even positive root: every
-    split of x into two positive roots is an even root plus a root of S1.
-
-    x + y is read off the x-string through y, x the longer root, with
-    p - q = c = <y, x^vee> (Humphreys, Lie Algebras, 9.4).  c < 0 gives a
-    root (so does x + y = k*delta, with c = -2).  For c = 0, x + y is a root
-    iff y - x is, i.e. plus or minus an even positive root, having odd
-    height 0: a down pair.  c = 1 needs p >= 2 as well: 2x - y, of odd
-    height 1, in S1 (it pairs to 3 with x^vee, so it is not delta); y - x is
-    then a root, so this too is a down pair.  By Cauchy-Schwarz on the
-    semidefinite form c <= 2, and c = 2 only for y = x + m*delta, of odd
-    height 1 + 2m/k != 1: no other c occurs.
-
-    The form is scaled to integers (Kac, Infinite-dimensional Lie algebras,
-    6.2): row n lists L * (x, y) for every y in S1.  The row is linear in x,
-    and each x in S1 is an odd simple root or an even simple root alpha_t
-    added to a root of S1 or to delta (`odd_height_one_roots`), so
-    row(x) = row(x - alpha_t) + row(alpha_t), with row(0) = row(delta) = 0
-    as delta spans the radical of the form; in height order the row of
-    x - alpha_t is built first.  Differences are looked up packed
-    (`weyl.pack` is linear).
+    root, and `down[n]` the roots x - e in S1, e an even positive root:
+    every split of x into two positive roots is an even root plus a root of
+    S1.  Both are lookups in `ctx.graded_roots`, packed (`weyl.pack` is
+    linear): x + y has odd height 2, so it is a root iff it is one of the
+    closure's roots of odd height 2, k*delta included.
     """
-    d, order, bits = ctx.d, ctx.s1_order, ctx.s1_bits
-    packed = list(bits)
-    bit_list = list(bits.values())
-    even = [pack(e) for e in ctx.even_positive_roots]
-    # L * (alpha_t, y) for each node t and each y in S1
-    simple_rows = list(zip(*(tuple(sum(map(mul, g, y)) for g in d.gram) for y in order)))
-    zero = (0,) * len(order)
-    known = {0: zero, pack(ctx.delta): zero}
-    rows: list = [None] * len(order)
-    for n in sorted(range(len(order)), key=lambda n: sum(order[n])):
-        px = packed[n]
-        t = next((t for t, c in enumerate(order[n]) if c and px - (1 << W * t) in known), None)
-        if t is None:
-            raise RuntimeError(f"{order[n]} is not raised from S1, 0 or delta")
-        rows[n] = known[px] = tuple(map(_add, known[px - (1 << W * t)], simple_rows[t]))
-    norm = [row[n] for n, row in enumerate(rows)]
-    partner = [sum(compress(bit_list, map((0).__gt__, row))) for row in rows]
-    down = [sum(filter(None, map(bits.get, map(px.__sub__, even)))) for px in packed]
-    for n, row in enumerate(rows):
-        # down pairs with (x, y) >= 0: c is 0, or 1 when 2 * L * (x, y) is
-        # the longer norm (for equal norms either root may be the longer:
-        # x + y is a root iff 2x - y is, iff 2y - x is)
-        rest = down[n] & ~partner[n]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            m = low.bit_length() - 1
-            ip = row[m]
-            if ip:
-                ln, sn = (n, m) if norm[n] >= norm[m] else (m, n)
-                if 2 * ip != norm[ln] or 2 * packed[ln] - packed[sn] not in bits:
-                    continue
-            partner[n] |= low
-            partner[m] |= 1 << n
+    bits = ctx.s1_bits
+    even = [pack(a) for a, g in ctx.graded_roots.items() if g == 0]
+    two = [pack(a) for a, g in ctx.graded_roots.items() if g == 2]
+    partner = [sum(filter(None, map(bits.get, map((-px).__add__, two)))) for px in bits]
+    down = [sum(filter(None, map(bits.get, map(px.__sub__, even)))) for px in bits]
     return partner, down
 
 

@@ -6,6 +6,8 @@ integer-scaled: `form` gives L * (a, b), read off the diagram's integer Gram
 rows (L is `AffineDiagram.form_scale`).  Fraction appears only at the public
 boundary, in `bilinear` and `norm_sq`, normalized so that long real roots
 have squared length 2; `fractions` is imported when they are called.
+One raising walk, `raising_closure`, builds the positive roots of bounded
+grade: a finite subsystem's, and a grading's of odd height 0, 1 and 2.
 Finite-parabolic data live here too: dominant ascent, highest roots, and
 from them dual Coxeter numbers, positive-root counts and Weyl group orders.
 """
@@ -94,21 +96,50 @@ def reflect_simple(d: AffineDiagram, a: Root, i: int) -> Root:
     return tuple(b)
 
 
-def subsystem_closure(d: AffineDiagram, nodes: Iterable[int]) -> frozenset[Root]:
-    """Positive roots of the finite subsystem on a proper subset of nodes."""
-    s = finite_nodes(d, nodes)
-    roots = {simple_root(d, i) for i in s}
-    frontier = set(roots)
+def raising_closure(d: AffineDiagram, grade: Sequence[int], top: int) -> dict[Root, int]:
+    """Every positive root a, real or imaginary, with g(a) = sum grade_i * a_i
+    at most top, mapped to g(a); the grades are >= 0.
+
+    The positive part of the algebra is generated by the simple root vectors,
+    so every positive root of height h + 1 is a root of height h, of no larger
+    g, plus a simple root.  Raising height by height, all roots below a are
+    known, so the alpha_i-string through a reaches p steps down, and
+    p - q = c = <a, alpha_i^vee> (Kac, Infinite-dimensional Lie algebras,
+    3.6, imaginary roots included) says whether it goes up: q > 0 iff p > c,
+    that is c < 0 or, the string being unbroken, a - (c + 1) * alpha_i is a
+    root.  Each root carries its row of pairings <a, alpha_j^vee>, raised by
+    a column of the Cartan matrix.  If grade is 0 on every node, every
+    multiple of delta has g = 0 and the set is infinite: ValueError.
+    """
+    if not any(grade):
+        raise ValueError(f"grade {tuple(grade)} is 0 on every node of {d.label}: "
+                         f"infinitely many roots")
+    cols = list(zip(*d.cartan))  # cols[i][j] = <alpha_i, alpha_j^vee>
+    found = {a: g for a, g in zip(d.simple_roots, grade) if g <= top}
+    frontier = [(a, col) for a, g, col in zip(d.simple_roots, grade, cols) if g <= top]
     while frontier:
-        new = set()
-        for a in frontier:
-            for i in s:
-                b = reflect_simple(d, a, i)
-                if is_positive(b) and b not in roots:
-                    roots.add(b)
-                    new.add(b)
-        frontier = new
-    return frozenset(roots)
+        nxt = []
+        for a, row in frontier:
+            ga = found[a]
+            for i, c in enumerate(row):
+                g = ga + grade[i]
+                if g > top:
+                    continue
+                if c >= 0 and (a[i] <= c or a[:i] + (a[i] - c - 1,) + a[i + 1:] not in found):
+                    continue
+                b = a[:i] + (a[i] + 1,) + a[i + 1:]
+                if b not in found:
+                    found[b] = g
+                    nxt.append((b, tuple(map(_add, row, cols[i]))))
+        frontier = nxt
+    return found
+
+
+def subsystem_closure(d: AffineDiagram, nodes: Iterable[int]) -> frozenset[Root]:
+    """Positive roots of the finite subsystem on a proper subset of nodes: the
+    roots of grade 0 when every other node has grade 1."""
+    s = finite_nodes(d, nodes)
+    return frozenset(raising_closure(d, [0 if i in s else 1 for i in d.nodes], 0))
 
 
 def dominant_ascent(d: AffineDiagram, nodes: Iterable[int], a: Root) -> tuple[Root, list[int]]:
@@ -143,6 +174,14 @@ def highest_root(d: AffineDiagram, nodes: Iterable[int]) -> Root:
     return _highest_root(d, s)
 
 
+def component_highest_roots(
+    d: AffineDiagram, nodes: Iterable[int]
+) -> list[tuple[tuple[int, ...], Root]]:
+    """Each component of the finite subsystem on a proper node subset, in
+    `components` order, with its highest root; the node set is checked once."""
+    return [(comp, _highest_root(d, comp)) for comp in components(d, finite_nodes(d, nodes))]
+
+
 def _highest_root(d: AffineDiagram, s: Sequence[int]) -> Root:
     """`highest_root` of a connected node list s that `finite_nodes` has checked."""
     longest = max(s, key=lambda i: d.gram[i][i])  # the Gram diagonal is L * (a_i, a_i)
@@ -172,8 +211,8 @@ def finite_type_sizes(d: AffineDiagram, nodes: Iterable[int]) -> list[tuple[int,
       (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Sec. 2.3-2.4).
     """
     sizes = []
-    for comp in components(d, finite_nodes(d, nodes)):
-        c = [x for x in _highest_root(d, comp) if x]  # theta's support is comp
+    for _, theta in component_highest_roots(d, nodes):
+        c = [x for x in theta if x]  # theta's support is the component
         n = len(c)
         sizes.append((n * (sum(c) + 1) // 2, factorial(n) * (1 + c.count(1)) * prod(c)))
     return sizes

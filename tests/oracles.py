@@ -40,10 +40,14 @@ column up among the subgroup simples; `translation_keeps_order` compares
 every two translates, where `check_coset_isomorphism` reads order
 preservation off length additivity.  The structural trio decides
 sums and decompositions with `root_kind`, where the library's mask tables
-(`minuscule.structural_masks`) use string lengths; `pairwise_structural_masks`
-builds those tables by a dot product and a difference for every pair of S1,
-where the library raises inner-product rows along S1 and looks up packed
-differences.  The orbit search
+(`minuscule.structural_masks`) look them up in the grading's raising
+closure; `pairwise_structural_masks` builds those tables by a dot product
+and a difference for every pair of S1, where the library looks up packed
+sums among the closure's roots of odd height 2 and packed differences in
+S1.  `graded_root_scan` finds the roots of odd height at most 2 by a
+norm-bounded scan that `root_kind` classifies, where `roots.raising_closure`
+raises them by the string rule, and `reflection_closure` reflects a finite
+subsystem's simple roots, where `roots.subsystem_closure` raises them.  The orbit search
 `minimal_mapper` finds a shortest element sending one root to another by
 BFS over the orbit; the library reaches the same elements by dominant
 ascent (`weyl.dominant_mapper`) and, for the type-2 special involution, by
@@ -55,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, floor, gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -146,6 +150,88 @@ def _root_kind_uncached(d: AffineDiagram, a: Root) -> str:
 
 def is_real_root(d: AffineDiagram, a: Root) -> bool:
     return root_kind(d, a) == "real"
+
+
+def graded_root_scan(ctx: GradedContext, top: int = 2) -> dict[Root, int]:
+    """Every positive root of odd height at most `top`, real or imaginary,
+    mapped to its odd height: the vectors a >= 0 of odd height <= top with
+    (a, a) at most the largest simple norm, each kept if `root_kind` calls
+    it a root (a real root is conjugate to a simple one, an imaginary root
+    is isotropic).
+
+    The box holding them is scanned coordinate by coordinate (Fincke and
+    Pohst, Math. Comp. 44 (1985) 463-471).  With the odd nodes ordered
+    last, the Gram matrix is L D L^T, L unit lower triangular, and
+    (a, a) = sum of D_i * (a_i + sum_{j > i} L_ji a_j)^2.  The form is
+    definite on every proper node subset, so only the last pivot D is 0,
+    at an odd node whose range the odd height bounds; every other
+    coordinate is fixed, last first, within the interval its term leaves.
+    """
+    d, flags = ctx.d, ctx.spec.flags
+    order = [*ctx.even, *ctx.odd]
+    n = len(order)
+    gram = [[fraction_form(d, simple_root(d, i), simple_root(d, j)) for j in order]
+            for i in order]
+    low = [[Fraction(0)] * n for _ in range(n)]
+    piv = []
+    for j in range(n):
+        piv.append(gram[j][j] - sum(low[j][t] ** 2 * piv[t] for t in range(j)))
+        for i in range(j + 1, n):
+            dot = sum(low[i][t] * low[j][t] * piv[t] for t in range(j))
+            low[i][j] = (gram[i][j] - dot) / piv[j]
+    # in floats, with a slack far above their rounding: a vector the slack
+    # lets in is dropped by `root_kind`, and no root is left out
+    above = [[(j, float(low[j][i])) for j in range(i + 1, n) if low[j][i]] for i in range(n)]
+    piv = list(map(float, piv))
+    vec = [0] * n
+    found = {}
+
+    def scan(i: int, budget: float, grade: int) -> None:
+        if i < 0:
+            a = [0] * d.size
+            for t, y in zip(order, vec):
+                a[t] = y
+            a = tuple(a)
+            if any(a) and root_kind(d, a) != "none":
+                found[a] = grade
+            return
+        centre = -sum(c * vec[j] for j, c in above[i])
+        cap = top - grade if flags[order[i]] else None
+        start = max(0, floor(centre))
+        if cap is not None:
+            start = min(start, cap)
+        for y, step in ((start, -1), (start + 1, 1)):
+            while y >= 0 and (cap is None or y <= cap):
+                term = piv[i] * (y - centre) ** 2
+                if term > budget:
+                    break
+                vec[i] = y
+                scan(i - 1, budget - term, grade + flags[order[i]] * y)
+                y += step
+        vec[i] = 0
+
+    scan(n - 1, float(max(gram[i][i] for i in range(n))) + 1e-6, 0)
+    return found
+
+
+def reflection_closure(d: AffineDiagram, nodes: Iterable[int]) -> frozenset[Root]:
+    """Positive roots of the finite subsystem on a proper node subset: the
+    simple roots reflected by every simple reflection of the subset until no
+    new positive root appears, where `roots.subsystem_closure` raises them
+    by the string rule."""
+    s = sorted(set(nodes))
+    roots = {simple_root(d, i) for i in s}
+    frontier = set(roots)
+    while frontier:
+        new = set()
+        for a in frontier:
+            for i in s:
+                b = reflect_simple(d, a, i)
+                if is_positive(b) and b not in roots:
+                    roots.add(b)
+                    new.add(b)
+        frontier = new
+    return frozenset(roots)
 
 
 def fraction_form(d: AffineDiagram, a: Root, b: Root) -> Fraction:

@@ -2,7 +2,10 @@
 up to rank 11: adjoint gradings included, none deduplicated (482 gradings).
 
 They check the rules the library uses in place of a search against the
-search itself (`oracles.root_kind`, the subsystem closure), each wall's
+search itself (`oracles.root_kind`, the subsystem closure), the raising
+closure of each grading's roots against a norm-bounded scan
+(`oracles.graded_root_scan`) and of each finite subsystem against the
+reflection loop (`oracles.reflection_closure`), each wall's
 family heads and blocked nodes against the case-by-case rules
 (`oracles.family_indices`, `oracles.blocked_nodes`), the maxima index
 (`Wall.tops`, `GradedContext.pairs`) against the wall-pair loops
@@ -46,6 +49,7 @@ from borelab.roots import (
     add,
     finite_type_sizes,
     highest_root,
+    raising_closure,
     subsystem_closure,
     theta_dual_coxeter,
 )
@@ -58,11 +62,13 @@ from oracles import (
     fraction_form,
     fraction_kernel_vector,
     fraction_symmetrizer,
+    graded_root_scan,
     ht,
     is_real_root,
     pairwise_classify_component,
     pairwise_structural_masks,
     reflecting_coset_translates,
+    reflection_closure,
     scan_poset,
     translation_keeps_order,
     tuple_family_table,
@@ -120,6 +126,38 @@ def test_complex_rule_matches_descent(catalog):
             assert ctx.root_type(a) == (1 if long_ and not complex_ else 2), where
         count += len(checked)
     assert count == 30287
+
+
+def test_raising_closure_matches_root_scan(catalog):
+    # every positive root of odd height at most 2, real or imaginary, with
+    # its odd height: the closure against the norm-bounded scan that
+    # root_kind classifies; S1 and the even roots are its filters
+    roots = 0
+    for ctx in catalog:
+        name = ctx.spec.describe()
+        want = graded_root_scan(ctx)
+        assert ctx.graded_roots == want, name
+        assert raising_closure(ctx.d, ctx.spec.flags, 1) == {
+            a: g for a, g in want.items() if g <= 1}, name
+        assert ctx.odd_height_one_roots == {
+            a for a, g in want.items() if g == 1 and is_real_root(ctx.d, a)}, name
+        assert ctx.even_positive_roots == {a for a, g in want.items() if g == 0}, name
+        roots += len(want)
+    assert roots == 51478
+
+
+def test_subsystem_closure_matches_reflection_closure():
+    # every connected proper node subset: raised by the string rule against
+    # reflected from the simple roots
+    subsets = 0
+    for label in LABELS:
+        d = load_diagram(label)
+        for size in range(1, d.size):
+            for comp in combinations(d.nodes, size):
+                if len(components(d, comp)) == 1:
+                    assert subsystem_closure(d, comp) == reflection_closure(d, comp), (label, comp)
+                    subsets += 1
+    assert subsets == 1363
 
 
 def test_component_theta_is_highest_root_of_closure(catalog):

@@ -719,17 +719,6 @@ def with_mask(p, q, mask):
     return bad
 
 
-def test_structural_masks_refuse_unraised_root():
-    # a root whose row cannot be raised from S1, 0 or delta stops the
-    # tables with a RuntimeError, which python -O keeps: with the odd
-    # simple root left out of S1, no root above it has a row to raise from
-    ctx = context_for("E8~1", [1])
-    ctx.s1_order = tuple(a for a in ctx.s1_order if a != simple_root(ctx.d, 1))
-    ctx.s1_bits = {pack(a): 1 << n for n, a in enumerate(ctx.s1_order)}
-    with pytest.raises(RuntimeError, match="is not raised from S1, 0 or delta"):
-        structural_masks(ctx)
-
-
 def test_extra_partner_bit_fails_structural(sweep):
     mutated = 0
     for name, ctx, p in sweep:

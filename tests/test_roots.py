@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,6 +17,7 @@ from borelab.roots import (
     neg,
     norm_sq,
     positive_root_count,
+    raising_closure,
     reflect_simple,
     scale,
     simple_root,
@@ -133,6 +135,35 @@ def test_closure_requires_proper_subset(fn):
             with pytest.raises(ValueError, match=re.escape(
                     f"nodes {sorted(nodes)} are not a proper subset of {label}'s nodes")):
                 fn(d, nodes)
+
+
+def test_raising_closure_refuses_zero_grade():
+    # grade 0 on every node leaves every multiple of delta at grade 0: the
+    # set is infinite and the walk would not end, so it is refused by a
+    # raise that python -O keeps; subsystem_closure refuses all nodes before
+    # it builds such a grade
+    for label in ("A2~1", "C3~1", "A4~2", "E8~1"):
+        d = load_diagram(label)
+        with pytest.raises(ValueError, match=re.escape(
+                f"grade {(0,) * d.size} is 0 on every node of {label}")):
+            raising_closure(d, (0,) * d.size, 2)
+        with pytest.raises(ValueError, match="not a proper subset"):
+            subsystem_closure(d, d.nodes)
+
+
+def test_raising_closure_grades():
+    # E8~1{1}: the even roots of A1 + E7, S1 and the odd-height-2 roots,
+    # delta included; top 0 keeps the even roots alone
+    e8 = load_diagram("E8~1")
+    flags = (0, 1, 0, 0, 0, 0, 0, 0, 0)
+    roots = raising_closure(e8, flags, 2)
+    assert sorted(Counter(roots.values()).items()) == [(0, 64), (1, 112), (2, 129)]
+    assert roots[delta(e8)] == 2
+    assert raising_closure(e8, flags, 0) == {a: 0 for a, g in roots.items() if not g}
+    # A2~1 adjoint{0}: delta has grade 1 and 2 * delta grade 2
+    a2 = load_diagram("A2~1")
+    roots = raising_closure(a2, (1, 0, 0), 2)
+    assert roots[delta(a2)] == 1 and roots[scale(2, delta(a2))] == 2
 
 
 def test_highest_roots():
