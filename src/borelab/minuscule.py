@@ -107,16 +107,14 @@ class MinusculePoset:
 
     @cached_property
     def _family_table(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        wall_at = {pack(wall.root): wall.index for wall in self.ctx.walls}
-        wall_roots = wall_at.keys()
+        """(alpha, wall index) -> the p with cols[p][alpha] the wall root,
+        ascending and so in length order; p's columns are distinct roots."""
         table: dict[tuple[int, int], list[int]] = {}
-        for pos, cols in enumerate(self.cols):
-            if wall_roots.isdisjoint(cols):
-                continue
-            for a, col in enumerate(cols):
-                index = wall_at.get(col)
-                if index is not None:
-                    table.setdefault((a, index), []).append(pos)
+        for wall in self.ctx.walls:
+            root = pack(wall.root)
+            for pos, cols in enumerate(self.cols):
+                if root in cols:
+                    table.setdefault((cols.index(root), wall.index), []).append(pos)
         return {k: tuple(v) for k, v in table.items()}
 
     def family(self, alpha: int, wall: Wall) -> tuple[int, ...]:
@@ -126,14 +124,13 @@ class MinusculePoset:
     def family_maximal(self, positions: Iterable[int]) -> tuple[int, ...]:
         """Members not strictly below another member, in the given order.
 
-        Fast path: when a longest member contains every member, it is the
-        only maximum, as distinct elements have distinct masks; otherwise
-        every pair is compared."""
+        Fast path: when the last member, a longest one in position order,
+        contains every member, it is the only maximum, as distinct elements
+        have distinct masks; otherwise every pair is compared."""
         pos = list(positions)
         masks = self.masks
-        t = max(pos, key=self.length, default=None)
-        if t is not None and all(masks[p] & ~masks[t] == 0 for p in pos):
-            return (t,)
+        if pos and all(masks[p] & ~masks[pos[-1]] == 0 for p in pos):
+            return (pos[-1],)
         return tuple(
             p for p in pos
             if not any(q != p and masks[p] & ~masks[q] == 0 for q in pos)
@@ -472,12 +469,12 @@ def _below_all(poset: MinusculePoset, pos: int, positions: Iterable[int]) -> boo
 
 def check_family_completeness(poset: MinusculePoset) -> CheckResult:
     """No family may exist at (alpha, wall) outside the predicted index set."""
-    ctx = poset.ctx
-    problems = []
-    for wall in ctx.walls:
-        for a in ctx.d.nodes:
-            if a not in wall.heads and poset.family(a, wall):
-                problems.append(f"unexpected family ({a}, wall {wall.index})")
+    walls = poset.ctx.walls
+    problems = [
+        f"unexpected family ({a}, wall {index})"
+        for a, index in sorted(poset._family_table, key=lambda key: key[::-1])
+        if a not in walls[index - 1].heads
+    ]
     return _verdict("family_completeness", problems,
                     "families appear exactly at predicted indices")
 
@@ -565,6 +562,9 @@ def check_intersections(poset: MinusculePoset) -> CheckResult:
     ctx = poset.ctx
     masks = poset.masks
     problems = []
+    # each family minimum placed once, on the walls that crossed pairs join
+    placed = {(a, w.index): poset.position(family_minimum(ctx, a, w))
+              for w in dict.fromkeys(w for p in ctx.pairs for w in p[2:]) for a in w.heads}
     for wa, wb in combinations(ctx.walls, 2):
         # F(a, wa) & F(b, wb) is nonempty iff (b, a) is a crossed pair here;
         # its minimum is then u*v_b*v_a, spelled as the factors' words
@@ -592,8 +592,7 @@ def check_intersections(poset: MinusculePoset) -> CheckResult:
                     continue
                 if not _below_all(poset, pos, inter):
                     problems.append(f"{where}: not minimal")
-                pa = poset.position(family_minimum(ctx, a, wa))
-                pb = poset.position(family_minimum(ctx, b, wb))
+                pa, pb = placed[a, wa.index], placed[b, wb.index]
                 if pa is None or pb is None or masks[pos] != masks[pa] | masks[pb]:
                     problems.append(
                         f"{where}: inversions are not the union of the family minima's")

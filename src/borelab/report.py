@@ -118,13 +118,12 @@ def result_document(
         members = poset.family(a, w)
         if not members:
             continue
-        best = min(members, key=poset.length)
         families.append(
             {
                 "alpha": a,
                 "wall": w.index,
                 "size": len(members),
-                "min_word": list(poset.word(best)),
+                "min_word": list(poset.word(members[0])),  # the shortest
             }
         )
     maxima = [

@@ -1,0 +1,65 @@
+"""Guarantees that must hold under `python -O`, which strips asserts.
+
+Run it as `python -O tests/optimized_smoke.py` with `borelab` importable; it
+exits 1 with a message at the first failure.  It uses no `assert`: every
+check calls `sys.exit`, so a guarantee that rests on an assert in the
+library fails here as well.
+
+- A finite parabolic must omit a node: its counts and walks refuse all of
+  E8~1's and A2~1's nodes with a ValueError.
+- Its sizes come from the highest root: E8, G2 and C3 must read their tabled
+  numbers of positive roots and Weyl group elements, and E8 and G2 their dual
+  Coxeter numbers from the coroot height of theta.
+- One raising closure builds a grading's roots: on E8~1{1} it must read 64
+  even roots, 112 roots in S1 and 129 of odd height 2 (delta included), and
+  it must refuse a grade that is 0 on every node with a ValueError, as that
+  set is infinite.
+"""
+
+import sys
+
+from borelab.cartan import load_diagram
+from borelab.grading import context_for
+from borelab.roots import dominant_ascent, highest_root, positive_root_count
+from borelab.roots import raising_closure, theta_dual_coxeter, weyl_group_order
+from borelab.weyl import longest_element
+
+
+def ascent(d, nodes):
+    return dominant_ascent(d, nodes, d.simple_roots[0])
+
+
+for label in ("E8~1", "A2~1"):
+    d = load_diagram(label)
+    for f in (positive_root_count, weyl_group_order, ascent, longest_element):
+        try:
+            f(d, d.nodes)
+        except ValueError:
+            continue
+        sys.exit(f"{label}: a finite parabolic accepted all nodes")
+for label, nodes, want in (
+    ("E8~1", range(1, 9), (120, 696729600)),
+    ("G2~1", (1, 2), (6, 12)),
+    ("C3~1", (0, 1, 2), (9, 48)),
+):
+    d = load_diagram(label)
+    got = (positive_root_count(d, nodes), weyl_group_order(d, nodes))
+    if got != want:
+        sys.exit(f"{label} {list(nodes)}: sizes {got}, expected {want}")
+for label, nodes, want in (("E8~1", range(1, 9), 30), ("G2~1", (1, 2), 4)):
+    d = load_diagram(label)
+    got = theta_dual_coxeter(d, highest_root(d, nodes))
+    if got != want:
+        sys.exit(f"{label} {list(nodes)}: dual Coxeter number {got}, expected {want}")
+ctx = context_for("E8~1", [1])
+roots = ctx.graded_roots
+got = (len(ctx.even_positive_roots), len(ctx.odd_height_one_roots),
+       sum(g == 2 for g in roots.values()), roots.get(ctx.delta))
+if got != (64, 112, 129, 2):
+    sys.exit(f"E8~1{{1}}: even, S1, odd height 2, grade of delta {got}")
+try:
+    raising_closure(ctx.d, (0,) * ctx.d.size, 2)
+except ValueError:
+    pass
+else:
+    sys.exit("raising_closure accepted a grade that is 0 on every node")

@@ -47,7 +47,14 @@ sums among the closure's roots of odd height 2 and packed differences in
 S1.  `graded_root_scan` finds the roots of odd height at most 2 by a
 norm-bounded scan that `root_kind` classifies, where `roots.raising_closure`
 raises them by the string rule, and `reflection_closure` reflects a finite
-subsystem's simple roots, where `roots.subsystem_closure` raises them.  The orbit search
+subsystem's simple roots, where `roots.subsystem_closure` raises them.
+`abelian_subspace_masks` finds the b0-stable abelian subspaces of the odd
+part by a search over subsets of S1 that decides sums and steps with
+`root_kind`, after a norm test in `integer_gram`, the Gram matrix from
+`fraction_symmetrizer`; the library only enumerates the poset and checks
+each inversion set.  `probed_family_completeness` probes every wall and
+node, where `minuscule.check_family_completeness` reads the family
+index's keys.  The orbit search
 `minimal_mapper` finds a shortest element sending one root to another by
 BFS over the orbit; the library reaches the same elements by dominant
 ascent (`weyl.dominant_mapper`) and, for the type-2 special involution, by
@@ -65,6 +72,7 @@ from typing import Iterable, Optional, Sequence
 
 from borelab.cartan import AffineDiagram, components
 from borelab.grading import GradedContext, Wall
+from borelab.minuscule import CheckResult, MinusculePoset, _verdict
 from borelab.roots import (
     Root,
     add,
@@ -881,6 +889,81 @@ def pairwise_structural_masks(ctx: GradedContext) -> tuple[list[int], list[int]]
                 partner[n] |= 1 << m
                 partner[m] |= 1 << n
     return partner, down
+
+
+def integer_gram(d: AffineDiagram) -> tuple[tuple[int, ...], ...]:
+    """The invariant form on the simple roots in integers, from the
+    Fraction symmetrizer: L * d_i * A[i][j], L its least common denominator.
+    A real root's norm is then a diagonal entry, an imaginary root's 0."""
+    sym = fraction_symmetrizer(d.cartan)
+    scale_ = lcm(*(x.denominator for x in sym))
+    return tuple(tuple(int(x * scale_) * a for a in row) for x, row in zip(sym, d.cartan))
+
+
+def abelian_subspace_masks(ctx: GradedContext, gram: Sequence[Sequence[int]]) -> set[int]:
+    """The b0-stable abelian subspaces of the odd part, as masks over
+    `ctx.s1_order`: every subset of S1 that is sum-free and closed under
+    `below`, found by search.
+
+    For x in S1, `clash[x]` holds the y in S1 (x itself included) with
+    x + y a root, real or imaginary: `root_kind` decides the sums whose norm
+    in `gram`, the diagram's `integer_gram`, is 0 or a real root's.
+    `below[x]` holds the roots of S1 reached from x by subtracting even
+    simple roots one at a time, each step landing on a root of either kind.
+    No table of the library is read.  Each
+    such set less a member that is no other's `below` is another, so they
+    all grow from the empty set a member at a time."""
+    d, order = ctx.d, ctx.s1_order
+    bit = {x: 1 << n for n, x in enumerate(order)}
+    weight = [tuple(sum(map(mul, row, x)) for row in gram) for x in order]
+    norm = [sum(map(mul, x, w)) for x, w in zip(order, weight)]
+    allowed = {0, *(gram[i][i] for i in d.nodes)}
+    clash = [0] * len(order)
+    for n, x in enumerate(order):
+        for m in range(n, len(order)):
+            y = order[m]
+            if (norm[n] + norm[m] + 2 * sum(map(mul, y, weight[n])) in allowed
+                    and root_kind(d, add(x, y)) != "none"):
+                clash[n] |= 1 << m
+                clash[m] |= 1 << n
+    reach: dict[Root, int] = {}
+
+    def under(a: Root) -> int:
+        if a not in reach:
+            out = 0
+            for i in ctx.even:
+                b = sub(a, simple_root(d, i))
+                if root_kind(d, b) != "none":
+                    out |= bit.get(b, 0) | under(b)
+            reach[a] = out
+        return reach[a]
+
+    below = [under(x) for x in order]
+    found = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for mask in frontier:
+            for n, b in enumerate(bit.values()):
+                if mask & b or clash[n] & (mask | b) or below[n] & ~mask:
+                    continue
+                if (key := mask | b) not in found:
+                    found.add(key)
+                    nxt.append(key)
+        frontier = nxt
+    return found
+
+
+def probed_family_completeness(poset: MinusculePoset) -> CheckResult:
+    """`minuscule.check_family_completeness` by probing every wall and node,
+    where the library reads the family index's keys."""
+    ctx = poset.ctx
+    problems = []
+    for wall in ctx.walls:
+        for a in ctx.d.nodes:
+            if a not in wall.heads and poset.family(a, wall):
+                problems.append(f"unexpected family ({a}, wall {wall.index})")
+    return _verdict("family_completeness", problems, "families appear exactly at predicted indices")
 
 
 def length_ball(d: AffineDiagram, radius: int) -> list[WeylElement]:

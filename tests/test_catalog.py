@@ -21,10 +21,17 @@ and the order kept by translation against reflecting every subgroup simple
 and comparing every pair (`oracles.reflecting_coset_translates`,
 `oracles.translation_keeps_order`), run
 `verify_all` on every element of every poset, and compare gradings related by
-a diagram automorphism, whose posets must be isomorphic.  Never shrink the
+a diagram automorphism, whose posets must be isomorphic.  The paper's
+bijection is checked the other way too: every b0-stable abelian subspace of
+the odd part, found by search (`oracles.abelian_subspace_masks`), is an
+inversion set of the poset.  The order the family readers rely on is
+checked as stored, and the completeness check against the wall-by-node
+probe (`oracles.probed_family_completeness`).  Never shrink the
 label list to make a failure go away.
 """
 
+import copy
+import time
 from collections import Counter
 from itertools import combinations
 from math import gcd, lcm
@@ -39,6 +46,7 @@ from borelab.cartan import (
 )
 from borelab.grading import analyze, catalog_involutions
 from borelab.minuscule import (
+    check_family_completeness,
     coset_translates,
     enumerate_poset,
     family_minimum,
@@ -53,8 +61,10 @@ from borelab.roots import (
     subsystem_closure,
     theta_dual_coxeter,
 )
+from borelab.report import result_document
 from borelab.weyl import BOUND, pack, unpack
 from oracles import (
+    abelian_subspace_masks,
     blocked_nodes,
     crossed_pairs,
     family_indices,
@@ -64,9 +74,11 @@ from oracles import (
     fraction_symmetrizer,
     graded_root_scan,
     ht,
+    integer_gram,
     is_real_root,
     pairwise_classify_component,
     pairwise_structural_masks,
+    probed_family_completeness,
     reflecting_coset_translates,
     reflection_closure,
     scan_poset,
@@ -296,6 +308,59 @@ def test_structural_masks_match_pairwise_reference(catalog):
         assert structural_masks(ctx) == pairwise_structural_masks(ctx), ctx.spec.describe()
         pairs += len(ctx.s1_order) * (len(ctx.s1_order) - 1) // 2
     assert pairs == 532541
+
+
+def test_abelian_subspaces_are_the_inversion_sets(catalog):
+    # the paper's bijection, both ways: the sum-free subsets of S1 closed
+    # under subtracting even simple roots, found by search from root_kind
+    # alone, are exactly the inversion sets of the enumerated poset.  The
+    # structural check proves only that each inversion set is one of them;
+    # criterion 8 brute-forces the converse on seven tiny adjoint cases
+    grams: dict = {}
+    spent = 0.0
+    sets = 0
+    for ctx in catalog:
+        masks = set(enumerate_poset(ctx).masks)
+        start = time.perf_counter()
+        if ctx.d not in grams:
+            grams[ctx.d] = integer_gram(ctx.d)
+        found = abelian_subspace_masks(ctx, grams[ctx.d])
+        spent += time.perf_counter() - start
+        assert found == masks, (ctx.spec.describe(), len(found - masks), len(masks - found))
+        sets += len(found)
+    assert sets == 62883
+    assert spent < 8, f"bijection oracle took {spent:.1f} s"
+
+
+def test_families_read_in_stored_order(catalog):
+    # positions ascend by length, so each family's first member is its
+    # shortest, which the report and family_maximal read without a search;
+    # the completeness check reads the index's keys, sorted, where the
+    # reference probes every wall and node, here also with two keys outside
+    # the heads, inserted last wall first
+    mutated = 0
+    for ctx in catalog:
+        name = ctx.spec.describe()
+        p = enumerate_poset(ctx)
+        lengths = list(map(p.length, range(len(p))))
+        assert lengths == sorted(lengths), name
+        for a, wall in ctx.families:
+            fam = p.family(a, wall)
+            first = p.length(fam[0])
+            assert all(p.length(q) > first for q in fam[1:]), (name, a, wall.index)
+            assert fam[0] == p.position(family_minimum(ctx, a, wall)), (name, a, wall.index)
+        for entry in result_document(p)["families"]:
+            fam = p.family(entry["alpha"], ctx.walls[entry["wall"] - 1])
+            assert entry["min_word"] == list(p.word(min(fam, key=p.length))), name
+        assert check_family_completeness(p) == probed_family_completeness(p), name
+        outside = [(a, w.index) for w in ctx.walls for a in ctx.d.nodes if a not in w.heads]
+        if len(outside) >= 2:
+            bad = copy.copy(p)
+            bad._family_table = {**p._family_table, outside[-1]: (0,), outside[0]: (0,)}
+            got = check_family_completeness(bad)
+            assert not got.passed and got == probed_family_completeness(bad), name
+            mutated += 1
+    assert mutated == 397
 
 
 def test_verify_all_whole_catalog(catalog):

@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -272,6 +274,17 @@ def test_optimized_interpreter_gives_same_output():
                 for flags in ([], ["-O"])]
         assert all(r.returncode == 0 for r in runs), args
         assert runs[0].stdout == runs[1].stdout, args
+
+
+def test_optimized_smoke_script():
+    # the checks CI runs under python -O, run the same way here: the script
+    # holds no assert, so a guarantee resting on one in the library fails
+    script = Path(__file__).with_name("optimized_smoke.py")
+    tree = ast.parse(script.read_text())
+    assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
+    r = subprocess.run([sys.executable, "-O", str(script)], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == ""
 
 
 @pytest.mark.parametrize("case", ["existing_dir", "missing_parent", "all_into_file"])
