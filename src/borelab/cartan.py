@@ -1,7 +1,8 @@
 """Affine Cartan matrices of twist order 1 and 2, with their numerical data.
 
-A diagram is identified by a label like ``"E8~1"`` or ``"D5~2"``: base letter,
-base rank, ``~``, twist order.  Node numbering follows the usual affine tables
+A diagram is identified by a label like ``"E8~1"`` or ``"D5~2"``: base letter
+A-G, base rank in ASCII decimal with no leading zero, ``~``, and the twist order
+as one digit.  Node numbering follows the usual affine tables
 (node 0 is the added node on untwisted diagrams).  The Cartan matrix convention
 is ``cartan[i][j] = <alpha_j, alpha_i^vee>``.
 """
@@ -17,7 +18,7 @@ if TYPE_CHECKING:
 
 Matrix = tuple[tuple[int, ...], ...]
 
-_LABEL_RE = re.compile(r"^([A-G])(\d+)~(\d)$")
+_LABEL_RE = re.compile(r"([A-G])([0-9]+)~([0-9])")
 
 
 class AffineDiagram:
@@ -209,11 +210,13 @@ def _build(label: str, letter: str, rank: int, twist: int) -> AffineDiagram:
 
 def load_diagram(label: str) -> AffineDiagram:
     """Build an affine diagram by label, e.g. "B3~1", "A4~2", "E6~2"."""
-    m = _LABEL_RE.match(label)
+    m = _LABEL_RE.fullmatch(label)
     if not m:
         raise ValueError(f"bad diagram label {label!r}; expected e.g. 'D5~2'")
-    letter, rank, twist = m.group(1), int(m.group(2)), int(m.group(3))
-    return _build(label, letter, rank, twist)
+    letter, rank, twist = m.groups()
+    if rank != str(int(rank)):
+        raise ValueError(f"bad diagram label {label!r}: rank {rank} has a leading zero")
+    return _build(label, letter, int(rank), int(twist))
 
 
 def dual_coxeter_number(d: AffineDiagram) -> int:
@@ -241,37 +244,44 @@ def components(d: AffineDiagram, nodes: Iterable[int]) -> tuple[tuple[int, ...],
 
 
 def diagram_automorphisms(d: AffineDiagram) -> tuple[tuple[int, ...], ...]:
-    """All node permutations pi with A[pi(i)][pi(j)] = A[i][j], as tuples."""
-    n = d.size
-    # Candidate images must share the local numeric signature.
-    def signature(i: int) -> tuple:
-        row = tuple(sorted((d.cartan[i][j], d.cartan[j][i]) for j in d.neighbor_table[i]))
-        return (d.marks[i], d.comarks[i], row)
+    """All node permutations pi with A[pi(i)][pi(j)] = A[i][j], as tuples.
 
-    sigs = [signature(i) for i in range(n)]
+    Nodes are placed in breadth-first order from node 0: node 0 goes to any
+    node, each later node to an unused neighbor of its parent's image with as
+    many neighbors as it has.  A candidate is compared only on its edges to
+    placed nodes, in both directions of A, so each edge is compared when its
+    later end is placed.  That is enough: a bijection of the nodes mapping
+    every edge to an edge maps the edges onto the edges, so non-edges to
+    non-edges."""
+    a, nbrs = d.cartan, d.neighbor_table
+    order, parent = [0], {0: 0}
+    for i in order:
+        for j in nbrs[i]:
+            if j not in parent:
+                parent[j] = i
+                order.append(j)
+    perm = [-1] * d.size
+    used: set[int] = set()
     result: list[tuple[int, ...]] = []
-    perm: list[int] = [-1] * n
 
-    def place(i: int, used: set[int]) -> None:
-        if i == n:
+    def place(k: int) -> None:
+        if k == len(order):
             result.append(tuple(perm))
             return
-        for img in range(n):
-            if img in used or sigs[img] != sigs[i]:
+        i = order[k]
+        for img in nbrs[perm[parent[i]]] if k else d.nodes:
+            if img in used or len(nbrs[img]) != len(nbrs[i]) or not all(
+                a[img][perm[j]] == a[i][j] and a[perm[j]][img] == a[j][i]
+                for j in nbrs[i] if perm[j] >= 0
+            ):
                 continue
-            ok = all(
-                d.cartan[img][perm[j]] == d.cartan[i][j]
-                and d.cartan[perm[j]][img] == d.cartan[j][i]
-                for j in range(i)
-            )
-            if ok:
-                perm[i] = img
-                used.add(img)
-                place(i + 1, used)
-                used.remove(img)
+            perm[i] = img
+            used.add(img)
+            place(k + 1)
+            used.remove(img)
         perm[i] = -1
 
-    place(0, set())
+    place(0)
     return tuple(sorted(result))
 
 

@@ -97,36 +97,25 @@ def involution(d: AffineDiagram, odd: Iterable[int], adjoint: bool = False) -> I
 def catalog_involutions(
     d: AffineDiagram, include_adjoint: bool = False, dedupe: bool = True
 ) -> tuple[InvolutionSpec, ...]:
-    """All order-2 gradings of the diagram, optionally up to diagram symmetry."""
-    specs: list[InvolutionSpec] = []
+    """All order-2 gradings of the diagram, optionally up to diagram symmetry,
+    when the first candidate of each orbit, in catalog order, is kept."""
+    ones = [i for i in d.nodes if d.marks[i] == 1]
     if d.twist == 1:
-        for i in d.nodes:
-            if d.marks[i] == 2:
-                specs.append(involution(d, [i]))
-        ones = [i for i in d.nodes if d.marks[i] == 1]
-        for i, j in combinations(ones, 2):
-            specs.append(involution(d, [i, j]))
-        if include_adjoint:
-            for i in ones:
-                specs.append(involution(d, [i], adjoint=True))
+        keys = [((i,), False) for i in d.nodes if d.marks[i] == 2]
+        keys += [(pair, False) for pair in combinations(ones, 2)]
+        keys += [((i,), True) for i in ones if include_adjoint]
     else:
-        for i in d.nodes:
-            if d.marks[i] == 1:
-                specs.append(involution(d, [i]))
-    if not dedupe:
-        return tuple(specs)
-    autos = diagram_automorphisms(d)
-    seen: set[tuple] = set()
-    out = []
-    for spec in specs:
-        orbit = {
-            (tuple(sorted(perm[i] for i in spec.odd_nodes)), spec.adjoint) for perm in autos
-        }
-        key = min(orbit)
-        if key not in seen:
-            seen.add(key)
-            out.append(spec)
-    return tuple(out)
+        keys = [((i,), False) for i in ones]
+    if dedupe:
+        autos = diagram_automorphisms(d)
+        seen: set[tuple] = set()
+        kept = []
+        for odd, adjoint in keys:
+            if (odd, adjoint) not in seen:
+                kept.append((odd, adjoint))
+                seen.update((tuple(sorted(p[i] for i in odd)), adjoint) for p in autos)
+        keys = kept
+    return tuple(involution(d, odd, adjoint) for odd, adjoint in keys)
 
 
 class EvenComponent(NamedTuple):

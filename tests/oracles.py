@@ -13,6 +13,9 @@ int.  `fraction_kernel_vector` finds marks and comarks by elimination in
 Fraction, where `cartan._kernel_vector` eliminates fraction-free, and
 `fraction_symmetrizer` finds the symmetrizer by a walk over the diagram's
 edges, where `cartan` reads it off the marks and comarks.
+`permutation_automorphisms` tries every permutation of the nodes against the
+whole Cartan matrix, where `cartan.diagram_automorphisms` places nodes along
+edges and compares each edge once.
 `pairwise_classify_component` names a component's Cartan type from
 all-pairs scans of the Cartan matrix, and `type_sizes` and
 `type_dual_coxeter` look up that type's numbers of positive roots and Weyl
@@ -66,6 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import factorial, floor, gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -329,6 +333,16 @@ def fraction_symmetrizer(cartan: Sequence[Sequence[int]]) -> tuple[Fraction, ...
         raise ValueError("diagram is not connected")
     top = max(d)  # type: ignore[type-var]
     return tuple(x / top for x in d)  # type: ignore[operator]
+
+
+def permutation_automorphisms(d: AffineDiagram) -> tuple[tuple[int, ...], ...]:
+    """Every node permutation pi with A[pi(i)][pi(j)] = A[i][j] for all i and
+    j, in lexicographic order, found by trying all of them."""
+    a = d.cartan
+    return tuple(
+        p for p in permutations(d.nodes)
+        if all(a[p[i]][p[j]] == a[i][j] for i in d.nodes for j in d.nodes)
+    )
 
 
 @dataclass

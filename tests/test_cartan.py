@@ -126,6 +126,9 @@ def test_automorphism_counts():
         "E6~1": 6,    # permutes the three equal arms
         "E7~1": 2, "E8~1": 1, "F4~1": 1, "G2~1": 1,
         "A2~2": 1, "A5~2": 2, "D3~2": 2, "D5~2": 2, "E6~2": 1,
+        # large ranks: dihedral groups of the (n+1)-cycles, D's four ends
+        "A100~1": 202, "A30~1": 62, "D30~1": 8, "A30~2": 1,
+        "B30~1": 2, "C30~1": 2, "A29~2": 2, "D30~2": 2,
     }
     for label, want in hand_counts.items():
         d = load_diagram(label)
@@ -136,6 +139,11 @@ def test_automorphism_counts():
             for i in d.nodes:
                 for j in d.nodes:
                     assert d.cartan[p[i]][p[j]] == d.cartan[i][j]
+        # and together they form a group: closed under composition
+        group = set(auts)
+        for p in auts:
+            for q in auts:
+                assert tuple(p[q[i]] for i in d.nodes) in group, label
 
 
 def test_load_rejections():
@@ -153,6 +161,8 @@ def test_load_rejections():
         load_diagram("A1~2")
     with pytest.raises(ValueError, match="unsupported untwisted diagram 'A0~1'"):
         load_diagram("A0~1")
+    with pytest.raises(ValueError, match="rank 08 has a leading zero"):
+        load_diagram("E08~1")
 
 
 def test_no_shared_memo_state():

@@ -78,9 +78,11 @@ from oracles import (
     is_real_root,
     pairwise_classify_component,
     pairwise_structural_masks,
+    permutation_automorphisms,
     probed_family_completeness,
     reflecting_coset_translates,
     reflection_closure,
+    root_kind,
     scan_poset,
     translation_keeps_order,
     tuple_family_table,
@@ -102,6 +104,8 @@ TWISTED = (
     + ["E6~2"]
 )
 LABELS = UNTWISTED + TWISTED
+# the labels whose every node permutation can be tried (7! = 5040 at most)
+SMALL = [label for label in LABELS if load_diagram(label).size <= 7]
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +323,7 @@ def test_abelian_subspaces_are_the_inversion_sets(catalog):
     grams: dict = {}
     spent = 0.0
     sets = 0
+    root_kind.cache_clear()  # timed cold, whichever tests ran before
     for ctx in catalog:
         masks = set(enumerate_poset(ctx).masks)
         start = time.perf_counter()
@@ -406,9 +411,19 @@ def test_coset_translates_match_reflection_walk(catalog):
     assert (families, simples) == (3516, 15615)
 
 
-def _orbits(d, ctxs):
-    """Classes of gradings under the diagram automorphisms, by union-find on
-    the images of each grading's odd set."""
+def test_automorphisms_match_permutation_search():
+    # placing nodes along edges finds every permutation that fixes the
+    # Cartan matrix, and no other
+    for label in SMALL:
+        d = load_diagram(label)
+        assert diagram_automorphisms(d) == permutation_automorphisms(d), label
+    assert len(SMALL) == 37
+
+
+def _orbits(autos, ctxs):
+    """Classes of gradings under the automorphisms `autos`, by union-find on
+    the images of each grading's odd set, each class in catalog order and the
+    classes in the order of their first members."""
     key = {(ctx.odd, ctx.spec.adjoint): n for n, ctx in enumerate(ctxs)}
     parent = list(range(len(ctxs)))
 
@@ -418,7 +433,7 @@ def _orbits(d, ctxs):
         return n
 
     for n, ctx in enumerate(ctxs):
-        for perm in diagram_automorphisms(d):
+        for perm in autos:
             image = key[(tuple(sorted(perm[i] for i in ctx.odd)), ctx.spec.adjoint)]
             parent[find(image)] = find(n)
     classes: dict[int, list] = {}
@@ -429,13 +444,16 @@ def _orbits(d, ctxs):
 
 def test_automorphic_gradings_give_isomorphic_posets(catalog):
     # |P|, the length histogram and |maxima| agree across each orbit, and the
-    # catalog's dedupe keeps one grading per orbit
+    # catalog's dedupe keeps the first grading of each orbit, the orbits of
+    # the small diagrams found from every node permutation
     by_label: dict[str, list] = {}
     for ctx in catalog:
         by_label.setdefault(ctx.d.label, []).append(ctx)
     total = 0
     for label, ctxs in by_label.items():
-        orbits = _orbits(ctxs[0].d, ctxs)
+        d = ctxs[0].d
+        autos = permutation_automorphisms(d) if label in SMALL else diagram_automorphisms(d)
+        orbits = _orbits(autos, ctxs)
         for orbit in orbits:
             shapes = set()
             for ctx in orbit:
@@ -443,7 +461,12 @@ def test_automorphic_gradings_give_isomorphic_posets(catalog):
                 lengths = Counter(m.bit_count() for m in poset.masks)
                 shapes.add((len(poset), tuple(sorted(lengths.items())), len(poset.maxima)))
             assert len(shapes) == 1, (label, [ctx.odd for ctx in orbit], shapes)
-        deduped = catalog_involutions(ctxs[0].d, include_adjoint=True)
-        assert len(deduped) == len(orbits), label
+        deduped = catalog_involutions(d, include_adjoint=True)
+        assert deduped == tuple(orbit[0].spec for orbit in orbits), label
         total += len(orbits)
     assert total == 188
+    # A_n~1: the pairs up to rotation and reflection are the distances
+    # 1..floor((n+1)/2) around the cycle, and the adjoint nodes one orbit
+    for n in (30, 100):
+        got = catalog_involutions(load_diagram(f"A{n}~1"), include_adjoint=True)
+        assert len(got) == (n + 1) // 2 + 1, n

@@ -77,6 +77,7 @@ def test_verify_all_gradings():
 def test_usage_errors():
     assert run_cli("verify", "--type", "D4~3", "--pi1", "0").returncode == 2
     assert run_cli("verify", "--type", "A3~2", "--pi1", "0").returncode == 2
+    assert run_cli("catalog", "--type", "E08~1").returncode == 2  # leading zero
     assert run_cli("enumerate", "--type", "A2~1").returncode == 2  # no --pi1
     assert run_cli("enumerate", "--type", "A2~1", "--pi1", "0").returncode == 2
     assert run_cli("frobnicate").returncode == 2
