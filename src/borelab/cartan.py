@@ -84,47 +84,52 @@ class AffineDiagram:
         return f"AffineDiagram({self.label!r})"
 
 
-def _kernel_vector(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Primitive positive integer kernel vector of a corank-1 square matrix.
+def _breadth_first(nbrs: Sequence[Sequence[int]]) -> tuple[list[int], dict[int, int]]:
+    """Nodes reached from node 0 in breadth-first order, and their parents."""
+    order, parent = [0], {0: 0}
+    for i in order:
+        for j in nbrs[i]:
+            if j not in parent:
+                parent[j] = i
+                order.append(j)
+    return order, parent
 
-    Fraction-free Gauss-Jordan elimination: a row is cleared by an integer
-    combination with the pivot row and divided by the gcd of its entries.
-    Each pivot row then reads p * x_c + q * x_f = 0 for the free column f."""
+
+def _kernel_vector(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The primitive positive integer a with A*a = 0, A the Cartan matrix of a
+    connected affine diagram, or a ValueError naming the cause.  A tree (each
+    supported diagram but the cycle A_n~1, n >= 2, marks all 1) is read leaves
+    first from node 0: a_i = a_p * q_i for i's parent p, q_i = -A[i][p] /
+    pivot_i, pivot_i = A[i][i] + sum of A[i][c] * q_c over i's children c.
+    Certified in O(edges): connected, pivots > 0, A*a = 0 and a > 0 fix a
+    (Kac, Infinite-dimensional Lie algebras, Thm 4.3)."""
+    def reduced(x: int, y: int) -> tuple[int, int]:
+        return x // gcd(x, y), y // gcd(x, y)
+
     n = len(matrix)
-    rows = [list(row) for row in matrix]
-    pivots = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, n) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        pivots.append(c)
-        top = rows[r]
-        for i in range(n):
-            f = rows[i][c]
-            if i != r and f:
-                row = [top[c] * a - f * b for a, b in zip(rows[i], top)]
-                g = gcd(*row) or 1
-                rows[i] = [x // g for x in row]
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
-        raise ValueError(f"matrix has corank {len(free)}, expected 1")
-    f = free[0]
-    scale = lcm(*(row[c] for row, c in zip(rows, pivots)))
-    ints = [scale] * n
-    for row, c in zip(rows, pivots):
-        ints[c] = -row[f] * scale // row[c]
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    if any(x < 0 for x in ints):
-        ints = [-x for x in ints]
-    if any(x <= 0 for x in ints):
-        raise ValueError("kernel vector is not strictly positive")
-    return tuple(ints)
+    nbrs = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(matrix)]
+    order, parent = _breadth_first(nbrs)
+    if len(order) != n:
+        raise ValueError(f"matrix is not connected: node 0 reaches {len(order)} of {n} nodes")
+    num, den = [1] * n, [1] * n  # q_i, then a_i / a_0; on the cycle, all 1
+    if sum(map(len, nbrs)) == 2 * n - 2:  # a tree
+        pn, pd = [row[i] for i, row in enumerate(matrix)], [1] * n  # pivots
+        for i in reversed(order[1:]):
+            if pn[i] <= 0:
+                raise ValueError(f"no positive kernel vector: pivot {pn[i]}/{pd[i]} at node {i}")
+            p = parent[i]
+            num[i], den[i] = reduced(-matrix[i][p] * pd[i], pn[i])
+            pn[p], pd[p] = reduced(pn[p] * den[i] + matrix[p][i] * num[i] * pd[p], pd[p] * den[i])
+        for i in order[1:]:
+            num[i], den[i] = reduced(num[i] * num[parent[i]], den[i] * den[parent[i]])
+    scale = lcm(*den)  # a is primitive: each a_i / a_0 is reduced, and a_0 / a_0 = 1
+    a = [u * scale // v for u, v in zip(num, den)]
+    if min(a) <= 0:
+        raise ValueError(f"no positive kernel vector: candidate {a} is not positive")
+    for i, row in enumerate(matrix):
+        if row[i] * a[i] + sum(row[j] * a[j] for j in nbrs[i]):
+            raise ValueError(f"no positive kernel vector: row {i} of A*a is not 0")
+    return tuple(a)
 
 
 def _bonds_to_cartan(size: int, bonds: Iterable[tuple[int, int, int, int]]) -> Matrix:
@@ -254,12 +259,7 @@ def diagram_automorphisms(d: AffineDiagram) -> tuple[tuple[int, ...], ...]:
     every edge to an edge maps the edges onto the edges, so non-edges to
     non-edges."""
     a, nbrs = d.cartan, d.neighbor_table
-    order, parent = [0], {0: 0}
-    for i in order:
-        for j in nbrs[i]:
-            if j not in parent:
-                parent[j] = i
-                order.append(j)
+    order, parent = _breadth_first(nbrs)
     perm = [-1] * d.size
     used: set[int] = set()
     result: list[tuple[int, ...]] = []

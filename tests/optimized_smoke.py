@@ -14,11 +14,14 @@ library fails here as well.
   even roots, 112 roots in S1 and 129 of odd height 2 (delta included), and
   it must refuse a grade that is 0 on every node with a ValueError, as that
   set is infinite.
+- Marks and comarks rest on a certificate that raises, not on an assert: a
+  disconnected matrix and a matrix of corank 2 must be refused with a
+  ValueError.
 """
 
 import sys
 
-from borelab.cartan import load_diagram
+from borelab.cartan import _kernel_vector, load_diagram
 from borelab.grading import context_for
 from borelab.roots import dominant_ascent, highest_root, positive_root_count
 from borelab.roots import raising_closure, theta_dual_coxeter, weyl_group_order
@@ -63,3 +66,12 @@ except ValueError:
     pass
 else:
     sys.exit("raising_closure accepted a grade that is 0 on every node")
+for name, matrix in (
+    ("two A1~1 blocks", [[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]]),
+    ("corank 2", [[0, 0, 0], [0, 2, -1], [0, -4, 2]]),
+):
+    try:
+        _kernel_vector(matrix)
+    except ValueError:
+        continue
+    sys.exit(f"{name}: the kernel vector certificate accepted the matrix")

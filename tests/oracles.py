@@ -10,7 +10,8 @@ reads integer Gram rows scaled by L; and
 `right_mult_simple`, which rewrites every column of w*s_i as a tuple, where
 the library rewrites only column i and its neighbors, each packed in one
 int.  `fraction_kernel_vector` finds marks and comarks by elimination in
-Fraction, where `cartan._kernel_vector` eliminates fraction-free, and
+Fraction, where `cartan._kernel_vector` reads them in one pass over the
+diagram's tree (or takes all ones on the cycle A_n~1) and certifies them, and
 `fraction_symmetrizer` finds the symmetrizer by a walk over the diagram's
 edges, where `cartan` reads it off the marks and comarks.
 `permutation_automorphisms` tries every permutation of the nodes against the

@@ -1,12 +1,14 @@
 import importlib
 import pkgutil
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 import borelab
 from borelab.cartan import (
     AffineDiagram,
+    _kernel_vector,
     diagram_automorphisms,
     dual_coxeter_number,
     load_diagram,
@@ -52,6 +54,47 @@ def test_kernel_property():
         for i in range(n):
             assert sum(d.cartan[i][j] * d.marks[j] for j in range(n)) == 0
             assert sum(d.cartan[j][i] * d.comarks[j] for j in range(n)) == 0
+
+
+def test_kernel_vector_refusals():
+    # the certificate, not the pass, decides: each matrix without a positive
+    # kernel vector is refused with its cause named
+    with pytest.raises(ValueError, match="not connected: node 0 reaches 1 of 3"):
+        _kernel_vector([[0, 0, 0], [0, 2, -1], [0, -4, 2]])  # corank 2
+    with pytest.raises(ValueError, match=r"row 0 of A\*a is not 0"):
+        _kernel_vector([[2, -1], [-1, 2]])  # finite type A2: kernel 0
+    # two A1~1 blocks: all ones is a positive kernel vector, but the matrix
+    # is not connected, so its kernel is a plane
+    blocks = [[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]]
+    assert all(sum(row) == 0 for row in blocks)
+    with pytest.raises(ValueError, match="not connected: node 0 reaches 2 of 4"):
+        _kernel_vector(blocks)
+    with pytest.raises(ValueError, match="pivot -5/2 at node 1"):
+        _kernel_vector([[2, -1, 0], [-1, 2, -3], [0, -3, 2]])  # indefinite
+    with pytest.raises(ValueError, match=r"candidate \[2, -1\] is not positive"):
+        _kernel_vector([[2, 4], [1, 2]])
+
+
+# README table patterns at rank about 400, with the dual Coxeter number
+LARGE = {
+    "A400~1": ((1,) * 401, 401),
+    "B400~1": ((1, 1) + (2,) * 399, 799),
+    "C400~1": ((1,) + (2,) * 399 + (1,), 401),
+    "D400~1": ((1, 1) + (2,) * 397 + (1, 1), 798),
+    "A800~2": ((2,) * 400 + (1,), 801),
+    "A799~2": ((1, 1) + (2,) * 398 + (1,), 800),
+    "D401~2": ((1,) * 401, 800),
+}
+
+
+@pytest.mark.parametrize("label", LARGE)
+def test_large_rank_marks(label):
+    d = load_diagram(label)
+    marks, h = LARGE[label]
+    assert d.marks == marks
+    assert dual_coxeter_number(d) == h
+    assert all(sum(map(mul, row, d.marks)) == 0 for row in d.cartan)
+    assert all(sum(map(mul, col, d.comarks)) == 0 for col in zip(*d.cartan))
 
 
 def test_symmetrizer_values():
