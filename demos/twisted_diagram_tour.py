@@ -42,7 +42,7 @@ print()
 
 print("family minima (words as spelled in the level listing above):")
 for a, wall in ctx.families:
-    m = poset.word(poset.position(family_minimum(ctx, a, wall)))
+    m = poset.word(poset.position(family_minimum(ctx, a, wall).word))
     size = len(poset.family(a, wall))
     print(f"  (alpha{a}, wall {wall.index}): size {size}, "
           f"minimum {'.'.join(map(str, m))}")

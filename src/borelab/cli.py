@@ -26,17 +26,18 @@ def non_negative_int(text: str) -> int:
 
 
 def node_list(text: str) -> str:
-    """Check that the text is a comma-separated list of distinct node numbers."""
+    """Check that the text is a comma-separated list of distinct node
+    numbers, each ASCII digits once stripped (`int` also reads '1_0', '+1')."""
     if not text.strip():
         raise argparse.ArgumentTypeError("no node number given")
     seen = set()
     for n, item in enumerate(text.split(","), start=1):
-        if not item.strip():
+        digits = item.strip()
+        if not digits:
             raise argparse.ArgumentTypeError(f"item {n} of {text!r} is empty")
-        try:
-            node = int(item)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{item!r} is not a node number") from None
+        if not (digits.isascii() and digits.isdigit()):
+            raise argparse.ArgumentTypeError(f"{item!r} is not a node number")
+        node = int(digits)
         if node in seen:
             raise argparse.ArgumentTypeError(f"node {node} is given twice")
         seen.add(node)

@@ -12,7 +12,7 @@ that `verify_all` checks against the enumerated poset.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cartan import dual_coxeter_number
@@ -80,13 +80,13 @@ class MinusculePoset:
         b = self.ctx.s1_bits.get(self.cols[p][i])
         return None if b is None else self.by_mask.get(self.masks[p] | b)
 
-    def position(self, w: WeylElement) -> Optional[int]:
-        """Place of w in the poset; None if w has an inversion outside S1 or
-        lies beyond a truncation.  P is a lower set in the weak order, so
-        each prefix of w's reduced word is in P when w is: the walk steps
-        along the word from the identity."""
+    def position(self, word: Iterable[int]) -> Optional[int]:
+        """Place of the element a reduced word spells; None if the word is not
+        reduced, has an inversion outside S1 or reaches past a truncation.
+        P is a lower set in the weak order, so each prefix of the word is in
+        P when the whole word is: the walk steps along it from the identity."""
         p = 0
-        for i in w.word:
+        for i in word:
             if (p := self.step(p, i)) is None:
                 return None
         return p
@@ -101,9 +101,16 @@ class MinusculePoset:
 
     @cached_property
     def parametrization(self) -> tuple[MaximumItem, ...]:
-        """`maxima_parametrization`, built once per poset; an incomplete
-        poset or a family with two tops raises ValueError on each read."""
-        return _parametrize(self)
+        """`maxima_parametrization`, built once per poset; ValueError on each
+        read if the poset is incomplete or a closed-form word leaves it."""
+        if not self.complete:
+            raise ValueError(self.truncation())
+        items = []
+        for kind, alphas, walls, word, dimension, label in closed_form_maxima(self.ctx):
+            if (pos := self.position(word)) is None:
+                raise ValueError(f"{label}: closed-form word leaves the poset")
+            items.append(MaximumItem(kind, alphas, walls, pos, dimension, label))
+        return tuple(items)
 
     @cached_property
     def _family_table(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -120,21 +127,6 @@ class MinusculePoset:
     def family(self, alpha: int, wall: Wall) -> tuple[int, ...]:
         """Positions of elements sending alpha's simple root to the wall root."""
         return self._family_table.get((alpha, wall.index), ())
-
-    def family_maximal(self, positions: Iterable[int]) -> tuple[int, ...]:
-        """Members not strictly below another member, in the given order.
-
-        Fast path: when the last member, a longest one in position order,
-        contains every member, it is the only maximum, as distinct elements
-        have distinct masks; otherwise every pair is compared."""
-        pos = list(positions)
-        masks = self.masks
-        if pos and all(masks[p] & ~masks[pos[-1]] == 0 for p in pos):
-            return (pos[-1],)
-        return tuple(
-            p for p in pos
-            if not any(q != p and masks[p] & ~masks[q] == 0 for q in pos)
-        )
 
 
 def enumerate_poset(ctx: GradedContext, max_length: Optional[int] = None) -> MinusculePoset:
@@ -253,23 +245,65 @@ def minimum_length(ctx: GradedContext, wall: Wall) -> int:
     return g0 - 1
 
 
-def single_dimension(ctx: GradedContext, alpha: int, wall: Wall) -> int:
-    """Closed-form dimension of the family maximum at (alpha, wall)."""
-    perp = ctx.perp_nodes(alpha)
-    reduced = tuple(i for i in perp if i not in wall.blocked)
-    return (minimum_length(ctx, wall)
-            + positive_root_count(ctx.d, perp) - positive_root_count(ctx.d, reduced))
+def pair_minimum_words(ctx: GradedContext) -> tuple[tuple[int, ...], ...]:
+    """u*v_x*v_y, the minimum of F(x, wb) & F(y, wa), for each crossed pair
+    (x, y, wa, wb) of `ctx.pairs`, as its factors' words end to end: u once
+    per wall pair (the pairs come grouped by it), v_x and v_y theta mappers."""
+    out: list[tuple[int, ...]] = []
+    for (wa, wb), group in groupby(ctx.pairs, key=lambda pair: pair[2:]):
+        ca, cb = wa.component, wb.component
+        u = u_element(ctx, ca, cb).word
+        out += [u + theta_mapper(ctx, ca, x).word + theta_mapper(ctx, cb, y).word
+                for x, y, _, _ in group]
+    return tuple(out)
 
 
-def pair_dimension(ctx: GradedContext, x: int, y: int) -> int:
-    """Closed-form dimension of the maximum attached to a crossed pair."""
-    inner, inter = _common_nodes(ctx, ctx.perp_nodes(x), ctx.perp_nodes(y))
-    return (dual_coxeter_number(ctx.d) - 2
-            + positive_root_count(ctx.d, inter) - positive_root_count(ctx.d, inner))
+class ClosedFormMaximum(NamedTuple):
+    """One entry of the maxima index, with its closed-form reduced word."""
+
+    kind: str  # "component", "pair", "odd"
+    alphas: tuple[int, ...]
+    wall_indices: tuple[int, ...]
+    word: tuple[int, ...]
+    dimension: int
+    label: str
+
+
+def closed_form_maxima(ctx: GradedContext) -> tuple[ClosedFormMaximum, ...]:
+    """The maximal elements in closed form, with no poset: component singles,
+    crossed pairs, then odd singles.  Each is a minimum times w0(J')*w0(J),
+    lengths adding: its word is the two words end to end, its dimension the
+    minimum's closed-form length plus |Phi+_J| - |Phi+_J'|.  For a single
+    (alpha, wall), alpha in `wall.tops`, that is the family minimum, J the
+    nodes orthogonal to alpha and J' = J minus the wall's blocked nodes; for
+    a crossed pair (x, y, wa, wb), u*v_x*v_y, of length h - 2 (h the dual
+    Coxeter number), and (J', J) `_common_nodes` of those orthogonal to x, y."""
+    d = ctx.d
+    out: list[ClosedFormMaximum] = []
+
+    def add(kind, alphas, walls, low, low_length, inner, nodes, label):
+        out.append(ClosedFormMaximum(
+            kind, alphas, walls, low + longest_quotient(d, inner, nodes).word,
+            low_length + positive_root_count(d, nodes) - positive_root_count(d, inner), label))
+
+    def singles(kind):
+        for wall in (w for w in ctx.walls if w.kind == kind):
+            for a in wall.tops:
+                perp = ctx.perp_nodes(a)
+                add(kind, (a,), (wall.index,), family_minimum(ctx, a, wall).word,
+                    minimum_length(ctx, wall), [i for i in perp if i not in wall.blocked],
+                    perp, f"alpha{a}@wall{wall.index}")
+
+    singles("component")
+    for (x, y, wa, wb), low in zip(ctx.pairs, pair_minimum_words(ctx)):
+        add("pair", (x, y), (wb.index, wa.index), low, dual_coxeter_number(d) - 2,
+            *_common_nodes(ctx, ctx.perp_nodes(x), ctx.perp_nodes(y)), f"alpha{x}&alpha{y}")
+    singles("odd")
+    return tuple(out)
 
 
 class MaximumItem(NamedTuple):
-    """One entry of the maxima parametrization."""
+    """One entry of the maxima parametrization, placed in the poset."""
 
     kind: str  # "component", "pair", "odd"
     alphas: tuple[int, ...]
@@ -280,38 +314,9 @@ class MaximumItem(NamedTuple):
 
 
 def maxima_parametrization(poset: MinusculePoset) -> tuple[MaximumItem, ...]:
-    """The closed-form index set for the maximal elements, with closed-form
-    dimensions, resolved to positions in the enumerated poset."""
+    """The closed-form maximal elements with their closed-form dimensions,
+    each placed in the enumerated poset by its word."""
     return poset.parametrization
-
-
-def _parametrize(poset: MinusculePoset) -> tuple[MaximumItem, ...]:
-    if not poset.complete:
-        raise ValueError(poset.truncation())
-    ctx = poset.ctx
-    items: list[MaximumItem] = []
-
-    def add(kind, alphas, walls, members, dimension, name, label):
-        tops = poset.family_maximal(members)
-        if len(tops) != 1:
-            raise ValueError(f"{name} has {len(tops)} maximal elements")
-        items.append(MaximumItem(kind, alphas, walls, tops[0], dimension, label))
-
-    def singles(kind):
-        for wall in ctx.walls:
-            if wall.kind == kind:
-                for a in wall.tops:
-                    add(kind, (a,), (wall.index,), poset.family(a, wall),
-                        single_dimension(ctx, a, wall),
-                        f"family ({a}, wall {wall.index})", f"alpha{a}@wall{wall.index}")
-
-    singles("component")
-    for x, y, wa, wb in ctx.pairs:
-        both = sorted(set(poset.family(x, wb)) & set(poset.family(y, wa)))
-        add("pair", (x, y), (wb.index, wa.index), both, pair_dimension(ctx, x, y),
-            f"pair ({x}, {y})", f"alpha{x}&alpha{y}")
-    singles("odd")
-    return tuple(items)
 
 
 class CheckResult(NamedTuple):
@@ -451,20 +456,13 @@ def check_family_minima(poset: MinusculePoset) -> CheckResult:
         if not fam:
             problems.append(f"family ({a}, wall {wall.index}) empty")
             continue
-        pos = poset.position(family_minimum(ctx, a, wall))
+        pos = poset.position(family_minimum(ctx, a, wall).word)
         if pos is None or pos not in fam:
             problems.append(f"closed-form minimum not in family ({a}, {wall.index})")
             continue
-        if not _below_all(poset, pos, fam):
+        if any(poset.masks[pos] & ~poset.masks[q] for q in fam):
             problems.append(f"({a}, wall {wall.index}): minimum not below all members")
     return _verdict("family_minima", problems, "every family has its closed-form minimum")
-
-
-def _below_all(poset: MinusculePoset, pos: int, positions: Iterable[int]) -> bool:
-    """Whether element pos is below every element at the given positions."""
-    masks = poset.masks
-    low = masks[pos]
-    return all(low & ~masks[p] == 0 for p in positions)
 
 
 def check_family_completeness(poset: MinusculePoset) -> CheckResult:
@@ -544,7 +542,7 @@ def check_coset_isomorphism(poset: MinusculePoset) -> CheckResult:
         fam = poset.family(a, wall)
         if not fam:
             continue
-        start = poset.position(family_minimum(ctx, a, wall))
+        start = poset.position(family_minimum(ctx, a, wall).word)
         _, reps = coset_translates(poset, start, *ctx.quotient_data(a, wall))
         if len(reps) != len(fam):
             problems.append(
@@ -563,18 +561,14 @@ def check_intersections(poset: MinusculePoset) -> CheckResult:
     masks = poset.masks
     problems = []
     # each family minimum placed once, on the walls that crossed pairs join
-    placed = {(a, w.index): poset.position(family_minimum(ctx, a, w))
+    placed = {(a, w.index): poset.position(family_minimum(ctx, a, w).word)
               for w in dict.fromkeys(w for p in ctx.pairs for w in p[2:]) for a in w.heads}
+    minima = pair_minimum_words(ctx)
     for wa, wb in combinations(ctx.walls, 2):
-        # F(a, wa) & F(b, wb) is nonempty iff (b, a) is a crossed pair here;
-        # its minimum is then u*v_b*v_a, spelled as the factors' words
-        crossed = {(x, y) for x, y, w1, w2 in ctx.pairs if w1 is wa and w2 is wb}
-        if crossed:
-            ca, cb = wa.component, wb.component
-            u = u_element(ctx, ca, cb).word
-            xs, ys = map(set, zip(*crossed))
-            vx = {x: theta_mapper(ctx, ca, x).word for x in xs}
-            vy = {y: theta_mapper(ctx, cb, y).word for y in ys}
+        # F(a, wa) & F(b, wb) is nonempty iff (b, a) is a crossed pair here,
+        # whose minimum is then u*v_b*v_a
+        crossed = {(x, y): low for (x, y, w1, w2), low in zip(ctx.pairs, minima)
+                   if w1 is wa and w2 is wb}
         for a in wa.heads:
             fam_a = set(poset.family(a, wa))
             for b in wb.heads:
@@ -586,11 +580,11 @@ def check_intersections(poset: MinusculePoset) -> CheckResult:
                     continue
                 if not inter:
                     continue
-                pos = poset.position(_word_element(ctx.d, u + vx[b] + vy[a]))
+                pos = poset.position(crossed[b, a])
                 if pos is None or pos not in inter:
                     problems.append(f"{where}: bad minimum")
                     continue
-                if not _below_all(poset, pos, inter):
+                if any(masks[pos] & ~masks[q] for q in inter):
                     problems.append(f"{where}: not minimal")
                 pa, pb = placed[a, wa.index], placed[b, wb.index]
                 if pa is None or pb is None or masks[pos] != masks[pa] | masks[pb]:
@@ -605,24 +599,32 @@ def check_intersections(poset: MinusculePoset) -> CheckResult:
 
 
 def check_maxima(poset: MinusculePoset) -> CheckResult:
+    """Each closed-form maximum, placed by its word, is a member of its family
+    (for a crossed pair, of the two families' intersection) whose inversions
+    contain every member's, of the closed-form dimension; the placed maxima
+    are the poset's maximal elements, each once."""
     try:
         items = maxima_parametrization(poset)
     except ValueError as exc:
         return CheckResult("maxima_parametrization", False, str(exc))
+    walls, masks = poset.ctx.walls, poset.masks
     problems = []
+    for it in items:
+        first, *rest = (poset.family(a, walls[w - 1]) for a, w in zip(it.alphas, it.wall_indices))
+        members, top = set(first).intersection(*rest), masks[it.position]
+        if it.position not in members:
+            problems.append(f"{it.label}: closed-form element outside its family")
+        elif any(masks[q] & ~top for q in members):
+            problems.append(f"{it.label}: closed-form element is not its family's top")
+        if top.bit_count() != it.dimension:
+            problems.append(
+                f"{it.label}: closed-form dimension {it.dimension} vs length {top.bit_count()}")
     positions = [it.position for it in items]
     if len(set(positions)) != len(positions):
         problems.append("parametrization hits a maximal element twice")
     if set(positions) != set(poset.maxima):
-        problems.append(
-            f"parametrized {len(set(positions))} maxima, enumeration has {len(poset.maxima)}"
-        )
-    for it in items:
-        if poset.length(it.position) != it.dimension:
-            problems.append(
-                f"{it.label}: closed-form dimension {it.dimension} "
-                f"vs length {poset.length(it.position)}"
-            )
+        problems.append(f"parametrized {len(set(positions))} maxima, "
+                        f"enumeration has {len(poset.maxima)}")
     return _verdict("maxima_parametrization", problems,
                     f"{len(items)} maxima parametrized with exact dimensions")
 
@@ -755,19 +757,16 @@ def check_family_coverage(poset: MinusculePoset) -> CheckResult:
 
 
 def check_hermitian_half(poset: MinusculePoset) -> CheckResult:
+    """Each odd-wall maximum has half as many inversions as S1 has roots."""
     ctx = poset.ctx
     half, rem = divmod(len(ctx.odd_height_one_roots), 2)
-    problems = []
-    if rem:
-        problems.append("odd height-1 root count is odd")
-    for a, wall in ctx.families:
-        if wall.kind != "odd":
-            continue
-        for t in poset.family_maximal(poset.family(a, wall)):
-            if poset.length(t) != half:
-                problems.append(
-                    f"({a}, wall {wall.index}): top dimension {poset.length(t)} != {half}"
-                )
+    problems = ["odd height-1 root count is odd"] if rem else []
+    try:
+        problems += [f"{it.label}: top dimension {poset.length(it.position)} != {half}"
+                     for it in maxima_parametrization(poset)
+                     if it.kind == "odd" and poset.length(it.position) != half]
+    except ValueError as exc:
+        problems.append(str(exc))
     return _verdict("hermitian_half", problems,
                     f"odd-wall family tops all have dimension {half}")
 

@@ -17,15 +17,22 @@ library fails here as well.
 - Marks and comarks rest on a certificate that raises, not on an assert: a
   disconnected matrix and a matrix of corank 2 must be refused with a
   ValueError.
+- The closed-form maxima stand without an enumeration: on D30~1's adjoint
+  grading and on C30~1{0,30}, `oracles.certify_maxima` must certify every
+  word a distinct maximal element of P, of length its closed-form
+  dimension; D30~1 adjoint must have 30 maxima, the largest of dimension
+  435, and C30~1{0,30} odd-wall tops of dimension 465, half of |S1|.
 """
 
 import sys
 
 from borelab.cartan import _kernel_vector, load_diagram
 from borelab.grading import context_for
+from borelab.minuscule import closed_form_maxima
 from borelab.roots import dominant_ascent, highest_root, positive_root_count
 from borelab.roots import raising_closure, theta_dual_coxeter, weyl_group_order
 from borelab.weyl import longest_element
+from oracles import certify_maxima
 
 
 def ascent(d, nodes):
@@ -75,3 +82,20 @@ for name, matrix in (
     except ValueError:
         continue
     sys.exit(f"{name}: the kernel vector certificate accepted the matrix")
+for label, odd, adjoint in (("D30~1", [0], True), ("C30~1", [0, 30], False)):
+    ctx = context_for(label, odd, adjoint)
+    items = closed_form_maxima(ctx)
+    try:
+        masks = certify_maxima(ctx, [it.word for it in items])
+    except ValueError as exc:
+        sys.exit(f"{label} {odd}: {exc}")
+    if [m.bit_count() for m in masks] != [it.dimension for it in items]:
+        sys.exit(f"{label} {odd}: a closed-form maximum's length is not its dimension")
+    if adjoint:
+        got = (len(items), max(it.dimension for it in items))
+        if got != (30, 435):
+            sys.exit(f"{label} adjoint: maxima and largest dimension {got}, expected (30, 435)")
+    else:
+        got = {it.dimension for it in items if it.kind == "odd"}
+        if got != {465} or len(ctx.odd_height_one_roots) != 930:
+            sys.exit(f"{label} {odd}: odd-wall tops of dimensions {got}, expected {{465}}")

@@ -63,6 +63,11 @@ index's keys.  The orbit search
 BFS over the orbit; the library reaches the same elements by dominant
 ascent (`weyl.dominant_mapper`) and, for the type-2 special involution, by
 the closed form w0(J')*w0(J) (`minuscule.special_involution`).
+`maximal_by_sets` finds a family's top by comparing the inversion sets of
+every two members, where the library builds the top in closed form
+(`minuscule.closed_form_maxima`) and places its word.  `certify_maxima`
+certifies closed-form words with no poset at all, from their columns
+alone, at ranks the enumeration cannot reach.
 """
 
 from __future__ import annotations
@@ -979,6 +984,40 @@ def probed_family_completeness(poset: MinusculePoset) -> CheckResult:
             if a not in wall.heads and poset.family(a, wall):
                 problems.append(f"unexpected family ({a}, wall {wall.index})")
     return _verdict("family_completeness", problems, "families appear exactly at predicted indices")
+
+
+def maximal_by_sets(poset: MinusculePoset, positions: Iterable[int]) -> tuple[int, ...]:
+    """The members, in the given order, whose inversion set, read off the
+    reduced word, is in no other member's."""
+    pos = list(positions)
+    sets = {q: poset.element(q).inversions for q in pos}
+    return tuple(q for q in pos if not any(sets[q] < sets[r] for r in pos))
+
+
+def certify_maxima(ctx: GradedContext, words: Iterable[Sequence[int]]) -> list[int]:
+    """The inversion masks, over `ctx.s1_order`, of the elements the words
+    spell, each certified a maximal element of P with no enumeration, and
+    all distinct; ValueError naming the first word that fails.
+
+    Walked from the identity, a word reads the column of each letter; every
+    one must be in S1, so the word is reduced and N(t) lies in S1, which
+    puts t in P.  As t*s_i is in P iff N(t) plus t(alpha_i) lies in S1, t is
+    maximal iff no final column is in S1."""
+    d, bits = ctx.d, ctx.s1_bits
+    masks: list[int] = []
+    for word in words:
+        cols, mask = identity(d).cols, 0
+        for i in word:
+            if (b := bits.get(cols[i])) is None:
+                raise ValueError(f"word {tuple(word)} has an inversion outside S1")
+            mask |= b
+            cols = _right_mult_simple(d, cols, i)
+        if any(col in bits for col in cols):
+            raise ValueError(f"word {tuple(word)} is not maximal in P")
+        if mask in masks:
+            raise ValueError(f"word {tuple(word)} spells an element spelled before")
+        masks.append(mask)
+    return masks
 
 
 def length_ball(d: AffineDiagram, radius: int) -> list[WeylElement]:

@@ -49,6 +49,7 @@ from borelab.minuscule import (
     coset_translates,
     enumerate_poset,
     family_minimum,
+    maxima_parametrization,
     structural_masks,
     verify_all,
 )
@@ -75,6 +76,7 @@ from oracles import (
     ht,
     integer_gram,
     is_real_root,
+    maximal_by_sets,
     pairwise_classify_component,
     pairwise_structural_masks,
     permutation_automorphisms,
@@ -337,7 +339,7 @@ def test_abelian_subspaces_are_the_inversion_sets(catalog):
 
 def test_families_read_in_stored_order(catalog):
     # positions ascend by length, so each family's first member is its
-    # shortest, which the report and family_maximal read without a search;
+    # shortest, which the report reads without a search;
     # the completeness check reads the index's keys, sorted, where the
     # reference probes every wall and node, here also with two keys outside
     # the heads, inserted last wall first
@@ -351,7 +353,7 @@ def test_families_read_in_stored_order(catalog):
             fam = p.family(a, wall)
             first = p.length(fam[0])
             assert all(p.length(q) > first for q in fam[1:]), (name, a, wall.index)
-            assert fam[0] == p.position(family_minimum(ctx, a, wall)), (name, a, wall.index)
+            assert fam[0] == p.position(family_minimum(ctx, a, wall).word), (name, a, wall.index)
         for entry in result_document(p)["families"]:
             fam = p.family(entry["alpha"], ctx.walls[entry["wall"] - 1])
             assert entry["min_word"] == list(p.word(min(fam, key=p.length))), name
@@ -364,6 +366,22 @@ def test_families_read_in_stored_order(catalog):
             assert not got.passed and got == probed_family_completeness(bad), name
             mutated += 1
     assert mutated == 397
+
+
+def test_maxima_are_set_scan_tops(catalog):
+    # each closed-form maximum, placed by its word, is the one member of its
+    # family (for a crossed pair, of F(x, wb) & F(y, wa)) whose inversion set
+    # is in no other member's
+    items = 0
+    for ctx in catalog:
+        p = enumerate_poset(ctx)
+        for it in maxima_parametrization(p):
+            first, *rest = (p.family(a, ctx.walls[w - 1])
+                            for a, w in zip(it.alphas, it.wall_indices))
+            members = sorted(set(first).intersection(*rest))
+            assert maximal_by_sets(p, members) == (it.position,), (ctx.spec.describe(), it.label)
+            items += 1
+    assert items == 2928
 
 
 def test_verify_all_whole_catalog(catalog):
@@ -393,7 +411,7 @@ def test_coset_translates_match_reflection_walk(catalog):
             # the lookup is exact only if no subgroup simple is twice a root
             assert all(gcd(*beta) == 1 for beta in subgroup), where
             simples += len(subgroup)
-            start = poset.position(family_minimum(ctx, a, wall))
+            start = poset.position(family_minimum(ctx, a, wall).word)
             walks = [walk(poset, start, ambient, subgroup)
                      for walk in (coset_translates, reflecting_coset_translates)]
             got, want = [

@@ -182,7 +182,11 @@ def test_export_reproducible(tmp_path):
      (",1", "item 1 of ',1' is empty"),
      ("0,,1", "item 2 of '0,,1' is empty"),
      ("0,1,", "item 3 of '0,1,' is empty"),
-     ("", "no node number given")],
+     ("", "no node number given"),
+     ("0,1_0", "'1_0' is not a node number"),
+     ("+1", "'+1' is not a node number"),
+     ("0,-1", "'-1' is not a node number"),
+     ("\uff11", "'\uff11' is not a node number")],
 )
 def test_pi1_bad_node_list(nodes, message):
     r = run_cli("enumerate", "--type", "A2~1", "--pi1", nodes)

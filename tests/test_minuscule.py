@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -18,11 +19,13 @@ from borelab.minuscule import (
     check_poset_basics,
     check_special_involutions,
     check_structural,
+    closed_form_maxima,
     coset_translates,
     enumerate_poset,
     family_minimum,
     mask_verdict,
     maxima_parametrization,
+    pair_minimum_words,
     special_involution,
     structural_masks,
     theta_mapper,
@@ -47,6 +50,7 @@ from oracles import (
     from_reflection,
     from_word,
     is_biconvex,
+    maximal_by_sets,
     minimal_mapper,
     product,
     root_kind,
@@ -155,7 +159,7 @@ def test_special_involution_closed_forms():
 
 
 def test_maxima_parametrization_built_once(d5):
-    # one build per poset; the refusals raise again on every read
+    # one build per poset; the truncation refusal raises again on every read
     ctx, full = d5
     p = enumerate_poset(ctx)
     items = maxima_parametrization(p)
@@ -165,13 +169,71 @@ def test_maxima_parametrization_built_once(d5):
     for _ in range(2):
         with pytest.raises(ValueError, match="truncated at length 2"):
             maxima_parametrization(short)
-    bad = copy.copy(enumerate_poset(ctx))
-    w1 = ctx.walls[0]
-    bad._family_table = {**bad._family_table, (0, w1.index): bad.maxima[:2]}
-    for _ in range(2):
-        with pytest.raises(ValueError, match=r"family \(0, wall 1\) has 2 maximal elements"):
-            maxima_parametrization(bad)
-    assert check_maxima(bad).detail == "family (0, wall 1) has 2 maximal elements"
+
+
+def mutant_results(monkeypatch, ctx, items):
+    """verify_all on a fresh poset whose closed-form maxima are `items`."""
+    monkeypatch.setattr(minuscule, "closed_form_maxima", lambda c: items)
+    results = verify_all(enumerate_poset(ctx))
+    monkeypatch.undo()
+    return results
+
+
+def factor_start(ctx, item):
+    """Where the w0(J')*w0(J) factor begins in a closed-form maximum's word:
+    after the family minimum, or after u*v_x*v_y for a crossed pair."""
+    if item.kind == "pair":
+        lows = {(x, y): low for (x, y, _, _), low in zip(ctx.pairs, pair_minimum_words(ctx))}
+        return len(lows[item.alphas])
+    return family_minimum(ctx, item.alphas[0], ctx.walls[item.wall_indices[0] - 1]).length
+
+
+@pytest.mark.parametrize("label,odd,target", [
+    ("C4~1", [0, 4], "alpha1@wall1"),
+    ("A6~1", [0, 3], "alpha1&alpha6"),
+    ("A6~1", [0, 3], "alpha3@wall3"),
+])
+def test_maxima_check_fails_on_dropped_letter(monkeypatch, label, odd, target):
+    # each letter of one top's w0(J')*w0(J) factor dropped in turn: the word
+    # leaves P, or spells an element below the top, in its family or not;
+    # check_maxima fails naming the item, the odd-wall top also fails
+    # hermitian_half, and verify_all still returns every check
+    ctx = context_for(label, odd)
+    names = [r.name for r in verify_all(enumerate_poset(ctx))]
+    real = closed_form_maxima(ctx)
+    (item,) = [c for c in real if c.label == target]
+    start = factor_start(ctx, item)
+    assert start < len(item.word)
+    outcomes = set()
+    for n in range(start, len(item.word)):
+        word = item.word[:n] + item.word[n + 1:]
+        items = tuple(c._replace(word=word) if c is item else c for c in real)
+        results = {r.name: r for r in mutant_results(monkeypatch, ctx, items)}
+        assert list(results) == names
+        r = results["maxima_parametrization"]
+        assert not r.passed and r.detail.startswith(f"{target}: "), (n, r.detail)
+        outcomes.add(r.detail[len(target) + 2:])
+        if item.kind == "odd":
+            r = results["hermitian_half"]
+            assert not r.passed and r.detail.startswith(f"{target}: "), (n, r.detail)
+    assert "closed-form element is not its family's top" in outcomes
+
+
+@pytest.mark.parametrize("label,odd", [("C4~1", [0, 4]), ("A6~1", [0, 3]), ("E6~1", [6])])
+def test_maxima_check_fails_on_swapped_words(monkeypatch, label, odd):
+    # two items' words swapped: the first places the other's top, which is
+    # not the top of its own family, as distinct families have distinct tops
+    ctx = context_for(label, odd)
+    real = closed_form_maxima(ctx)
+    names = [r.name for r in verify_all(enumerate_poset(ctx))]
+    for i, j in combinations(range(len(real)), 2):
+        items = list(real)
+        items[i] = real[i]._replace(word=real[j].word)
+        items[j] = real[j]._replace(word=real[i].word)
+        results = mutant_results(monkeypatch, ctx, tuple(items))
+        assert [r.name for r in results] == names
+        (r,) = [r for r in results if r.name == "maxima_parametrization"]
+        assert not r.passed and r.detail.startswith(f"{real[i].label}: "), (i, j, r.detail)
 
 
 def test_truncated_poset_has_no_maxima(d5):
@@ -214,7 +276,7 @@ def test_e6_intersections():
     u, vx, vy = u_element(ctx, ca, cb), theta_mapper(ctx, ca, 1), theta_mapper(ctx, cb, 0)
     m = _word_element(ctx.d, u.word + vx.word + vy.word)
     fam = set(p.family(1, w1)) & set(p.family(0, w2))
-    assert p.position(m) in fam
+    assert p.position(m.word) in fam
     assert all(m.inversions <= p.element(q).inversions for q in fam)
     assert check_intersections(p).passed
 
@@ -227,7 +289,7 @@ def test_intersections_reject_wrong_family_minimum():
         ctx = context_for("E6~1", [6])
         p = enumerate_poset(ctx)
         w = stand_in(ctx.d)
-        assert (p.position(w) is None) == (w.length > 0)
+        assert (p.position(w.word) is None) == (w.length > 0)
         for wall in ctx.walls:
             for a in wall.heads:
                 ctx.family_minima[(a, wall.index)] = w
@@ -381,25 +443,18 @@ def test_position_round_trips(sweep):
     other = 0
     for name, ctx, p in sweep:
         for i in range(len(p)):
-            assert p.position(p.element(i)) == i, (name, p.word(i))
+            assert p.position(p.word(i)) == i, (name, p.word(i))
             word = last_descent_word(ctx.d, p.cols[i])
-            assert p.position(_word_element(ctx.d, word)) == i, (name, word)
+            assert p.position(word) == i, (name, word)
             other += tuple(word) != p.word(i)
     assert other == 95  # elements whose two words differ
 
 
-def maximal_by_sets(p, positions):
-    """Reference: members whose inversion set is in no other member's."""
-    sets = {q: p.element(q).inversions for q in positions}
-    return tuple(q for q in positions if not any(sets[q] < sets[r] for r in positions))
-
-
-def test_family_maximal_matches_set_scan(sweep):
+def test_maxima_match_set_scan(sweep):
+    # the elements with no cover are those whose inversion set is in no
+    # other element's
     for name, _, p in sweep:
-        groups = list(p._family_table.values()) + [tuple(range(len(p)))]
-        for positions in groups:
-            assert p.family_maximal(positions) == maximal_by_sets(p, positions), name
-        assert p.family_maximal(range(len(p))) == p.maxima, name
+        assert maximal_by_sets(p, range(len(p))) == p.maxima, name
 
 
 def test_position_outside_s1_is_none(sweep):
@@ -411,7 +466,7 @@ def test_position_outside_s1_is_none(sweep):
         assert grown, name
         for g in grown:
             assert not g.inversions <= ctx.odd_height_one_roots
-            assert p.position(g) is None, (name, g.word)
+            assert p.position(g.word) is None, (name, g.word)
 
 
 def test_flipped_mask_bit_fails_poset_basics(sweep):
@@ -458,7 +513,7 @@ def test_poset_stores_no_element_objects(monkeypatch):
     for q in (0, 1, len(p) - 1, *p.maxima):
         w = p.element(q)
         assert (w.word, w.length) == (p.word(q), p.length(q)) and w.cols == p.cols[q]
-        assert p.position(w) == q
+        assert p.position(w.word) == q
 
 
 def test_bounding_equivalence_rejects_other_posets(sweep):
@@ -513,12 +568,12 @@ def test_coset_translates_match_oracle(sweep):
         for a, wall in nonempty_families(ctx, p):
             m = family_minimum(ctx, a, wall)
             ambient, subgroup = ctx.quotient_data(a, wall)
-            index, reps = coset_translates(p, p.position(m), ambient, subgroup)
+            index, reps = coset_translates(p, p.position(m.word), ambient, subgroup)
             got = {
                 frozenset(unpack(col, ctx.d.size) for col, bit in index.items() if mask & bit): img
                 for mask, img in reps
             }
-            want = {u.inversions: p.position(product(m, u))
+            want = {u.inversions: p.position(product(m, u).word)
                     for u in coset_poset(ctx.d, ambient, subgroup)}
             assert len(got) == len(reps), (name, a, wall.index)
             assert got == want, (name, a, wall.index)
@@ -595,7 +650,7 @@ def test_order_oracle_rejects_swapped_translates(sweep):
     for name, ctx, p in sweep:
         for a, wall in nonempty_families(ctx, p):
             m = family_minimum(ctx, a, wall)
-            _, reps = coset_translates(p, p.position(m), *ctx.quotient_data(a, wall))
+            _, reps = coset_translates(p, p.position(m.word), *ctx.quotient_data(a, wall))
             assert translation_keeps_order(p.masks, reps), (name, a, wall.index)
             if len(reps) < 2:
                 continue

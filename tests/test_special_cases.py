@@ -3,14 +3,17 @@ with the library's closed forms.
 
 For the adjoint grading of an untwisted diagram the poset is that of the
 abelian ideals of a Borel subalgebra of the finite simple Lie algebra, with
-dimension equal to length.
+dimension equal to length.  Up to rank 8 the posets are enumerated; up to
+rank 30 the closed-form maxima are certified one word at a time
+(`oracles.certify_maxima`), with no enumeration.
 """
 
 import pytest
 
 from borelab.cartan import load_diagram
-from borelab.grading import GradedContext, involution
-from borelab.minuscule import enumerate_poset
+from borelab.grading import GradedContext, context_for, involution
+from borelab.minuscule import closed_form_maxima, enumerate_poset
+from oracles import certify_maxima
 
 # Number of maximal abelian ideals = number of long simple roots (Panyushev,
 # "Abelian ideals of a Borel subalgebra and long positive roots", IMRN 2003,
@@ -78,3 +81,47 @@ def test_malcev_longest_length(adjoint_posets, name):
     p = adjoint_posets[name]
     assert p.complete
     assert max(map(p.length, range(len(p)))) == MALCEV[name[0]](int(name[1:]))
+
+
+def certified(ctx):
+    """The closed-form maxima, each word certified a distinct maximal element
+    of P whose length is the item's closed-form dimension."""
+    items = closed_form_maxima(ctx)
+    masks = certify_maxima(ctx, [it.word for it in items])
+    assert [m.bit_count() for m in masks] == [it.dimension for it in items]
+    return items
+
+
+HIGH_RANK = ["A20", "A30", "B20", "B30", "C20", "C30", "D20", "D30", "E8", "F4", "G2"]
+# (maxima, largest dimension) at rank 30, as the tables above give them
+RANK_30 = {"A30": (30, 240), "B30": (29, 436), "C30": (1, 465), "D30": (30, 435)}
+
+
+@pytest.mark.parametrize("name", HIGH_RANK)
+def test_closed_form_adjoint_maxima(name):
+    # Panyushev's count and Malcev's dimension where |P| = 2^rank is out of
+    # reach: the certified maxima are distinct, so as many as the long simple
+    # roots means none is missed
+    items = certified(context_for(f"{name}~1", [0], adjoint=True))
+    n = int(name[1:])
+    got = (len(items), max(it.dimension for it in items))
+    assert got == (LONG_SIMPLE_ROOTS[name[0]](n), MALCEV[name[0]](n))
+    assert RANK_30.get(name, got) == got
+
+
+@pytest.mark.parametrize("label,odd,half", [
+    ("C30~1", [0, 30], 465),
+    ("D30~1", [0, 29], 435),
+    ("B25~1", [0, 1], 49),
+])
+def test_closed_form_hermitian_half(label, odd, half):
+    # k = 1 with two odd nodes: the odd-wall tops have half the odd dimension
+    ctx = context_for(label, odd)
+    assert len(ctx.odd_height_one_roots) == 2 * half
+    tops = [it.dimension for it in certified(ctx) if it.kind == "odd"]
+    assert tops and set(tops) == {half}
+
+
+def test_closed_form_twisted_maxima():
+    items = certified(context_for("A41~2", [0]))
+    assert [(it.kind, it.dimension) for it in items] == [("component", 210)]
