@@ -36,10 +36,10 @@ print()
 
 wall2 = ctx.walls[1]
 fam = poset.family(0, wall2)
-w_min = family_minimum(ctx, 0, wall2)
+w_min = family_minimum(ctx, 0, wall2)  # a reduced word
 print(f"family at (node 0, wall 2): {len(fam)} elements, "
-      f"minimum of length {w_min.length}")
-print(f"minimum word: {'.'.join(map(str, w_min.word))}")
+      f"minimum of length {len(w_min)}")
+print(f"minimum word: {'.'.join(map(str, w_min))}")
 print()
 
 print("verification:")

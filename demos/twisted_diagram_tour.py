@@ -6,11 +6,12 @@ level by level.
 """
 
 from collections import defaultdict
+from functools import reduce
 
 from borelab import context_for, enumerate_poset, verify_all
 from borelab.minuscule import family_minimum, special_involution
 from borelab.roots import norm_sq
-from borelab.weyl import identity
+from borelab.weyl import WeylElement, identity
 
 ctx = context_for("D5~2", [1])
 print(ctx.spec.describe(), f"(k = {ctx.k})")
@@ -42,14 +43,15 @@ print()
 
 print("family minima (words as spelled in the level listing above):")
 for a, wall in ctx.families:
-    m = poset.word(poset.position(family_minimum(ctx, a, wall).word))
+    m = poset.word(poset.position(family_minimum(ctx, a, wall)))
     size = len(poset.family(a, wall))
     print(f"  (alpha{a}, wall {wall.index}): size {size}, "
           f"minimum {'.'.join(map(str, m))}")
 print()
 
 comp = ctx.components[0]
-s = special_involution(ctx, comp)
+word = special_involution(ctx, comp)
+s = reduce(WeylElement.extend, word, identity(ctx.d))  # one ascent per letter
 # s*s is the identity iff s maps each column of its matrix back to alpha_j
 involutive = all(s.apply(c) == e for c, e in zip(s.mat, identity(ctx.d).mat))
 print(f"special involution for component {comp.nodes}: "

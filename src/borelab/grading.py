@@ -182,8 +182,8 @@ class GradedContext:
             for x in self.type_one_nodes(wa.component.nodes)
             for y in self.type_one_nodes(wb.component.nodes)
         )
-        # (alpha, wall index) -> closed-form family minimum, filled by
-        # `minuscule.family_minimum`.
+        # (alpha, wall index) -> reduced word of the closed-form family
+        # minimum, filled by `minuscule.family_minimum`.
         self.family_minima: dict = {}
 
     def is_complex(self, a: Root) -> bool:

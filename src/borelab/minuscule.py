@@ -5,8 +5,8 @@ consist only of odd-height-1 roots; they form a lower set in the right weak
 order, in bijection with the Borel-stable abelian subalgebras of the odd part,
 with dimension equal to length.  Families are the fibers w(alpha) = wall root
 over a simple root alpha and a wall; their minima, pairwise intersections, and
-the parametrization of the maximal elements all have closed-form descriptions
-that `verify_all` checks against the enumerated poset.
+the parametrization of the maximal elements all have closed forms, reduced
+words that `verify_all` places in the enumerated poset.
 """
 
 from __future__ import annotations
@@ -176,17 +176,17 @@ def enumerate_poset(ctx: GradedContext, max_length: Optional[int] = None) -> Min
                           tuple(edges), not truncated, by_mask)
 
 
-def special_involution(ctx: GradedContext, comp: EvenComponent) -> WeylElement:
-    """Shortest element sending the component's highest root to its wall
-    root: w0(J')*w0(J) for J the region, J' = J minus the odd nodes
-    (`check_special_involutions` checks it)."""
+def special_involution(ctx: GradedContext, comp: EvenComponent) -> tuple[int, ...]:
+    """Reduced word of the shortest element sending the component's highest
+    root to its wall root: w0(J')*w0(J) for J the region, J' = J minus the
+    odd nodes (`check_special_involutions` checks it)."""
     region = comp.region
     return longest_quotient(ctx.d, [i for i in region if i not in ctx.odd], region)
 
 
-def family_minimum(ctx: GradedContext, alpha: int, wall: Wall) -> WeylElement:
-    """The closed-form minimum of the family at (alpha, wall), built once per
-    grading and kept in `ctx.family_minima`."""
+def family_minimum(ctx: GradedContext, alpha: int, wall: Wall) -> tuple[int, ...]:
+    """Reduced word of the closed-form minimum of the family at (alpha, wall),
+    built once per grading and kept in `ctx.family_minima`."""
     key = (alpha, wall.index)
     m = ctx.family_minima.get(key)
     if m is None:
@@ -194,23 +194,21 @@ def family_minimum(ctx: GradedContext, alpha: int, wall: Wall) -> WeylElement:
     return m
 
 
-def _build_family_minimum(ctx: GradedContext, alpha: int, wall: Wall) -> WeylElement:
+def _build_family_minimum(ctx: GradedContext, alpha: int, wall: Wall) -> tuple[int, ...]:
     d = ctx.d
-    a_root = simple_root(d, alpha)
     if wall.kind == "odd":
         b = wall.node
         perp_even = [i for i in ctx.even if d.cartan[i][b] == 0]
         # s_b * u, reduced: u = w0(perp_even) * w0(even) lies in W_even, so
         # u^{-1}(alpha_b) is alpha_b plus even roots, positive
-        return _word_element(d, (b,) + longest_quotient(d, perp_even, ctx.even).word)
+        return (b,) + longest_quotient(d, perp_even, ctx.even)
     comp = wall.component
     if wall.wall_type == 1:
-        w = dominant_mapper(d, comp.region, a_root, wall.root)
+        w = dominant_mapper(d, comp.region, simple_root(d, alpha), wall.root)
         if w is None:
             raise ValueError(f"alpha_{alpha} does not reach the wall within its region")
         return w
-    v = theta_mapper(ctx, comp, alpha)
-    return _word_element(d, special_involution(ctx, comp).word + v.word)
+    return special_involution(ctx, comp) + theta_mapper(ctx, comp, alpha)
 
 
 def _common_nodes(ctx: GradedContext, a: Iterable[int], b: Iterable[int]
@@ -221,14 +219,9 @@ def _common_nodes(ctx: GradedContext, a: Iterable[int], b: Iterable[int]
     return [i for i in inter if i not in ctx.odd], inter
 
 
-def u_element(ctx: GradedContext, ca: EvenComponent, cb: EvenComponent) -> WeylElement:
-    """Longest minimal representative attached to two type-1 components."""
-    return longest_quotient(ctx.d, *_common_nodes(ctx, ca.region, cb.region))
-
-
-def theta_mapper(ctx: GradedContext, comp: EvenComponent, x: int) -> WeylElement:
-    """Shortest element of the component's parabolic sending alpha_x to its
-    highest root."""
+def theta_mapper(ctx: GradedContext, comp: EvenComponent, x: int) -> tuple[int, ...]:
+    """Reduced word of the shortest element of the component's parabolic
+    sending alpha_x to its highest root."""
     d = ctx.d
     v = dominant_mapper(d, comp.nodes, simple_root(d, x), comp.theta)
     if v is None:
@@ -247,13 +240,14 @@ def minimum_length(ctx: GradedContext, wall: Wall) -> int:
 
 def pair_minimum_words(ctx: GradedContext) -> tuple[tuple[int, ...], ...]:
     """u*v_x*v_y, the minimum of F(x, wb) & F(y, wa), for each crossed pair
-    (x, y, wa, wb) of `ctx.pairs`, as its factors' words end to end: u once
-    per wall pair (the pairs come grouped by it), v_x and v_y theta mappers."""
+    (x, y, wa, wb) of `ctx.pairs`, as its factors' words end to end: u of the
+    regions' `_common_nodes` once per wall pair (the pairs come grouped by
+    it), v_x and v_y theta mappers."""
     out: list[tuple[int, ...]] = []
     for (wa, wb), group in groupby(ctx.pairs, key=lambda pair: pair[2:]):
         ca, cb = wa.component, wb.component
-        u = u_element(ctx, ca, cb).word
-        out += [u + theta_mapper(ctx, ca, x).word + theta_mapper(ctx, cb, y).word
+        u = longest_quotient(ctx.d, *_common_nodes(ctx, ca.region, cb.region))
+        out += [u + theta_mapper(ctx, ca, x) + theta_mapper(ctx, cb, y)
                 for x, y, _, _ in group]
     return tuple(out)
 
@@ -283,14 +277,14 @@ def closed_form_maxima(ctx: GradedContext) -> tuple[ClosedFormMaximum, ...]:
 
     def add(kind, alphas, walls, low, low_length, inner, nodes, label):
         out.append(ClosedFormMaximum(
-            kind, alphas, walls, low + longest_quotient(d, inner, nodes).word,
+            kind, alphas, walls, low + longest_quotient(d, inner, nodes),
             low_length + positive_root_count(d, nodes) - positive_root_count(d, inner), label))
 
     def singles(kind):
         for wall in (w for w in ctx.walls if w.kind == kind):
             for a in wall.tops:
                 perp = ctx.perp_nodes(a)
-                add(kind, (a,), (wall.index,), family_minimum(ctx, a, wall).word,
+                add(kind, (a,), (wall.index,), family_minimum(ctx, a, wall),
                     minimum_length(ctx, wall), [i for i in perp if i not in wall.blocked],
                     perp, f"alpha{a}@wall{wall.index}")
 
@@ -456,7 +450,7 @@ def check_family_minima(poset: MinusculePoset) -> CheckResult:
         if not fam:
             problems.append(f"family ({a}, wall {wall.index}) empty")
             continue
-        pos = poset.position(family_minimum(ctx, a, wall).word)
+        pos = poset.position(family_minimum(ctx, a, wall))
         if pos is None or pos not in fam:
             problems.append(f"closed-form minimum not in family ({a}, {wall.index})")
             continue
@@ -542,7 +536,7 @@ def check_coset_isomorphism(poset: MinusculePoset) -> CheckResult:
         fam = poset.family(a, wall)
         if not fam:
             continue
-        start = poset.position(family_minimum(ctx, a, wall).word)
+        start = poset.position(family_minimum(ctx, a, wall))
         _, reps = coset_translates(poset, start, *ctx.quotient_data(a, wall))
         if len(reps) != len(fam):
             problems.append(
@@ -561,7 +555,7 @@ def check_intersections(poset: MinusculePoset) -> CheckResult:
     masks = poset.masks
     problems = []
     # each family minimum placed once, on the walls that crossed pairs join
-    placed = {(a, w.index): poset.position(family_minimum(ctx, a, w).word)
+    placed = {(a, w.index): poset.position(family_minimum(ctx, a, w))
               for w in dict.fromkeys(w for p in ctx.pairs for w in p[2:]) for a in w.heads}
     minima = pair_minimum_words(ctx)
     for wa, wb in combinations(ctx.walls, 2):
@@ -633,7 +627,7 @@ def check_length_identities(ctx: GradedContext) -> CheckResult:
     g0 = dual_coxeter_number(ctx.d)
     problems = []
     for a, wall in ctx.families:
-        length, expect = family_minimum(ctx, a, wall).length, minimum_length(ctx, wall)
+        length, expect = len(family_minimum(ctx, a, wall)), minimum_length(ctx, wall)
         if length != expect:
             problems.append(
                 f"({a}, wall {wall.index}): minimum length {length}, expected {expect}")
@@ -660,10 +654,11 @@ def check_length_identities(ctx: GradedContext) -> CheckResult:
 
 
 def check_special_involutions(ctx: GradedContext) -> CheckResult:
-    """Each type-2 special element is an involution (s maps each column of
-    its matrix back to the simple root), sends theta to the wall root, has
-    the closed-form length and inversion set, and for k = 2 is the
-    reflection in beta = delta - theta: alpha_j -> alpha_j - <alpha_j, beta^vee> beta."""
+    """Each type-2 special element, walked from its word (RuntimeError if not
+    reduced), is an involution (s maps each column of its matrix back to the
+    simple root), sends theta to the wall root, has the closed-form length
+    and inversion set, and for k = 2 is the reflection in beta = delta - theta:
+    alpha_j -> alpha_j - <alpha_j, beta^vee> beta."""
     d = ctx.d
     g0 = dual_coxeter_number(d)
     simples = d.simple_roots
@@ -672,7 +667,7 @@ def check_special_involutions(ctx: GradedContext) -> CheckResult:
         if wall.kind != "component" or wall.wall_type != 2:
             continue
         comp = wall.component
-        s = special_involution(ctx, comp)
+        s = _word_element(d, special_involution(ctx, comp))
         if any(s.apply(col) != e for col, e in zip(s.mat, simples)):
             problems.append(f"comp {comp.index}: special element is not an involution")
         if s.apply(comp.theta) != wall.root:

@@ -12,8 +12,10 @@ edges: `apply`, `inversions` and the `mat` view.
 Every element is built from the identity by right multiplications w -> w*s_i,
 each checked to need w(alpha_i) > 0; a walk in a finite parabolic W_J
 (`cartan.finite_nodes`) ends.  There is no group product, inverse matrix or
-search.  A closed form that is a product with lengths adding is built from
-its factors' words put end to end.  The inversion set
+search.  A closed form is a reduced word, not an element: the letters its
+walk takes, or for a product with lengths adding its factors' words end to
+end; `_word_element` builds an element only where its action is read.  The
+inversion set
 {gamma > 0 : w^{-1}(gamma) < 0} is read off the reduced word on each
 request: for w = s_{i1}...s_{il} it is {s_{i1}...s_{i(j-1)}(alpha_{ij})}.
 Length equals the inversion count, and the right weak order is containment
@@ -150,36 +152,37 @@ def longest_element(
 
 def longest_quotient(
     d: AffineDiagram, inner: Iterable[int], nodes: Iterable[int]
-) -> WeylElement:
-    """w0(J')*w0(J) for J' = `inner` inside J = `nodes`: the letters the
-    ascent from w0(J') to w0(J) appends, as a checked reduced word.  It is
-    the longest minimal representative of W_J' in W_J."""
+) -> tuple[int, ...]:
+    """w0(J')*w0(J) for J' = `inner` inside J = `nodes`, as a reduced word:
+    the letters the ascent from w0(J') to w0(J) appends, each an ascent.  It
+    is the longest minimal representative of W_J' in W_J."""
     w0i = longest_element(d, inner)
-    return _word_element(d, longest_element(d, nodes, start=w0i).word[w0i.length:])
+    return longest_element(d, nodes, start=w0i).word[w0i.length:]
 
 
 def dominant_mapper(
     d: AffineDiagram, nodes: Iterable[int], frm: Root, to: Root
-) -> Optional[WeylElement]:
-    """Shortest element of the finite parabolic on J = `nodes` sending frm to
-    `to`, which must be dominant for J; None if `to` is not in frm's orbit.
+) -> Optional[tuple[int, ...]]:
+    """Reduced word of the shortest element of the finite parabolic on J =
+    `nodes` sending frm to `to`, dominant for J; None if `to` is not in frm's
+    orbit.
 
-    The walk is `roots.dominant_ascent` from frm.  If w(frm) = to, each
-    beta > 0 of Phi_J with <frm, beta^vee> < 0 pairs negatively with the
-    dominant `to` after w, so w(beta) < 0: l(w) is at least the number of
-    such beta.  Each step removes exactly one of them, so the walk is a
-    shortest mapper when it ends at `to`, and it ends there iff `to` is in
-    the orbit (the closed chamber meets each orbit once).  The mappers form
-    a coset W_K*w of the parabolic stabilizer of `to`, whose shortest
-    element is unique, so this is the element the orbit search in
-    `tests/oracles.py` finds (Humphreys, Reflection Groups and Coxeter
-    Groups, 1.10-1.12).
+    The word is the letters of `roots.dominant_ascent` from frm, reversed.
+    If w(frm) = to, each beta > 0 of Phi_J with <frm, beta^vee> < 0 pairs
+    negatively with the dominant `to` after w, so w(beta) < 0: l(w) is at
+    least the number of such beta.  Each step removes exactly one of them,
+    so the word is reduced and spells a shortest mapper when the walk ends
+    at `to`, and it ends there iff `to` is in the orbit (the closed chamber
+    meets each orbit once).  The mappers form a coset W_K*w of the parabolic
+    stabilizer of `to`, whose shortest element is unique, so this is the
+    element the orbit search in `tests/oracles.py` finds (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.10-1.12).
     """
     s = sorted(set(nodes))
     if any(pair(d, to, i) < 0 for i in s):
         raise ValueError(f"{to} is not dominant for nodes {s}")
     g, letters = dominant_ascent(d, s, frm)
-    return _word_element(d, reversed(letters)) if g == to else None
+    return tuple(reversed(letters)) if g == to else None
 
 
 def _word_element(d: AffineDiagram, word: Iterable[int]) -> WeylElement:

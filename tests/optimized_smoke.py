@@ -22,17 +22,21 @@ library fails here as well.
   word a distinct maximal element of P, of length its closed-form
   dimension; D30~1 adjoint must have 30 maxima, the largest of dimension
   435, and C30~1{0,30} odd-wall tops of dimension 465, half of |S1|.
+- So do the family minima, words the library never walks: on the same two
+  gradings, `oracles.certify_word` must certify each family minimum's word
+  an element of P that sends alpha to the wall root, of the closed-form
+  length `minuscule.minimum_length`.
 """
 
 import sys
 
 from borelab.cartan import _kernel_vector, load_diagram
 from borelab.grading import context_for
-from borelab.minuscule import closed_form_maxima
+from borelab.minuscule import closed_form_maxima, family_minimum, minimum_length
 from borelab.roots import dominant_ascent, highest_root, positive_root_count
 from borelab.roots import raising_closure, theta_dual_coxeter, weyl_group_order
-from borelab.weyl import longest_element
-from oracles import certify_maxima
+from borelab.weyl import longest_element, pack
+from oracles import certify_maxima, certify_word
 
 
 def ascent(d, nodes):
@@ -99,3 +103,11 @@ for label, odd, adjoint in (("D30~1", [0], True), ("C30~1", [0, 30], False)):
         got = {it.dimension for it in items if it.kind == "odd"}
         if got != {465} or len(ctx.odd_height_one_roots) != 930:
             sys.exit(f"{label} {odd}: odd-wall tops of dimensions {got}, expected {{465}}")
+    for a, wall in ctx.families:
+        where = f"{label} {odd}: family ({a}, wall {wall.index})"
+        try:
+            mask, cols = certify_word(ctx, family_minimum(ctx, a, wall))
+        except ValueError as exc:
+            sys.exit(f"{where}: {exc}")
+        if cols[a] != pack(wall.root) or mask.bit_count() != minimum_length(ctx, wall):
+            sys.exit(f"{where}: the minimum is not a member of its closed-form length")

@@ -65,9 +65,9 @@ ascent (`weyl.dominant_mapper`) and, for the type-2 special involution, by
 the closed form w0(J')*w0(J) (`minuscule.special_involution`).
 `maximal_by_sets` finds a family's top by comparing the inversion sets of
 every two members, where the library builds the top in closed form
-(`minuscule.closed_form_maxima`) and places its word.  `certify_maxima`
-certifies closed-form words with no poset at all, from their columns
-alone, at ranks the enumeration cannot reach.
+(`minuscule.closed_form_maxima`) and places its word.  `certify_word` and
+`certify_maxima` certify closed-form words with no poset at all, from their
+columns alone, at ranks the enumeration cannot reach.
 """
 
 from __future__ import annotations
@@ -994,25 +994,34 @@ def maximal_by_sets(poset: MinusculePoset, positions: Iterable[int]) -> tuple[in
     return tuple(q for q in pos if not any(sets[q] < sets[r] for r in pos))
 
 
+def certify_word(ctx: GradedContext, word: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """The inversion mask, over `ctx.s1_order`, and the packed columns of the
+    element a word spells, certified in P with no enumeration; ValueError
+    naming the word otherwise.
+
+    Walked from the identity, the word reads the column of each letter; every
+    one must be in S1, so the word is reduced and N(t) lies in S1, which puts
+    t in P."""
+    d, bits = ctx.d, ctx.s1_bits
+    cols, mask = identity(d).cols, 0
+    for i in word:
+        if (b := bits.get(cols[i])) is None:
+            raise ValueError(f"word {tuple(word)} has an inversion outside S1")
+        mask |= b
+        cols = _right_mult_simple(d, cols, i)
+    return mask, cols
+
+
 def certify_maxima(ctx: GradedContext, words: Iterable[Sequence[int]]) -> list[int]:
     """The inversion masks, over `ctx.s1_order`, of the elements the words
-    spell, each certified a maximal element of P with no enumeration, and
-    all distinct; ValueError naming the first word that fails.
-
-    Walked from the identity, a word reads the column of each letter; every
-    one must be in S1, so the word is reduced and N(t) lies in S1, which
-    puts t in P.  As t*s_i is in P iff N(t) plus t(alpha_i) lies in S1, t is
+    spell, each certified in P (`certify_word`) and maximal there with no
+    enumeration, and all distinct; ValueError naming the first word that
+    fails.  As t*s_i is in P iff N(t) plus t(alpha_i) lies in S1, t is
     maximal iff no final column is in S1."""
-    d, bits = ctx.d, ctx.s1_bits
     masks: list[int] = []
     for word in words:
-        cols, mask = identity(d).cols, 0
-        for i in word:
-            if (b := bits.get(cols[i])) is None:
-                raise ValueError(f"word {tuple(word)} has an inversion outside S1")
-            mask |= b
-            cols = _right_mult_simple(d, cols, i)
-        if any(col in bits for col in cols):
+        mask, cols = certify_word(ctx, word)
+        if any(col in ctx.s1_bits for col in cols):
             raise ValueError(f"word {tuple(word)} is not maximal in P")
         if mask in masks:
             raise ValueError(f"word {tuple(word)} spells an element spelled before")

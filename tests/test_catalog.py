@@ -26,7 +26,9 @@ bijection is checked the other way too: every b0-stable abelian subspace of
 the odd part, found by search (`oracles.abelian_subspace_masks`), is an
 inversion set of the poset.  The order the family readers rely on is
 checked as stored, and the completeness check against the wall-by-node
-probe (`oracles.probed_family_completeness`).  Never shrink the
+probe (`oracles.probed_family_completeness`).  Each closed-form word, which
+the library walks only to place it, is walked here to an element of its
+closed-form length.  Never shrink the
 label list to make a failure go away.
 """
 
@@ -41,28 +43,35 @@ import pytest
 from borelab.cartan import (
     components,
     diagram_automorphisms,
+    dual_coxeter_number,
     load_diagram,
 )
 from borelab.grading import analyze, catalog_involutions
 from borelab.minuscule import (
+    _common_nodes,
     check_family_completeness,
     coset_translates,
     enumerate_poset,
     family_minimum,
     maxima_parametrization,
+    minimum_length,
+    special_involution,
     structural_masks,
+    theta_mapper,
     verify_all,
 )
 from borelab.roots import (
     add,
     finite_type_sizes,
     highest_root,
+    positive_root_count,
     raising_closure,
+    simple_root,
     subsystem_closure,
     theta_dual_coxeter,
 )
 from borelab.report import result_document
-from borelab.weyl import BOUND, pack, unpack
+from borelab.weyl import BOUND, _word_element, longest_quotient, pack, unpack
 from oracles import (
     abelian_subspace_masks,
     blocked_nodes,
@@ -353,7 +362,7 @@ def test_families_read_in_stored_order(catalog):
             fam = p.family(a, wall)
             first = p.length(fam[0])
             assert all(p.length(q) > first for q in fam[1:]), (name, a, wall.index)
-            assert fam[0] == p.position(family_minimum(ctx, a, wall).word), (name, a, wall.index)
+            assert fam[0] == p.position(family_minimum(ctx, a, wall)), (name, a, wall.index)
         for entry in result_document(p)["families"]:
             fam = p.family(entry["alpha"], ctx.walls[entry["wall"] - 1])
             assert entry["min_word"] == list(p.word(min(fam, key=p.length))), name
@@ -366,6 +375,43 @@ def test_families_read_in_stored_order(catalog):
             assert not got.passed and got == probed_family_completeness(bad), name
             mutated += 1
     assert mutated == 397
+
+
+def test_closed_form_words_are_reduced(catalog):
+    # the library keeps each closed form as a word and walks it only where it
+    # is used; each must walk to an element (`_word_element` raises at a
+    # letter that shortens it) of its closed-form length: every family
+    # minimum, every type-2 special involution, the theta mapper of every
+    # type-1 node of a type-1 component (which must reach theta), and the u
+    # of every wall pair that crossed pairs join
+    counts = Counter()
+    for ctx in catalog:
+        d, name = ctx.d, ctx.spec.describe()
+        g0 = dual_coxeter_number(d)
+        for a, wall in ctx.families:
+            m = _word_element(d, family_minimum(ctx, a, wall))
+            assert m.length == minimum_length(ctx, wall), (name, a, wall.index)
+            counts["minima"] += 1
+        for wall in ctx.walls:
+            if wall.kind != "component":
+                continue
+            comp = wall.component
+            if wall.wall_type == 2:
+                s = _word_element(d, special_involution(ctx, comp))
+                assert s.length == g0 - comp.sub_dual_coxeter + 1, (name, comp.index)
+                counts["involutions"] += 1
+                continue
+            for x in ctx.type_one_nodes(comp.nodes):
+                v = _word_element(d, theta_mapper(ctx, comp, x))
+                assert v.apply(simple_root(d, x)) == comp.theta, (name, comp.index, x)
+                counts["mappers"] += 1
+        for wa, wb in dict.fromkeys(pair[2:] for pair in ctx.pairs):
+            inner, common = _common_nodes(ctx, wa.component.region, wb.component.region)
+            u = _word_element(d, longest_quotient(d, inner, common))
+            expect = positive_root_count(d, common) - positive_root_count(d, inner)
+            assert u.length == expect, (name, wa.index, wb.index)
+            counts["u"] += 1
+    assert counts == {"minima": 3516, "involutions": 150, "mappers": 1827, "u": 235}
 
 
 def test_maxima_are_set_scan_tops(catalog):
@@ -411,7 +457,7 @@ def test_coset_translates_match_reflection_walk(catalog):
             # the lookup is exact only if no subgroup simple is twice a root
             assert all(gcd(*beta) == 1 for beta in subgroup), where
             simples += len(subgroup)
-            start = poset.position(family_minimum(ctx, a, wall).word)
+            start = poset.position(family_minimum(ctx, a, wall))
             walks = [walk(poset, start, ambient, subgroup)
                      for walk in (coset_translates, reflecting_coset_translates)]
             got, want = [

@@ -12,6 +12,7 @@ from borelab.cartan import dual_coxeter_number, load_diagram
 from borelab.grading import GradedContext, analyze, catalog_involutions, context_for, involution
 import borelab.minuscule as minuscule
 from borelab.minuscule import (
+    _common_nodes,
     check_bounding_equivalence,
     check_coset_isomorphism,
     check_intersections,
@@ -29,7 +30,6 @@ from borelab.minuscule import (
     special_involution,
     structural_masks,
     theta_mapper,
-    u_element,
     verify_all,
 )
 from borelab.roots import (
@@ -42,7 +42,8 @@ from borelab.roots import (
     simple_root,
 )
 import borelab.weyl as weyl
-from borelab.weyl import _word_element, dominant_mapper, identity, longest_element, pack, unpack
+from borelab.weyl import _word_element, dominant_mapper, identity, longest_element
+from borelab.weyl import longest_quotient, pack, unpack
 from oracles import (
     coset_poset,
     decompositions,
@@ -96,10 +97,10 @@ def test_d5_twisted_golden(d5):
 def test_d5_family_minimum_lengths(d5):
     ctx, p = d5
     w1, w2, w3 = ctx.walls
-    assert family_minimum(ctx, 0, w1).length == 7  # g - 1 for a type-2 wall
-    assert family_minimum(ctx, 1, w2).length == 3  # g - g_Sigma
-    assert family_minimum(ctx, 2, w2).length == 3
-    assert family_minimum(ctx, 1, w3).length == 7  # g - 1 for the odd wall
+    assert len(family_minimum(ctx, 0, w1)) == 7  # g - 1 for a type-2 wall
+    assert len(family_minimum(ctx, 1, w2)) == 3  # g - g_Sigma
+    assert len(family_minimum(ctx, 2, w2)) == 3
+    assert len(family_minimum(ctx, 1, w3)) == 7  # g - 1 for the odd wall
 
 
 def test_e8_golden(e8):
@@ -126,36 +127,41 @@ def test_e8_family_sizes(e8):
     assert len(p.family(6, w2)) == 1
     assert len(p.family(1, w3)) == 1
     for a in w1.heads:
-        assert family_minimum(ctx, a, w1).length == 30 - 2
-    assert family_minimum(ctx, 0, w2).length == 30 - 18
+        assert len(family_minimum(ctx, a, w1)) == 30 - 2
+    assert len(family_minimum(ctx, 0, w2)) == 30 - 18
+
+
+def special_element(ctx, comp):
+    """The element the special involution's word spells, for its columns."""
+    return _word_element(ctx.d, special_involution(ctx, comp))
 
 
 def test_special_involution_closed_forms():
     # hermitian C-type: product of the two end reflections
     ctx = context_for("C3~1", [0, 3])
     (comp,) = ctx.components
-    s = special_involution(ctx, comp)
+    s = special_element(ctx, comp)
     assert s.cols == from_word(ctx.d, [0, 3]).cols
     # B-type with the short-end singleton component: the folded word
     ctx = context_for("B3~1", [2])
     comp = next(c for c in ctx.components if c.nodes == (3,))
-    s = special_involution(ctx, comp)
+    s = special_element(ctx, comp)
     assert s.cols == from_word(ctx.d, [2, 0, 1, 2]).cols
     assert s.length == 4
     ctx = context_for("B4~1", [3])
     comp = next(c for c in ctx.components if c.nodes == (4,))
-    s = special_involution(ctx, comp)
+    s = special_element(ctx, comp)
     assert s.cols == from_word(ctx.d, [3, 2, 0, 1, 2, 3]).cols
     assert s.length == 6
     # k=2: the reflection in delta minus the component highest root
     ctx = context_for("A2~1", [0], adjoint=True)
     (comp,) = ctx.components
-    assert special_involution(ctx, comp).cols == from_reflection(ctx.d, (1, 0, 0)).cols
+    assert special_element(ctx, comp).cols == from_reflection(ctx.d, (1, 0, 0)).cols
     ctx = context_for("D5~2", [1])
     comp = ctx.components[0]
-    assert special_involution(ctx, comp).cols == from_reflection(
+    assert special_element(ctx, comp).cols == from_reflection(
         ctx.d, (0, 1, 1, 1, 1)).cols
-    assert special_involution(ctx, comp).length == 8 - 2 + 1
+    assert len(special_involution(ctx, comp)) == 8 - 2 + 1
 
 
 def test_maxima_parametrization_built_once(d5):
@@ -185,7 +191,7 @@ def factor_start(ctx, item):
     if item.kind == "pair":
         lows = {(x, y): low for (x, y, _, _), low in zip(ctx.pairs, pair_minimum_words(ctx))}
         return len(lows[item.alphas])
-    return family_minimum(ctx, item.alphas[0], ctx.walls[item.wall_indices[0] - 1]).length
+    return len(family_minimum(ctx, item.alphas[0], ctx.walls[item.wall_indices[0] - 1]))
 
 
 @pytest.mark.parametrize("label,odd,target", [
@@ -273,8 +279,8 @@ def test_e6_intersections():
     # alpha in {1..5} and beta = 0
     assert nonempty == [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0)]
     ca, cb = ctx.components[1], ctx.components[0]
-    u, vx, vy = u_element(ctx, ca, cb), theta_mapper(ctx, ca, 1), theta_mapper(ctx, cb, 0)
-    m = _word_element(ctx.d, u.word + vx.word + vy.word)
+    u = longest_quotient(ctx.d, *_common_nodes(ctx, ca.region, cb.region))
+    m = _word_element(ctx.d, u + theta_mapper(ctx, ca, 1) + theta_mapper(ctx, cb, 0))
     fam = set(p.family(1, w1)) & set(p.family(0, w2))
     assert p.position(m.word) in fam
     assert all(m.inversions <= p.element(q).inversions for q in fam)
@@ -292,20 +298,23 @@ def test_intersections_reject_wrong_family_minimum():
         assert (p.position(w.word) is None) == (w.length > 0)
         for wall in ctx.walls:
             for a in wall.heads:
-                ctx.family_minima[(a, wall.index)] = w
+                ctx.family_minima[(a, wall.index)] = w.word
         r = check_intersections(p)
         assert not r.passed
         assert r.detail == "intersection (1,1)&(0,2): inversions are not the union of the family minima's"
 
 
 def test_u_element_length():
+    # u = w0(J')*w0(J) on the common nodes of two type-1 regions, an involution
     ctx = context_for("E6~1", [6])
-    u = u_element(ctx, ctx.components[0], ctx.components[1])
+    ca, cb = ctx.components[:2]
+    u = _word_element(ctx.d, longest_quotient(ctx.d, *_common_nodes(ctx, ca.region, cb.region)))
     assert u.length == 12 - 2 - 6 + 2
     assert product(u, u).length == 0
     ctx = context_for("E8~1", [1])
-    u = u_element(ctx, ctx.components[0], ctx.components[1])
-    assert u.length == 30 - 2 - 18 + 2
+    ca, cb = ctx.components[:2]
+    u = longest_quotient(ctx.d, *_common_nodes(ctx, ca.region, cb.region))
+    assert len(u) == 30 - 2 - 18 + 2
 
 
 def test_e6_maxima_breakdown():
@@ -568,12 +577,12 @@ def test_coset_translates_match_oracle(sweep):
         for a, wall in nonempty_families(ctx, p):
             m = family_minimum(ctx, a, wall)
             ambient, subgroup = ctx.quotient_data(a, wall)
-            index, reps = coset_translates(p, p.position(m.word), ambient, subgroup)
+            index, reps = coset_translates(p, p.position(m), ambient, subgroup)
             got = {
                 frozenset(unpack(col, ctx.d.size) for col, bit in index.items() if mask & bit): img
                 for mask, img in reps
             }
-            want = {u.inversions: p.position(product(m, u).word)
+            want = {u.inversions: p.position(product(from_word(ctx.d, m), u).word)
                     for u in coset_poset(ctx.d, ambient, subgroup)}
             assert len(got) == len(reps), (name, a, wall.index)
             assert got == want, (name, a, wall.index)
@@ -586,11 +595,12 @@ def test_coset_isomorphism_rejects_wrong_minimum(sweep, monkeypatch):
         assert check_coset_isomorphism(p).passed, name
         for a, wall in nonempty_families(ctx, p):
             m = family_minimum(ctx, a, wall)
+            w_m = _word_element(ctx.d, m)
             ambient = ctx.quotient_data(a, wall)[0]
-            steps = [i for i in ambient if m.extend(i)] or [
-                i for i in ctx.d.nodes if m.extend(i)]
+            steps = [i for i in ambient if w_m.extend(i)] or [
+                i for i in ctx.d.nodes if w_m.extend(i)]
 
-            def wrong_minimum(c, x, w, a=a, wall=wall, wrong=m.extend(steps[0])):
+            def wrong_minimum(c, x, w, a=a, wall=wall, wrong=m + (steps[0],)):
                 if (x, w.index) == (a, wall.index):
                     return wrong
                 return family_minimum(c, x, w)
@@ -650,7 +660,7 @@ def test_order_oracle_rejects_swapped_translates(sweep):
     for name, ctx, p in sweep:
         for a, wall in nonempty_families(ctx, p):
             m = family_minimum(ctx, a, wall)
-            _, reps = coset_translates(p, p.position(m.word), *ctx.quotient_data(a, wall))
+            _, reps = coset_translates(p, p.position(m), *ctx.quotient_data(a, wall))
             assert translation_keeps_order(p.masks, reps), (name, a, wall.index)
             if len(reps) < 2:
                 continue
@@ -714,8 +724,8 @@ def test_dominant_mapper_matches_orbit_search():
                             unreachable += 1
                             continue
                         assert got is not None, (spec.describe(), nodes, a)
-                        assert got.mat == want.mat, (spec.describe(), nodes, a)
-                        assert got.length == want.length, (spec.describe(), nodes, a)
+                        assert _word_element(d, got).mat == want.mat, (spec.describe(), nodes, a)
+                        assert len(got) == want.length, (spec.describe(), nodes, a)
     assert (gradings, triples, unreachable) == (146, 1992, 1081)
 
 
@@ -739,7 +749,7 @@ def test_special_involution_matches_orbit_search():
                 want = minimal_mapper(d, d.nodes, comp.theta, to, cap=cap)
                 got = special_involution(ctx, comp)
                 assert want is not None, (spec.describe(), comp.index)
-                assert (got.mat, got.length) == (want.mat, want.length), (
+                assert (_word_element(d, got).mat, len(got)) == (want.mat, want.length), (
                     spec.describe(), comp.index)
                 walls += 1
     assert (gradings, walls) == (146, 58)
@@ -766,6 +776,32 @@ def test_verify_all_runs_no_orbit_search(monkeypatch):
         results = verify_all(enumerate_poset(ctx))
         assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
         assert {w.component.region for w in walls} <= set(regions), label
+
+
+def test_closed_forms_walked_once(monkeypatch):
+    # each closed form is a word that `position` walks once, in P; an element
+    # is built from one only where its action is read, one per type-2 wall
+    callers = []
+
+    def spy(d, word, real=weyl._word_element):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(d, word)
+
+    for module in (weyl, minuscule):
+        monkeypatch.setattr(module, "_word_element", spy)
+    specs = [*catalog_involutions(load_diagram("E6~1"), include_adjoint=True, dedupe=False),
+             involution(load_diagram("D5~2"), [1])]
+    walked = 0
+    for spec in specs:
+        ctx = analyze(spec)
+        callers.clear()
+        closed_form_maxima(ctx)
+        results = verify_all(enumerate_poset(ctx))
+        assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+        type_two = sum(w.kind == "component" and w.wall_type == 2 for w in ctx.walls)
+        assert callers == ["check_special_involutions"] * type_two, spec.describe()
+        walked += type_two
+    assert (len(specs), walked) == (10, 4)
 
 
 def with_mask(p, q, mask):
@@ -822,7 +858,7 @@ def family_minimum_oracle(ctx, a, wall):
     if wall.wall_type == 2:
         comp = wall.component
         v = dominant_mapper(d, comp.nodes, simple_root(d, a), comp.theta)
-        return product(special_involution(ctx, comp), v)
+        return product(from_word(d, special_involution(ctx, comp)), from_word(d, v))
     return None
 
 
@@ -841,7 +877,8 @@ def test_closed_forms_match_oracle_products():
                     want = family_minimum_oracle(ctx, a, wall)
                     if want is not None:
                         got = family_minimum(ctx, a, wall)
-                        assert (got.mat, got.length) == (want.mat, want.length), (name, a)
+                        assert (_word_element(d, got).mat, len(got)) == (want.mat, want.length), (
+                            name, a)
                         minima += 1
             comps = [w.component for w in ctx.walls
                      if w.kind == "component" and w.wall_type == 1]
@@ -850,17 +887,17 @@ def test_closed_forms_match_oracle_products():
                     inter = sorted(set(ca.region) & set(cb.region))
                     inner = [n for n in inter if n not in ctx.odd]
                     u = product(longest_element(d, inner), longest_element(d, inter))
-                    got = u_element(ctx, ca, cb)
+                    u_word = longest_quotient(d, *_common_nodes(ctx, ca.region, cb.region))
+                    got = _word_element(d, u_word)
                     assert (got.mat, got.length) == (u.mat, u.length), name
                     us += 1
                     for x in ctx.type_one_nodes(ca.nodes):
                         for y in ctx.type_one_nodes(cb.nodes):
                             vx = dominant_mapper(d, ca.nodes, simple_root(d, x), ca.theta)
                             vy = dominant_mapper(d, cb.nodes, simple_root(d, y), cb.theta)
-                            want = product(u, vx, vy)
-                            got = _word_element(d, u_element(ctx, ca, cb).word
-                                                + theta_mapper(ctx, ca, x).word
-                                                + theta_mapper(ctx, cb, y).word)
+                            want = product(u, from_word(d, vx), from_word(d, vy))
+                            got = _word_element(d, u_word + theta_mapper(ctx, ca, x)
+                                                + theta_mapper(ctx, cb, y))
                             assert (got.mat, got.length) == (want.mat, want.length), (name, x, y)
                             pairs += 1
     assert (gradings, minima, us, pairs) == (146, 323, 46, 108)
@@ -877,10 +914,10 @@ def test_special_involutions_reject_non_involution(sweep, monkeypatch):
     # s*s_i for an ascent i with s(alpha_i) != alpha_i: s_i does not commute
     # with s, so the product does not square to the identity
     def bent(ctx, comp):
-        s = special_involution(ctx, comp)
+        s = _word_element(ctx.d, special_involution(ctx, comp))
         i = next(i for i in ctx.d.nodes
                  if s.extend(i) and s.mat[i] != simple_root(ctx.d, i))
-        return s.extend(i)
+        return s.word + (i,)
 
     mutated = 0
     for name, ctx, walls in type_two_gradings(sweep):
@@ -888,7 +925,7 @@ def test_special_involutions_reject_non_involution(sweep, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(minuscule, "special_involution", bent)
             r = check_special_involutions(ctx)
-        s = bent(ctx, walls[0].component)
+        s = from_word(ctx.d, bent(ctx, walls[0].component))
         assert product(s, s).length != 0, name
         assert not r.passed, name
         assert r.detail == f"comp {walls[0].component.index}: special element is not an involution"

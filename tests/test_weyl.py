@@ -204,7 +204,7 @@ def test_minimal_mapper_identity_and_failure():
 
 def test_dominant_mapper_identity_and_failure():
     theta = highest_root(A2, (1, 2))
-    assert dominant_mapper(A2, (1, 2), theta, theta).length == 0
+    assert dominant_mapper(A2, (1, 2), theta, theta) == ()
     # alpha_0 is outside the parabolic's roots: its ascent ends elsewhere
     assert dominant_mapper(A2, (1, 2), simple_root(A2, 0), theta) is None
 
@@ -214,6 +214,12 @@ def test_dominant_mapper_refuses_non_dominant_target():
     # <alpha_1, alpha_2^vee> = -1: alpha_1 is not dominant for node 2
     with pytest.raises(ValueError, match="not dominant"):
         dominant_mapper(A2, (1, 2), a2, a1)
+
+
+def dominant_element(d, nodes, frm, to):
+    """`dominant_mapper`'s reduced word walked to the element it spells."""
+    word = dominant_mapper(d, nodes, frm, to)
+    return None if word is None else _word_element(d, word)
 
 
 HIGHEST_ROOT_CASES = [
@@ -229,7 +235,7 @@ HIGHEST_ROOT_CASES = [
     "mapper,label,nodes,alpha,g",
     [pytest.param(mapper, label, nodes, alpha, g,
                   id=f"{prefix}{label}-nodes{n}-{alpha}-{g}")
-     for prefix, mapper in (("", minimal_mapper), ("dominant-", dominant_mapper))
+     for prefix, mapper in (("", minimal_mapper), ("dominant-", dominant_element))
      for n, (label, nodes, alpha, g) in enumerate(HIGHEST_ROOT_CASES)],
 )
 def test_mapper_to_highest_root(mapper, label, nodes, alpha, g):
