@@ -7,7 +7,6 @@ closed-form dimensions that predict them.
 
 from borelab import context_for, enumerate_poset, maxima_parametrization, verify_all
 from borelab.cartan import dual_coxeter_number
-from borelab.minuscule import family_minimum
 
 ctx = context_for("E8~1", [1])
 print(ctx.spec.describe())
@@ -36,7 +35,7 @@ print()
 
 wall2 = ctx.walls[1]
 fam = poset.family(0, wall2)
-w_min = family_minimum(ctx, 0, wall2)  # a reduced word
+w_min = ctx.family_minima[0, wall2.index]  # a reduced word
 print(f"family at (node 0, wall 2): {len(fam)} elements, "
       f"minimum of length {len(w_min)}")
 print(f"minimum word: {'.'.join(map(str, w_min))}")

@@ -9,7 +9,6 @@ from collections import defaultdict
 from functools import reduce
 
 from borelab import context_for, enumerate_poset, verify_all
-from borelab.minuscule import family_minimum, special_involution
 from borelab.roots import norm_sq
 from borelab.weyl import WeylElement, identity
 
@@ -43,14 +42,14 @@ print()
 
 print("family minima (words as spelled in the level listing above):")
 for a, wall in ctx.families:
-    m = poset.word(poset.position(family_minimum(ctx, a, wall)))
+    m = poset.word(poset.position(ctx.family_minima[a, wall.index]))
     size = len(poset.family(a, wall))
     print(f"  (alpha{a}, wall {wall.index}): size {size}, "
           f"minimum {'.'.join(map(str, m))}")
 print()
 
 comp = ctx.components[0]
-word = special_involution(ctx, comp)
+word = ctx.special_involution(comp)
 s = reduce(WeylElement.extend, word, identity(ctx.d))  # one ascent per letter
 # s*s is the identity iff s maps each column of its matrix back to alpha_j
 involutive = all(s.apply(c) == e for c, e in zip(s.mat, identity(ctx.d).mat))

@@ -1,31 +1,34 @@
-"""Order-2 gradings of an affine diagram and their wall/component analysis.
+"""Order-2 gradings of an affine diagram, their analysis and closed forms.
 
 A grading is given by node flags (s_0, ..., s_n) in {0, 1} with
 k * sum(s_i * a_i) = 2, where a_i are the marks and k is 1 or 2.  Nodes with
 s_i = 1 form the odd set; the even nodes split into diagram components, each
 carrying a highest root, a candidate wall k*delta - theta, and the attached
-combinatorial data driving the family analysis.
+combinatorial data driving the family analysis.  `GradedContext` owns the
+paper's closed forms next to their index: family minima, intersection minima
+and maxima, each a reduced word built once per context.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable, NamedTuple, Optional
 
 from .cartan import AffineDiagram, components as diagram_components
-from .cartan import diagram_automorphisms, load_diagram
+from .cartan import diagram_automorphisms, dual_coxeter_number, load_diagram
 from .roots import (
     Root,
     component_highest_roots,
     coroot_pair,
     form,
     is_long,
+    positive_root_count,
     raising_closure,
     simple_root,
     theta_dual_coxeter,
 )
-from .weyl import pack
+from .weyl import dominant_mapper, longest_quotient, pack
 
 
 class InvolutionSpec:
@@ -157,6 +160,17 @@ class Wall(NamedTuple):
     wall_type: int = 1
 
 
+class ClosedFormMaximum(NamedTuple):
+    """One entry of the maxima index, with its closed-form reduced word."""
+
+    kind: str  # "component", "pair", "odd"
+    alphas: tuple[int, ...]
+    wall_indices: tuple[int, ...]
+    word: tuple[int, ...]
+    dimension: int
+    label: str
+
+
 class GradedContext:
     """Everything derived from one grading: components, walls, odd-height data."""
 
@@ -182,9 +196,6 @@ class GradedContext:
             for x in self.type_one_nodes(wa.component.nodes)
             for y in self.type_one_nodes(wb.component.nodes)
         )
-        # (alpha, wall index) -> reduced word of the closed-form family
-        # minimum, filled by `minuscule.family_minimum`.
-        self.family_minima: dict = {}
 
     def is_complex(self, a: Root) -> bool:
         """Whether k = 2 and delta + a is a real root, for a real root a.  In
@@ -323,6 +334,107 @@ class GradedContext:
         ):
             starred.append(comp.theta)
         return perp, tuple(starred)
+
+    def common_nodes(self, a: Iterable[int], b: Iterable[int]) -> tuple[list[int], list[int]]:
+        """(J', J): J = the nodes in both a and b, J' = J minus the odd nodes;
+        for a crossed pair, a and b are the nodes orthogonal to x and to y."""
+        inter = sorted(set(a) & set(b))
+        return [i for i in inter if i not in self.odd], inter
+
+    def special_involution(self, comp: EvenComponent) -> tuple[int, ...]:
+        """Reduced word of the shortest element sending the component's highest
+        root to its wall root: w0(J')*w0(J) for J the region, J' = J minus the
+        odd nodes (`minuscule.check_special_involutions` checks it)."""
+        region = comp.region
+        return longest_quotient(self.d, [i for i in region if i not in self.odd], region)
+
+    def theta_mapper(self, comp: EvenComponent, x: int) -> tuple[int, ...]:
+        """Reduced word of the shortest element of the component's parabolic
+        sending alpha_x to its highest root."""
+        v = dominant_mapper(self.d, comp.nodes, simple_root(self.d, x), comp.theta)
+        if v is None:
+            raise ValueError(
+                f"alpha_{x} is not conjugate to the highest root of component {comp.index}")
+        return v
+
+    def minimum_length(self, wall: Wall) -> int:
+        """Closed-form length of every family minimum at this wall."""
+        g0 = dual_coxeter_number(self.d)
+        if wall.kind == "component" and wall.wall_type == 1:
+            return g0 - wall.component.sub_dual_coxeter
+        return g0 - 1
+
+    @cached_property
+    def family_minima(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """(alpha, wall index) -> reduced word of the closed-form minimum of
+        the family at (alpha, wall), for each of `families`, in its order."""
+        d, out = self.d, {}
+        for wall in self.walls:
+            comp = wall.component
+            for a in wall.heads:
+                if wall.kind == "odd":
+                    b = wall.node
+                    # s_b * u, reduced: u = w0(perp_even) * w0(even) lies in
+                    # W_even, so u^{-1}(alpha_b) is alpha_b plus even roots
+                    low = (b,) + longest_quotient(
+                        d, [i for i in self.even if d.cartan[i][b] == 0], self.even)
+                elif wall.wall_type == 1:
+                    low = dominant_mapper(d, comp.region, simple_root(d, a), wall.root)
+                    if low is None:
+                        raise ValueError(f"alpha_{a} does not reach the wall within its region")
+                else:
+                    low = self.special_involution(comp) + self.theta_mapper(comp, a)
+                out[a, wall.index] = low
+        return out
+
+    @cached_property
+    def pair_minimum_words(self) -> tuple[tuple[int, ...], ...]:
+        """u*v_x*v_y, the minimum of F(x, wb) & F(y, wa), for each crossed pair
+        (x, y, wa, wb) of `pairs`, as its factors' words end to end: u of the
+        regions' `common_nodes` once per wall pair (the pairs come grouped by
+        it), v_x and v_y theta mappers."""
+        out: list[tuple[int, ...]] = []
+        for (wa, wb), group in groupby(self.pairs, key=lambda pair: pair[2:]):
+            ca, cb = wa.component, wb.component
+            u = longest_quotient(self.d, *self.common_nodes(ca.region, cb.region))
+            out += [u + self.theta_mapper(ca, x) + self.theta_mapper(cb, y)
+                    for x, y, _, _ in group]
+        return tuple(out)
+
+    @cached_property
+    def closed_form_maxima(self) -> tuple[ClosedFormMaximum, ...]:
+        """The maximal elements in closed form, with no poset: component
+        singles, crossed pairs, then odd singles.  Each is a minimum times
+        w0(J')*w0(J), lengths adding: its word is the two words end to end,
+        its dimension the minimum's closed-form length plus |Phi+_J| -
+        |Phi+_J'|.  For a single (alpha, wall), alpha in `wall.tops`, that is
+        the family minimum, J the nodes orthogonal to alpha and J' = J minus
+        the wall's blocked nodes; for a crossed pair (x, y, wa, wb), u*v_x*v_y,
+        of length h - 2 (h the dual Coxeter number), and (J', J)
+        `common_nodes` of those orthogonal to x, y."""
+        d = self.d
+        out: list[ClosedFormMaximum] = []
+
+        def add(kind, alphas, walls, low, low_length, inner, nodes, label):
+            dim = low_length + positive_root_count(d, nodes) - positive_root_count(d, inner)
+            out.append(ClosedFormMaximum(
+                kind, alphas, walls, low + longest_quotient(d, inner, nodes), dim, label))
+
+        def singles(kind):
+            for wall in (w for w in self.walls if w.kind == kind):
+                for a in wall.tops:
+                    perp = self.perp_nodes(a)
+                    add(kind, (a,), (wall.index,), self.family_minima[a, wall.index],
+                        self.minimum_length(wall), [i for i in perp if i not in wall.blocked],
+                        perp, f"alpha{a}@wall{wall.index}")
+
+        singles("component")
+        for (x, y, wa, wb), low in zip(self.pairs, self.pair_minimum_words):
+            add("pair", (x, y), (wb.index, wa.index), low, dual_coxeter_number(d) - 2,
+                *self.common_nodes(self.perp_nodes(x), self.perp_nodes(y)),
+                f"alpha{x}&alpha{y}")
+        singles("odd")
+        return tuple(out)
 
 
 def analyze(spec: InvolutionSpec) -> GradedContext:

@@ -6,28 +6,23 @@ order, in bijection with the Borel-stable abelian subalgebras of the odd part,
 with dimension equal to length.  Families are the fibers w(alpha) = wall root
 over a simple root alpha and a wall; their minima, pairwise intersections, and
 the parametrization of the maximal elements all have closed forms, reduced
-words that `verify_all` places in the enumerated poset.
+words that the grading owns (`GradedContext.family_minima`,
+`pair_minimum_words`, `closed_form_maxima`).  This module holds the poset,
+the placement of those words in it (`position`, `parametrization`) and the
+checks that `verify_all` runs.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cartan import dual_coxeter_number
-from .grading import EvenComponent, GradedContext, Wall
-from .roots import Root, coroot_pair, highest_root, positive_root_count, scale, simple_root, sub
+from .grading import GradedContext, Wall
+from .roots import Root, coroot_pair, highest_root, positive_root_count, scale, sub
 from .roots import theta_dual_coxeter, weyl_group_order
-from .weyl import (
-    WeylElement,
-    _right_mult_simple,
-    _word_element,
-    dominant_mapper,
-    identity,
-    longest_quotient,
-    pack,
-)
+from .weyl import WeylElement, _right_mult_simple, _word_element, identity, pack
 
 
 class MinusculePoset:
@@ -101,12 +96,13 @@ class MinusculePoset:
 
     @cached_property
     def parametrization(self) -> tuple[MaximumItem, ...]:
-        """`maxima_parametrization`, built once per poset; ValueError on each
-        read if the poset is incomplete or a closed-form word leaves it."""
+        """`maxima_parametrization`, the context's `closed_form_maxima` placed,
+        built once per poset; ValueError on each read if the poset is
+        incomplete or a closed-form word leaves it."""
         if not self.complete:
             raise ValueError(self.truncation())
         items = []
-        for kind, alphas, walls, word, dimension, label in closed_form_maxima(self.ctx):
+        for kind, alphas, walls, word, dimension, label in self.ctx.closed_form_maxima:
             if (pos := self.position(word)) is None:
                 raise ValueError(f"{label}: closed-form word leaves the poset")
             items.append(MaximumItem(kind, alphas, walls, pos, dimension, label))
@@ -174,126 +170,6 @@ def enumerate_poset(ctx: GradedContext, max_length: Optional[int] = None) -> Min
         frontier = new_frontier
     return MinusculePoset(ctx, tuple(masks), tuple(parents), tuple(letters), tuple(cols),
                           tuple(edges), not truncated, by_mask)
-
-
-def special_involution(ctx: GradedContext, comp: EvenComponent) -> tuple[int, ...]:
-    """Reduced word of the shortest element sending the component's highest
-    root to its wall root: w0(J')*w0(J) for J the region, J' = J minus the
-    odd nodes (`check_special_involutions` checks it)."""
-    region = comp.region
-    return longest_quotient(ctx.d, [i for i in region if i not in ctx.odd], region)
-
-
-def family_minimum(ctx: GradedContext, alpha: int, wall: Wall) -> tuple[int, ...]:
-    """Reduced word of the closed-form minimum of the family at (alpha, wall),
-    built once per grading and kept in `ctx.family_minima`."""
-    key = (alpha, wall.index)
-    m = ctx.family_minima.get(key)
-    if m is None:
-        m = ctx.family_minima[key] = _build_family_minimum(ctx, alpha, wall)
-    return m
-
-
-def _build_family_minimum(ctx: GradedContext, alpha: int, wall: Wall) -> tuple[int, ...]:
-    d = ctx.d
-    if wall.kind == "odd":
-        b = wall.node
-        perp_even = [i for i in ctx.even if d.cartan[i][b] == 0]
-        # s_b * u, reduced: u = w0(perp_even) * w0(even) lies in W_even, so
-        # u^{-1}(alpha_b) is alpha_b plus even roots, positive
-        return (b,) + longest_quotient(d, perp_even, ctx.even)
-    comp = wall.component
-    if wall.wall_type == 1:
-        w = dominant_mapper(d, comp.region, simple_root(d, alpha), wall.root)
-        if w is None:
-            raise ValueError(f"alpha_{alpha} does not reach the wall within its region")
-        return w
-    return special_involution(ctx, comp) + theta_mapper(ctx, comp, alpha)
-
-
-def _common_nodes(ctx: GradedContext, a: Iterable[int], b: Iterable[int]
-                  ) -> tuple[list[int], list[int]]:
-    """(J', J): J = the nodes in both a and b, J' = J minus the odd nodes;
-    for a crossed pair, a and b are the nodes orthogonal to x and to y."""
-    inter = sorted(set(a) & set(b))
-    return [i for i in inter if i not in ctx.odd], inter
-
-
-def theta_mapper(ctx: GradedContext, comp: EvenComponent, x: int) -> tuple[int, ...]:
-    """Reduced word of the shortest element of the component's parabolic
-    sending alpha_x to its highest root."""
-    d = ctx.d
-    v = dominant_mapper(d, comp.nodes, simple_root(d, x), comp.theta)
-    if v is None:
-        raise ValueError(
-            f"alpha_{x} is not conjugate to the highest root of component {comp.index}")
-    return v
-
-
-def minimum_length(ctx: GradedContext, wall: Wall) -> int:
-    """Closed-form length of every family minimum at this wall."""
-    g0 = dual_coxeter_number(ctx.d)
-    if wall.kind == "component" and wall.wall_type == 1:
-        return g0 - wall.component.sub_dual_coxeter
-    return g0 - 1
-
-
-def pair_minimum_words(ctx: GradedContext) -> tuple[tuple[int, ...], ...]:
-    """u*v_x*v_y, the minimum of F(x, wb) & F(y, wa), for each crossed pair
-    (x, y, wa, wb) of `ctx.pairs`, as its factors' words end to end: u of the
-    regions' `_common_nodes` once per wall pair (the pairs come grouped by
-    it), v_x and v_y theta mappers."""
-    out: list[tuple[int, ...]] = []
-    for (wa, wb), group in groupby(ctx.pairs, key=lambda pair: pair[2:]):
-        ca, cb = wa.component, wb.component
-        u = longest_quotient(ctx.d, *_common_nodes(ctx, ca.region, cb.region))
-        out += [u + theta_mapper(ctx, ca, x) + theta_mapper(ctx, cb, y)
-                for x, y, _, _ in group]
-    return tuple(out)
-
-
-class ClosedFormMaximum(NamedTuple):
-    """One entry of the maxima index, with its closed-form reduced word."""
-
-    kind: str  # "component", "pair", "odd"
-    alphas: tuple[int, ...]
-    wall_indices: tuple[int, ...]
-    word: tuple[int, ...]
-    dimension: int
-    label: str
-
-
-def closed_form_maxima(ctx: GradedContext) -> tuple[ClosedFormMaximum, ...]:
-    """The maximal elements in closed form, with no poset: component singles,
-    crossed pairs, then odd singles.  Each is a minimum times w0(J')*w0(J),
-    lengths adding: its word is the two words end to end, its dimension the
-    minimum's closed-form length plus |Phi+_J| - |Phi+_J'|.  For a single
-    (alpha, wall), alpha in `wall.tops`, that is the family minimum, J the
-    nodes orthogonal to alpha and J' = J minus the wall's blocked nodes; for
-    a crossed pair (x, y, wa, wb), u*v_x*v_y, of length h - 2 (h the dual
-    Coxeter number), and (J', J) `_common_nodes` of those orthogonal to x, y."""
-    d = ctx.d
-    out: list[ClosedFormMaximum] = []
-
-    def add(kind, alphas, walls, low, low_length, inner, nodes, label):
-        out.append(ClosedFormMaximum(
-            kind, alphas, walls, low + longest_quotient(d, inner, nodes),
-            low_length + positive_root_count(d, nodes) - positive_root_count(d, inner), label))
-
-    def singles(kind):
-        for wall in (w for w in ctx.walls if w.kind == kind):
-            for a in wall.tops:
-                perp = ctx.perp_nodes(a)
-                add(kind, (a,), (wall.index,), family_minimum(ctx, a, wall),
-                    minimum_length(ctx, wall), [i for i in perp if i not in wall.blocked],
-                    perp, f"alpha{a}@wall{wall.index}")
-
-    singles("component")
-    for (x, y, wa, wb), low in zip(ctx.pairs, pair_minimum_words(ctx)):
-        add("pair", (x, y), (wb.index, wa.index), low, dual_coxeter_number(d) - 2,
-            *_common_nodes(ctx, ctx.perp_nodes(x), ctx.perp_nodes(y)), f"alpha{x}&alpha{y}")
-    singles("odd")
-    return tuple(out)
 
 
 class MaximumItem(NamedTuple):
@@ -450,7 +326,7 @@ def check_family_minima(poset: MinusculePoset) -> CheckResult:
         if not fam:
             problems.append(f"family ({a}, wall {wall.index}) empty")
             continue
-        pos = poset.position(family_minimum(ctx, a, wall))
+        pos = poset.position(ctx.family_minima[a, wall.index])
         if pos is None or pos not in fam:
             problems.append(f"closed-form minimum not in family ({a}, {wall.index})")
             continue
@@ -536,7 +412,7 @@ def check_coset_isomorphism(poset: MinusculePoset) -> CheckResult:
         fam = poset.family(a, wall)
         if not fam:
             continue
-        start = poset.position(family_minimum(ctx, a, wall))
+        start = poset.position(ctx.family_minima[a, wall.index])
         _, reps = coset_translates(poset, start, *ctx.quotient_data(a, wall))
         if len(reps) != len(fam):
             problems.append(
@@ -555,26 +431,26 @@ def check_intersections(poset: MinusculePoset) -> CheckResult:
     masks = poset.masks
     problems = []
     # each family minimum placed once, on the walls that crossed pairs join
-    placed = {(a, w.index): poset.position(family_minimum(ctx, a, w))
+    placed = {(a, w.index): poset.position(ctx.family_minima[a, w.index])
               for w in dict.fromkeys(w for p in ctx.pairs for w in p[2:]) for a in w.heads}
-    minima = pair_minimum_words(ctx)
+    # F(a, wa) & F(b, wb) is nonempty iff (b, a, wa, wb) is a crossed pair,
+    # whose minimum is then u*v_b*v_a
+    crossed = {(x, y, w1.index, w2.index): low
+               for (x, y, w1, w2), low in zip(ctx.pairs, ctx.pair_minimum_words)}
     for wa, wb in combinations(ctx.walls, 2):
-        # F(a, wa) & F(b, wb) is nonempty iff (b, a) is a crossed pair here,
-        # whose minimum is then u*v_b*v_a
-        crossed = {(x, y): low for (x, y, w1, w2), low in zip(ctx.pairs, minima)
-                   if w1 is wa and w2 is wb}
         for a in wa.heads:
             fam_a = set(poset.family(a, wa))
             for b in wb.heads:
                 inter = fam_a.intersection(poset.family(b, wb))
                 where = f"intersection ({a},{wa.index})&({b},{wb.index})"
-                if bool(inter) != ((b, a) in crossed):
+                low = crossed.get((b, a, wa.index, wb.index))
+                if bool(inter) != (low is not None):
                     problems.append(
                         f"{where}: {'nonempty' if inter else 'empty'}, predicted otherwise")
                     continue
                 if not inter:
                     continue
-                pos = poset.position(crossed[b, a])
+                pos = poset.position(low)
                 if pos is None or pos not in inter:
                     problems.append(f"{where}: bad minimum")
                     continue
@@ -584,7 +460,7 @@ def check_intersections(poset: MinusculePoset) -> CheckResult:
                 if pa is None or pb is None or masks[pos] != masks[pa] | masks[pb]:
                     problems.append(
                         f"{where}: inversions are not the union of the family minima's")
-                inner, common = _common_nodes(ctx, ctx.perp_nodes(a), ctx.perp_nodes(b))
+                inner, common = ctx.common_nodes(ctx.perp_nodes(a), ctx.perp_nodes(b))
                 expect = weyl_group_order(ctx.d, common) // weyl_group_order(ctx.d, inner)
                 if len(inter) != expect:
                     problems.append(f"{where}: size {len(inter)} vs predicted {expect}")
@@ -627,7 +503,7 @@ def check_length_identities(ctx: GradedContext) -> CheckResult:
     g0 = dual_coxeter_number(ctx.d)
     problems = []
     for a, wall in ctx.families:
-        length, expect = len(family_minimum(ctx, a, wall)), minimum_length(ctx, wall)
+        length, expect = len(ctx.family_minima[a, wall.index]), ctx.minimum_length(wall)
         if length != expect:
             problems.append(
                 f"({a}, wall {wall.index}): minimum length {length}, expected {expect}")
@@ -641,10 +517,10 @@ def check_length_identities(ctx: GradedContext) -> CheckResult:
                     f"!= {g0 - comp.sub_dual_coxeter + 2}"
                 )
     # l(u) = l(w0(J)) - l(w0(J')), lengths adding in w0(J) = w0(J')*u, on
-    # the wall pairs of the crossed pairs; check_intersections builds u itself
+    # the wall pairs of the crossed pairs; `ctx.pair_minimum_words` builds u
     for wa, wb in dict.fromkeys(p[2:] for p in ctx.pairs):
         ca, cb = wa.component, wb.component
-        inner, inter = _common_nodes(ctx, ca.region, cb.region)
+        inner, inter = ctx.common_nodes(ca.region, cb.region)
         length = positive_root_count(ctx.d, inter) - positive_root_count(ctx.d, inner)
         expect = g0 - ca.sub_dual_coxeter - cb.sub_dual_coxeter + 2
         if length != expect:
@@ -667,7 +543,7 @@ def check_special_involutions(ctx: GradedContext) -> CheckResult:
         if wall.kind != "component" or wall.wall_type != 2:
             continue
         comp = wall.component
-        s = _word_element(d, special_involution(ctx, comp))
+        s = _word_element(d, ctx.special_involution(comp))
         if any(s.apply(col) != e for col, e in zip(s.mat, simples)):
             problems.append(f"comp {comp.index}: special element is not an involution")
         if s.apply(comp.theta) != wall.root:
@@ -741,7 +617,9 @@ def check_structural(poset: MinusculePoset, limit: int) -> CheckResult:
 
 
 def check_family_coverage(poset: MinusculePoset) -> CheckResult:
-    """Every maximal element lies in at least one family."""
+    """Every maximal element lies in at least one family.  A passing
+    `check_maxima` implies it; it stays, as the result document lists it, and
+    so do the recorded digests of `perfbench/workloads.py`."""
     covered = set().union(*poset._family_table.values())
     missing = [i for i in poset.maxima if i not in covered]
     return CheckResult(

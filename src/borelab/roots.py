@@ -156,12 +156,18 @@ def dominant_ascent(d: AffineDiagram, nodes: Iterable[int], a: Root) -> tuple[Ro
 
 
 def _ascend(d: AffineDiagram, s: Sequence[int], a: Root) -> tuple[Root, list[int]]:
-    """`dominant_ascent` on a node list s that `finite_nodes` has checked."""
-    g, letters = a, []
-    while (i := next((i for i in s if pair(d, g, i) < 0), None)) is not None:
+    """`dominant_ascent` on a node list s that `finite_nodes` has checked.
+    g carries its row of pairings <g, alpha_j^vee>; s_i, with c the pairing
+    at i, negates entry i and subtracts c*A[j][i] at each neighbour j of i."""
+    row = [pair(d, a, j) for j in d.nodes]
+    g, letters = list(a), []
+    while (i := next((i for i in s if row[i] < 0), None)) is not None:
         letters.append(i)
-        g = reflect_simple(d, g, i)
-    return g, letters
+        c = row[i]
+        g[i], row[i] = g[i] - c, -c
+        for j in d.neighbor_table[i]:
+            row[j] -= c * d.cartan[j][i]
+    return tuple(g), letters
 
 
 def highest_root(d: AffineDiagram, nodes: Iterable[int]) -> Root:

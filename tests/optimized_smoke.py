@@ -19,20 +19,20 @@ library fails here as well.
   ValueError.
 - The closed-form maxima stand without an enumeration: on D30~1's adjoint
   grading and on C30~1{0,30}, `oracles.certify_maxima` must certify every
-  word a distinct maximal element of P, of length its closed-form
-  dimension; D30~1 adjoint must have 30 maxima, the largest of dimension
-  435, and C30~1{0,30} odd-wall tops of dimension 465, half of |S1|.
+  word of `GradedContext.closed_form_maxima` a distinct maximal element of
+  P, of length its closed-form dimension; D30~1 adjoint must have 30
+  maxima, the largest of dimension 435, and C30~1{0,30} odd-wall tops of
+  dimension 465, half of |S1|.
 - So do the family minima, words the library never walks: on the same two
-  gradings, `oracles.certify_word` must certify each family minimum's word
-  an element of P that sends alpha to the wall root, of the closed-form
-  length `minuscule.minimum_length`.
+  gradings, `oracles.certify_word` must certify each word of
+  `GradedContext.family_minima` an element of P that sends alpha to the
+  wall root, of the closed-form length `GradedContext.minimum_length`.
 """
 
 import sys
 
 from borelab.cartan import _kernel_vector, load_diagram
 from borelab.grading import context_for
-from borelab.minuscule import closed_form_maxima, family_minimum, minimum_length
 from borelab.roots import dominant_ascent, highest_root, positive_root_count
 from borelab.roots import raising_closure, theta_dual_coxeter, weyl_group_order
 from borelab.weyl import longest_element, pack
@@ -88,7 +88,7 @@ for name, matrix in (
     sys.exit(f"{name}: the kernel vector certificate accepted the matrix")
 for label, odd, adjoint in (("D30~1", [0], True), ("C30~1", [0, 30], False)):
     ctx = context_for(label, odd, adjoint)
-    items = closed_form_maxima(ctx)
+    items = ctx.closed_form_maxima
     try:
         masks = certify_maxima(ctx, [it.word for it in items])
     except ValueError as exc:
@@ -106,8 +106,8 @@ for label, odd, adjoint in (("D30~1", [0], True), ("C30~1", [0, 30], False)):
     for a, wall in ctx.families:
         where = f"{label} {odd}: family ({a}, wall {wall.index})"
         try:
-            mask, cols = certify_word(ctx, family_minimum(ctx, a, wall))
+            mask, cols = certify_word(ctx, ctx.family_minima[a, wall.index])
         except ValueError as exc:
             sys.exit(f"{where}: {exc}")
-        if cols[a] != pack(wall.root) or mask.bit_count() != minimum_length(ctx, wall):
+        if cols[a] != pack(wall.root) or mask.bit_count() != ctx.minimum_length(wall):
             sys.exit(f"{where}: the minimum is not a member of its closed-form length")

@@ -62,10 +62,13 @@ index's keys.  The orbit search
 `minimal_mapper` finds a shortest element sending one root to another by
 BFS over the orbit; the library reaches the same elements by dominant
 ascent (`weyl.dominant_mapper`) and, for the type-2 special involution, by
-the closed form w0(J')*w0(J) (`minuscule.special_involution`).
+the closed form w0(J')*w0(J) (`GradedContext.special_involution`).
+`reflecting_ascent` walks the dominant ascent by summing every pairing
+again at each step, where `roots.dominant_ascent` carries the row of
+pairings along.
 `maximal_by_sets` finds a family's top by comparing the inversion sets of
-every two members, where the library builds the top in closed form
-(`minuscule.closed_form_maxima`) and places its word.  `certify_word` and
+every two members, where the grading builds the top in closed form
+(`GradedContext.closed_form_maxima`) and the poset places its word.  `certify_word` and
 `certify_maxima` certify closed-form words with no poset at all, from their
 columns alone, at ranks the enumeration cannot reach.
 """
@@ -1046,6 +1049,18 @@ def length_ball(d: AffineDiagram, radius: int) -> list[WeylElement]:
         out.extend(nxt)
         frontier = nxt
     return out
+
+
+def reflecting_ascent(d: AffineDiagram, nodes: Iterable[int], a: Root) -> tuple[Root, list[int]]:
+    """`roots.dominant_ascent` by reflecting: at each step every pairing
+    <g, alpha_i^vee>, i in J, is summed again and g reflected in the smallest
+    i with a negative one, where the library carries g's row of pairings and
+    updates it at i and i's neighbours."""
+    s, g, letters = sorted(set(nodes)), a, []
+    while (i := next((i for i in s if pair(d, g, i) < 0), None)) is not None:
+        letters.append(i)
+        g = reflect_simple(d, g, i)
+    return g, letters
 
 
 def minimal_mapper(

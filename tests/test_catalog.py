@@ -14,7 +14,9 @@ BFS, the integer kernel and the symmetrizer against their tuple and
 Fraction references, the numbers of positive roots and Weyl group elements
 of every connected proper node subset against the type table
 (`oracles.type_sizes`) of the type the all-pairs scan names
-(`oracles.pairwise_classify_component`), the structural
+(`oracles.pairwise_classify_component`), the dominant ascent from every
+simple root in each such subset against the walk that sums every pairing
+again (`oracles.reflecting_ascent`), the structural
 mask tables against the pairwise scan
 (`oracles.pairwise_structural_masks`), the coset walk's minimality lookup
 and the order kept by translation against reflecting every subgroup simple
@@ -48,20 +50,16 @@ from borelab.cartan import (
 )
 from borelab.grading import analyze, catalog_involutions
 from borelab.minuscule import (
-    _common_nodes,
     check_family_completeness,
     coset_translates,
     enumerate_poset,
-    family_minimum,
     maxima_parametrization,
-    minimum_length,
-    special_involution,
     structural_masks,
-    theta_mapper,
     verify_all,
 )
 from borelab.roots import (
     add,
+    dominant_ascent,
     finite_type_sizes,
     highest_root,
     positive_root_count,
@@ -90,6 +88,7 @@ from oracles import (
     pairwise_structural_masks,
     permutation_automorphisms,
     probed_family_completeness,
+    reflecting_ascent,
     reflecting_coset_translates,
     reflection_closure,
     root_kind,
@@ -184,6 +183,25 @@ def test_subsystem_closure_matches_reflection_closure():
                     assert subsystem_closure(d, comp) == reflection_closure(d, comp), (label, comp)
                     subsets += 1
     assert subsets == 1363
+
+
+def test_dominant_ascent_matches_reflecting_walk():
+    # every connected proper node subset and every simple root: the letters
+    # and the endpoint of the ascent that carries its row of pairings, against
+    # the walk that sums every pairing again at each step
+    walks = steps = 0
+    for label in LABELS:
+        d = load_diagram(label)
+        for size in range(1, d.size):
+            for comp in combinations(d.nodes, size):
+                if len(components(d, comp)) != 1:
+                    continue
+                for a in d.simple_roots:
+                    got = dominant_ascent(d, comp, a)
+                    assert got == reflecting_ascent(d, comp, a), (label, comp, a)
+                    walks += 1
+                    steps += len(got[1])
+    assert (walks, steps) == (10150, 30165)
 
 
 def test_component_theta_is_highest_root_of_closure(catalog):
@@ -362,7 +380,7 @@ def test_families_read_in_stored_order(catalog):
             fam = p.family(a, wall)
             first = p.length(fam[0])
             assert all(p.length(q) > first for q in fam[1:]), (name, a, wall.index)
-            assert fam[0] == p.position(family_minimum(ctx, a, wall)), (name, a, wall.index)
+            assert fam[0] == p.position(ctx.family_minima[a, wall.index]), (name, a, wall.index)
         for entry in result_document(p)["families"]:
             fam = p.family(entry["alpha"], ctx.walls[entry["wall"] - 1])
             assert entry["min_word"] == list(p.word(min(fam, key=p.length))), name
@@ -389,24 +407,24 @@ def test_closed_form_words_are_reduced(catalog):
         d, name = ctx.d, ctx.spec.describe()
         g0 = dual_coxeter_number(d)
         for a, wall in ctx.families:
-            m = _word_element(d, family_minimum(ctx, a, wall))
-            assert m.length == minimum_length(ctx, wall), (name, a, wall.index)
+            m = _word_element(d, ctx.family_minima[a, wall.index])
+            assert m.length == ctx.minimum_length(wall), (name, a, wall.index)
             counts["minima"] += 1
         for wall in ctx.walls:
             if wall.kind != "component":
                 continue
             comp = wall.component
             if wall.wall_type == 2:
-                s = _word_element(d, special_involution(ctx, comp))
+                s = _word_element(d, ctx.special_involution(comp))
                 assert s.length == g0 - comp.sub_dual_coxeter + 1, (name, comp.index)
                 counts["involutions"] += 1
                 continue
             for x in ctx.type_one_nodes(comp.nodes):
-                v = _word_element(d, theta_mapper(ctx, comp, x))
+                v = _word_element(d, ctx.theta_mapper(comp, x))
                 assert v.apply(simple_root(d, x)) == comp.theta, (name, comp.index, x)
                 counts["mappers"] += 1
         for wa, wb in dict.fromkeys(pair[2:] for pair in ctx.pairs):
-            inner, common = _common_nodes(ctx, wa.component.region, wb.component.region)
+            inner, common = ctx.common_nodes(wa.component.region, wb.component.region)
             u = _word_element(d, longest_quotient(d, inner, common))
             expect = positive_root_count(d, common) - positive_root_count(d, inner)
             assert u.length == expect, (name, wa.index, wb.index)
@@ -457,7 +475,7 @@ def test_coset_translates_match_reflection_walk(catalog):
             # the lookup is exact only if no subgroup simple is twice a root
             assert all(gcd(*beta) == 1 for beta in subgroup), where
             simples += len(subgroup)
-            start = poset.position(family_minimum(ctx, a, wall))
+            start = poset.position(ctx.family_minima[a, wall.index])
             walks = [walk(poset, start, ambient, subgroup)
                      for walk in (coset_translates, reflecting_coset_translates)]
             got, want = [

@@ -292,6 +292,17 @@ def test_optimized_smoke_script():
     assert r.stdout == ""
 
 
+def test_library_has_no_assert():
+    # python -O strips asserts, so no guarantee of the library may rest on one
+    src = Path(__file__).resolve().parent.parent / "src" / "borelab"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) == 9
+    for module in modules:
+        tree = ast.parse(module.read_text(), str(module))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not found, (module.name, found)
+
+
 @pytest.mark.parametrize("case", ["existing_dir", "missing_parent", "all_into_file"])
 def test_unwritable_out_is_a_usage_error(tmp_path, case):
     # exit 1 means a failed verification; a path that cannot be written is 2

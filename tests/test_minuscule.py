@@ -1,4 +1,5 @@
 import copy
+import functools
 import os
 import subprocess
 import sys
@@ -9,10 +10,10 @@ import pytest
 
 import borelab
 from borelab.cartan import dual_coxeter_number, load_diagram
+import borelab.grading as grading
 from borelab.grading import GradedContext, analyze, catalog_involutions, context_for, involution
 import borelab.minuscule as minuscule
 from borelab.minuscule import (
-    _common_nodes,
     check_bounding_equivalence,
     check_coset_isomorphism,
     check_intersections,
@@ -20,18 +21,14 @@ from borelab.minuscule import (
     check_poset_basics,
     check_special_involutions,
     check_structural,
-    closed_form_maxima,
     coset_translates,
     enumerate_poset,
-    family_minimum,
     mask_verdict,
     maxima_parametrization,
-    pair_minimum_words,
-    special_involution,
     structural_masks,
-    theta_mapper,
     verify_all,
 )
+from borelab.report import result_document
 from borelab.roots import (
     add,
     bilinear,
@@ -97,10 +94,10 @@ def test_d5_twisted_golden(d5):
 def test_d5_family_minimum_lengths(d5):
     ctx, p = d5
     w1, w2, w3 = ctx.walls
-    assert len(family_minimum(ctx, 0, w1)) == 7  # g - 1 for a type-2 wall
-    assert len(family_minimum(ctx, 1, w2)) == 3  # g - g_Sigma
-    assert len(family_minimum(ctx, 2, w2)) == 3
-    assert len(family_minimum(ctx, 1, w3)) == 7  # g - 1 for the odd wall
+    assert len(ctx.family_minima[0, w1.index]) == 7  # g - 1 for a type-2 wall
+    assert len(ctx.family_minima[1, w2.index]) == 3  # g - g_Sigma
+    assert len(ctx.family_minima[2, w2.index]) == 3
+    assert len(ctx.family_minima[1, w3.index]) == 7  # g - 1 for the odd wall
 
 
 def test_e8_golden(e8):
@@ -127,13 +124,13 @@ def test_e8_family_sizes(e8):
     assert len(p.family(6, w2)) == 1
     assert len(p.family(1, w3)) == 1
     for a in w1.heads:
-        assert len(family_minimum(ctx, a, w1)) == 30 - 2
-    assert len(family_minimum(ctx, 0, w2)) == 30 - 18
+        assert len(ctx.family_minima[a, w1.index]) == 30 - 2
+    assert len(ctx.family_minima[0, w2.index]) == 30 - 18
 
 
 def special_element(ctx, comp):
     """The element the special involution's word spells, for its columns."""
-    return _word_element(ctx.d, special_involution(ctx, comp))
+    return _word_element(ctx.d, ctx.special_involution(comp))
 
 
 def test_special_involution_closed_forms():
@@ -161,7 +158,7 @@ def test_special_involution_closed_forms():
     comp = ctx.components[0]
     assert special_element(ctx, comp).cols == from_reflection(
         ctx.d, (0, 1, 1, 1, 1)).cols
-    assert len(special_involution(ctx, comp)) == 8 - 2 + 1
+    assert len(ctx.special_involution(comp)) == 8 - 2 + 1
 
 
 def test_maxima_parametrization_built_once(d5):
@@ -179,7 +176,7 @@ def test_maxima_parametrization_built_once(d5):
 
 def mutant_results(monkeypatch, ctx, items):
     """verify_all on a fresh poset whose closed-form maxima are `items`."""
-    monkeypatch.setattr(minuscule, "closed_form_maxima", lambda c: items)
+    monkeypatch.setattr(ctx, "closed_form_maxima", items)
     results = verify_all(enumerate_poset(ctx))
     monkeypatch.undo()
     return results
@@ -189,9 +186,9 @@ def factor_start(ctx, item):
     """Where the w0(J')*w0(J) factor begins in a closed-form maximum's word:
     after the family minimum, or after u*v_x*v_y for a crossed pair."""
     if item.kind == "pair":
-        lows = {(x, y): low for (x, y, _, _), low in zip(ctx.pairs, pair_minimum_words(ctx))}
+        lows = {(x, y): low for (x, y, _, _), low in zip(ctx.pairs, ctx.pair_minimum_words)}
         return len(lows[item.alphas])
-    return len(family_minimum(ctx, item.alphas[0], ctx.walls[item.wall_indices[0] - 1]))
+    return len(ctx.family_minima[item.alphas[0], item.wall_indices[0]])
 
 
 @pytest.mark.parametrize("label,odd,target", [
@@ -206,7 +203,7 @@ def test_maxima_check_fails_on_dropped_letter(monkeypatch, label, odd, target):
     # hermitian_half, and verify_all still returns every check
     ctx = context_for(label, odd)
     names = [r.name for r in verify_all(enumerate_poset(ctx))]
-    real = closed_form_maxima(ctx)
+    real = ctx.closed_form_maxima
     (item,) = [c for c in real if c.label == target]
     start = factor_start(ctx, item)
     assert start < len(item.word)
@@ -230,7 +227,7 @@ def test_maxima_check_fails_on_swapped_words(monkeypatch, label, odd):
     # two items' words swapped: the first places the other's top, which is
     # not the top of its own family, as distinct families have distinct tops
     ctx = context_for(label, odd)
-    real = closed_form_maxima(ctx)
+    real = ctx.closed_form_maxima
     names = [r.name for r in verify_all(enumerate_poset(ctx))]
     for i, j in combinations(range(len(real)), 2):
         items = list(real)
@@ -279,8 +276,8 @@ def test_e6_intersections():
     # alpha in {1..5} and beta = 0
     assert nonempty == [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0)]
     ca, cb = ctx.components[1], ctx.components[0]
-    u = longest_quotient(ctx.d, *_common_nodes(ctx, ca.region, cb.region))
-    m = _word_element(ctx.d, u + theta_mapper(ctx, ca, 1) + theta_mapper(ctx, cb, 0))
+    u = longest_quotient(ctx.d, *ctx.common_nodes(ca.region, cb.region))
+    m = _word_element(ctx.d, u + ctx.theta_mapper(ca, 1) + ctx.theta_mapper(cb, 0))
     fam = set(p.family(1, w1)) & set(p.family(0, w2))
     assert p.position(m.word) in fam
     assert all(m.inversions <= p.element(q).inversions for q in fam)
@@ -308,12 +305,12 @@ def test_u_element_length():
     # u = w0(J')*w0(J) on the common nodes of two type-1 regions, an involution
     ctx = context_for("E6~1", [6])
     ca, cb = ctx.components[:2]
-    u = _word_element(ctx.d, longest_quotient(ctx.d, *_common_nodes(ctx, ca.region, cb.region)))
+    u = _word_element(ctx.d, longest_quotient(ctx.d, *ctx.common_nodes(ca.region, cb.region)))
     assert u.length == 12 - 2 - 6 + 2
     assert product(u, u).length == 0
     ctx = context_for("E8~1", [1])
     ca, cb = ctx.components[:2]
-    u = longest_quotient(ctx.d, *_common_nodes(ctx, ca.region, cb.region))
+    u = longest_quotient(ctx.d, *ctx.common_nodes(ca.region, cb.region))
     assert len(u) == 30 - 2 - 18 + 2
 
 
@@ -551,19 +548,26 @@ def test_truncation_below_top_length_is_incomplete(sweep):
             assert len(short) == sum(p.length(q) < top for q in range(len(p))), name
 
 
+def spy_family_minima(monkeypatch, built):
+    """Append each context to `built` when its `family_minima` is built."""
+    real = GradedContext.__dict__["family_minima"].func
+    prop = functools.cached_property(lambda ctx: built.append(ctx) or real(ctx))
+    prop.__set_name__(GradedContext, "family_minima")
+    monkeypatch.setattr(GradedContext, "family_minima", prop)
+
+
 def test_family_minimum_built_once_per_grading(monkeypatch):
     built = []
-    build = minuscule._build_family_minimum
-    monkeypatch.setattr(minuscule, "_build_family_minimum",
-                        lambda *args: built.append(args[1:]) or build(*args))
+    spy_family_minima(monkeypatch, built)
     ctx = context_for("E8~1", [1])
     verify_all(enumerate_poset(ctx))
     pairs = [(a, wall) for wall in ctx.walls for a in wall.heads]
-    assert len(pairs) == len(built) == len(ctx.family_minima) == 17
+    assert built == [ctx] and len(pairs) == len(ctx.family_minima) == 17
+    assert list(ctx.family_minima) == [(a, wall.index) for a, wall in pairs]
     for a, wall in pairs:
-        m = family_minimum(ctx, a, wall)
-        assert family_minimum(ctx, a, wall) is m is ctx.family_minima[(a, wall.index)]
-    assert len(built) == 17  # the calls above built nothing
+        m = ctx.family_minima[a, wall.index]
+        assert ctx.family_minima[a, wall.index] is m
+    assert built == [ctx]  # the reads above built nothing
 
 
 def nonempty_families(ctx, p):
@@ -575,7 +579,7 @@ def test_coset_translates_match_oracle(sweep):
     # the lockstep walk against normalization by reflections and full products
     for name, ctx, p in sweep:
         for a, wall in nonempty_families(ctx, p):
-            m = family_minimum(ctx, a, wall)
+            m = ctx.family_minima[a, wall.index]
             ambient, subgroup = ctx.quotient_data(a, wall)
             index, reps = coset_translates(p, p.position(m), ambient, subgroup)
             got = {
@@ -594,18 +598,12 @@ def test_coset_isomorphism_rejects_wrong_minimum(sweep, monkeypatch):
     for name, ctx, p in sweep:
         assert check_coset_isomorphism(p).passed, name
         for a, wall in nonempty_families(ctx, p):
-            m = family_minimum(ctx, a, wall)
+            m = ctx.family_minima[a, wall.index]
             w_m = _word_element(ctx.d, m)
             ambient = ctx.quotient_data(a, wall)[0]
             steps = [i for i in ambient if w_m.extend(i)] or [
                 i for i in ctx.d.nodes if w_m.extend(i)]
-
-            def wrong_minimum(c, x, w, a=a, wall=wall, wrong=m + (steps[0],)):
-                if (x, w.index) == (a, wall.index):
-                    return wrong
-                return family_minimum(c, x, w)
-
-            monkeypatch.setattr(minuscule, "family_minimum", wrong_minimum)
+            monkeypatch.setitem(ctx.family_minima, (a, wall.index), m + (steps[0],))
             r = check_coset_isomorphism(p)
             assert not r.passed, (name, a, wall.index)
             assert r.detail == (
@@ -659,7 +657,7 @@ def test_order_oracle_rejects_swapped_translates(sweep):
     swapped = 0
     for name, ctx, p in sweep:
         for a, wall in nonempty_families(ctx, p):
-            m = family_minimum(ctx, a, wall)
+            m = ctx.family_minima[a, wall.index]
             _, reps = coset_translates(p, p.position(m), *ctx.quotient_data(a, wall))
             assert translation_keeps_order(p.masks, reps), (name, a, wall.index)
             if len(reps) < 2:
@@ -747,7 +745,7 @@ def test_special_involution_matches_orbit_search():
                 to = tuple(ctx.k * m - t for m, t in zip(ctx.delta, comp.theta))
                 assert to == wall.root
                 want = minimal_mapper(d, d.nodes, comp.theta, to, cap=cap)
-                got = special_involution(ctx, comp)
+                got = ctx.special_involution(comp)
                 assert want is not None, (spec.describe(), comp.index)
                 assert (_word_element(d, got).mat, len(got)) == (want.mat, want.length), (
                     spec.describe(), comp.index)
@@ -758,7 +756,7 @@ def test_special_involution_matches_orbit_search():
 def test_verify_all_runs_no_orbit_search(monkeypatch):
     # the orbit search is a test oracle only: every special involution comes
     # from the closed form.  E8~1{1} has no type-2 wall, D5~2{1} has one
-    for module in (weyl, minuscule):
+    for module in (weyl, grading, minuscule):
         assert not hasattr(module, "minimal_mapper")
         assert not hasattr(module, "_path_word")
     regions = []
@@ -767,7 +765,7 @@ def test_verify_all_runs_no_orbit_search(monkeypatch):
         regions.append(tuple(nodes))
         return weyl.longest_quotient(d, inner, nodes)
 
-    monkeypatch.setattr(minuscule, "longest_quotient", spy)
+    monkeypatch.setattr(grading, "longest_quotient", spy)
     for label, pi1, type_two in (("E8~1", [1], 0), ("D5~2", [1], 1)):
         ctx = context_for(label, pi1)
         walls = [w for w in ctx.walls if w.kind == "component" and w.wall_type == 2]
@@ -780,28 +778,46 @@ def test_verify_all_runs_no_orbit_search(monkeypatch):
 
 def test_closed_forms_walked_once(monkeypatch):
     # each closed form is a word that `position` walks once, in P; an element
-    # is built from one only where its action is read, one per type-2 wall
-    callers = []
+    # is built from one only where its action is read, one per type-2 wall.
+    # The context builds each closed form once: its family minima once, and
+    # the u of each wall pair that crossed pairs join once, however many of
+    # the maxima, the checks and the result document read them
+    callers, quotients, built = [], [], []
 
     def spy(d, word, real=weyl._word_element):
         callers.append(sys._getframe(1).f_code.co_name)
         return real(d, word)
 
+    def quotient_spy(d, inner, nodes, real=weyl.longest_quotient):
+        quotients.append(sys._getframe(1).f_code.co_name)
+        return real(d, inner, nodes)
+
     for module in (weyl, minuscule):
         monkeypatch.setattr(module, "_word_element", spy)
+    monkeypatch.setattr(grading, "longest_quotient", quotient_spy)
+    spy_family_minima(monkeypatch, built)
     specs = [*catalog_involutions(load_diagram("E6~1"), include_adjoint=True, dedupe=False),
-             involution(load_diagram("D5~2"), [1])]
-    walked = 0
+             involution(load_diagram("D5~2"), [1]), involution(load_diagram("E8~1"), [1])]
+    contexts = []
+    walked = u_walks = 0
     for spec in specs:
         ctx = analyze(spec)
+        contexts.append(ctx)
         callers.clear()
-        closed_form_maxima(ctx)
-        results = verify_all(enumerate_poset(ctx))
+        quotients.clear()
+        ctx.closed_form_maxima
+        p = enumerate_poset(ctx)
+        results = verify_all(p)
         assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+        result_document(p, results)
         type_two = sum(w.kind == "component" and w.wall_type == 2 for w in ctx.walls)
         assert callers == ["check_special_involutions"] * type_two, spec.describe()
+        wall_pairs = len(dict.fromkeys(pair[2:] for pair in ctx.pairs))
+        assert quotients.count("pair_minimum_words") == wall_pairs, spec.describe()
+        assert built == contexts, spec.describe()
         walked += type_two
-    assert (len(specs), walked) == (10, 4)
+        u_walks += wall_pairs
+    assert (len(specs), walked, u_walks) == (11, 4, 4)
 
 
 def with_mask(p, q, mask):
@@ -858,7 +874,7 @@ def family_minimum_oracle(ctx, a, wall):
     if wall.wall_type == 2:
         comp = wall.component
         v = dominant_mapper(d, comp.nodes, simple_root(d, a), comp.theta)
-        return product(from_word(d, special_involution(ctx, comp)), from_word(d, v))
+        return product(from_word(d, ctx.special_involution(comp)), from_word(d, v))
     return None
 
 
@@ -876,7 +892,7 @@ def test_closed_forms_match_oracle_products():
                 for a in wall.heads:
                     want = family_minimum_oracle(ctx, a, wall)
                     if want is not None:
-                        got = family_minimum(ctx, a, wall)
+                        got = ctx.family_minima[a, wall.index]
                         assert (_word_element(d, got).mat, len(got)) == (want.mat, want.length), (
                             name, a)
                         minima += 1
@@ -887,7 +903,7 @@ def test_closed_forms_match_oracle_products():
                     inter = sorted(set(ca.region) & set(cb.region))
                     inner = [n for n in inter if n not in ctx.odd]
                     u = product(longest_element(d, inner), longest_element(d, inter))
-                    u_word = longest_quotient(d, *_common_nodes(ctx, ca.region, cb.region))
+                    u_word = longest_quotient(d, *ctx.common_nodes(ca.region, cb.region))
                     got = _word_element(d, u_word)
                     assert (got.mat, got.length) == (u.mat, u.length), name
                     us += 1
@@ -896,8 +912,8 @@ def test_closed_forms_match_oracle_products():
                             vx = dominant_mapper(d, ca.nodes, simple_root(d, x), ca.theta)
                             vy = dominant_mapper(d, cb.nodes, simple_root(d, y), cb.theta)
                             want = product(u, from_word(d, vx), from_word(d, vy))
-                            got = _word_element(d, u_word + theta_mapper(ctx, ca, x)
-                                                + theta_mapper(ctx, cb, y))
+                            got = _word_element(d, u_word + ctx.theta_mapper(ca, x)
+                                                + ctx.theta_mapper(cb, y))
                             assert (got.mat, got.length) == (want.mat, want.length), (name, x, y)
                             pairs += 1
     assert (gradings, minima, us, pairs) == (146, 323, 46, 108)
@@ -914,7 +930,7 @@ def test_special_involutions_reject_non_involution(sweep, monkeypatch):
     # s*s_i for an ascent i with s(alpha_i) != alpha_i: s_i does not commute
     # with s, so the product does not square to the identity
     def bent(ctx, comp):
-        s = _word_element(ctx.d, special_involution(ctx, comp))
+        s = _word_element(ctx.d, ctx.special_involution(comp))
         i = next(i for i in ctx.d.nodes
                  if s.extend(i) and s.mat[i] != simple_root(ctx.d, i))
         return s.word + (i,)
@@ -922,8 +938,9 @@ def test_special_involutions_reject_non_involution(sweep, monkeypatch):
     mutated = 0
     for name, ctx, walls in type_two_gradings(sweep):
         assert check_special_involutions(ctx).passed, name
+        bent_words = {w.component.index: bent(ctx, w.component) for w in walls}
         with monkeypatch.context() as m:
-            m.setattr(minuscule, "special_involution", bent)
+            m.setattr(ctx, "special_involution", lambda comp: bent_words[comp.index])
             r = check_special_involutions(ctx)
         s = from_word(ctx.d, bent(ctx, walls[0].component))
         assert product(s, s).length != 0, name
@@ -941,12 +958,12 @@ def test_special_involutions_reject_wrong_reflection(sweep, monkeypatch):
     for name, ctx, walls in type_two_gradings(sweep):
         if ctx.k != 2:
             continue
-        true = {w.component.index: special_involution(ctx, w.component) for w in walls}
+        true = {w.component.index: ctx.special_involution(w.component) for w in walls}
         assert ctx.odd_height_one_roots  # cached before delta is changed
         bad = copy.copy(ctx)
         bad.delta = tuple(2 * m for m in ctx.delta)
         with monkeypatch.context() as m:
-            m.setattr(minuscule, "special_involution", lambda c, comp: true[comp.index])
+            m.setattr(bad, "special_involution", lambda comp: true[comp.index])
             r = check_special_involutions(bad)
         assert not r.passed, name
         assert r.detail == (

@@ -12,7 +12,7 @@ import pytest
 
 from borelab.cartan import load_diagram
 from borelab.grading import GradedContext, context_for, involution
-from borelab.minuscule import closed_form_maxima, enumerate_poset
+from borelab.minuscule import enumerate_poset
 from oracles import certify_maxima
 
 # Number of maximal abelian ideals = number of long simple roots (Panyushev,
@@ -86,7 +86,7 @@ def test_malcev_longest_length(adjoint_posets, name):
 def certified(ctx):
     """The closed-form maxima, each word certified a distinct maximal element
     of P whose length is the item's closed-form dimension."""
-    items = closed_form_maxima(ctx)
+    items = ctx.closed_form_maxima
     masks = certify_maxima(ctx, [it.word for it in items])
     assert [m.bit_count() for m in masks] == [it.dimension for it in items]
     return items
