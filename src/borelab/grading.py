@@ -23,12 +23,13 @@ from .roots import (
     coroot_pair,
     form,
     is_long,
+    longest_quotient,
     positive_root_count,
     raising_closure,
     simple_root,
     theta_dual_coxeter,
 )
-from .weyl import dominant_mapper, longest_quotient, pack
+from .weyl import dominant_mapper, pack
 
 
 class InvolutionSpec:

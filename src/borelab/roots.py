@@ -8,8 +8,11 @@ boundary, in `bilinear` and `norm_sq`, normalized so that long real roots
 have squared length 2; `fractions` is imported when they are called.
 One raising walk, `raising_closure`, builds the positive roots of bounded
 grade: a finite subsystem's, and a grading's of odd height 0, 1 and 2.
-Finite-parabolic data live here too: dominant ascent, highest roots, and
-from them dual Coxeter numbers, positive-root counts and Weyl group orders.
+Every walk in a finite parabolic W_J lives here too, as one greedy walk,
+`_ascend`, read two ways: from a root, the dominant ascent and the highest
+roots (and from them dual Coxeter numbers, positive-root counts and Weyl
+group orders); from a weight, the reduced word of w0(J')*w0(J)
+(`longest_quotient`).
 """
 
 from __future__ import annotations
@@ -144,30 +147,45 @@ def subsystem_closure(d: AffineDiagram, nodes: Iterable[int]) -> frozenset[Root]
 
 def dominant_ascent(d: AffineDiagram, nodes: Iterable[int], a: Root) -> tuple[Root, list[int]]:
     """The dominant root of a's orbit under the finite parabolic on J =
-    `nodes`, and the letters of the walk there.
-
-    From g = a, apply s_i for the smallest i in J with <g, alpha_i^vee> < 0
-    until g is dominant for J.  Each step removes exactly one beta > 0 of
-    Phi_J with <g, beta^vee> < 0, and Phi_J is finite (`finite_nodes`), so
-    the walk ends, after at most |Phi_J^+| steps (Humphreys, Reflection
-    Groups and Coxeter Groups, 1.10-1.12).
-    """
-    return _ascend(d, finite_nodes(d, nodes), a)
+    `nodes`, and the letters of the walk there (`_ascend`)."""
+    g = list(a)
+    letters = _ascend(d, finite_nodes(d, nodes), [pair(d, a, j) for j in d.nodes], g)
+    return tuple(g), letters
 
 
-def _ascend(d: AffineDiagram, s: Sequence[int], a: Root) -> tuple[Root, list[int]]:
-    """`dominant_ascent` on a node list s that `finite_nodes` has checked.
-    g carries its row of pairings <g, alpha_j^vee>; s_i, with c the pairing
-    at i, negates entry i and subtracts c*A[j][i] at each neighbour j of i."""
-    row = [pair(d, a, j) for j in d.nodes]
-    g, letters = list(a), []
+def longest_quotient(
+    d: AffineDiagram, inner: Iterable[int], nodes: Iterable[int]
+) -> tuple[int, ...]:
+    """w0(J')*w0(J), J' = `inner` inside J = `nodes`, as a reduced word: the
+    letters of the walk from the weight lam pairing -1 with each node of J
+    minus J' and 0 with each of J'.  w0(J) makes lam dominant and lam's
+    stabilizer in W_J is W_J', so the walk applies the shortest x^{-1} in
+    w0(J)*W_J' and its letters spell x = w0(J')*w0(J), one per root of
+    Phi_J^+ outside Phi_J' (Humphreys, Reflection Groups and Coxeter Groups,
+    1.10-1.12).  w0(J) is longest_quotient(d, (), J)."""
+    s = finite_nodes(d, nodes)
+    top = set(s).difference(inner)
+    return tuple(_ascend(d, s, [-1 if j in top else 0 for j in d.nodes], [0] * d.size))
+
+
+def _ascend(d: AffineDiagram, s: Sequence[int], row: list[int], g: list[int]) -> list[int]:
+    """The letters of the walk of every finite parabolic, on a node list s
+    that `finite_nodes` has checked: apply s_i for the smallest i in s with
+    <g, alpha_i^vee> < 0 until g is dominant.  `row` holds <g, alpha_j^vee>
+    for every node j and `g` the coordinates moved (a root's, or a weight's
+    change), both updated in place: s_i, with c the pairing at i, subtracts
+    c at coordinate i, negates row entry i and subtracts c*A[j][i] at each
+    neighbour j.  Each step removes one of the finitely many beta > 0 of
+    Phi_J with <g, beta^vee> < 0, so the walk ends within |Phi_J^+| steps
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.10-1.12)."""
+    letters = []
     while (i := next((i for i in s if row[i] < 0), None)) is not None:
         letters.append(i)
         c = row[i]
         g[i], row[i] = g[i] - c, -c
         for j in d.neighbor_table[i]:
             row[j] -= c * d.cartan[j][i]
-    return tuple(g), letters
+    return letters
 
 
 def highest_root(d: AffineDiagram, nodes: Iterable[int]) -> Root:
@@ -191,7 +209,9 @@ def component_highest_roots(
 def _highest_root(d: AffineDiagram, s: Sequence[int]) -> Root:
     """`highest_root` of a connected node list s that `finite_nodes` has checked."""
     longest = max(s, key=lambda i: d.gram[i][i])  # the Gram diagonal is L * (a_i, a_i)
-    return _ascend(d, s, simple_root(d, longest))[0]
+    g = list(simple_root(d, longest))
+    _ascend(d, s, [row[longest] for row in d.cartan], g)
+    return tuple(g)
 
 
 def theta_dual_coxeter(d: AffineDiagram, theta: Root) -> int:

@@ -1,7 +1,7 @@
 """Affine Weyl group elements.
 
-An element is its action matrix and a reduced word, nothing else.  Column i,
-w(alpha_i), is packed in one int: a vector a is sum of a_t * 2**(W*t),
+An element is its packed columns and a reduced word, nothing else.  Column
+i, w(alpha_i), is one int: a vector a is sum of a_t * 2**(W*t),
 signed W-bit fields, little-endian by node (`pack`, `unpack`).  Packing is
 linear, so w*s_i rewrites a column with one int operation.  Every root of a
 Kac-Moody algebra has all its coordinates >= 0 or all <= 0 (Kac,
@@ -10,11 +10,12 @@ w(alpha_i) > 0 is `cols[i] > 0`.  Columns are decoded to tuples only at the
 edges: `apply`, `inversions` and the `mat` view.
 
 Every element is built from the identity by right multiplications w -> w*s_i,
-each checked to need w(alpha_i) > 0; a walk in a finite parabolic W_J
-(`cartan.finite_nodes`) ends.  There is no group product, inverse matrix or
-search.  A closed form is a reduced word, not an element: the letters its
-walk takes, or for a product with lengths adding its factors' words end to
-end; `_word_element` builds an element only where its action is read.  The
+each checked to need w(alpha_i) > 0.  There is no group product, inverse
+matrix or search.  A closed form is a reduced word, not an element: the
+letters of a walk in a finite parabolic, which `roots` owns
+(`roots.longest_quotient`, and `dominant_mapper`'s ascent reversed), or for
+a product with lengths adding its factors' words end to end;
+`_word_element` builds an element only where its action is read.  The
 inversion set
 {gamma > 0 : w^{-1}(gamma) < 0} is read off the reduced word on each
 request: for w = s_{i1}...s_{il} it is {s_{i1}...s_{i(j-1)}(alpha_{ij})}.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .cartan import AffineDiagram, finite_nodes
+from .cartan import AffineDiagram
 from .roots import Root, dominant_ascent, pair
 
 W = 16  # bits per coordinate field
@@ -128,36 +129,6 @@ class WeylElement:
 
 def identity(d: AffineDiagram) -> WeylElement:
     return WeylElement(d, (), tuple(1 << W * i for i in d.nodes))
-
-
-def longest_element(
-    d: AffineDiagram, nodes: Iterable[int], start: Optional[WeylElement] = None
-) -> WeylElement:
-    """Longest element w0(J) of the finite parabolic on J = `nodes`, by
-    greedy ascent from `start` (default the identity), an element of W_J.
-
-    Each step adds 1 to the length inside the coset start*W_J, finite by
-    `finite_nodes`, so the ascent ends, and only at w0(J).  From start =
-    w0(J'), J' inside J, the letters it appends spell w0(J')*w0(J) as a
-    reduced word, since w0(J) = w0(J')*(w0(J')*w0(J)) with lengths adding
-    (Humphreys, Reflection Groups and Coxeter Groups, 1.10)."""
-    s = finite_nodes(d, nodes)
-    w = identity(d) if start is None else start
-    word, cols = list(w.word), w.cols
-    while (i := next((i for i in s if cols[i] > 0), None)) is not None:
-        word.append(i)
-        cols = _right_mult_simple(d, cols, i)
-    return WeylElement(d, tuple(word), cols)
-
-
-def longest_quotient(
-    d: AffineDiagram, inner: Iterable[int], nodes: Iterable[int]
-) -> tuple[int, ...]:
-    """w0(J')*w0(J) for J' = `inner` inside J = `nodes`, as a reduced word:
-    the letters the ascent from w0(J') to w0(J) appends, each an ascent.  It
-    is the longest minimal representative of W_J' in W_J."""
-    w0i = longest_element(d, inner)
-    return longest_element(d, nodes, start=w0i).word[w0i.length:]
 
 
 def dominant_mapper(

@@ -7,6 +7,10 @@ library fails here as well.
 
 - A finite parabolic must omit a node: its counts and walks refuse all of
   E8~1's and A2~1's nodes with a ValueError.
+- w0(J')*w0(J) is the walk of |Phi_J^+| - |Phi_J'^+| letters: every (J', J)
+  that `GradedContext.closed_form_maxima` and `pair_minimum_words` pass to
+  `roots.longest_quotient` on the two gradings below must give a word of
+  that length.
 - Its sizes come from the highest root: E8, G2 and C3 must read their tabled
   numbers of positive roots and Weyl group elements, and E8 and G2 their dual
   Coxeter numbers from the coroot height of theta.
@@ -33,9 +37,10 @@ import sys
 
 from borelab.cartan import _kernel_vector, load_diagram
 from borelab.grading import context_for
-from borelab.roots import dominant_ascent, highest_root, positive_root_count
+import borelab.grading as grading
+from borelab.roots import dominant_ascent, highest_root, longest_quotient, positive_root_count
 from borelab.roots import raising_closure, theta_dual_coxeter, weyl_group_order
-from borelab.weyl import longest_element, pack
+from borelab.weyl import pack
 from oracles import certify_maxima, certify_word
 
 
@@ -43,9 +48,28 @@ def ascent(d, nodes):
     return dominant_ascent(d, nodes, d.simple_roots[0])
 
 
+def longest(d, nodes):
+    return longest_quotient(d, (), nodes)
+
+
+quotients = []
+
+
+def counted_quotient(d, inner, nodes):
+    """`longest_quotient`, with an exit if its word is not |Phi_J^+| -
+    |Phi_J'^+| letters long."""
+    quotients.append(nodes)
+    word = longest_quotient(d, inner, nodes)
+    want = positive_root_count(d, nodes) - positive_root_count(d, inner)
+    if len(word) != want:
+        sys.exit(f"{d.label} {list(inner)} in {list(nodes)}: w0(J')w0(J) has "
+                 f"{len(word)} letters, expected {want}")
+    return word
+
+
 for label in ("E8~1", "A2~1"):
     d = load_diagram(label)
-    for f in (positive_root_count, weyl_group_order, ascent, longest_element):
+    for f in (positive_root_count, weyl_group_order, ascent, longest):
         try:
             f(d, d.nodes)
         except ValueError:
@@ -86,6 +110,7 @@ for name, matrix in (
     except ValueError:
         continue
     sys.exit(f"{name}: the kernel vector certificate accepted the matrix")
+grading.longest_quotient = counted_quotient
 for label, odd, adjoint in (("D30~1", [0], True), ("C30~1", [0, 30], False)):
     ctx = context_for(label, odd, adjoint)
     items = ctx.closed_form_maxima
@@ -111,3 +136,5 @@ for label, odd, adjoint in (("D30~1", [0], True), ("C30~1", [0, 30], False)):
             sys.exit(f"{where}: {exc}")
         if cols[a] != pack(wall.root) or mask.bit_count() != ctx.minimum_length(wall):
             sys.exit(f"{where}: the minimum is not a member of its closed-form length")
+if not quotients:
+    sys.exit("no closed form walked w0(J')w0(J)")

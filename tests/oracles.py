@@ -65,7 +65,9 @@ ascent (`weyl.dominant_mapper`) and, for the type-2 special involution, by
 the closed form w0(J')*w0(J) (`GradedContext.special_involution`).
 `reflecting_ascent` walks the dominant ascent by summing every pairing
 again at each step, where `roots.dominant_ascent` carries the row of
-pairings along.
+pairings along.  `longest_element` and `column_quotient` reach w0(J) and
+w0(J')*w0(J) by ascent on packed columns from the identity and from
+w0(J'), where `roots.longest_quotient` walks a weight's row of pairings.
 `maximal_by_sets` finds a family's top by comparing the inversion sets of
 every two members, where the grading builds the top in closed form
 (`GradedContext.closed_form_maxima`) and the poset places its word.  `certify_word` and
@@ -83,7 +85,7 @@ from math import factorial, floor, gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from borelab.cartan import AffineDiagram, components
+from borelab.cartan import AffineDiagram, components, finite_nodes
 from borelab.grading import GradedContext, Wall
 from borelab.minuscule import CheckResult, MinusculePoset, _verdict
 from borelab.roots import (
@@ -1061,6 +1063,33 @@ def reflecting_ascent(d: AffineDiagram, nodes: Iterable[int], a: Root) -> tuple[
         letters.append(i)
         g = reflect_simple(d, g, i)
     return g, letters
+
+
+def longest_element(
+    d: AffineDiagram, nodes: Iterable[int], start: Optional[WeylElement] = None
+) -> WeylElement:
+    """Longest element w0(J) of the finite parabolic on J = `nodes`, by
+    greedy ascent on packed columns from `start` (default the identity), an
+    element of W_J: append the smallest i in J with w(alpha_i) > 0 until
+    there is none.  Each step adds 1 to the length inside the finite coset
+    start*W_J, so the ascent ends, and only at w0(J).  From start = w0(J'),
+    J' inside J, the letters it appends spell w0(J')*w0(J) as a reduced
+    word (Humphreys, Reflection Groups and Coxeter Groups, 1.10)."""
+    s = finite_nodes(d, nodes)
+    w = identity(d) if start is None else start
+    word, cols = list(w.word), w.cols
+    while (i := next((i for i in s if cols[i] > 0), None)) is not None:
+        word.append(i)
+        cols = _right_mult_simple(d, cols, i)
+    return WeylElement(d, tuple(word), cols)
+
+
+def column_quotient(
+    d: AffineDiagram, inner: Iterable[int], nodes: Iterable[int]
+) -> tuple[int, ...]:
+    """The letters the column ascent from w0(J') to w0(J) appends."""
+    w0i = longest_element(d, inner)
+    return longest_element(d, nodes, start=w0i).word[w0i.length:]
 
 
 def minimal_mapper(

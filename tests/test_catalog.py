@@ -16,7 +16,10 @@ of every connected proper node subset against the type table
 (`oracles.type_sizes`) of the type the all-pairs scan names
 (`oracles.pairwise_classify_component`), the dominant ascent from every
 simple root in each such subset against the walk that sums every pairing
-again (`oracles.reflecting_ascent`), the structural
+again (`oracles.reflecting_ascent`), the word of w0(J')*w0(J) that
+`roots.longest_quotient` walks from a weight against the letters the ascent
+on packed columns appends after w0(J') (`oracles.column_quotient`), on the
+acceptance labels and E6~1, E7~1 and E8~1, the structural
 mask tables against the pairwise scan
 (`oracles.pairwise_structural_masks`), the coset walk's minimality lookup
 and the order kept by translation against reflecting every subgroup simple
@@ -35,6 +38,7 @@ label list to make a failure go away.
 """
 
 import copy
+import random
 import time
 from collections import Counter
 from itertools import combinations
@@ -62,6 +66,7 @@ from borelab.roots import (
     dominant_ascent,
     finite_type_sizes,
     highest_root,
+    longest_quotient,
     positive_root_count,
     raising_closure,
     simple_root,
@@ -69,10 +74,11 @@ from borelab.roots import (
     theta_dual_coxeter,
 )
 from borelab.report import result_document
-from borelab.weyl import BOUND, _word_element, longest_quotient, pack, unpack
+from borelab.weyl import BOUND, _word_element, pack, unpack
 from oracles import (
     abelian_subspace_masks,
     blocked_nodes,
+    column_quotient,
     crossed_pairs,
     family_indices,
     family_tops,
@@ -113,6 +119,13 @@ TWISTED = (
     + ["E6~2"]
 )
 LABELS = UNTWISTED + TWISTED
+# the 18 labels of the acceptance sweep, and the exceptional untwisted ones
+QUOTIENT_LABELS = [
+    "A1~1", "A2~1", "A3~1", "A4~1", "A5~1", "B2~1", "B3~1", "B4~1",
+    "C3~1", "D4~1", "D5~1", "G2~1", "F4~1",
+    "A2~2", "A4~2", "A5~2", "D4~2", "D5~2",
+    "E6~1", "E7~1", "E8~1",
+]
 # the labels whose every node permutation can be tried (7! = 5040 at most)
 SMALL = [label for label in LABELS if load_diagram(label).size <= 7]
 
@@ -202,6 +215,30 @@ def test_dominant_ascent_matches_reflecting_walk():
                     walks += 1
                     steps += len(got[1])
     assert (walks, steps) == (10150, 30165)
+
+
+def test_longest_quotient_matches_column_ascent():
+    # every proper J, with every J' inside it where J has at most 64 subsets
+    # and otherwise a fixed sample of 64 (the empty set and J among them):
+    # the weight walk's letters against those the ascent on packed columns
+    # appends after w0(J'), and |Phi_J^+| - |Phi_J'^+| of them
+    pairs = steps = 0
+    for label in QUOTIENT_LABELS:
+        d = load_diagram(label)
+        for size in range(d.size):
+            for nodes in combinations(d.nodes, size):
+                subsets = [inner for k in range(size + 1) for inner in combinations(nodes, k)]
+                if len(subsets) > 64:
+                    rng = random.Random(f"{label} {nodes}")
+                    subsets = [(), nodes] + rng.sample(subsets[1:-1], 62)
+                for inner in subsets:
+                    got = longest_quotient(d, inner, nodes)
+                    assert got == column_quotient(d, inner, nodes), (label, inner, nodes)
+                    count = positive_root_count(d, nodes) - positive_root_count(d, inner)
+                    assert len(got) == count, (label, inner, nodes)
+                    pairs += 1
+                    steps += count
+    assert (pairs, steps) == (25787, 217314)
 
 
 def test_component_theta_is_highest_root_of_closure(catalog):

@@ -34,13 +34,13 @@ from borelab.roots import (
     bilinear,
     coroot_pair,
     is_long,
+    longest_quotient,
     norm_sq,
     pair,
     simple_root,
 )
 import borelab.weyl as weyl
-from borelab.weyl import _word_element, dominant_mapper, identity, longest_element
-from borelab.weyl import longest_quotient, pack, unpack
+from borelab.weyl import _word_element, dominant_mapper, identity, pack, unpack
 from oracles import (
     coset_poset,
     decompositions,
@@ -48,6 +48,7 @@ from oracles import (
     from_reflection,
     from_word,
     is_biconvex,
+    longest_element,
     maximal_by_sets,
     minimal_mapper,
     product,
@@ -763,7 +764,7 @@ def test_verify_all_runs_no_orbit_search(monkeypatch):
 
     def spy(d, inner, nodes):
         regions.append(tuple(nodes))
-        return weyl.longest_quotient(d, inner, nodes)
+        return longest_quotient(d, inner, nodes)
 
     monkeypatch.setattr(grading, "longest_quotient", spy)
     for label, pi1, type_two in (("E8~1", [1], 0), ("D5~2", [1], 1)):
@@ -788,7 +789,7 @@ def test_closed_forms_walked_once(monkeypatch):
         callers.append(sys._getframe(1).f_code.co_name)
         return real(d, word)
 
-    def quotient_spy(d, inner, nodes, real=weyl.longest_quotient):
+    def quotient_spy(d, inner, nodes, real=longest_quotient):
         quotients.append(sys._getframe(1).f_code.co_name)
         return real(d, inner, nodes)
 

@@ -11,6 +11,7 @@ from borelab.roots import (
     delta,
     highest_root,
     is_positive,
+    longest_quotient,
     simple_root,
     subsystem_closure,
     weyl_group_order,
@@ -20,7 +21,6 @@ from borelab.weyl import (
     _word_element,
     dominant_mapper,
     identity,
-    longest_element,
 )
 from oracles import (
     apply_inverse,
@@ -159,18 +159,17 @@ def test_longest_elements():
         (load_diagram("F4~1"), (1, 2, 3, 4), 24),
     ]
     for d, nodes, count in cases:
-        w0 = longest_element(d, nodes)
+        w0 = _word_element(d, longest_quotient(d, (), nodes))
         assert w0.length == count == len(subsystem_closure(d, nodes))
         assert product(w0, w0).length == 0
         # w0 maps every positive root of the subsystem to a negative one
         assert w0.inversions == subsystem_closure(d, nodes)
-        # the ascent from w0(J') appends a reduced word of w0(J')*w0(J)
-        w0_sub = longest_element(d, nodes[1:])
-        grown = longest_element(d, nodes, start=w0_sub)
-        assert grown.cols == w0.cols and grown.word[:w0_sub.length] == w0_sub.word
-        tail = from_word(d, grown.word[w0_sub.length:])
+        # w0(J')*w0(J) is the tail of a reduced word of w0(J) after w0(J')
+        w0_sub = _word_element(d, longest_quotient(d, (), nodes[1:]))
+        tail = _word_element(d, longest_quotient(d, nodes[1:], nodes))
         assert tail.cols == product(w0_sub, w0).cols and tail.length == w0.length - w0_sub.length
-    assert longest_element(A2, []).length == 0
+        assert _word_element(d, w0_sub.word + tail.word).cols == w0.cols
+    assert longest_quotient(A2, (), []) == ()
 
 
 def test_coset_poset_sizes():
@@ -188,7 +187,7 @@ def test_coset_poset_sizes():
 
 
 def test_minimal_coset_rep():
-    w0 = longest_element(B3, (1, 2, 3))
+    w0 = _word_element(B3, longest_quotient(B3, (), (1, 2, 3)))
     sub = [simple_root(B3, 2), simple_root(B3, 3)]
     rep = minimal_coset_rep(B3, w0, sub)
     assert rep.length == 9 - 4  # |W(B3)| minus |W(B2)| worth of length
