@@ -52,7 +52,8 @@ print("largest ideal in G2 (inversion sets pulled back to finite roots):")
 d = load_diagram("G2~1")
 ctx = context_for("G2~1", [d.marks.index(1)], adjoint=True)
 poset = enumerate_poset(ctx)
-top = poset.element(max(range(len(poset)), key=poset.length))
+top = poset.masks[max(range(len(poset)), key=poset.length)]
 dd = delta(d)
-for n in sorted(top.inversions):
+# the inversions: the roots of the sorted s1_order at the mask's set bits
+for n in (a for bit, a in enumerate(ctx.s1_order) if top >> bit & 1):
     print(f"  {n} = delta - {sub(dd, n)}")

@@ -6,11 +6,11 @@ level by level.
 """
 
 from collections import defaultdict
-from functools import reduce
+from functools import partial, reduce
 
 from borelab import context_for, enumerate_poset, verify_all
 from borelab.roots import norm_sq
-from borelab.weyl import WeylElement, identity
+from borelab.weyl import _right_mult_simple, identity
 
 ctx = context_for("D5~2", [1])
 print(ctx.spec.describe(), f"(k = {ctx.k})")
@@ -50,11 +50,13 @@ print()
 
 comp = ctx.components[0]
 word = ctx.special_involution(comp)
-s = reduce(WeylElement.extend, word, identity(ctx.d))  # one ascent per letter
-# s*s is the identity iff s maps each column of its matrix back to alpha_j
-involutive = all(s.apply(c) == e for c, e in zip(s.mat, identity(ctx.d).mat))
+step = partial(_right_mult_simple, ctx.d)  # packed columns of w*s_i from w's
+s = reduce(step, word, identity(ctx.d))  # s's columns, one step per letter
+# s*s is the identity iff the word walked again from s's columns ends at
+# the identity's
+involutive = reduce(step, word, s) == identity(ctx.d)
 print(f"special involution for component {comp.nodes}: "
-      f"word {'.'.join(map(str, s.word))}, length {s.length}, "
+      f"word {'.'.join(map(str, word))}, length {len(word)}, "
       f"squares to identity: {involutive}")
 print()
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage errors (including
-unknown diagram labels, invalid node flags and unwritable --out paths).
+Exit codes: 0 success, 1 verification failure or a closed stdout pipe, 2
+usage errors (including unknown diagram labels, invalid node flags and
+unwritable --out paths).
 """
 
 from __future__ import annotations
@@ -225,10 +226,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: what is left of stdout goes to devnull, the
+        # idiom of Python's `signal` docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from .cartan import dual_coxeter_number
 from .grading import GradedContext, Wall
 from .roots import Root, coroot_pair, highest_root, positive_root_count, scale, sub
 from .roots import theta_dual_coxeter, weyl_group_order
-from .weyl import WeylElement, _right_mult_simple, _word_element, identity, pack
+from .weyl import _FIELD, _right_mult_simple, identity, pack
 
 
 class MinusculePoset:
@@ -60,9 +60,6 @@ class MinusculePoset:
             out.append(self.letters[p])
             p = self.parents[p]
         return tuple(reversed(out))
-
-    def element(self, p: int) -> WeylElement:
-        return _word_element(self.ctx.d, self.word(p))
 
     def truncation(self) -> str:
         """Where an incomplete enumeration stopped."""
@@ -137,7 +134,7 @@ def enumerate_poset(ctx: GradedContext, max_length: Optional[int] = None) -> Min
     d = ctx.d
     bits = ctx.s1_bits
     cap = len(bits) if max_length is None else min(max_length, len(bits))
-    masks, parents, letters, cols = [0], [-1], [-1], [identity(d).cols]
+    masks, parents, letters, cols = [0], [-1], [-1], [identity(d)]
     by_mask = {0: 0}
     edges: list[tuple[int, int]] = []
     frontier = [0]
@@ -233,35 +230,33 @@ def verify_all(poset: MinusculePoset, structural_limit: int = 600) -> list[Check
 def check_bounding_equivalence(poset: MinusculePoset) -> CheckResult:
     """Avoiding the bounding roots must carve out exactly the same poset.
 
-    The wall-avoiding BFS keys each element by its inversion mask and drops a
-    duplicate before building its columns; a new inversion outside S1, or a
-    mask the poset lacks, is an element outside the poset.  Every mask it
-    keeps is one of the poset's, so the walk ends."""
+    The wall-avoiding BFS keys each element by its inversion mask; a new
+    inversion outside S1, or a mask no stored element has (`by_mask`), is an
+    element outside the poset.  Every mask it keeps is one of the poset's, so
+    the walk ends, and it steps on to that element's stored columns rather
+    than building them.  So it relies on `check_poset_basics`, which
+    certifies the identity and every stored column against its parent's."""
     ctx = poset.ctx
     blocked = {pack(a) for a in ctx.bounding_roots()}
-    bits = ctx.s1_bits
-    seen = {0}
-    frontier = [(identity(ctx.d).cols, 0)]
-    ok = True
-    while frontier and ok:
-        nxt = []
-        for w, mask in frontier:
-            for i, col in enumerate(w):
-                if col < 0 or col in blocked:
-                    continue
-                b = bits.get(col)
-                if b is None or (key := mask | b) not in poset.by_mask:
-                    ok = False
-                    break
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append((_right_mult_simple(ctx.d, w, i), key))
-            if not ok:
+    bits, masks, cols, by_mask = ctx.s1_bits, poset.masks, poset.cols, poset.by_mask
+    seen, queue, ok = {0}, [0], True
+    for p in queue:  # appended to as it is read: breadth-first
+        mask = masks[p]
+        for col in cols[p]:
+            if col < 0 or col in blocked:
+                continue
+            b = bits.get(col)
+            q = None if b is None else by_mask.get(mask | b)
+            if q is None or masks[q] != mask | b:
+                ok = False
                 break
-        frontier = nxt
-    count = len(seen)
-    return CheckResult("bounding_equivalence", ok and count == len(poset),
-                       f"wall-avoiding enumeration found {count} of {len(poset)} elements")
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+        if not ok:
+            break
+    return CheckResult("bounding_equivalence", ok and len(seen) == len(poset),
+                       f"wall-avoiding enumeration found {len(seen)} of {len(poset)} elements")
 
 
 def check_poset_basics(poset: MinusculePoset) -> CheckResult:
@@ -274,7 +269,7 @@ def check_poset_basics(poset: MinusculePoset) -> CheckResult:
     d, bits = poset.ctx.d, poset.ctx.s1_bits
     masks, cols = poset.masks, poset.cols
     problems = []
-    if masks[0] or cols[0] != identity(d).cols:
+    if masks[0] or cols[0] != identity(d):
         problems.append("missing identity")
     for p in range(1, len(poset)):
         q, i = poset.parents[p], poset.letters[p]
@@ -530,38 +525,57 @@ def check_length_identities(ctx: GradedContext) -> CheckResult:
 
 
 def check_special_involutions(ctx: GradedContext) -> CheckResult:
-    """Each type-2 special element, walked from its word (RuntimeError if not
-    reduced), is an involution (s maps each column of its matrix back to the
-    simple root), sends theta to the wall root, has the closed-form length
-    and inversion set, and for k = 2 is the reflection in beta = delta - theta:
-    alpha_j -> alpha_j - <alpha_j, beta^vee> beta."""
+    """Each type-2 special element s, walked on packed columns from the
+    identity along its word, keeps the column each letter steps through: its
+    inversions, so a negative one means the word is not reduced
+    (RuntimeError).  Packing is linear, so s sends a packed vector v to the
+    sum of v_j * cols[j].  s must be an involution (its word walked again from
+    its columns returns the identity's), send theta to the wall root, have
+    the closed-form length and inversion set, and for k = 2 be the
+    reflection in beta = delta - theta: alpha_j -> alpha_j - <alpha_j, beta^vee> beta."""
     d = ctx.d
     g0 = dual_coxeter_number(d)
-    simples = d.simple_roots
+    one = identity(d)
     problems = []
     for wall in ctx.walls:
         if wall.kind != "component" or wall.wall_type != 2:
             continue
         comp = wall.component
-        s = _word_element(d, ctx.special_involution(comp))
-        if any(s.apply(col) != e for col, e in zip(s.mat, simples)):
+        word = ctx.special_involution(comp)
+        cols, inversions = one, []
+        for n, i in enumerate(word, start=1):
+            if cols[i] < 0:
+                raise RuntimeError(f"word {word[:n]} is not reduced")
+            inversions.append(cols[i])
+            cols = _right_mult_simple(d, cols, i)
+        twice = cols
+        for i in word:
+            twice = _right_mult_simple(d, twice, i)
+        if twice != one:
             problems.append(f"comp {comp.index}: special element is not an involution")
-        if s.apply(comp.theta) != wall.root:
+        # s(theta) = sum of theta_t * s(alpha_t), packed, and its height: a
+        # column within the packed bound has its height as its int mod
+        # 2**W - 1, and a root of the wall root's height packs as no other
+        image = sum(t * col for t, col in zip(comp.theta, cols))
+        height = sum(t * (col % _FIELD if col > 0 else -(-col % _FIELD))
+                     for t, col in zip(comp.theta, cols))
+        if image != pack(wall.root) or height != sum(wall.root):
             problems.append(f"comp {comp.index}: wrong image of the highest root")
-        if s.length != g0 - comp.sub_dual_coxeter + 1:
+        if len(word) != g0 - comp.sub_dual_coxeter + 1:
             problems.append(
-                f"comp {comp.index}: length {s.length} != {g0 - comp.sub_dual_coxeter + 1}"
+                f"comp {comp.index}: length {len(word)} != {g0 - comp.sub_dual_coxeter + 1}"
             )
         predicted = {
-            g
-            for g in ctx.odd_height_one_roots
+            col
+            for col, g in zip(ctx.s1_bits, ctx.s1_order)
             if sum(comp.pairing_row[i] * c for i, c in enumerate(g)) == -2
         }
-        if s.inversions != predicted:
+        if set(inversions) != predicted:
             problems.append(f"comp {comp.index}: inversion set mismatch")
         if ctx.k == 2:
             beta = sub(ctx.delta, comp.theta)
-            if s.mat != tuple(sub(e, scale(coroot_pair(d, beta, e), beta)) for e in simples):
+            if cols != tuple(pack(sub(e, scale(coroot_pair(d, beta, e), beta)))
+                             for e in d.simple_roots):
                 problems.append(
                     f"comp {comp.index}: not the reflection in delta minus theta"
                 )

@@ -1,26 +1,23 @@
-"""Affine Weyl group elements.
+"""Affine Weyl group elements as packed columns.
 
-An element is its packed columns and a reduced word, nothing else.  Column
-i, w(alpha_i), is one int: a vector a is sum of a_t * 2**(W*t),
-signed W-bit fields, little-endian by node (`pack`, `unpack`).  Packing is
-linear, so w*s_i rewrites a column with one int operation.  Every root of a
-Kac-Moody algebra has all its coordinates >= 0 or all <= 0 (Kac,
-Infinite-dimensional Lie algebras, 1.3), so the int has the root's sign:
-w(alpha_i) > 0 is `cols[i] > 0`.  Columns are decoded to tuples only at the
-edges: `apply`, `inversions` and the `mat` view.
+An element is the tuple of its packed columns, nothing else.  Column i,
+w(alpha_i), is one int: a vector a is sum of a_t * 2**(W*t), signed W-bit
+fields, little-endian by node (`pack`, `unpack`).  Packing is linear, so
+w*s_i rewrites a column with one int operation, and w sends a packed vector
+v to the sum of v_j * cols[j].  Every root of a Kac-Moody algebra has all
+its coordinates >= 0 or all <= 0 (Kac, Infinite-dimensional Lie algebras,
+1.3), so the int has the root's sign: w(alpha_i) > 0 is `cols[i] > 0`.
 
-Every element is built from the identity by right multiplications w -> w*s_i,
-each checked to need w(alpha_i) > 0.  There is no group product, inverse
-matrix or search.  A closed form is a reduced word, not an element: the
-letters of a walk in a finite parabolic, which `roots` owns
-(`roots.longest_quotient`, and `dominant_mapper`'s ascent reversed), or for
-a product with lengths adding its factors' words end to end;
-`_word_element` builds an element only where its action is read.  The
-inversion set
-{gamma > 0 : w^{-1}(gamma) < 0} is read off the reduced word on each
-request: for w = s_{i1}...s_{il} it is {s_{i1}...s_{i(j-1)}(alpha_{ij})}.
-Length equals the inversion count, and the right weak order is containment
-of inversion sets.
+Every element is built from the identity's columns by right multiplications
+w -> w*s_i, each checked to need w(alpha_i) > 0.  There is no group product,
+inverse matrix or search.  A closed form is a reduced word: the letters of a
+walk in a finite parabolic, which `roots` owns (`roots.longest_quotient`,
+and `dominant_mapper`'s ascent reversed), or for a product with lengths
+adding its factors' words end to end.  The inversion set
+{gamma > 0 : w^{-1}(gamma) < 0} is read off a reduced word walked from the
+identity: for w = s_{i1}...s_{il} it is the columns the letters step
+through, {s_{i1}...s_{i(j-1)}(alpha_{ij})}.  Length equals the inversion
+count, and the right weak order is containment of inversion sets.
 """
 
 from __future__ import annotations
@@ -54,17 +51,6 @@ def unpack(col: int, n: int) -> Root:
     return tuple(sign * (mag >> (W * t) & _FIELD) for t in range(n))
 
 
-def _apply_cols(mat: tuple[Root, ...], a: Root) -> Root:
-    n = len(a)
-    out = [0] * n
-    for j, c in enumerate(a):
-        if c:
-            col = mat[j]
-            for t in range(n):
-                out[t] += c * col[t]
-    return tuple(out)
-
-
 def _right_mult_simple(d: AffineDiagram, cols: tuple[int, ...], i: int) -> tuple[int, ...]:
     """Packed columns of w*s_i from those of w.
 
@@ -83,52 +69,9 @@ def _right_mult_simple(d: AffineDiagram, cols: tuple[int, ...], i: int) -> tuple
     return tuple(out)
 
 
-class WeylElement:
-    """Group element: its packed columns and a reduced word."""
-
-    __slots__ = ("d", "word", "cols")
-
-    def __init__(self, d: AffineDiagram, word: tuple[int, ...], cols: tuple[int, ...]):
-        self.d = d
-        self.word = word
-        self.cols = cols
-
-    @property
-    def mat(self) -> tuple[Root, ...]:
-        """The action matrix decoded: column i is w(alpha_i) as a tuple."""
-        n = self.d.size
-        return tuple(unpack(c, n) for c in self.cols)
-
-    @property
-    def inversions(self) -> frozenset[Root]:
-        """{gamma > 0 : w^{-1}(gamma) < 0}: each letter's simple root under
-        the prefix of the reduced word before it."""
-        out = []
-        cols = identity(self.d).cols
-        for i in self.word:
-            out.append(cols[i])
-            cols = _right_mult_simple(self.d, cols, i)
-        return frozenset(unpack(c, self.d.size) for c in out)
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    def apply(self, a: Root) -> Root:
-        return _apply_cols(self.mat, a)
-
-    def extend(self, i: int) -> Optional["WeylElement"]:
-        """w*s_i if that is longer (image of alpha_i positive), else None."""
-        if self.cols[i] < 0:
-            return None
-        return WeylElement(self.d, self.word + (i,), _right_mult_simple(self.d, self.cols, i))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<w {'.'.join(map(str, self.word)) or 'e'}>"
-
-
-def identity(d: AffineDiagram) -> WeylElement:
-    return WeylElement(d, (), tuple(1 << W * i for i in d.nodes))
+def identity(d: AffineDiagram) -> tuple[int, ...]:
+    """Packed columns of the identity: column i is alpha_i."""
+    return tuple(1 << W * i for i in d.nodes)
 
 
 def dominant_mapper(
@@ -155,13 +98,3 @@ def dominant_mapper(
     g, letters = dominant_ascent(d, s, frm)
     return tuple(reversed(letters)) if g == to else None
 
-
-def _word_element(d: AffineDiagram, word: Iterable[int]) -> WeylElement:
-    """Element of a word that the caller knows to be reduced (checked)."""
-    letters, cols = [], identity(d).cols
-    for i in word:
-        letters.append(i)
-        if cols[i] < 0:
-            raise RuntimeError(f"word {tuple(letters)} is not reduced")
-        cols = _right_mult_simple(d, cols, i)
-    return WeylElement(d, tuple(letters), cols)

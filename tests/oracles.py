@@ -30,9 +30,17 @@ look them up as ints.  `family_indices` and `blocked_nodes` decide a wall's
 family heads and blocked nodes case by case on demand, the reference for the
 `Wall.heads` and `Wall.blocked` that `GradedContext._build_walls` fixes
 once; `family_tops` and `crossed_pairs` do the same for the maxima index,
-`Wall.tops` and `GradedContext.pairs`.  The group product builds any element from its matrix and the
-matrix of its inverse: it reads a canonical reduced word off the inverse
-matrix and replays it, where the library only
+`Wall.tops` and `GradedContext.pairs`.  `WeylElement` is an element as a
+reduced word with its packed columns, read as a matrix, an action, an
+inversion set and right ascents (`identity_element`, `word_element`); it is
+the reference for the library's one element form, packed columns alone: the
+poset stores masks and columns, and `minuscule.check_special_involutions`
+walks a word on columns and sums them for an image.
+`column_bounding_equivalence` builds each element's columns again as the
+wall-avoiding walk reaches it, where `minuscule.check_bounding_equivalence`
+steps to the columns the poset stores.  The group product builds any
+element from its matrix and the matrix of its inverse: it reads a canonical
+reduced word off the inverse matrix and replays it, where the library only
 extends reduced words on the right and concatenates the words of
 length-additive products.  The coset trio reaches minimal
 coset representatives by reflection-subgroup normalization and full group
@@ -101,16 +109,80 @@ from borelab.roots import (
     simple_root,
     sub,
 )
-from borelab.weyl import (
-    WeylElement,
-    _apply_cols,
-    _right_mult_simple,
-    _word_element,
-    identity,
-    pack,
-)
+from borelab.weyl import _right_mult_simple, identity, pack, unpack
 
 Cols = tuple[Root, ...]
+
+
+def _apply_cols(mat: Cols, a: Root) -> Root:
+    n = len(a)
+    out = [0] * n
+    for j, c in enumerate(a):
+        if c:
+            col = mat[j]
+            for t in range(n):
+                out[t] += c * col[t]
+    return tuple(out)
+
+
+class WeylElement:
+    """Group element: its packed columns and a reduced word, with its matrix,
+    action, inversion set and right ascents read off them."""
+
+    __slots__ = ("d", "word", "cols")
+
+    def __init__(self, d: AffineDiagram, word: tuple[int, ...], cols: tuple[int, ...]):
+        self.d = d
+        self.word = word
+        self.cols = cols
+
+    @property
+    def mat(self) -> Cols:
+        """The action matrix decoded: column i is w(alpha_i) as a tuple."""
+        n = self.d.size
+        return tuple(unpack(c, n) for c in self.cols)
+
+    @property
+    def inversions(self) -> frozenset[Root]:
+        """{gamma > 0 : w^{-1}(gamma) < 0}: each letter's simple root under
+        the prefix of the reduced word before it."""
+        out = []
+        cols = identity(self.d)
+        for i in self.word:
+            out.append(cols[i])
+            cols = _right_mult_simple(self.d, cols, i)
+        return frozenset(unpack(c, self.d.size) for c in out)
+
+    @property
+    def length(self) -> int:
+        return len(self.word)
+
+    def apply(self, a: Root) -> Root:
+        return _apply_cols(self.mat, a)
+
+    def extend(self, i: int) -> Optional["WeylElement"]:
+        """w*s_i if that is longer (image of alpha_i positive), else None."""
+        if self.cols[i] < 0:
+            return None
+        return WeylElement(self.d, self.word + (i,), _right_mult_simple(self.d, self.cols, i))
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"<w {'.'.join(map(str, self.word)) or 'e'}>"
+
+
+def identity_element(d: AffineDiagram) -> WeylElement:
+    return WeylElement(d, (), identity(d))
+
+
+def word_element(d: AffineDiagram, word: Iterable[int]) -> WeylElement:
+    """Element of a word that the caller knows to be reduced (checked)."""
+    letters, cols = [], identity(d)
+    for i in word:
+        letters.append(i)
+        if cols[i] < 0:
+            raise RuntimeError(f"word {tuple(letters)} is not reduced")
+        cols = _right_mult_simple(d, cols, i)
+    return WeylElement(d, tuple(letters), cols)
 
 
 def ht(a: Root) -> int:
@@ -718,7 +790,7 @@ def coset_poset(
     positive roots on ambient_nodes).
     """
     ambient = sorted(set(ambient_nodes))
-    start = identity(d)
+    start = identity_element(d)
     reps = [start]
     seen = {start.mat}
     queue = [(start.mat, start.mat)]  # (matrix, inverse matrix)
@@ -761,7 +833,7 @@ def reflecting_coset_translates(
     index: dict[int, int] = {}
     reps: list[tuple[int, Optional[int]]] = [(0, start)]
     seen = {0}
-    frontier = [(identity(d).cols, tuple(subgroup), 0, start)]
+    frontier = [(identity(d), tuple(subgroup), 0, start)]
     while frontier:
         nxt = []
         for u, pulled, mask, img in frontier:
@@ -991,11 +1063,45 @@ def probed_family_completeness(poset: MinusculePoset) -> CheckResult:
     return _verdict("family_completeness", problems, "families appear exactly at predicted indices")
 
 
+def column_bounding_equivalence(poset: MinusculePoset) -> CheckResult:
+    """`minuscule.check_bounding_equivalence` building each element's columns
+    again by a right multiplication, where the library steps to the columns
+    the poset stores: the wall-avoiding BFS keys each element by its
+    inversion mask and drops a duplicate before building its columns; a new
+    inversion outside S1, or a mask the poset lacks, is an element outside
+    the poset."""
+    ctx = poset.ctx
+    blocked = {pack(a) for a in ctx.bounding_roots()}
+    bits = ctx.s1_bits
+    seen = {0}
+    frontier = [(identity(ctx.d), 0)]
+    ok = True
+    while frontier and ok:
+        nxt = []
+        for w, mask in frontier:
+            for i, col in enumerate(w):
+                if col < 0 or col in blocked:
+                    continue
+                b = bits.get(col)
+                if b is None or (key := mask | b) not in poset.by_mask:
+                    ok = False
+                    break
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append((_right_mult_simple(ctx.d, w, i), key))
+            if not ok:
+                break
+        frontier = nxt
+    count = len(seen)
+    return CheckResult("bounding_equivalence", ok and count == len(poset),
+                       f"wall-avoiding enumeration found {count} of {len(poset)} elements")
+
+
 def maximal_by_sets(poset: MinusculePoset, positions: Iterable[int]) -> tuple[int, ...]:
     """The members, in the given order, whose inversion set, read off the
     reduced word, is in no other member's."""
     pos = list(positions)
-    sets = {q: poset.element(q).inversions for q in pos}
+    sets = {q: word_element(poset.ctx.d, poset.word(q)).inversions for q in pos}
     return tuple(q for q in pos if not any(sets[q] < sets[r] for r in pos))
 
 
@@ -1008,7 +1114,7 @@ def certify_word(ctx: GradedContext, word: Sequence[int]) -> tuple[int, tuple[in
     one must be in S1, so the word is reduced and N(t) lies in S1, which puts
     t in P."""
     d, bits = ctx.d, ctx.s1_bits
-    cols, mask = identity(d).cols, 0
+    cols, mask = identity(d), 0
     for i in word:
         if (b := bits.get(cols[i])) is None:
             raise ValueError(f"word {tuple(word)} has an inversion outside S1")
@@ -1036,7 +1142,7 @@ def certify_maxima(ctx: GradedContext, words: Iterable[Sequence[int]]) -> list[i
 
 def length_ball(d: AffineDiagram, radius: int) -> list[WeylElement]:
     """Every group element of length at most `radius`, in BFS order."""
-    start = identity(d)
+    start = identity_element(d)
     out = [start]
     seen = {start.mat}
     frontier = [start]
@@ -1076,7 +1182,7 @@ def longest_element(
     J' inside J, the letters it appends spell w0(J')*w0(J) as a reduced
     word (Humphreys, Reflection Groups and Coxeter Groups, 1.10)."""
     s = finite_nodes(d, nodes)
-    w = identity(d) if start is None else start
+    w = identity_element(d) if start is None else start
     word, cols = list(w.word), w.cols
     while (i := next((i for i in s if cols[i] > 0), None)) is not None:
         word.append(i)
@@ -1108,7 +1214,7 @@ def minimal_mapper(
     """
     s = sorted(set(nodes))
     if frm == to:
-        return identity(d)
+        return identity_element(d)
     parent: dict[Root, tuple[Root, int]] = {frm: (frm, -1)}
     frontier = [frm]
     depth = 0
@@ -1126,7 +1232,7 @@ def minimal_mapper(
                     continue
                 parent[h] = (g, i)
                 if h == to:
-                    return _word_element(d, _path_word(parent, to))
+                    return word_element(d, _path_word(parent, to))
                 nxt.append(h)
         frontier = nxt
     return None

@@ -24,7 +24,7 @@ from borelab.minuscule import (
 )
 from borelab.report import render_json, result_document
 from borelab.roots import add, delta, sub, subsystem_closure
-from oracles import length_ball, root_kind
+from oracles import length_ball, root_kind, word_element
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -230,7 +230,8 @@ def test_criterion_08_maxima_and_oracle(sweep, e8_case):
         oracle = _abelian_ideals(d, finite)
         dd = delta(d)
         images = {
-            frozenset(sub(dd, n) for n in poset.element(q).inversions) for q in range(len(poset))
+            frozenset(sub(dd, n) for n in word_element(d, poset.word(q)).inversions)
+            for q in range(len(poset))
         }
         if images != oracle:
             bad.append(f"{label}: ideal sets disagree with the enumeration")

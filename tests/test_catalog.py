@@ -54,6 +54,7 @@ from borelab.cartan import (
 )
 from borelab.grading import analyze, catalog_involutions
 from borelab.minuscule import (
+    check_bounding_equivalence,
     check_family_completeness,
     coset_translates,
     enumerate_poset,
@@ -74,10 +75,11 @@ from borelab.roots import (
     theta_dual_coxeter,
 )
 from borelab.report import result_document
-from borelab.weyl import BOUND, _word_element, pack, unpack
+from borelab.weyl import BOUND, pack, unpack
 from oracles import (
     abelian_subspace_masks,
     blocked_nodes,
+    column_bounding_equivalence,
     column_quotient,
     crossed_pairs,
     family_indices,
@@ -103,6 +105,7 @@ from oracles import (
     tuple_family_table,
     type_dual_coxeter,
     type_sizes,
+    word_element,
 )
 
 UNTWISTED = (
@@ -434,7 +437,7 @@ def test_families_read_in_stored_order(catalog):
 
 def test_closed_form_words_are_reduced(catalog):
     # the library keeps each closed form as a word and walks it only where it
-    # is used; each must walk to an element (`_word_element` raises at a
+    # is used; each must walk to an element (`word_element` raises at a
     # letter that shortens it) of its closed-form length: every family
     # minimum, every type-2 special involution, the theta mapper of every
     # type-1 node of a type-1 component (which must reach theta), and the u
@@ -444,7 +447,7 @@ def test_closed_form_words_are_reduced(catalog):
         d, name = ctx.d, ctx.spec.describe()
         g0 = dual_coxeter_number(d)
         for a, wall in ctx.families:
-            m = _word_element(d, ctx.family_minima[a, wall.index])
+            m = word_element(d, ctx.family_minima[a, wall.index])
             assert m.length == ctx.minimum_length(wall), (name, a, wall.index)
             counts["minima"] += 1
         for wall in ctx.walls:
@@ -452,17 +455,17 @@ def test_closed_form_words_are_reduced(catalog):
                 continue
             comp = wall.component
             if wall.wall_type == 2:
-                s = _word_element(d, ctx.special_involution(comp))
+                s = word_element(d, ctx.special_involution(comp))
                 assert s.length == g0 - comp.sub_dual_coxeter + 1, (name, comp.index)
                 counts["involutions"] += 1
                 continue
             for x in ctx.type_one_nodes(comp.nodes):
-                v = _word_element(d, ctx.theta_mapper(comp, x))
+                v = word_element(d, ctx.theta_mapper(comp, x))
                 assert v.apply(simple_root(d, x)) == comp.theta, (name, comp.index, x)
                 counts["mappers"] += 1
         for wa, wb in dict.fromkeys(pair[2:] for pair in ctx.pairs):
             inner, common = ctx.common_nodes(wa.component.region, wb.component.region)
-            u = _word_element(d, longest_quotient(d, inner, common))
+            u = word_element(d, longest_quotient(d, inner, common))
             expect = positive_root_count(d, common) - positive_root_count(d, inner)
             assert u.length == expect, (name, wa.index, wb.index)
             counts["u"] += 1
@@ -493,6 +496,17 @@ def test_verify_all_whole_catalog(catalog):
             if not result.passed:
                 failures.append((ctx.spec.describe(), result.name, result.detail))
     assert not failures, failures[:5]
+
+
+def test_bounding_walk_matches_column_building_oracle(catalog):
+    # the walk that steps to the poset's stored columns against the one that
+    # builds every element's columns again, on every grading of the catalog,
+    # the acceptance labels among them, adjoint included, not folded
+    for ctx in catalog:
+        poset = enumerate_poset(ctx)
+        got = check_bounding_equivalence(poset)
+        assert got == column_bounding_equivalence(poset), ctx.spec.describe()
+        assert got.passed, ctx.spec.describe()
 
 
 def test_coset_translates_match_reflection_walk(catalog):

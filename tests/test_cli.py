@@ -238,6 +238,23 @@ def test_large_verify_output_pinned(label, nodes, digest):
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--type", "E6~1", "--all"],
+    ["catalog", "--type", "A6~1", "--no-dedupe"],
+])
+def test_closed_pipe_exits_quietly(args):
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails for certain: exit 1 and nothing on stderr, no traceback
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        r = subprocess.run([sys.executable, "-m", "borelab", *args], stdout=write,
+                           stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (r.returncode, r.stderr) == (1, "")
+
+
 @pytest.mark.parametrize("command", [
     ["maxima"], ["export", "--format", "json"], ["export", "--format", "dot"],
     ["enumerate", "--format", "json"],

@@ -1,6 +1,7 @@
 import copy
 import functools
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -40,13 +41,15 @@ from borelab.roots import (
     simple_root,
 )
 import borelab.weyl as weyl
-from borelab.weyl import _word_element, dominant_mapper, identity, pack, unpack
+from borelab.weyl import dominant_mapper, pack, unpack
 from oracles import (
+    column_bounding_equivalence,
     coset_poset,
     decompositions,
     fraction_form,
     from_reflection,
     from_word,
+    identity_element,
     is_biconvex,
     longest_element,
     maximal_by_sets,
@@ -57,11 +60,17 @@ from oracles import (
     structural_verdict,
     summands,
     translation_keeps_order,
+    word_element,
 )
 
 
 def words(poset):
     return {poset.word(q) for q in range(len(poset))}
+
+
+def element(poset, q):
+    """The oracle element of q's stored word, for its inversion set."""
+    return word_element(poset.ctx.d, poset.word(q))
 
 
 def test_adjoint_rank_one_and_two_exactly():
@@ -131,7 +140,7 @@ def test_e8_family_sizes(e8):
 
 def special_element(ctx, comp):
     """The element the special involution's word spells, for its columns."""
-    return _word_element(ctx.d, ctx.special_involution(comp))
+    return word_element(ctx.d, ctx.special_involution(comp))
 
 
 def test_special_involution_closed_forms():
@@ -278,10 +287,10 @@ def test_e6_intersections():
     assert nonempty == [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0)]
     ca, cb = ctx.components[1], ctx.components[0]
     u = longest_quotient(ctx.d, *ctx.common_nodes(ca.region, cb.region))
-    m = _word_element(ctx.d, u + ctx.theta_mapper(ca, 1) + ctx.theta_mapper(cb, 0))
+    m = word_element(ctx.d, u + ctx.theta_mapper(ca, 1) + ctx.theta_mapper(cb, 0))
     fam = set(p.family(1, w1)) & set(p.family(0, w2))
     assert p.position(m.word) in fam
-    assert all(m.inversions <= p.element(q).inversions for q in fam)
+    assert all(m.inversions <= element(p, q).inversions for q in fam)
     assert check_intersections(p).passed
 
 
@@ -289,7 +298,7 @@ def test_intersections_reject_wrong_family_minimum():
     # every family minimum replaced by the identity (mask 0) or by the
     # longest element of the finite E6 (outside the poset, no position): the
     # intersection minima's masks are then not the unions
-    for stand_in in (identity, lambda d: longest_element(d, range(1, 7))):
+    for stand_in in (identity_element, lambda d: longest_element(d, range(1, 7))):
         ctx = context_for("E6~1", [6])
         p = enumerate_poset(ctx)
         w = stand_in(ctx.d)
@@ -306,7 +315,7 @@ def test_u_element_length():
     # u = w0(J')*w0(J) on the common nodes of two type-1 regions, an involution
     ctx = context_for("E6~1", [6])
     ca, cb = ctx.components[:2]
-    u = _word_element(ctx.d, longest_quotient(ctx.d, *ctx.common_nodes(ca.region, cb.region)))
+    u = word_element(ctx.d, longest_quotient(ctx.d, *ctx.common_nodes(ca.region, cb.region)))
     assert u.length == 12 - 2 - 6 + 2
     assert product(u, u).length == 0
     ctx = context_for("E8~1", [1])
@@ -377,7 +386,7 @@ def test_structural_verdict_matches_reference(d5, e8):
         partner, down = structural_masks(ctx)
         table = decompositions(ctx)
         for q, mask in enumerate(poset.masks):
-            w = poset.element(q)
+            w = element(poset, q)
             verdict = mask_verdict(partner, down, mask)
             assert verdict == (True, True), w.word
             assert verdict == structural_verdict(ctx, w.inversions, table), w.word
@@ -428,7 +437,7 @@ def test_decoded_inversions_match_word_replay(sweep):
     # the mask decode against the set read off each element's reduced word
     for name, _, p in sweep:
         for q in range(len(p)):
-            w = p.element(q)
+            w = element(p, q)
             decoded = {a for n, a in enumerate(p.ctx.s1_order) if p.masks[q] >> n & 1}
             assert decoded == w.inversions, (name, w.word)
 
@@ -468,7 +477,7 @@ def test_position_outside_s1_is_none(sweep):
     # a maximal element grows only by columns outside S1; the grown element
     # keeps every inversion of the maximal one, which is in the poset
     for name, ctx, p in sweep:
-        t = p.element(p.maxima[0])
+        t = element(p, p.maxima[0])
         grown = [g for g in map(t.extend, ctx.d.nodes) if g is not None]
         assert grown, name
         for g in grown:
@@ -507,20 +516,33 @@ def test_changed_parent_letter_or_column_fails_poset_basics(sweep):
 
 def test_poset_stores_no_element_objects(monkeypatch):
     # one stored form: masks, parents, letters and columns; the identity's
-    # columns are the only WeylElement the enumeration builds
-    built = []
-    init = weyl.WeylElement.__init__
-    monkeypatch.setattr(weyl.WeylElement, "__init__",
-                        lambda self, *args: built.append(args[1]) or init(self, *args))
+    # columns are the only ones the enumeration builds from nothing, and each
+    # other element's are its parent's stepped once
+    built, steps = [], []
+    monkeypatch.setattr(minuscule, "identity",
+                        lambda d, real=weyl.identity: built.append(d) or real(d))
+    monkeypatch.setattr(minuscule, "_right_mult_simple",
+                        lambda d, cols, i, real=weyl._right_mult_simple:
+                        steps.append(i) or real(d, cols, i))
     p = enumerate_poset(context_for("C10~1", [0, 10]))
-    assert (len(p), built) == (6144, [()])
-    for name in ("elements", "_by_cols"):
+    assert (len(p), built, steps) == (6144, [p.ctx.d], list(p.letters[1:]))
+    for name in ("elements", "_by_cols", "element"):
         assert not hasattr(p, name)
     monkeypatch.undo()
     for q in (0, 1, len(p) - 1, *p.maxima):
-        w = p.element(q)
+        w = element(p, q)
         assert (w.word, w.length) == (p.word(q), p.length(q)) and w.cols == p.cols[q]
         assert p.position(w.word) == q
+
+
+def test_library_keeps_one_element_form():
+    # an element is its packed columns: `weyl` defines no class, and the poset
+    # spells words but builds no element object
+    assert [name for name, v in vars(weyl).items()
+            if isinstance(v, type) and v.__module__ == weyl.__name__] == []
+    for name in ("WeylElement", "_apply_cols", "_word_element"):
+        assert not hasattr(weyl, name) and not hasattr(minuscule, name)
+    assert not hasattr(minuscule.MinusculePoset, "element")
 
 
 def test_bounding_equivalence_rejects_other_posets(sweep):
@@ -531,12 +553,38 @@ def test_bounding_equivalence_rejects_other_posets(sweep):
         loose.bounding_roots = lambda: frozenset(simple_root(ctx.d, i) for i in ctx.even)
         bad = copy.copy(p)
         bad.ctx = loose
-        assert not check_bounding_equivalence(bad).passed, name
+        r = check_bounding_equivalence(bad)
+        assert not r.passed and r == column_bounding_equivalence(bad), name
         # the poset lacks an element the walk reaches
         if len(p) > 1:
             bad = copy.copy(p)
             bad.by_mask = {m: q for m, q in p.by_mask.items() if q != len(p) - 1}
+            r = check_bounding_equivalence(bad)
+            assert not r.passed and r == column_bounding_equivalence(bad), name
+            # the index sends the last two masks to each other's elements:
+            # the walk would step to the wrong stored columns
+            bad.by_mask = {**p.by_mask, p.masks[-1]: len(p) - 2, p.masks[-2]: len(p) - 1}
             assert not check_bounding_equivalence(bad).passed, name
+
+
+def test_corrupted_stored_form_fails_verify_all(sweep):
+    # the bounding walk steps to the stored masks and columns, which
+    # `check_poset_basics` certifies: one bit flipped in the last element's
+    # mask, or its columns left at its parent's (the step's update dropped),
+    # fail verify_all there, naming the element.  The walk sees every flipped
+    # bit too; a dropped update no other check sees in 66 of the 117 gradings
+    alone = 0
+    for name, ctx, p in sweep:
+        j = len(p) - 1
+        dropped = copy.copy(p)
+        dropped.cols = p.cols[:j] + (p.cols[p.parents[j]],)
+        flipped, dropped = [{r.name: r.detail for r in verify_all(bad) if not r.passed}
+                            for bad in (with_mask(p, j, p.masks[j] ^ 1), dropped)]
+        assert flipped["poset_basics"] == f"inversion set mismatch at {p.word(j)}", name
+        assert "bounding_equivalence" in flipped, name
+        assert dropped["poset_basics"] == f"column mismatch at {p.word(j)}", name
+        alone += list(dropped) == ["poset_basics"]
+    assert alone == 66
 
 
 def test_truncation_below_top_length_is_incomplete(sweep):
@@ -600,7 +648,7 @@ def test_coset_isomorphism_rejects_wrong_minimum(sweep, monkeypatch):
         assert check_coset_isomorphism(p).passed, name
         for a, wall in nonempty_families(ctx, p):
             m = ctx.family_minima[a, wall.index]
-            w_m = _word_element(ctx.d, m)
+            w_m = word_element(ctx.d, m)
             ambient = ctx.quotient_data(a, wall)[0]
             steps = [i for i in ambient if w_m.extend(i)] or [
                 i for i in ctx.d.nodes if w_m.extend(i)]
@@ -723,7 +771,7 @@ def test_dominant_mapper_matches_orbit_search():
                             unreachable += 1
                             continue
                         assert got is not None, (spec.describe(), nodes, a)
-                        assert _word_element(d, got).mat == want.mat, (spec.describe(), nodes, a)
+                        assert word_element(d, got).mat == want.mat, (spec.describe(), nodes, a)
                         assert len(got) == want.length, (spec.describe(), nodes, a)
     assert (gradings, triples, unreachable) == (146, 1992, 1081)
 
@@ -748,7 +796,7 @@ def test_special_involution_matches_orbit_search():
                 want = minimal_mapper(d, d.nodes, comp.theta, to, cap=cap)
                 got = ctx.special_involution(comp)
                 assert want is not None, (spec.describe(), comp.index)
-                assert (_word_element(d, got).mat, len(got)) == (want.mat, want.length), (
+                assert (word_element(d, got).mat, len(got)) == (want.mat, want.length), (
                     spec.describe(), comp.index)
                 walls += 1
     assert (gradings, walls) == (146, 58)
@@ -778,23 +826,31 @@ def test_verify_all_runs_no_orbit_search(monkeypatch):
 
 
 def test_closed_forms_walked_once(monkeypatch):
-    # each closed form is a word that `position` walks once, in P; an element
-    # is built from one only where its action is read, one per type-2 wall.
-    # The context builds each closed form once: its family minima once, and
-    # the u of each wall pair that crossed pairs join once, however many of
-    # the maxima, the checks and the result document read them
-    callers, quotients, built = [], [], []
+    # each closed form is a word that `position` walks once, in P.  A type-2
+    # wall's special involution is also read on its own, once per wall and
+    # only by `check_special_involutions`, which walks it on columns from the
+    # identity and once more from its own columns, for s*s.  The context
+    # builds each closed form once: its family minima once (a type-2 wall's
+    # read its special involution once per head), and the u of each wall
+    # pair that crossed pairs join once, however many of the maxima, the
+    # checks and the result document read them
+    callers, quotients, built, steps = [], [], [], []
+    special_involution = GradedContext.special_involution
 
-    def spy(d, word, real=weyl._word_element):
+    def spy(ctx, comp):
         callers.append(sys._getframe(1).f_code.co_name)
-        return real(d, word)
+        return special_involution(ctx, comp)
+
+    def step_spy(d, cols, i, real=weyl._right_mult_simple):
+        steps.append(sys._getframe(1).f_code.co_name)
+        return real(d, cols, i)
 
     def quotient_spy(d, inner, nodes, real=longest_quotient):
         quotients.append(sys._getframe(1).f_code.co_name)
         return real(d, inner, nodes)
 
-    for module in (weyl, minuscule):
-        monkeypatch.setattr(module, "_word_element", spy)
+    monkeypatch.setattr(GradedContext, "special_involution", spy)
+    monkeypatch.setattr(minuscule, "_right_mult_simple", step_spy)
     monkeypatch.setattr(grading, "longest_quotient", quotient_spy)
     spy_family_minima(monkeypatch, built)
     specs = [*catalog_involutions(load_diagram("E6~1"), include_adjoint=True, dedupe=False),
@@ -808,15 +864,20 @@ def test_closed_forms_walked_once(monkeypatch):
         quotients.clear()
         ctx.closed_form_maxima
         p = enumerate_poset(ctx)
+        steps.clear()
         results = verify_all(p)
         assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
         result_document(p, results)
-        type_two = sum(w.kind == "component" and w.wall_type == 2 for w in ctx.walls)
-        assert callers == ["check_special_involutions"] * type_two, spec.describe()
+        type_two = [w for w in ctx.walls if w.kind == "component" and w.wall_type == 2]
+        heads = sum(len(w.heads) for w in type_two)
+        assert callers == (["family_minima"] * heads
+                           + ["check_special_involutions"] * len(type_two)), spec.describe()
+        letters = sum(len(special_involution(ctx, w.component)) for w in type_two)
+        assert steps.count("check_special_involutions") == 2 * letters, spec.describe()
         wall_pairs = len(dict.fromkeys(pair[2:] for pair in ctx.pairs))
         assert quotients.count("pair_minimum_words") == wall_pairs, spec.describe()
         assert built == contexts, spec.describe()
-        walked += type_two
+        walked += len(type_two)
         u_walks += wall_pairs
     assert (len(specs), walked, u_walks) == (11, 4, 4)
 
@@ -894,7 +955,7 @@ def test_closed_forms_match_oracle_products():
                     want = family_minimum_oracle(ctx, a, wall)
                     if want is not None:
                         got = ctx.family_minima[a, wall.index]
-                        assert (_word_element(d, got).mat, len(got)) == (want.mat, want.length), (
+                        assert (word_element(d, got).mat, len(got)) == (want.mat, want.length), (
                             name, a)
                         minima += 1
             comps = [w.component for w in ctx.walls
@@ -905,7 +966,7 @@ def test_closed_forms_match_oracle_products():
                     inner = [n for n in inter if n not in ctx.odd]
                     u = product(longest_element(d, inner), longest_element(d, inter))
                     u_word = longest_quotient(d, *ctx.common_nodes(ca.region, cb.region))
-                    got = _word_element(d, u_word)
+                    got = word_element(d, u_word)
                     assert (got.mat, got.length) == (u.mat, u.length), name
                     us += 1
                     for x in ctx.type_one_nodes(ca.nodes):
@@ -913,8 +974,8 @@ def test_closed_forms_match_oracle_products():
                             vx = dominant_mapper(d, ca.nodes, simple_root(d, x), ca.theta)
                             vy = dominant_mapper(d, cb.nodes, simple_root(d, y), cb.theta)
                             want = product(u, from_word(d, vx), from_word(d, vy))
-                            got = _word_element(d, u_word + ctx.theta_mapper(ca, x)
-                                                + ctx.theta_mapper(cb, y))
+                            got = word_element(d, u_word + ctx.theta_mapper(ca, x)
+                                               + ctx.theta_mapper(cb, y))
                             assert (got.mat, got.length) == (want.mat, want.length), (name, x, y)
                             pairs += 1
     assert (gradings, minima, us, pairs) == (146, 323, 46, 108)
@@ -931,7 +992,7 @@ def test_special_involutions_reject_non_involution(sweep, monkeypatch):
     # s*s_i for an ascent i with s(alpha_i) != alpha_i: s_i does not commute
     # with s, so the product does not square to the identity
     def bent(ctx, comp):
-        s = _word_element(ctx.d, ctx.special_involution(comp))
+        s = word_element(ctx.d, ctx.special_involution(comp))
         i = next(i for i in ctx.d.nodes
                  if s.extend(i) and s.mat[i] != simple_root(ctx.d, i))
         return s.word + (i,)
@@ -949,6 +1010,56 @@ def test_special_involutions_reject_non_involution(sweep, monkeypatch):
         assert r.detail == f"comp {walls[0].component.index}: special element is not an involution"
         mutated += 1
     assert mutated == 48
+
+
+def with_type_two_walls(ctx, change):
+    """A copy of the context whose type-2 walls are `change`d."""
+    bad = copy.copy(ctx)
+    bad.walls = tuple(change(w) if w.kind == "component" and w.wall_type == 2 else w
+                      for w in ctx.walls)
+    return bad
+
+
+def test_special_involutions_reject_wrong_image(sweep):
+    # each type-2 wall root raised by delta, another real root: the special
+    # element is kept, and its length, inversions and reflection are read off
+    # the component, so only the image of theta sees the change
+    mutated = 0
+    for name, ctx, walls in type_two_gradings(sweep):
+        bad = with_type_two_walls(ctx, lambda w: w._replace(root=add(w.root, ctx.delta)))
+        r = check_special_involutions(bad)
+        assert not r.passed, name
+        assert r.detail == f"comp {walls[0].component.index}: wrong image of the highest root"
+        mutated += 1
+    assert mutated == 48
+
+
+def test_special_involutions_reject_wrong_inversions(sweep):
+    # each type-2 component's pairing row negated: the special element is
+    # read off its region, unchanged, so only the predicted inversion set,
+    # the roots pairing to -2 with the row, sees the change
+    def negated(w):
+        comp = w.component
+        return w._replace(component=comp._replace(
+            pairing_row=tuple(-t for t in comp.pairing_row)))
+
+    mutated = 0
+    for name, ctx, walls in type_two_gradings(sweep):
+        r = check_special_involutions(with_type_two_walls(ctx, negated))
+        assert not r.passed, name
+        assert r.detail == f"comp {walls[0].component.index}: inversion set mismatch"
+        mutated += 1
+    assert mutated == 48
+
+
+def test_special_involutions_refuse_unreduced_word(monkeypatch):
+    # the walk from the identity reads each letter's column: a negative one
+    # is an inversion undone, and the error names the word up to that letter
+    ctx = context_for("D5~2", [1])
+    word = ctx.special_involution(ctx.components[0])
+    monkeypatch.setattr(ctx, "special_involution", lambda comp: word + word[-1:] + (0,))
+    with pytest.raises(RuntimeError, match=re.escape(f"word {word + word[-1:]} is not reduced")):
+        check_special_involutions(ctx)
 
 
 def test_special_involutions_reject_wrong_reflection(sweep, monkeypatch):

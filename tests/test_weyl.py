@@ -1,5 +1,4 @@
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,16 +16,13 @@ from borelab.roots import (
     weyl_group_order,
 )
 import borelab.weyl as weyl
-from borelab.weyl import (
-    _word_element,
-    dominant_mapper,
-    identity,
-)
+from borelab.weyl import dominant_mapper
 from oracles import (
     apply_inverse,
     coset_poset,
     from_reflection,
     from_word,
+    identity_element,
     inverse,
     inverse_matrix,
     is_biconvex,
@@ -36,6 +32,7 @@ from oracles import (
     minimal_mapper,
     product,
     right_mult_simple,
+    word_element,
 )
 
 # every diagram the library builds, untwisted and twisted
@@ -51,7 +48,8 @@ B3 = load_diagram("B3~1")
 
 
 def test_identity():
-    e = identity(A2)
+    e = identity_element(A2)
+    assert weyl.identity(A2) == e.cols == (1, 1 << weyl.W, 1 << 2 * weyl.W)
     assert e.length == 0 and e.word == () and e.inversions == frozenset()
     assert e.apply((1, 2, 3)) == (1, 2, 3)
 
@@ -113,11 +111,11 @@ def test_group_laws(data):
     for rep in coset_poset(d, ambient, subgroup):
         assert_inversions_by_definition(rep)
     assert from_word(d, u.word).cols == u.cols
-    grown = identity(d)  # built by extend, one element per letter
+    grown = identity_element(d)  # built by extend, one element per letter
     for i in u.word:
         grown = grown.extend(i)
     assert grown.cols == u.cols and grown.word == u.word
-    stepped = _word_element(d, u.word)  # columns stepped, one element at the end
+    stepped = word_element(d, u.word)  # columns stepped, one element at the end
     assert stepped.cols == u.cols and stepped.word == u.word
 
 
@@ -127,7 +125,7 @@ def test_weak_order_is_inversion_containment(data):
     d = load_diagram("B3~1")
     nodes = list(d.nodes)
     u = from_word(d, data.draw(st.lists(st.sampled_from(nodes), max_size=6)))
-    assert identity(d).inversions <= u.inversions
+    assert identity_element(d).inversions <= u.inversions
     i = data.draw(st.sampled_from(nodes))
     grown = u.extend(i)
     if grown is not None:
@@ -141,14 +139,6 @@ def test_extend_matches_descent():
     assert grown is not None and grown.length == 3
 
 
-def test_word_element_refuses_unreduced_word():
-    # each letter is checked on the stepped columns; the error names the
-    # word up to the first letter that would shorten it
-    assert _word_element(A2, (1, 2, 0)).cols == from_word(A2, [1, 2, 0]).cols
-    with pytest.raises(RuntimeError, match=re.escape("word (1, 2, 2) is not reduced")):
-        _word_element(A2, (1, 2, 2, 0))
-
-
 def test_longest_elements():
     cases = [
         (A2, (1, 2), 3),
@@ -159,16 +149,16 @@ def test_longest_elements():
         (load_diagram("F4~1"), (1, 2, 3, 4), 24),
     ]
     for d, nodes, count in cases:
-        w0 = _word_element(d, longest_quotient(d, (), nodes))
+        w0 = word_element(d, longest_quotient(d, (), nodes))
         assert w0.length == count == len(subsystem_closure(d, nodes))
         assert product(w0, w0).length == 0
         # w0 maps every positive root of the subsystem to a negative one
         assert w0.inversions == subsystem_closure(d, nodes)
         # w0(J')*w0(J) is the tail of a reduced word of w0(J) after w0(J')
-        w0_sub = _word_element(d, longest_quotient(d, (), nodes[1:]))
-        tail = _word_element(d, longest_quotient(d, nodes[1:], nodes))
+        w0_sub = word_element(d, longest_quotient(d, (), nodes[1:]))
+        tail = word_element(d, longest_quotient(d, nodes[1:], nodes))
         assert tail.cols == product(w0_sub, w0).cols and tail.length == w0.length - w0_sub.length
-        assert _word_element(d, w0_sub.word + tail.word).cols == w0.cols
+        assert word_element(d, w0_sub.word + tail.word).cols == w0.cols
     assert longest_quotient(A2, (), []) == ()
 
 
@@ -187,7 +177,7 @@ def test_coset_poset_sizes():
 
 
 def test_minimal_coset_rep():
-    w0 = _word_element(B3, longest_quotient(B3, (), (1, 2, 3)))
+    w0 = word_element(B3, longest_quotient(B3, (), (1, 2, 3)))
     sub = [simple_root(B3, 2), simple_root(B3, 3)]
     rep = minimal_coset_rep(B3, w0, sub)
     assert rep.length == 9 - 4  # |W(B3)| minus |W(B2)| worth of length
@@ -218,7 +208,7 @@ def test_dominant_mapper_refuses_non_dominant_target():
 def dominant_element(d, nodes, frm, to):
     """`dominant_mapper`'s reduced word walked to the element it spells."""
     word = dominant_mapper(d, nodes, frm, to)
-    return None if word is None else _word_element(d, word)
+    return None if word is None else word_element(d, word)
 
 
 HIGHEST_ROOT_CASES = [
@@ -334,7 +324,7 @@ def test_right_mult_matches_all_columns_reference():
     for label in CATALOG_LABELS:
         d = load_diagram(label)
         for _ in range(4):
-            w, ref = identity(d), identity(d).mat
+            w, ref = identity_element(d), identity_element(d).mat
             for _ in range(40):
                 i = rng.choice([i for i in d.nodes if is_positive(w.mat[i])])
                 packed = weyl._right_mult_simple(d, w.cols, i)
