@@ -20,10 +20,13 @@ from .report import render_dot, render_json, result_document
 
 
 def non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
-    return value
+    """A length: ASCII digits once stripped, as `node_list` reads a node."""
+    digits = text.strip()
+    if digits.isascii() and digits.isdigit():
+        return int(digits)
+    if digits.startswith("-") and digits[1:].isascii() and digits[1:].isdigit():
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {digits}")
+    raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
 
 
 def node_list(text: str) -> str:

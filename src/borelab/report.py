@@ -160,9 +160,7 @@ def render_json(doc: dict) -> str:
 
 
 def render_dot(poset: MinusculePoset) -> str:
-    """Hasse diagram in Graphviz DOT form, ranked by length."""
-    if not poset.complete:
-        raise ValueError(poset.truncation())
+    """Hasse diagram in Graphviz DOT form, ranked by length (ValueError if truncated)."""
     lines = ["digraph poset {", "  rankdir=BT;"]
     maxima = set(poset.maxima)
     # element p's word is its parent's plus its last letter, and parents

@@ -56,7 +56,10 @@ sums and decompositions with `root_kind`, where the library's mask tables
 closure; `pairwise_structural_masks` builds those tables by a dot product
 and a difference for every pair of S1, where the library looks up packed
 sums among the closure's roots of odd height 2 and packed differences in
-S1.  `graded_root_scan` finds the roots of odd height at most 2 by a
+S1.  `mask_verdict` decides a set by scanning each of its members against
+those tables, and `per_mask_structural` runs it on every element's whole
+mask, where `minuscule.check_structural` checks only the one root each
+element adds to its parent's.  `graded_root_scan` finds the roots of odd height at most 2 by a
 norm-bounded scan that `root_kind` classifies, where `roots.raising_closure`
 raises them by the string rule, and `reflection_closure` reflects a finite
 subsystem's simple roots, where `roots.subsystem_closure` raises them.
@@ -95,7 +98,7 @@ from typing import Iterable, Optional, Sequence
 
 from borelab.cartan import AffineDiagram, components, finite_nodes
 from borelab.grading import GradedContext, Wall
-from borelab.minuscule import CheckResult, MinusculePoset, _verdict
+from borelab.minuscule import CheckResult, MinusculePoset, _verdict, structural_masks
 from borelab.roots import (
     Root,
     add,
@@ -986,6 +989,29 @@ def pairwise_structural_masks(ctx: GradedContext) -> tuple[list[int], list[int]]
                 partner[n] |= 1 << m
                 partner[m] |= 1 << n
     return partner, down
+
+
+def mask_verdict(partner: list[int], down: list[int], mask: int) -> tuple[bool, bool]:
+    """(no two members sum to a root, the set is biconvex) for a set in S1.
+    A sum of two members has odd height 2, so it is never a member: a
+    sum-free set is closed, and it is biconvex iff it is co-closed."""
+    members = [n for n in range(mask.bit_length()) if mask >> n & 1]
+    sum_free = not any(partner[n] & mask for n in members)
+    return sum_free, sum_free and not any(down[n] & ~mask for n in members)
+
+
+def per_mask_structural(poset: MinusculePoset) -> CheckResult:
+    """`minuscule.check_structural` by `mask_verdict` on every element's
+    whole mask, each problem collected and the first reported."""
+    partner, down = structural_masks(poset.ctx)
+    problems = []
+    for p, mask in enumerate(poset.masks):
+        sum_free, biconvex = mask_verdict(partner, down, mask)
+        if not sum_free:
+            problems.append(f"element {p}: inversions sum to a root")
+        if not biconvex:
+            problems.append(f"element {p}: inversion set not biconvex")
+    return _verdict("structural", problems, "all inversion sets biconvex and sum-free")
 
 
 def integer_gram(d: AffineDiagram) -> tuple[tuple[int, ...], ...]:

@@ -25,7 +25,9 @@ mask tables against the pairwise scan
 and the order kept by translation against reflecting every subgroup simple
 and comparing every pair (`oracles.reflecting_coset_translates`,
 `oracles.translation_keeps_order`), run
-`verify_all` on every element of every poset, and compare gradings related by
+`verify_all` on every element of every poset, the structural check's
+one step from each parent against the scan of every element's mask
+(`oracles.per_mask_structural`), and compare gradings related by
 a diagram automorphism, whose posets must be isomorphic.  The paper's
 bijection is checked the other way too: every b0-stable abelian subspace of
 the odd part, found by search (`oracles.abelian_subspace_masks`), is an
@@ -56,6 +58,7 @@ from borelab.grading import analyze, catalog_involutions
 from borelab.minuscule import (
     check_bounding_equivalence,
     check_family_completeness,
+    check_structural,
     coset_translates,
     enumerate_poset,
     maxima_parametrization,
@@ -94,6 +97,7 @@ from oracles import (
     maximal_by_sets,
     pairwise_classify_component,
     pairwise_structural_masks,
+    per_mask_structural,
     permutation_automorphisms,
     probed_family_completeness,
     reflecting_ascent,
@@ -492,10 +496,20 @@ def test_verify_all_whole_catalog(catalog):
     failures = []
     for ctx in catalog:
         poset = enumerate_poset(ctx)
-        for result in verify_all(poset, structural_limit=10**9):
+        for result in verify_all(poset):
             if not result.passed:
                 failures.append((ctx.spec.describe(), result.name, result.detail))
     assert not failures, failures[:5]
+
+
+def test_one_step_structural_matches_per_mask_scan(catalog):
+    # each element's one new root against its parent's mask, where the
+    # reference scans every member of every element's mask
+    for ctx in catalog:
+        poset = enumerate_poset(ctx)
+        got = check_structural(poset)
+        assert got == per_mask_structural(poset), ctx.spec.describe()
+        assert got.detail == "all inversion sets biconvex and sum-free", ctx.spec.describe()
 
 
 def test_bounding_walk_matches_column_building_oracle(catalog):

@@ -24,7 +24,6 @@ from borelab.minuscule import (
     check_structural,
     coset_translates,
     enumerate_poset,
-    mask_verdict,
     maxima_parametrization,
     structural_masks,
     verify_all,
@@ -42,6 +41,7 @@ from borelab.roots import (
 )
 import borelab.weyl as weyl
 from borelab.weyl import dominant_mapper, pack, unpack
+import oracles
 from oracles import (
     column_bounding_equivalence,
     coset_poset,
@@ -52,8 +52,10 @@ from oracles import (
     identity_element,
     is_biconvex,
     longest_element,
+    mask_verdict,
     maximal_by_sets,
     minimal_mapper,
+    per_mask_structural,
     product,
     root_kind,
     scan_poset,
@@ -888,19 +890,27 @@ def with_mask(p, q, mask):
     return bad
 
 
+PARENT_PLUS_ONE = "inversion set is not its parent's plus one root"
+
+
 def test_extra_partner_bit_fails_structural(sweep):
+    # a bad mask in one element: the one-step check finds that it is not its
+    # parent's plus one root, and the per-mask scan that two members sum to
+    # a root
     mutated = 0
     for name, ctx, p in sweep:
-        assert check_structural(p, len(p)).passed, name
-        partner, _ = structural_masks(ctx)
+        assert check_structural(p).passed, name
+        partner, down = structural_masks(ctx)
         for q, mask in enumerate(p.masks):
             extra = [partner[n] & ~mask for n in range(len(partner)) if mask >> n & 1]
             extra = next((e for e in extra if e), 0)
             if extra:
                 bad = with_mask(p, q, mask | (extra & -extra))
-                r = check_structural(bad, len(p))
-                assert r.detail == f"element {q}: inversions sum to a root", name
-                assert not r.passed
+                r = check_structural(bad)
+                assert r == ("structural", False, f"element {q}: {PARENT_PLUS_ONE}"), name
+                assert per_mask_structural(bad) == (
+                    "structural", False, f"element {q}: inversions sum to a root"), name
+                assert mask_verdict(partner, down, bad.masks[q]) == (False, False), name
                 mutated += 1
                 break
     assert mutated == len(sweep) == 117
@@ -909,19 +919,80 @@ def test_extra_partner_bit_fails_structural(sweep):
 def test_missing_down_bit_fails_structural(sweep):
     mutated = 0
     for name, ctx, p in sweep:
-        _, down = structural_masks(ctx)
+        partner, down = structural_masks(ctx)
         for q, mask in enumerate(p.masks):
             held = [down[n] & mask for n in range(len(down)) if mask >> n & 1]
             held = next((h for h in held if h), 0)
             if held:
                 bad = with_mask(p, q, mask & ~(held & -held))
-                r = check_structural(bad, len(p))
-                assert r.detail == f"element {q}: inversion set not biconvex", name
-                assert not r.passed
+                r = check_structural(bad)
+                assert r == ("structural", False, f"element {q}: {PARENT_PLUS_ONE}"), name
+                assert per_mask_structural(bad) == (
+                    "structural", False, f"element {q}: inversion set not biconvex"), name
+                assert mask_verdict(partner, down, bad.masks[q]) == (True, False), name
                 mutated += 1
                 break
     # in the other 10 gradings no element holds a down bit of its own
     assert mutated == 107
+
+
+def first_new_roots(p):
+    """(q, n) for each element q that is the first to add the root at bit
+    n, in position order, if q's parent's mask is nonempty."""
+    seen = set()
+    for q in range(1, len(p)):
+        parent = p.masks[p.parents[q]]
+        n = (p.masks[q] ^ parent).bit_length() - 1
+        if n not in seen:
+            seen.add(n)
+            if parent:
+                yield q, n
+
+
+@pytest.mark.parametrize("table,detail", [
+    (0, "inversions sum to a root"), (1, "inversion set not biconvex"),
+])
+def test_planted_table_bit_fails_structural(sweep, monkeypatch, table, detail):
+    # a bit planted in the tables the check reads: a member of the parent's
+    # mask as a partner of x, or a root outside the element as an x - e.  The
+    # one-step check reads x's row first at the first element that adds x,
+    # and fails there, as the per-mask scan does
+    mutated = 0
+    for name, ctx, p in sweep:
+        q, n = next(first_new_roots(p), (None, None))
+        if q is None:
+            continue
+        tables = structural_masks(ctx)
+        outside = ~p.masks[q] & ((1 << len(ctx.s1_order)) - 1)
+        bit = p.masks[p.parents[q]] if table == 0 else outside
+        if not bit:
+            continue
+        rows = list(tables[table])
+        rows[n] |= bit & -bit
+        planted = (rows, tables[1]) if table == 0 else (tables[0], rows)
+        with monkeypatch.context() as m:
+            for module in (minuscule, oracles):
+                m.setattr(module, "structural_masks", lambda _: planted)
+            r = check_structural(p)
+            assert r == ("structural", False, f"element {q}: {detail}"), name
+            assert per_mask_structural(p) == r, name
+        mutated += 1
+    # in the other 10 gradings every element has length at most 1
+    assert mutated == 107
+
+
+def test_structural_limit_reads_a_prefix(e8):
+    _, p = e8
+    assert check_structural(p).detail == "all inversion sets biconvex and sum-free"
+    assert check_structural(p, len(p)) == check_structural(p)
+    for k in (0, 1, 40, len(p) - 1):
+        r = check_structural(p, k)
+        assert r == ("structural", True, f"{k} of {len(p)} inversion sets biconvex and sum-free")
+        assert int(r.detail.split()[0]) == k
+        structural = {c.name: c for c in verify_all(p, structural_limit=k)}["structural"]
+        assert structural == r
+    # the first k positions are a lower set: every parent among them
+    assert all(0 <= p.parents[q] < q for q in range(1, 40))
 
 
 def family_minimum_oracle(ctx, a, wall):
