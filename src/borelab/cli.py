@@ -24,7 +24,7 @@ def non_negative_int(text: str) -> int:
     digits = text.strip()
     if digits.isascii() and digits.isdigit():
         return int(digits)
-    if digits.startswith("-") and digits[1:].isascii() and digits[1:].isdigit():
+    if digits[:1] == "-" and digits[1:].isascii() and digits[1:].isdigit() and int(digits[1:]):
         raise argparse.ArgumentTypeError(f"must be at least 0, not {digits}")
     raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
 
@@ -61,8 +61,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dedupe", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="fold involutions equivalent under diagram symmetry")
-    p.add_argument("--max-length", type=non_negative_int, default=None, metavar="L",
-                   help="truncate the enumeration at this length")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,6 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate a poset and summarize it")
     _add_common(p)
+    p.add_argument("--max-length", type=non_negative_int, default=None, metavar="L",
+                   help="truncate the enumeration at this length")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", metavar="PATH", default=None)
 
@@ -171,7 +171,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_maxima(args: argparse.Namespace) -> int:
     for ctx in _contexts(args):
-        poset = enumerate_poset(ctx, max_length=args.max_length)
+        poset = enumerate_poset(ctx)
         items = maxima_parametrization(poset)
         print(ctx.spec.describe())
         for it in items:
@@ -183,7 +183,7 @@ def _cmd_maxima(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     failed = False
     for ctx in _contexts(args):
-        poset = enumerate_poset(ctx, max_length=args.max_length)
+        poset = enumerate_poset(ctx)
         print(ctx.spec.describe())
         for r in verify_all(poset):
             print(" ", r.line())
@@ -199,7 +199,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
         with _writing(args.out):
             os.makedirs(args.out, exist_ok=True)
     for ctx in contexts:
-        poset = enumerate_poset(ctx, max_length=args.max_length)
+        poset = enumerate_poset(ctx)
         if args.format == "dot":
             text = render_dot(poset)
         else:

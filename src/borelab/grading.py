@@ -49,11 +49,12 @@ class InvolutionSpec:
         if weight == 2 and d.twist != 1:
             raise ValueError(f"flag weight 2 requires an untwisted diagram; {d.label} is twisted")
         if weight == 2 and self.adjoint:
-            raise ValueError("an adjoint grading has flag weight 1, not 2")
+            raise ValueError("an adjoint grading (--adjoint) has flag weight 1, not 2")
         if weight == 1 and d.twist == 1 and not self.adjoint:
-            raise ValueError("flag weight 1 on an untwisted diagram needs adjoint=True")
+            raise ValueError("flag weight 1 on an untwisted diagram is an adjoint grading; "
+                             "it needs adjoint=True (--adjoint)")
         if d.twist == 2 and self.adjoint:  # of flag weight 1: weight 2 was refused above
-            raise ValueError("adjoint gradings only exist on untwisted diagrams")
+            raise ValueError("adjoint gradings (--adjoint) only exist on untwisted diagrams")
 
     def _key(self) -> tuple:
         return self.diagram, self.flags, self.adjoint

@@ -344,9 +344,10 @@ def coset_translates(
     start: Optional[int],
     ambient: Iterable[int],
     subgroup: Sequence[Root],
-) -> tuple[dict[int, int], list[tuple[int, Optional[int]]]]:
-    """The minimal representatives u of W'\\W(ambient), each with the
-    position of its translate m*u, where m is the element at `start`.
+) -> Optional[list[int]]:
+    """The positions of the translates m*u of the minimal representatives u
+    of W'\\W(ambient), where m is the element at `start`; None if `start`
+    is None or a translate is not in the poset.
 
     W' is the reflection subgroup on the simple system `subgroup`: u is
     minimal iff u^{-1} beta > 0 for each subgroup simple beta (Deodhar's
@@ -356,29 +357,29 @@ def coset_translates(
     multiples of alpha_i, for u minimal s_i u^{-1} beta < 0 iff beta =
     c*u(alpha_i), c > 0, and c = 1 as alpha_i is simple and each beta a
     primitive vector: u*s_i is minimal iff u(alpha_i) is no subgroup simple.
-    A representative is its inversion mask over the ambient positive roots;
-    the returned index gives each packed root's bit.
-    m*u*s_i is m*u stepped through node i (`MinusculePoset.step`); its
-    position is None when that column is outside S1 or the mask is not in
-    the poset, and so is every translate grown from it.
+    m*u*s_i is m*u stepped through node i (`MinusculePoset.step`).  As
+    u -> m*u is injective and a position names one element (`by_mask`), u
+    is keyed by its translate's position; a translate outside the poset is
+    no family member, and the walk stops there.
     """
+    if start is None:
+        return None
     d = poset.ctx.d
     simples = {pack(beta) for beta in subgroup}
-    index: dict[int, int] = {}
-    seen = {0}
-    queue = [(poset.cols[0], 0, start)]  # the identity's columns
-    for u, mask, img in queue:  # appended to as it is read: breadth-first
+    seen = {start}
+    queue = [(poset.cols[0], start)]  # the identity's columns
+    for u, img in queue:  # appended to as it is read: breadth-first
         for i in ambient:
             col = u[i]
             if col < 0 or col in simples:
                 continue
-            key = mask | index.setdefault(col, 1 << len(index))
-            if key in seen:
-                continue
-            seen.add(key)
-            tgt = None if img is None else poset.step(img, i)
-            queue.append((_right_mult_simple(d, u, i), key, tgt))
-    return index, [(key, img) for _, key, img in queue]
+            tgt = poset.step(img, i)
+            if tgt is None:
+                return None
+            if tgt not in seen:
+                seen.add(tgt)
+                queue.append((_right_mult_simple(d, u, i), tgt))
+    return [img for _, img in queue]
 
 
 def check_coset_isomorphism(poset: MinusculePoset) -> CheckResult:
@@ -400,13 +401,11 @@ def check_coset_isomorphism(poset: MinusculePoset) -> CheckResult:
         if not fam:
             continue
         start = poset.position(ctx.family_minima[a, wall.index])
-        _, reps = coset_translates(poset, start, *ctx.quotient_data(a, wall))
-        if len(reps) != len(fam):
+        reps = coset_translates(poset, start, *ctx.quotient_data(a, wall))
+        if reps is not None and len(reps) != len(fam):
             problems.append(
                 f"({a}, wall {wall.index}): {len(reps)} cosets vs {len(fam)} members")
-            continue
-        members = set(fam)
-        if any(img not in members for _, img in reps):
+        elif reps is None or not set(fam).issuperset(reps):
             problems.append(f"({a}, wall {wall.index}): translate of coset rep leaves family")
     return _verdict("coset_isomorphism", problems, "families are translated coset posets")
 

@@ -47,10 +47,12 @@ coset representatives by reflection-subgroup normalization and full group
 elements, a route the library's lockstep coset walk
 (`minuscule.coset_translates`) does not take.  `reflecting_coset_translates`
 walks the same cosets as the library, but decides minimality by reflecting
-every subgroup simple root at each ascent, where the library looks the new
-column up among the subgroup simples; `translation_keeps_order` compares
-every two translates, where `check_coset_isomorphism` reads order
-preservation off length additivity.  The structural trio decides
+every subgroup simple root at each ascent and keys each representative by
+its inversion mask, where the library looks the new column up among the
+subgroup simples and keys each representative by its translate's position
+in the poset; `translation_keeps_order` compares every two translates, read
+off those masks, where `check_coset_isomorphism` reads order preservation
+off length additivity.  The structural trio decides
 sums and decompositions with `root_kind`, where the library's mask tables
 (`minuscule.structural_masks`) look them up in the grading's raising
 closure; `pairwise_structural_masks` builds those tables by a dot product

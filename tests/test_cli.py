@@ -62,10 +62,12 @@ def test_verify_ok_and_failing():
     ok = run_cli("verify", "--type", "D5~2", "--pi1", "1")
     assert ok.returncode == 0
     assert "[PASS]" in ok.stdout and "[FAIL]" not in ok.stdout
-    # truncation breaks the structure, so verification must fail loudly
+    # verify always enumerates all of P and refuses --max-length (the
+    # library's verdict on a truncated poset is in test_report.py)
     bad = run_cli("verify", "--type", "D5~2", "--pi1", "1", "--max-length", "2")
-    assert bad.returncode == 1
-    assert "[FAIL]" in bad.stdout
+    assert bad.returncode == 2
+    assert "unrecognized arguments: --max-length 2" in bad.stderr
+    assert bad.stdout == ""
 
 
 def test_verify_all_gradings():
@@ -128,6 +130,15 @@ def test_negative_max_length_rejected():
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("text", ["-0", "-00"])
+def test_minus_zero_max_length_is_not_below_zero(text):
+    # -0 is not below 0: the refusal names the text, not "at least 0"
+    r = run_cli("enumerate", "--type", "D5~2", "--pi1", "1", "--max-length", text)
+    assert r.returncode == 2
+    assert f"--max-length: {text!r} is not a non-negative integer" in r.stderr
+    assert "at least 0" not in r.stderr
+
+
 @pytest.mark.parametrize("text", ["1_0", "+3", "\uff13", "abc", "1.5", ""])
 def test_max_length_reads_ascii_digits_only(text):
     # `int` reads '1_0' as 10, '+3' and a fullwidth digit; the message names
@@ -157,6 +168,42 @@ def test_weight_two_on_twisted_names_the_diagram():
     assert r.returncode == 2
     assert "flag weight 2 requires an untwisted diagram; D5~2 is twisted" in r.stderr
     assert "adjoint" not in r.stderr
+
+
+@pytest.mark.parametrize("args,message", [
+    (["E6~1", "--pi1", "0"],
+     "flag weight 1 on an untwisted diagram is an adjoint grading; "
+     "it needs adjoint=True (--adjoint)"),
+    (["E6~1", "--pi1", "2", "--adjoint"],
+     "an adjoint grading (--adjoint) has flag weight 1, not 2"),
+    (["D5~2", "--pi1", "1", "--adjoint"],
+     "adjoint gradings (--adjoint) only exist on untwisted diagrams"),
+])
+def test_adjoint_refusals_name_the_option(args, message):
+    # the refusal names the CLI option, not only the library's keyword
+    r = run_cli("verify", "--type", *args)
+    assert r.returncode == 2
+    assert r.stderr == f"error: {message}\n"
+    assert r.stdout == ""
+
+
+def test_enumerate_all_json_is_a_stream_of_documents():
+    # one indented document per grading, back to back: read by raw_decode
+    # (or jq), not by json.loads; each is the single-grading output
+    r = run_cli("enumerate", "--type", "A5~1", "--all", "--format", "json")
+    assert r.returncode == 0
+    docs, text = [], r.stdout
+    while text:
+        doc, end = json.JSONDecoder().raw_decode(text)
+        jsonschema.validate(doc, RESULT_SCHEMA)
+        docs.append(doc)
+        text = text[end:].lstrip()
+    assert len(docs) == 4
+    single = [run_cli("enumerate", "--type", "A5~1", *args, "--format", "json")
+              for args in (["--pi1", "0,1"], ["--pi1", "0,2"], ["--pi1", "0,3"],
+                           ["--pi1", "0", "--adjoint"])]
+    assert all(s.returncode == 0 for s in single)
+    assert r.stdout == "".join(s.stdout for s in single)
 
 
 def test_export_all_requires_out():
@@ -219,13 +266,14 @@ def test_pi1_not_a_number():
 
 
 def test_truncated_verify_fails_on_completeness():
+    # --max-length belongs to enumerate; verify refuses it before it
+    # enumerates, and the library still fails a truncated poset on the check
+    # `complete` alone (test_report.py)
     r = run_cli("verify", "--type", "D5~2", "--pi1", "1", "--max-length", "2")
-    assert r.returncode == 1
-    checks = [l for l in r.stdout.splitlines() if l.startswith("  [")]
-    assert checks == [
-        "  [FAIL] complete: enumeration truncated at length 2 after 4 elements;"
-        " longer elements exist"
-    ]
+    assert r.returncode == 2
+    assert r.stderr.splitlines()[-1] == (
+        "borelab: error: unrecognized arguments: --max-length 2")
+    assert r.stdout == ""
 
 
 def test_truncated_enumerate_text_gives_no_maxima():
@@ -278,9 +326,15 @@ def test_closed_pipe_exits_quietly(args):
     ["enumerate", "--format", "json"],
 ])
 def test_truncated_poset_refused(command):
+    # enumerate truncates and refuses a JSON document of the part; the other
+    # commands always enumerate all of P and refuse the option itself
     r = run_cli(*command, "--type", "D5~2", "--pi1", "1", "--max-length", "2")
     assert r.returncode == 2
-    assert "error: enumeration truncated at length 2" in r.stderr
+    if command[0] == "enumerate":
+        assert "error: enumeration truncated at length 2" in r.stderr
+    else:
+        assert r.stderr.splitlines()[-1] == (
+            "borelab: error: unrecognized arguments: --max-length 2")
     assert r.stdout == ""
 
 

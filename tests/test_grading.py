@@ -40,13 +40,15 @@ def box_scan(ctx):
 
 def test_involution_validation():
     a2 = load_diagram("A2~1")
-    with pytest.raises(ValueError, match="flag weight 1 on an untwisted diagram needs adjoint"):
+    with pytest.raises(ValueError, match="flag weight 1 on an untwisted diagram is an adjoint grading"):
         involution(a2, [0])  # weight 1 without adjoint
     with pytest.raises(ValueError, match="A2~1 has nodes 0..2; no node 99"):
         involution(a2, [99])
-    with pytest.raises(ValueError, match="an adjoint grading has flag weight 1, not 2"):
+    with pytest.raises(ValueError,
+                       match=r"an adjoint grading \(--adjoint\) has flag weight 1, not 2"):
         involution(a2, [0, 1], adjoint=True)
-    with pytest.raises(ValueError, match="adjoint gradings only exist on untwisted diagrams"):
+    with pytest.raises(ValueError,
+                       match=r"adjoint gradings \(--adjoint\) only exist on untwisted diagrams"):
         involution(load_diagram("D5~2"), [1], adjoint=True)
     with pytest.raises(ValueError, match="requires an untwisted diagram; D5~2 is twisted"):
         involution(load_diagram("D5~2"), [1, 2])  # weight 2 on twisted

@@ -57,6 +57,7 @@ from oracles import (
     minimal_mapper,
     per_mask_structural,
     product,
+    reflecting_coset_translates,
     root_kind,
     scan_poset,
     structural_verdict,
@@ -632,15 +633,11 @@ def test_coset_translates_match_oracle(sweep):
         for a, wall in nonempty_families(ctx, p):
             m = ctx.family_minima[a, wall.index]
             ambient, subgroup = ctx.quotient_data(a, wall)
-            index, reps = coset_translates(p, p.position(m), ambient, subgroup)
-            got = {
-                frozenset(unpack(col, ctx.d.size) for col, bit in index.items() if mask & bit): img
-                for mask, img in reps
-            }
-            want = {u.inversions: p.position(product(from_word(ctx.d, m), u).word)
-                    for u in coset_poset(ctx.d, ambient, subgroup)}
-            assert len(got) == len(reps), (name, a, wall.index)
-            assert got == want, (name, a, wall.index)
+            got = coset_translates(p, p.position(m), ambient, subgroup)
+            want = sorted(p.position(product(from_word(ctx.d, m), u).word)
+                          for u in coset_poset(ctx.d, ambient, subgroup))
+            assert len(got) == len(want), (name, a, wall.index)
+            assert sorted(got) == want, (name, a, wall.index)
 
 
 def test_coset_isomorphism_rejects_wrong_minimum(sweep, monkeypatch):
@@ -663,7 +660,9 @@ def test_coset_isomorphism_rejects_wrong_minimum(sweep, monkeypatch):
 
 
 def test_coset_isomorphism_rejects_wrong_subgroup(sweep):
-    # one simple dropped from the family's subgroup: too many cosets
+    # one simple dropped from the family's subgroup: too many cosets, and the
+    # walk meets a translate outside the poset before it can count them
+    mutants = 0
     for name, ctx, p in sweep:
         for a, wall in nonempty_families(ctx, p):
             ambient, subgroup = ctx.quotient_data(a, wall)
@@ -684,7 +683,10 @@ def test_coset_isomorphism_rejects_wrong_subgroup(sweep):
             n = len(p.family(a, wall))
             assert cosets > n, (name, a, wall.index)
             assert not r.passed, (name, a, wall.index)
-            assert r.detail == f"({a}, wall {wall.index}): {cosets} cosets vs {n} members"
+            assert r.detail == (
+                f"({a}, wall {wall.index}): translate of coset rep leaves family")
+            mutants += 1
+    assert mutants == 471
 
 
 def test_coset_isomorphism_rejects_missing_member(sweep):
@@ -701,6 +703,37 @@ def test_coset_isomorphism_rejects_missing_member(sweep):
                 f"({a}, wall {wall.index}): {len(fam)} cosets vs {len(fam) - 1} members")
 
 
+def test_coset_walk_stops_at_a_translate_outside_the_poset(sweep, monkeypatch):
+    # no start, or a member other than the minimum dropped from `by_mask`:
+    # the walk returns None, and the check names the family it left
+    dropped = 0
+    for name, ctx, p in sweep:
+        for a, wall in nonempty_families(ctx, p):
+            where = (name, a, wall.index)
+            leaves = f"({a}, wall {wall.index}): translate of coset rep leaves family"
+            quotient = ctx.quotient_data(a, wall)
+            assert coset_translates(p, None, *quotient) is None, where
+            monkeypatch.setitem(ctx.family_minima, (a, wall.index), (0, 0))  # not reduced
+            assert p.position(ctx.family_minima[a, wall.index]) is None, where
+            assert check_coset_isomorphism(p) == (
+                "coset_isomorphism", False, leaves), where
+            monkeypatch.undo()
+            fam = p.family(a, wall)
+            if len(fam) < 2:
+                continue
+            alone = copy.copy(ctx)
+            alone.families = ((a, wall),)
+            bad = copy.copy(p)
+            bad.ctx = alone
+            bad.by_mask = {mask: q for mask, q in p.by_mask.items() if q != fam[-1]}
+            start = bad.position(ctx.family_minima[a, wall.index])
+            assert start == fam[0], where
+            assert coset_translates(bad, start, *quotient) is None, where
+            assert check_coset_isomorphism(bad) == ("coset_isomorphism", False, leaves), where
+            dropped += 1
+    assert dropped == 287
+
+
 def test_order_oracle_rejects_swapped_translates(sweep):
     # the identity's translate (length 0 over the minimum) swapped with the
     # last one, grown last and so longest: count and membership still hold,
@@ -709,7 +742,9 @@ def test_order_oracle_rejects_swapped_translates(sweep):
     for name, ctx, p in sweep:
         for a, wall in nonempty_families(ctx, p):
             m = ctx.family_minima[a, wall.index]
-            _, reps = coset_translates(p, p.position(m), *ctx.quotient_data(a, wall))
+            start, quotient = p.position(m), ctx.quotient_data(a, wall)
+            _, reps = reflecting_coset_translates(p, start, *quotient)
+            assert [img for _, img in reps] == coset_translates(p, start, *quotient)
             assert translation_keeps_order(p.masks, reps), (name, a, wall.index)
             if len(reps) < 2:
                 continue

@@ -1,8 +1,9 @@
 import json
 
 import jsonschema
+import pytest
 
-from borelab.minuscule import verify_all
+from borelab.minuscule import CheckResult, enumerate_poset, verify_all
 from borelab.report import RESULT_SCHEMA, render_dot, render_json, result_document
 
 
@@ -49,3 +50,26 @@ def test_dot_output(d5):
     assert dot.count("[label=") == len(p)
     assert dot.count("shape=box") == len(p.maxima)
     assert '"e"' in dot
+
+
+TRUNCATED = "enumeration truncated at length 2 after 4 elements; longer elements exist"
+
+
+def test_truncated_poset_fails_only_completeness(d5):
+    # the library's side of a truncated poset, which the CLI reaches only
+    # through `enumerate --max-length`
+    ctx, _ = d5
+    short = enumerate_poset(ctx, max_length=2)
+    assert verify_all(short) == [CheckResult("complete", False, TRUNCATED)]
+
+
+@pytest.mark.parametrize("render", [
+    result_document,
+    lambda p: result_document(p, verify_all(p)),
+    render_dot,
+], ids=["document", "verified document", "dot"])
+def test_truncated_poset_not_rendered(d5, render):
+    ctx, _ = d5
+    with pytest.raises(ValueError) as exc:
+        render(enumerate_poset(ctx, max_length=2))
+    assert str(exc.value) == TRUNCATED
