@@ -24,7 +24,7 @@ def non_negative_int(text: str) -> int:
     digits = text.strip()
     if digits.isascii() and digits.isdigit():
         return int(digits)
-    if digits[:1] == "-" and digits[1:].isascii() and digits[1:].isdigit() and int(digits[1:]):
+    if digits[:1] == "-" and digits[1:].isascii() and digits[1:].isdigit() and digits.lstrip("-0"):
         raise argparse.ArgumentTypeError(f"must be at least 0, not {digits}")
     raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
 

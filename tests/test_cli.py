@@ -9,6 +9,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from borelab import cli
+from borelab.minuscule import CheckResult
 from borelab.report import RESULT_SCHEMA
 
 
@@ -58,16 +60,16 @@ def test_maxima_listing():
     assert len(lines) == 9
 
 
-def test_verify_ok_and_failing():
+def test_verify_ok_and_failing(monkeypatch, capsys):
     ok = run_cli("verify", "--type", "D5~2", "--pi1", "1")
     assert ok.returncode == 0
     assert "[PASS]" in ok.stdout and "[FAIL]" not in ok.stdout
-    # verify always enumerates all of P and refuses --max-length (the
-    # library's verdict on a truncated poset is in test_report.py)
-    bad = run_cli("verify", "--type", "D5~2", "--pi1", "1", "--max-length", "2")
-    assert bad.returncode == 2
-    assert "unrecognized arguments: --max-length 2" in bad.stderr
-    assert bad.stdout == ""
+    # one failing check among passing ones must fail the run loudly
+    monkeypatch.setattr(cli, "verify_all", lambda poset: [
+        CheckResult("complete", True, "all"), CheckResult("structural", False, "broken")])
+    assert cli.main(["verify", "--type", "D5~2", "--pi1", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "  [PASS] complete: all" in out and "  [FAIL] structural: broken" in out
 
 
 def test_verify_all_gradings():
@@ -127,6 +129,16 @@ def test_negative_max_length_rejected():
     r = run_cli("enumerate", "--type", "D5~2", "--pi1", "1", "--max-length", "-1")
     assert r.returncode == 2
     assert "--max-length: must be at least 0, not -1" in r.stderr
+    assert r.stdout == ""
+
+
+def test_long_negative_max_length_rejected():
+    # past int's 4300-digit limit: still "at least 0", not argparse's
+    # "invalid non_negative_int value"
+    text = "-" + "1" * 5000
+    r = run_cli("enumerate", "--type", "D5~2", "--pi1", "1", "--max-length", text)
+    assert r.returncode == 2
+    assert f"--max-length: must be at least 0, not {text}" in r.stderr
     assert r.stdout == ""
 
 
@@ -265,15 +277,35 @@ def test_pi1_not_a_number():
     assert r.stdout == ""
 
 
-def test_truncated_verify_fails_on_completeness():
-    # --max-length belongs to enumerate; verify refuses it before it
-    # enumerates, and the library still fails a truncated poset on the check
-    # `complete` alone (test_report.py)
-    r = run_cli("verify", "--type", "D5~2", "--pi1", "1", "--max-length", "2")
+@pytest.fixture
+def truncating(monkeypatch):
+    """Only `enumerate` takes --max-length, so the other commands meet a
+    truncated poset only from the library: hand them one cut at length 2.
+    An explicit --max-length still reaches the library unchanged."""
+    enumerate_poset = cli.enumerate_poset
+    monkeypatch.setattr(cli, "enumerate_poset",
+                        lambda ctx, max_length=2: enumerate_poset(ctx, max_length=max_length))
+
+
+@pytest.mark.parametrize("command", [
+    ["maxima"], ["verify"], ["export", "--format", "json"], ["export", "--format", "dot"],
+], ids=["maxima", "verify", "export json", "export dot"])
+def test_max_length_belongs_to_enumerate(command):
+    # the other commands always enumerate all of P and refuse the option
+    r = run_cli(*command, "--type", "D5~2", "--pi1", "1", "--max-length", "2")
     assert r.returncode == 2
     assert r.stderr.splitlines()[-1] == (
         "borelab: error: unrecognized arguments: --max-length 2")
     assert r.stdout == ""
+
+
+def test_truncated_verify_fails_on_completeness(truncating, capsys):
+    assert cli.main(["verify", "--type", "D5~2", "--pi1", "1"]) == 1
+    checks = [l for l in capsys.readouterr().out.splitlines() if l.startswith("  [")]
+    assert checks == [
+        "  [FAIL] complete: enumeration truncated at length 2 after 4 elements;"
+        " longer elements exist"
+    ]
 
 
 def test_truncated_enumerate_text_gives_no_maxima():
@@ -323,19 +355,14 @@ def test_closed_pipe_exits_quietly(args):
 
 @pytest.mark.parametrize("command", [
     ["maxima"], ["export", "--format", "json"], ["export", "--format", "dot"],
-    ["enumerate", "--format", "json"],
+    ["enumerate", "--format", "json", "--max-length", "2"],
 ])
-def test_truncated_poset_refused(command):
-    # enumerate truncates and refuses a JSON document of the part; the other
-    # commands always enumerate all of P and refuse the option itself
-    r = run_cli(*command, "--type", "D5~2", "--pi1", "1", "--max-length", "2")
-    assert r.returncode == 2
-    if command[0] == "enumerate":
-        assert "error: enumeration truncated at length 2" in r.stderr
-    else:
-        assert r.stderr.splitlines()[-1] == (
-            "borelab: error: unrecognized arguments: --max-length 2")
-    assert r.stdout == ""
+def test_truncated_poset_refused(command, truncating, capsys):
+    # no document and no maxima of a part of P: exit 2, nothing on stdout
+    assert cli.main([*command, "--type", "D5~2", "--pi1", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert "error: enumeration truncated at length 2" in err
+    assert out == ""
 
 
 _COLD_EXPORT = """
