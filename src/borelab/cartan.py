@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -84,9 +84,10 @@ class AffineDiagram:
         return f"AffineDiagram({self.label!r})"
 
 
-def _breadth_first(nbrs: Sequence[Sequence[int]]) -> tuple[list[int], dict[int, int]]:
-    """Nodes reached from node 0 in breadth-first order, and their parents."""
-    order, parent = [0], {0: 0}
+def _breadth_first(nbrs: Mapping[int, Sequence[int]] | Sequence[Sequence[int]],
+                   start: int) -> tuple[list[int], dict[int, int]]:
+    """Nodes reached from `start` in breadth-first order, and their parents."""
+    order, parent = [start], {start: start}
     for i in order:
         for j in nbrs[i]:
             if j not in parent:
@@ -108,7 +109,7 @@ def _kernel_vector(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
     n = len(matrix)
     nbrs = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(matrix)]
-    order, parent = _breadth_first(nbrs)
+    order, parent = _breadth_first(nbrs, 0)
     if len(order) != n:
         raise ValueError(f"matrix is not connected: node 0 reaches {len(order)} of {n} nodes")
     num, den = [1] * n, [1] * n  # q_i, then a_i / a_0; on the cycle, all 1
@@ -230,21 +231,16 @@ def dual_coxeter_number(d: AffineDiagram) -> int:
 
 
 def components(d: AffineDiagram, nodes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the induced subdiagram, ordered by least node."""
-    remaining = set(nodes)
-    out = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            i = stack.pop()
-            for j in d.neighbor_table[i]:
-                if j in remaining and j not in comp:
-                    comp.add(j)
-                    stack.append(j)
-        remaining -= comp
-        out.append(tuple(sorted(comp)))
+    """Connected components of the induced subdiagram, ordered by least node:
+    the sets `_breadth_first` reaches along the neighbour lists induced on it."""
+    s = set(nodes)
+    nbrs = {i: [j for j in d.neighbor_table[i] if j in s] for i in s}
+    out, reached = [], set()
+    for i in sorted(s):
+        if i not in reached:
+            order = _breadth_first(nbrs, i)[0]
+            reached.update(order)
+            out.append(tuple(sorted(order)))
     return tuple(out)
 
 
@@ -259,7 +255,7 @@ def diagram_automorphisms(d: AffineDiagram) -> tuple[tuple[int, ...], ...]:
     every edge to an edge maps the edges onto the edges, so non-edges to
     non-edges."""
     a, nbrs = d.cartan, d.neighbor_table
-    order, parent = _breadth_first(nbrs)
+    order, parent = _breadth_first(nbrs, 0)
     perm = [-1] * d.size
     used: set[int] = set()
     result: list[tuple[int, ...]] = []

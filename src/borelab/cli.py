@@ -19,11 +19,21 @@ from .minuscule import enumerate_poset, maxima_parametrization, verify_all
 from .report import render_dot, render_json, result_document
 
 
+def _read_digits(digits: str, text: str) -> int:
+    """`int` of a run of ASCII digits; past Python's limit on the digits `int`
+    reads (4300 by default) a usage error that quotes the text."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} has {len(digits)} digits, too many to read as a number") from None
+
+
 def non_negative_int(text: str) -> int:
     """A length: ASCII digits once stripped, as `node_list` reads a node."""
     digits = text.strip()
     if digits.isascii() and digits.isdigit():
-        return int(digits)
+        return _read_digits(digits, text)
     if digits[:1] == "-" and digits[1:].isascii() and digits[1:].isdigit() and digits.lstrip("-0"):
         raise argparse.ArgumentTypeError(f"must be at least 0, not {digits}")
     raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
@@ -41,7 +51,7 @@ def node_list(text: str) -> str:
             raise argparse.ArgumentTypeError(f"item {n} of {text!r} is empty")
         if not (digits.isascii() and digits.isdigit()):
             raise argparse.ArgumentTypeError(f"{item!r} is not a node number")
-        node = int(digits)
+        node = _read_digits(digits, item)
         if node in seen:
             raise argparse.ArgumentTypeError(f"node {node} is given twice")
         seen.add(node)
@@ -97,12 +107,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default=os.environ.get("BORELAB_OUT"),
                    help="output file, or directory with --all "
                         "(default: $BORELAB_OUT)")
+    for p in sub.choices.values():
+        p.set_defaults(command_parser=p)  # `main` refuses leftovers in its name
     return parser
 
 
 def _contexts(args: argparse.Namespace) -> list[GradedContext]:
-    d = load_diagram(getattr(args, "type"))
-    if getattr(args, "all", False):
+    d = load_diagram(args.type)
+    if args.all:
         specs = catalog_involutions(d, include_adjoint=True, dedupe=args.dedupe)
         return [analyze(s) for s in specs]
     odd = [int(x) for x in args.pi1.split(",")]
@@ -130,7 +142,7 @@ def _slug(ctx: GradedContext) -> str:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    d = load_diagram(getattr(args, "type"))
+    d = load_diagram(args.type)
     specs = catalog_involutions(d, include_adjoint=args.adjoint, dedupe=args.dedupe)
     for s in specs:
         print(s.describe())
@@ -162,7 +174,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 )
             out.append("\n".join(lines) + "\n")
     text = "".join(out)
-    if getattr(args, "out", None):
+    if args.out:
         _write(args.out, text)
     else:
         sys.stdout.write(text)
@@ -205,8 +217,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
         else:
             text = render_json(result_document(poset, verify_all(poset)))
         if args.all:
-            ext = "dot" if args.format == "dot" else "json"
-            path = os.path.join(args.out, f"{_slug(ctx)}.{ext}")
+            path = os.path.join(args.out, f"{_slug(ctx)}.{args.format}")
             _write(path, text)
             print(path)
         elif args.out:
@@ -226,8 +237,9 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # the subcommand's usage line, then argparse's own message
+        args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         code = _DISPATCH[args.command](args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

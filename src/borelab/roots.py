@@ -105,8 +105,8 @@ def raising_closure(d: AffineDiagram, grade: Sequence[int], top: int) -> dict[Ro
 
     The positive part of the algebra is generated by the simple root vectors,
     so every positive root of height h + 1 is a root of height h, of no larger
-    g, plus a simple root.  Raising height by height, all roots below a are
-    known, so the alpha_i-string through a reaches p steps down, and
+    g, plus a simple root.  Read from one queue, height by height, all roots
+    below a are known, so the alpha_i-string through a reaches p steps down, and
     p - q = c = <a, alpha_i^vee> (Kac, Infinite-dimensional Lie algebras,
     3.6, imaginary roots included) says whether it goes up: q > 0 iff p > c,
     that is c < 0 or, the string being unbroken, a - (c + 1) * alpha_i is a
@@ -119,22 +119,18 @@ def raising_closure(d: AffineDiagram, grade: Sequence[int], top: int) -> dict[Ro
                          f"infinitely many roots")
     cols = list(zip(*d.cartan))  # cols[i][j] = <alpha_i, alpha_j^vee>
     found = {a: g for a, g in zip(d.simple_roots, grade) if g <= top}
-    frontier = [(a, col) for a, g, col in zip(d.simple_roots, grade, cols) if g <= top]
-    while frontier:
-        nxt = []
-        for a, row in frontier:
-            ga = found[a]
-            for i, c in enumerate(row):
-                g = ga + grade[i]
-                if g > top:
-                    continue
-                if c >= 0 and (a[i] <= c or a[:i] + (a[i] - c - 1,) + a[i + 1:] not in found):
-                    continue
-                b = a[:i] + (a[i] + 1,) + a[i + 1:]
-                if b not in found:
-                    found[b] = g
-                    nxt.append((b, tuple(map(_add, row, cols[i]))))
-        frontier = nxt
+    queue = [(a, g, col) for a, g, col in zip(d.simple_roots, grade, cols) if g <= top]
+    for a, ga, row in queue:
+        for i, c in enumerate(row):
+            g = ga + grade[i]
+            if g > top:
+                continue
+            if c >= 0 and (a[i] <= c or a[:i] + (a[i] - c - 1,) + a[i + 1:] not in found):
+                continue
+            b = a[:i] + (a[i] + 1,) + a[i + 1:]
+            if b not in found:
+                found[b] = g
+                queue.append((b, g, tuple(map(_add, row, cols[i]))))
     return found
 
 
@@ -189,29 +185,26 @@ def _ascend(d: AffineDiagram, s: Sequence[int], row: list[int], g: list[int]) ->
 
 
 def highest_root(d: AffineDiagram, nodes: Iterable[int]) -> Root:
-    """Highest root of a connected finite subsystem: the unique dominant long
-    root (Humphreys, Introduction to Lie Algebras, 10.4), reached by dominant
-    ascent from a long simple root."""
+    """Highest root of a connected finite subsystem, its one component's."""
     s = finite_nodes(d, nodes)
-    if len(components(d, s)) != 1:
+    if len(found := component_highest_roots(d, s)) != 1:
         raise ValueError(f"subsystem on {s} is not connected")
-    return _highest_root(d, s)
+    return found[0][1]
 
 
 def component_highest_roots(
     d: AffineDiagram, nodes: Iterable[int]
 ) -> list[tuple[tuple[int, ...], Root]]:
     """Each component of the finite subsystem on a proper node subset, in
-    `components` order, with its highest root; the node set is checked once."""
-    return [(comp, _highest_root(d, comp)) for comp in components(d, finite_nodes(d, nodes))]
-
-
-def _highest_root(d: AffineDiagram, s: Sequence[int]) -> Root:
-    """`highest_root` of a connected node list s that `finite_nodes` has checked."""
-    longest = max(s, key=lambda i: d.gram[i][i])  # the Gram diagonal is L * (a_i, a_i)
-    g = list(simple_root(d, longest))
-    _ascend(d, s, [row[longest] for row in d.cartan], g)
-    return tuple(g)
+    `components` order, with its highest root: the unique dominant long root
+    (Humphreys, Introduction to Lie Algebras, 10.4), ascended to from a long simple root."""
+    out = []
+    for comp in components(d, finite_nodes(d, nodes)):
+        longest = max(comp, key=lambda i: d.gram[i][i])  # the Gram diagonal is L * (a_i, a_i)
+        g = list(simple_root(d, longest))
+        _ascend(d, comp, [row[longest] for row in d.cartan], g)
+        out.append((comp, tuple(g)))
+    return out
 
 
 def theta_dual_coxeter(d: AffineDiagram, theta: Root) -> int:

@@ -16,7 +16,10 @@ diagram's tree (or takes all ones on the cycle A_n~1) and certifies them, and
 edges, where `cartan` reads it off the marks and comarks.
 `permutation_automorphisms` tries every permutation of the nodes against the
 whole Cartan matrix, where `cartan.diagram_automorphisms` places nodes along
-edges and compares each edge once.
+edges and compares each edge once.  `expanded_components` grows each node's
+reachable set by adding every neighbour of the whole set, read off the Cartan
+matrix, until it stops growing, where `cartan.components` runs the
+breadth-first walk `_breadth_first` on the neighbour lists.
 `pairwise_classify_component` names a component's Cartan type from
 all-pairs scans of the Cartan matrix, and `type_sizes` and
 `type_dual_coxeter` look up that type's numbers of positive roots and Weyl
@@ -431,6 +434,24 @@ def permutation_automorphisms(d: AffineDiagram) -> tuple[tuple[int, ...], ...]:
         p for p in permutations(d.nodes)
         if all(a[p[i]][p[j]] == a[i][j] for i in d.nodes for j in d.nodes)
     )
+
+
+def expanded_components(d: AffineDiagram, nodes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """Components of the subdiagram induced on `nodes`, each sorted, ordered by
+    least node: a node's reachable set grows by every node of `nodes` adjacent
+    to it (A[k][j] != 0) until the set stops growing."""
+    s = set(nodes)
+    adj = {k: {j for j, x in enumerate(d.cartan[k]) if x and j != k} & s for k in s}
+    found: set[tuple[int, ...]] = set()
+    reached: set[int] = set()
+    for i in s:
+        if i not in reached:  # a reached node's set is the one that reached it
+            r = {i}
+            while len(grown := r.union(*(adj[k] for k in r))) > len(r):
+                r = grown
+            reached |= r
+            found.add(tuple(sorted(r)))
+    return tuple(sorted(found))
 
 
 @dataclass

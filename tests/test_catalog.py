@@ -2,8 +2,9 @@
 up to rank 11: adjoint gradings included, none deduplicated (482 gradings).
 
 They check the rules the library uses in place of a search against the
-search itself (`oracles.root_kind`, the subsystem closure), the raising
-closure of each grading's roots against a norm-bounded scan
+search itself (`oracles.root_kind`, the subsystem closure), the
+components of node subsets against neighbour expansion
+(`oracles.expanded_components`), the raising closure of each grading's roots against a norm-bounded scan
 (`oracles.graded_root_scan`) and of each finite subsystem against the
 reflection loop (`oracles.reflection_closure`), each wall's
 family heads and blocked nodes against the case-by-case rules
@@ -85,6 +86,7 @@ from oracles import (
     column_bounding_equivalence,
     column_quotient,
     crossed_pairs,
+    expanded_components,
     family_indices,
     family_tops,
     fraction_form,
@@ -559,6 +561,27 @@ def test_automorphisms_match_permutation_search():
         d = load_diagram(label)
         assert diagram_automorphisms(d) == permutation_automorphisms(d), label
     assert len(SMALL) == 37
+
+
+def test_components_match_neighbour_expansion():
+    # every node subset of the labels with at most 9 nodes, and random
+    # subsets of every density at large rank, in the same order
+    subsets = 0
+    for label in LABELS:
+        d = load_diagram(label)
+        if d.size <= 9:
+            for mask in range(1 << d.size):
+                nodes = [i for i in d.nodes if mask >> i & 1]
+                assert components(d, nodes) == expanded_components(d, nodes), (label, nodes)
+                subsets += 1
+    assert subsets == 6392
+    rng = random.Random(34)
+    for label in ("A200~1", "D400~1"):
+        d = load_diagram(label)
+        for density in (0.3, 0.6, 0.9) * 7:
+            nodes = [i for i in d.nodes if rng.random() < density]
+            rng.shuffle(nodes)
+            assert components(d, nodes) == expanded_components(d, nodes), label
 
 
 def _orbits(autos, ctxs):

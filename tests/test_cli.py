@@ -142,6 +142,22 @@ def test_long_negative_max_length_rejected():
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("option,args", [
+    ("--max-length", ["--pi1", "1", "--max-length", " " + "1" * 5000]),
+    ("--pi1", ["--pi1", "0, " + "1" * 5000]),
+], ids=["max-length", "pi1"])
+def test_over_long_number_names_the_text(option, args):
+    # past int's 4300-digit limit `int` raises ValueError, which argparse
+    # would report as "invalid non_negative_int value" or "invalid node_list value"
+    r = run_cli("enumerate", "--type", "D5~2", *args)
+    assert r.returncode == 2
+    assert r.stderr.splitlines()[-1] == (
+        f"borelab enumerate: error: argument {option}: "
+        f"{' ' + '1' * 5000!r} has 5000 digits, too many to read as a number")
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
 @pytest.mark.parametrize("text", ["-0", "-00"])
 def test_minus_zero_max_length_is_not_below_zero(text):
     # -0 is not below 0: the refusal names the text, not "at least 0"
@@ -292,10 +308,12 @@ def truncating(monkeypatch):
 ], ids=["maxima", "verify", "export json", "export dot"])
 def test_max_length_belongs_to_enumerate(command):
     # the other commands always enumerate all of P and refuse the option
+    # in the subcommand's own usage and name, not the top-level parser's
     r = run_cli(*command, "--type", "D5~2", "--pi1", "1", "--max-length", "2")
     assert r.returncode == 2
-    assert r.stderr.splitlines()[-1] == (
-        "borelab: error: unrecognized arguments: --max-length 2")
+    lines = r.stderr.splitlines()
+    assert lines[0].startswith(f"usage: borelab {command[0]} [-h] --type LABEL")
+    assert lines[-1] == f"borelab {command[0]}: error: unrecognized arguments: --max-length 2"
     assert r.stdout == ""
 
 
@@ -384,11 +402,21 @@ def test_cold_export_imports_no_dataclasses_or_fractions():
 
 def test_optimized_interpreter_gives_same_output():
     # python -O strips asserts; no guard on the enumeration path, nor on the
-    # element products and coset representatives that verify builds, may be one
+    # element products and coset representatives that verify builds, may be
+    # one.  E6~2 and E7~1's adjoint gradings (k = 2) build type-2 walls and
+    # their special involutions, E6~1 every case of the wall builder and,
+    # in maxima, the crossed pairs; C10~1 (pinned with its check lines in
+    # test_large_verify_output_pinned) and D10~1 are the largest posets
+    # the coset walk and the structural check read
     for args in (
         ["enumerate", "--type", "C10~1", "--pi1", "0,10", "--format", "json"],
         ["verify", "--type", "E6~1", "--all"],
         ["verify", "--type", "E8~1", "--pi1", "1"],
+        ["verify", "--type", "E6~2", "--all", "--no-dedupe"],
+        ["verify", "--type", "E7~1", "--all", "--adjoint"],
+        ["maxima", "--type", "E6~1", "--all"],
+        ["verify", "--type", "C10~1", "--pi1", "0,10"],
+        ["verify", "--type", "D10~1", "--pi1", "0,9"],
     ):
         runs = [subprocess.run([sys.executable, *flags, "-m", "borelab", *args],
                                capture_output=True)
@@ -398,7 +426,7 @@ def test_optimized_interpreter_gives_same_output():
 
 
 def test_optimized_smoke_script():
-    # the checks CI runs under python -O, run the same way here: the script
+    # the checks that must hold under python -O, run that way: the script
     # holds no assert, so a guarantee resting on one in the library fails
     script = Path(__file__).with_name("optimized_smoke.py")
     tree = ast.parse(script.read_text())

@@ -20,12 +20,16 @@ STDOUT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("demo", sorted(STDOUT_SHA256))
-def test_demo_runs(demo):
+@pytest.mark.parametrize("demo,flags", [
+    pytest.param(demo, flags, id=demo + suffix)
+    for demo in sorted(STDOUT_SHA256) for flags, suffix in (([], ""), (["-O"], "-O"))
+])
+def test_demo_runs(demo, flags):
+    # python -O strips asserts: each demo must print the same bytes without them
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
-    r = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+    r = subprocess.run([sys.executable, *flags, str(ROOT / "demos" / demo)],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip()

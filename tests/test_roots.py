@@ -172,6 +172,8 @@ def test_highest_roots():
     assert theta == (0, 2, 3, 4, 5, 6, 4, 2, 3)
     assert sub(delta(e8), theta) == simple_root(e8, 0)
     assert highest_root(e8, range(2, 9)) == (0, 0, 1, 2, 3, 4, 3, 2, 2)
+    # the nodes are read once, so a one-shot iterator gives the same root
+    assert highest_root(e8, iter(range(2, 9))) == (0, 0, 1, 2, 3, 4, 3, 2, 2)
     g2 = load_diagram("G2~1")
     assert highest_root(g2, [1, 2]) == (0, 2, 3)
     b4 = load_diagram("B4~1")
@@ -184,6 +186,11 @@ def test_highest_root_refuses_disconnected_nodes(label, nodes):
     # the ascent alone would stop at the first long simple root
     with pytest.raises(ValueError, match="not connected"):
         highest_root(load_diagram(label), nodes)
+
+
+def test_highest_root_refusal_names_sorted_nodes_of_an_iterator():
+    with pytest.raises(ValueError, match=re.escape("subsystem on [1, 3, 4] is not connected")):
+        highest_root(load_diagram("B4~1"), iter([4, 1, 3]))
 
 
 def test_heights():
