@@ -2,7 +2,7 @@
 
 from .cartan import AffineDiagram, load_diagram
 from .grading import GradedContext, analyze, catalog_involutions, context_for, involution
-from .minuscule import MinusculePoset, enumerate_poset, maxima_parametrization, verify_all
+from .poset import MinusculePoset, enumerate_poset, maxima_parametrization
 
 __all__ = [
     "AffineDiagram",
@@ -18,3 +18,11 @@ __all__ = [
     "verify_all",
 ]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """`verify_all` imports the checks, `borelab.minuscule`, on first use."""
+    if name == "verify_all":
+        from .minuscule import verify_all
+        return verify_all
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

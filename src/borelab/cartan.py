@@ -232,8 +232,11 @@ def dual_coxeter_number(d: AffineDiagram) -> int:
 
 def components(d: AffineDiagram, nodes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """Connected components of the induced subdiagram, ordered by least node:
-    the sets `_breadth_first` reaches along the neighbour lists induced on it."""
+    the sets `_breadth_first` reaches along the neighbour lists induced on it.
+    ValueError names the numbers in `nodes` that are not nodes."""
     s = set(nodes)
+    if bad := sorted(i for i in s if i not in d.nodes):
+        raise ValueError(f"{bad} are not nodes of {d.label}, whose nodes are 0..{d.size - 1}")
     nbrs = {i: [j for j in d.neighbor_table[i] if j in s] for i in s}
     out, reached = [], set()
     for i in sorted(s):

@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 
 from .cartan import load_diagram
 from .grading import GradedContext, analyze, catalog_involutions, involution
-from .minuscule import enumerate_poset, maxima_parametrization, verify_all
+from .poset import enumerate_poset, maxima_parametrization
 from .report import render_dot, render_json, result_document
 
 
@@ -193,6 +193,7 @@ def _cmd_maxima(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .minuscule import verify_all
     failed = False
     for ctx in _contexts(args):
         poset = enumerate_poset(ctx)
@@ -204,6 +205,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    from .minuscule import verify_all
     if args.all and not args.out:
         raise ValueError("--all export needs --out (a directory)")
     contexts = _contexts(args)

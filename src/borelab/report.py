@@ -7,9 +7,12 @@ timestamps — so reruns are byte-identical.
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .minuscule import CheckResult, MinusculePoset, maxima_parametrization
+from .poset import MinusculePoset, maxima_parametrization
+
+if TYPE_CHECKING:
+    from .minuscule import CheckResult
 
 RESULT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",

@@ -1,7 +1,7 @@
 import pytest
 
 from borelab.grading import context_for
-from borelab.minuscule import enumerate_poset
+from borelab.poset import enumerate_poset
 
 
 @pytest.fixture(scope="session")

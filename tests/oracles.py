@@ -28,7 +28,7 @@ group elements and its dual Coxeter number in tables, where
 component's highest root.
 `scan_poset` is the poset BFS on tuple columns, all rewritten at each
 step, and `tuple_family_table` reads its families off them, where
-`minuscule.enumerate_poset` and `MinusculePoset` read packed columns and
+`poset.enumerate_poset` and `poset.MinusculePoset` read packed columns and
 look them up as ints.  `family_indices` and `blocked_nodes` decide a wall's
 family heads and blocked nodes case by case on demand, the reference for the
 `Wall.heads` and `Wall.blocked` that `GradedContext._build_walls` fixes
@@ -103,7 +103,8 @@ from typing import Iterable, Optional, Sequence
 
 from borelab.cartan import AffineDiagram, components, finite_nodes
 from borelab.grading import GradedContext, Wall
-from borelab.minuscule import CheckResult, MinusculePoset, _verdict, structural_masks
+from borelab.minuscule import CheckResult, _verdict, structural_masks
+from borelab.poset import MinusculePoset
 from borelab.roots import (
     Root,
     add,

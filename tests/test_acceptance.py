@@ -17,11 +17,8 @@ import pytest
 
 from borelab.cartan import load_diagram
 from borelab.grading import analyze, catalog_involutions, context_for
-from borelab.minuscule import (
-    enumerate_poset,
-    maxima_parametrization,
-    verify_all,
-)
+from borelab.minuscule import verify_all
+from borelab.poset import enumerate_poset, maxima_parametrization
 from borelab.report import render_json, result_document
 from borelab.roots import add, delta, sub, subsystem_closure
 from oracles import length_ball, root_kind, word_element

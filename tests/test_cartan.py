@@ -9,6 +9,7 @@ import borelab
 from borelab.cartan import (
     AffineDiagram,
     _kernel_vector,
+    components,
     diagram_automorphisms,
     dual_coxeter_number,
     load_diagram,
@@ -206,6 +207,18 @@ def test_load_rejections():
         load_diagram("A0~1")
     with pytest.raises(ValueError, match="rank 08 has a leading zero"):
         load_diagram("E08~1")
+
+
+def test_components_refuse_numbers_that_are_not_nodes():
+    # E8~1's nodes are 0..8: a number outside them is named, not kept as a
+    # component of its own or read past the neighbour table
+    d = load_diagram("E8~1")
+    for nodes, bad in (([-1, 8], [-1]), ([99], [99]), ([12, 3, 9, -2], [-2, 9, 12])):
+        with pytest.raises(ValueError) as info:
+            components(d, nodes)
+        assert str(info.value) == f"{bad} are not nodes of E8~1, whose nodes are 0..8"
+    assert components(d, d.nodes) == (tuple(d.nodes),)
+    assert components(d, [8, 0]) == ((0,), (8,))
 
 
 def test_no_shared_memo_state():

@@ -61,11 +61,10 @@ from borelab.minuscule import (
     check_family_completeness,
     check_structural,
     coset_translates,
-    enumerate_poset,
-    maxima_parametrization,
     structural_masks,
     verify_all,
 )
+from borelab.poset import enumerate_poset, maxima_parametrization
 from borelab.roots import (
     add,
     dominant_ascent,

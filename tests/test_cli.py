@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from borelab import cli
+from borelab import cli, minuscule
 from borelab.minuscule import CheckResult
 from borelab.report import RESULT_SCHEMA
 
@@ -65,7 +65,7 @@ def test_verify_ok_and_failing(monkeypatch, capsys):
     assert ok.returncode == 0
     assert "[PASS]" in ok.stdout and "[FAIL]" not in ok.stdout
     # one failing check among passing ones must fail the run loudly
-    monkeypatch.setattr(cli, "verify_all", lambda poset: [
+    monkeypatch.setattr(minuscule, "verify_all", lambda poset: [
         CheckResult("complete", True, "all"), CheckResult("structural", False, "broken")])
     assert cli.main(["verify", "--type", "D5~2", "--pi1", "1"]) == 1
     out = capsys.readouterr().out
@@ -400,6 +400,52 @@ def test_cold_export_imports_no_dataclasses_or_fractions():
     assert r.stdout == "0\n"
 
 
+_CHECKS_LOADED = """
+import contextlib, io, sys
+import borelab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = borelab.cli.main(sys.argv[1:])
+print(code, "borelab.minuscule" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command, loads", [
+    (["enumerate", "--type", "C10~1", "--pi1", "0,10", "--format", "json"], False),
+    (["maxima", "--type", "C10~1", "--pi1", "0,10"], False),
+    (["catalog", "--type", "C10~1"], False),
+    (["verify", "--type", "C10~1", "--pi1", "0,10"], True),
+    (["export", "--type", "C10~1", "--pi1", "0,10"], True),
+], ids=["enumerate", "maxima", "catalog", "verify", "export"])
+def test_only_verify_and_export_load_the_checks(command, loads):
+    # the checks are compiled on each fresh CLI run that imports them; the
+    # test process has imported every module, so a fresh interpreter shows
+    # what each command loads
+    r = subprocess.run([sys.executable, "-c", _CHECKS_LOADED, *command],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == f"0 {loads}\n"
+
+
+_PACKAGE_NAMES = """
+import sys
+import borelab
+cold = "borelab.minuscule" in sys.modules
+names = {}
+exec("from borelab import *", names)
+missing = [n for n in borelab.__all__ if names.get(n) is not getattr(borelab, n)]
+print(cold, borelab.verify_all is borelab.minuscule.verify_all,
+      hasattr(borelab, "no_such"), missing)
+"""
+
+
+def test_package_loads_the_checks_on_first_use():
+    # `import borelab` leaves the checks out; `verify_all` brings them in,
+    # also through `from borelab import *`, and no other name does
+    r = subprocess.run([sys.executable, "-c", _PACKAGE_NAMES], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "False True False []\n"
+
+
 def test_optimized_interpreter_gives_same_output():
     # python -O strips asserts; no guard on the enumeration path, nor on the
     # element products and coset representatives that verify builds, may be
@@ -440,7 +486,7 @@ def test_library_has_no_assert():
     # python -O strips asserts, so no guarantee of the library may rest on one
     src = Path(__file__).resolve().parent.parent / "src" / "borelab"
     modules = sorted(src.glob("*.py"))
-    assert len(modules) == 9
+    assert len(modules) == 10
     for module in modules:
         tree = ast.parse(module.read_text(), str(module))
         found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]

@@ -23,11 +23,11 @@ from borelab.minuscule import (
     check_special_involutions,
     check_structural,
     coset_translates,
-    enumerate_poset,
-    maxima_parametrization,
     structural_masks,
     verify_all,
 )
+import borelab.poset as poset_module
+from borelab.poset import enumerate_poset, maxima_parametrization
 from borelab.report import result_document
 from borelab.roots import (
     add,
@@ -522,9 +522,9 @@ def test_poset_stores_no_element_objects(monkeypatch):
     # columns are the only ones the enumeration builds from nothing, and each
     # other element's are its parent's stepped once
     built, steps = [], []
-    monkeypatch.setattr(minuscule, "identity",
+    monkeypatch.setattr(poset_module, "identity",
                         lambda d, real=weyl.identity: built.append(d) or real(d))
-    monkeypatch.setattr(minuscule, "_right_mult_simple",
+    monkeypatch.setattr(poset_module, "_right_mult_simple",
                         lambda d, cols, i, real=weyl._right_mult_simple:
                         steps.append(i) or real(d, cols, i))
     p = enumerate_poset(context_for("C10~1", [0, 10]))
@@ -544,8 +544,8 @@ def test_library_keeps_one_element_form():
     assert [name for name, v in vars(weyl).items()
             if isinstance(v, type) and v.__module__ == weyl.__name__] == []
     for name in ("WeylElement", "_apply_cols", "_word_element"):
-        assert not hasattr(weyl, name) and not hasattr(minuscule, name)
-    assert not hasattr(minuscule.MinusculePoset, "element")
+        assert not any(hasattr(module, name) for module in (weyl, poset_module, minuscule))
+    assert not hasattr(poset_module.MinusculePoset, "element")
 
 
 def test_bounding_equivalence_rejects_other_posets(sweep):
@@ -842,7 +842,7 @@ def test_special_involution_matches_orbit_search():
 def test_verify_all_runs_no_orbit_search(monkeypatch):
     # the orbit search is a test oracle only: every special involution comes
     # from the closed form.  E8~1{1} has no type-2 wall, D5~2{1} has one
-    for module in (weyl, grading, minuscule):
+    for module in (weyl, grading, poset_module, minuscule):
         assert not hasattr(module, "minimal_mapper")
         assert not hasattr(module, "_path_word")
     regions = []
@@ -887,7 +887,8 @@ def test_closed_forms_walked_once(monkeypatch):
         return real(d, inner, nodes)
 
     monkeypatch.setattr(GradedContext, "special_involution", spy)
-    monkeypatch.setattr(minuscule, "_right_mult_simple", step_spy)
+    for module in (poset_module, minuscule):
+        monkeypatch.setattr(module, "_right_mult_simple", step_spy)
     monkeypatch.setattr(grading, "longest_quotient", quotient_spy)
     spy_family_minima(monkeypatch, built)
     specs = [*catalog_involutions(load_diagram("E6~1"), include_adjoint=True, dedupe=False),

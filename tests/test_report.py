@@ -3,7 +3,8 @@ import json
 import jsonschema
 import pytest
 
-from borelab.minuscule import CheckResult, enumerate_poset, verify_all
+from borelab.minuscule import CheckResult, verify_all
+from borelab.poset import enumerate_poset
 from borelab.report import RESULT_SCHEMA, render_dot, render_json, result_document
 
 

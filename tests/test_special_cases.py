@@ -12,7 +12,7 @@ import pytest
 
 from borelab.cartan import load_diagram
 from borelab.grading import GradedContext, context_for, involution
-from borelab.minuscule import enumerate_poset
+from borelab.poset import enumerate_poset
 from oracles import certify_maxima
 
 # Number of maximal abelian ideals = number of long simple roots (Panyushev,
