@@ -24,7 +24,7 @@ for wall in ctx.walls:
 print()
 
 poset = enumerate_poset(ctx)
-print(f"poset size {len(poset)} with {len(poset.edges)} cover relations")
+print(f"poset size {len(poset)} with {poset.cover_count} cover relations")
 print()
 
 print("maximal elements (all fourteen, with predicted dimensions):")

@@ -22,18 +22,18 @@ class MinusculePoset:
     (`by_mask`, as w -> N(w) is injective) and length; its packed columns
     `cols[p]`; and p = parents[p] * s_i, i = `letters[p]`, parents[p] < p
     the element the enumeration first reached p from (both -1 at the
-    identity, p = 0), along which `word` spells p on demand.
+    identity, p = 0), along which `word` spells p on demand.  No cover is
+    stored: each is read off the columns.
     """
 
     def __init__(self, ctx: GradedContext, masks: tuple[int, ...], parents: tuple[int, ...],
                  letters: tuple[int, ...], cols: tuple[tuple[int, ...], ...],
-                 edges: tuple[tuple[int, int], ...], complete: bool, by_mask: dict[int, int]):
+                 complete: bool, by_mask: dict[int, int]):
         self.ctx = ctx
         self.masks = masks
         self.parents = parents
         self.letters = letters
         self.cols = cols
-        self.edges = edges
         self.complete = complete
         self.by_mask = by_mask
 
@@ -73,13 +73,25 @@ class MinusculePoset:
                 return None
         return p
 
+    @property
+    def cover_count(self) -> int:
+        """Covers q*s_i -> q, one per descent i of q (a negative column), as P
+        is a lower set in the right weak order, truncated by length or not."""
+        return sum(c < 0 for cols in self.cols for c in cols)
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """Covers (p, p*s_i), p ascending and then i in node order; built on each read."""
+        return [(p, q) for p in range(len(self)) for i in self.ctx.d.nodes
+                if (q := self.step(p, i)) is not None]
+
     @cached_property
     def maxima(self) -> tuple[int, ...]:
-        """Elements with no cover; ValueError if the poset is incomplete."""
+        """Elements with no S1 column, so no cover; ValueError if incomplete."""
         if not self.complete:
             raise ValueError(self.truncation())
-        sources = {a for a, _ in self.edges}
-        return tuple(i for i in range(len(self)) if i not in sources)
+        s1 = self.ctx.s1_bits.keys()
+        return tuple(p for p, cols in enumerate(self.cols) if s1.isdisjoint(cols))
 
     @cached_property
     def parametrization(self) -> tuple[MaximumItem, ...]:
@@ -118,9 +130,9 @@ def enumerate_poset(ctx: GradedContext, max_length: Optional[int] = None) -> Min
 
     A cover w -> w*s_i exists when the packed column w(alpha_i) is in S1; its
     target is looked up by inversion mask before its columns are built.
-    Columns are visited in node order, which fixes the order of the elements
-    and of `edges`.  An element at the cap length is not stepped from; it
-    marks the poset truncated if a column of it is in S1."""
+    Columns are visited in node order, which fixes the order of the elements.
+    An element at the cap length is not stepped from; it marks the poset
+    truncated if a column of it is in S1."""
     if max_length is not None and max_length < 0:
         raise ValueError(f"max_length must be at least 0, not {max_length}")
     d = ctx.d
@@ -128,7 +140,6 @@ def enumerate_poset(ctx: GradedContext, max_length: Optional[int] = None) -> Min
     cap = len(bits) if max_length is None else min(max_length, len(bits))
     masks, parents, letters, cols = [0], [-1], [-1], [identity(d)]
     by_mask = {0: 0}
-    edges: list[tuple[int, int]] = []
     truncated = False
     for src, w in enumerate(cols):  # appended to as it is read: breadth-first
         mask = masks[src]
@@ -142,16 +153,14 @@ def enumerate_poset(ctx: GradedContext, max_length: Optional[int] = None) -> Min
             if mask & b:
                 raise RuntimeError(f"column {i} of element {src} is already an inversion")
             key = mask | b
-            tgt = by_mask.get(key)
-            if tgt is None:
-                tgt = by_mask[key] = len(masks)
+            if key not in by_mask:
+                by_mask[key] = len(masks)
                 masks.append(key)
                 parents.append(src)
                 letters.append(i)
                 cols.append(_right_mult_simple(d, w, i))
-            edges.append((src, tgt))
     return MinusculePoset(ctx, tuple(masks), tuple(parents), tuple(letters), tuple(cols),
-                          tuple(edges), not truncated, by_mask)
+                          not truncated, by_mask)
 
 
 class MaximumItem(NamedTuple):

@@ -146,7 +146,7 @@ def result_document(
         "odd_nodes": list(ctx.odd),
         "adjoint": ctx.spec.adjoint,
         "poset_size": len(poset),
-        "cover_count": len(poset.edges),
+        "cover_count": poset.cover_count,
         "walls": walls,
         "families": families,
         "maxima": maxima,

@@ -54,10 +54,6 @@ def scale(k: int, a: Root) -> Root:
     return tuple(k * x for x in a)
 
 
-def is_positive(a: Root) -> bool:
-    return any(a) and min(a) >= 0
-
-
 def pair(d: AffineDiagram, a: Root, i: int) -> int:
     """<a, alpha_i^vee>."""
     return sum(map(mul, d.cartan[i], a))
@@ -88,15 +84,6 @@ def coroot_pair(d: AffineDiagram, beta: Root, a: Root) -> int:
     if r:
         raise ValueError(f"pairing of {a} with {beta}^vee is not integral")
     return v
-
-
-def reflect_simple(d: AffineDiagram, a: Root, i: int) -> Root:
-    c = pair(d, a, i)
-    if c == 0:
-        return a
-    b = list(a)
-    b[i] -= c
-    return tuple(b)
 
 
 def raising_closure(d: AffineDiagram, grade: Sequence[int], top: int) -> dict[Root, int]:

@@ -110,10 +110,8 @@ from borelab.roots import (
     add,
     coroot_pair,
     is_long,
-    is_positive,
     neg,
     pair,
-    reflect_simple,
     scale,
     simple_root,
     sub,
@@ -207,8 +205,22 @@ def ht_odd(ctx: GradedContext, a: Root) -> int:
     return ht_subset(a, ctx.odd)
 
 
+def is_positive(a: Root) -> bool:
+    return any(a) and min(a) >= 0
+
+
 def is_negative(a: Root) -> bool:
     return any(a) and max(a) <= 0
+
+
+def reflect_simple(d: AffineDiagram, a: Root, i: int) -> Root:
+    """s_i(a) on a root tuple; the library steps packed columns instead."""
+    c = pair(d, a, i)
+    if c == 0:
+        return a
+    b = list(a)
+    b[i] -= c
+    return tuple(b)
 
 
 @lru_cache(maxsize=None)

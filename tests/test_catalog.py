@@ -362,6 +362,20 @@ def test_packed_bfs_matches_tuple_reference(catalog):
         assert got._family_table == tuple_family_table(ctx, want.mats), name
 
 
+def test_cover_count_is_the_descent_count(catalog):
+    # P is a lower set in the right weak order, and so is each truncation by
+    # length: the covers into q are its descents, its negative columns, so
+    # their number is the number of covers the poset steps along
+    posets = 0
+    for ctx in catalog:
+        top = max(m.bit_count() for m in enumerate_poset(ctx).masks)
+        for max_length in (None, *range(top)):
+            p = enumerate_poset(ctx, max_length)
+            assert p.cover_count == len(p.edges), (ctx.spec.describe(), max_length)
+            posets += 1
+    assert posets == 6582
+
+
 def test_packed_columns_round_trip(catalog):
     # every column of every poset element decodes to a real root of one
     # sign, with the int's sign, inside the field bound, and packs back

@@ -415,7 +415,8 @@ print(code, "borelab.minuscule" in sys.modules)
     (["catalog", "--type", "C10~1"], False),
     (["verify", "--type", "C10~1", "--pi1", "0,10"], True),
     (["export", "--type", "C10~1", "--pi1", "0,10"], True),
-], ids=["enumerate", "maxima", "catalog", "verify", "export"])
+    (["export", "--type", "C10~1", "--pi1", "0,10", "--format", "dot"], False),
+], ids=["enumerate", "maxima", "catalog", "verify", "export", "export-dot"])
 def test_only_verify_and_export_load_the_checks(command, loads):
     # the checks are compiled on each fresh CLI run that imports them; the
     # test process has imported every module, so a fresh interpreter shows

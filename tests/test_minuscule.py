@@ -518,9 +518,10 @@ def test_changed_parent_letter_or_column_fails_poset_basics(sweep):
 
 
 def test_poset_stores_no_element_objects(monkeypatch):
-    # one stored form: masks, parents, letters and columns; the identity's
-    # columns are the only ones the enumeration builds from nothing, and each
-    # other element's are its parent's stepped once
+    # one stored form: masks, parents, letters, columns and the mask index,
+    # with no cover list; the identity's columns are the only ones the
+    # enumeration builds from nothing, and each other element's are its
+    # parent's stepped once
     built, steps = [], []
     monkeypatch.setattr(poset_module, "identity",
                         lambda d, real=weyl.identity: built.append(d) or real(d))
@@ -531,6 +532,9 @@ def test_poset_stores_no_element_objects(monkeypatch):
     assert (len(p), built, steps) == (6144, [p.ctx.d], list(p.letters[1:]))
     for name in ("elements", "_by_cols", "element"):
         assert not hasattr(p, name)
+    # nor a cover list or count: both are read off the columns on each read
+    assert (p.cover_count, len(p.edges)) == (19456, 19456)
+    assert "edges" not in vars(p) and "cover_count" not in vars(p)
     monkeypatch.undo()
     for q in (0, 1, len(p) - 1, *p.maxima):
         w = element(p, q)

@@ -19,14 +19,13 @@ from borelab.roots import (
     norm_sq,
     positive_root_count,
     raising_closure,
-    reflect_simple,
     scale,
     simple_root,
     sub,
     subsystem_closure,
     weyl_group_order,
 )
-from oracles import from_reflection, ht, ht_subset, is_real_root, root_kind
+from oracles import from_reflection, ht, ht_subset, is_real_root, reflect_simple, root_kind
 
 LABELS = ["A2~1", "B3~1", "C3~1", "D4~1", "G2~1", "F4~1", "A2~2", "A5~2", "D5~2"]
 

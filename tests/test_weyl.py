@@ -9,7 +9,6 @@ from borelab.roots import (
     coroot_pair,
     delta,
     highest_root,
-    is_positive,
     longest_quotient,
     simple_root,
     subsystem_closure,
@@ -27,6 +26,7 @@ from oracles import (
     inverse_matrix,
     is_biconvex,
     is_negative,
+    is_positive,
     length_ball,
     minimal_coset_rep,
     minimal_mapper,
